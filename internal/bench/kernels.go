@@ -40,8 +40,10 @@ func Kernels() []Kernel {
 		{"Meter.MeasureTrace/dense-32", benchMeterMeasureTrace},
 		{"Window.Encode/8", benchWindowEncode(8)},
 		{"Window.Encode/128", benchWindowEncode(128)},
-		{"Context.Encode/16", benchContextEncode(16)},
-		{"Context.Encode/128", benchContextEncode(128)},
+		{"Context.Encode/16", benchContextEncode(16, 8, 4096)},
+		{"Context.Encode/128", benchContextEncode(128, 8, 4096)},
+		{"Context.Encode/t128-s16", benchContextEncode(128, 16, 256)},
+		{"Channel.SendRaw/l0.5", benchChannelSendRaw},
 		{"Enum.Encode/optmem-32+2", benchEnumEncode(func() (coding.Transcoder, error) {
 			return coding.NewOptMem(32, 2)
 		})},
@@ -64,6 +66,7 @@ func Kernels() []Kernel {
 		{"Bus.SlicedMeter/32x8k", benchSlicedMeter},
 		{"Grid.Stateless/raw-inv-gray", benchGridStateless},
 		{"Grid.Stride/k1-8", benchGridStride},
+		{"Stride.Request/32", benchStrideRequest},
 		{"Grid.Optimal/4-family", benchGridOptimal},
 		{"Batch.Window/8-128", benchBatchWindow},
 		{"Batch.MultiTrace/li-suite", benchBatchMultiTrace},
@@ -174,12 +177,16 @@ func benchWindowEncode(entries int) func(b *B) {
 	}
 }
 
-func benchContextEncode(table int) func(b *B) {
+// benchContextEncode measures one Context encoder at its operating
+// point: a working set of ¾ its table size with a cold-value tail, so
+// cycles mix table hits, shift-register promotions and sort swaps, all
+// through the dictionary's hash index (table+sr ≥ 16 slots).
+func benchContextEncode(table, sr, divide int) func(b *B) {
 	return func(b *B) {
 		trace := dictTrace(8192, table*3/4)
 		ctx, err := coding.NewContext(coding.ContextConfig{
-			Width: 32, TableSize: table, ShiftEntries: 8,
-			DividePeriod: 4096, Lambda: 1,
+			Width: 32, TableSize: table, ShiftEntries: sr,
+			DividePeriod: divide, Lambda: 1,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -193,6 +200,24 @@ func benchContextEncode(table int) func(b *B) {
 		for i := 0; i < b.N; i++ {
 			enc.Encode(trace[i&8191])
 		}
+	}
+}
+
+// benchChannelSendRaw isolates the prediction coders' raw-send path at a
+// fractional assumed Λ: a one-entry window fed uniformly random values
+// misses on every cycle, so each Encode is a one-slot probe plus the
+// channel's fused raw-vs-inverted ranking in float64.
+func benchChannelSendRaw(b *B) {
+	trace := denseTrace(8192, 32)
+	win, err := coding.NewWindow(32, 1, 0.5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	enc := win.NewEncoder()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		enc.Encode(uint64(trace[i&8191]))
 	}
 }
 
@@ -364,8 +389,8 @@ func benchGridStateless(b *B) {
 }
 
 // benchGridStride evaluates a whole stride bank-depth sweep (k = 1..8)
-// in one grid pass: the shared prefix-nesting tape is built once and
-// replayed per depth, the way the figure-8 family runs.
+// in one grid pass with no tape provider: the shared prefix-nesting tape
+// is built once per pass and replayed per depth.
 func benchGridStride(b *B) {
 	vals := dictTrace(8192, 24)
 	raw := coding.MeasureRawValues(32, vals)
@@ -382,6 +407,30 @@ func benchGridStride(b *B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := coding.EvaluateGrid(cells, vals, raw, coding.VerifySampled(0)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// benchStrideRequest is a single stride request's evaluation the way the
+// request path runs it: a one-cell grid whose tape provider hands back
+// the trace's already-built tape (a warm tape memo), so the kernel is the
+// 32-bank replay plus sampled verification.
+func benchStrideRequest(b *B) {
+	vals := dictTrace(8192, 24)
+	raw := coding.MeasureRawValues(32, vals)
+	st, err := coding.NewStride(32, 32, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tape := coding.NewStrideTape(32, 32, vals)
+	cells := []coding.GridCell{{T: st, Lambda: 1}}
+	opts := coding.GridOptions{Tapes: func(int, int) *coding.StrideTape { return tape }}
+	b.SetBytes(int64(len(vals)) * 8)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := coding.EvaluateGridOpts(cells, vals, raw, coding.VerifySampled(0), opts); err != nil {
 			b.Fatal(err)
 		}
 	}

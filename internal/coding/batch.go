@@ -35,8 +35,10 @@ import (
 // front-end evolve differently at every table size from the first
 // divergence on, and unlike the window ring there is no shared probe to
 // hoist (the table order itself is the state). Those cells take the
-// scalar path, as does everything under VerifyFull (a live decoder must
-// see every coded word, which is exactly one full scalar run per cell).
+// scalar path — in a sweep and in a single-point evaluation alike, since
+// single points route through the grid as one-cell grids — as does
+// everything under VerifyFull (a live decoder must see every coded word,
+// which is exactly one full scalar run per cell).
 
 // famResult is one family member's share of a batch pass.
 type famResult struct {
@@ -195,13 +197,14 @@ func (f *windowFamily) addRow(v uint64) int {
 	return int(row)
 }
 
-// removeResident clears v's slot in ring k; the row (and its index key)
-// is released once no ring holds v. The caller reads row from the rowAt
-// arena, where every non-fresh ring entry recorded it at insert.
-func (f *windowFamily) removeResident(v uint64, row int32, k int) {
+// removeResident clears ring k's slot in an entry's row; the row (and
+// its index key) is released once no ring holds the entry. The caller
+// reads row from the rowAt arena, where every non-fresh ring entry
+// recorded it at insert.
+func (f *windowFamily) removeResident(row int32, k int) {
 	f.slots[int(row)*f.m+k] = -1
 	if f.rowCount[row]--; f.rowCount[row] == 0 {
-		f.idx.del(ctxKey{cur: v})
+		f.idx.remove(int(row))
 		f.freeRows = append(f.freeRows, row)
 	}
 }
@@ -264,7 +267,7 @@ func (f *windowFamily) run(trace []uint64, verify VerifyPolicy) ([]famResult, er
 					if f.fresh[k] > 0 {
 						f.fresh[k]--
 					} else {
-						f.removeResident(evicted, f.rowAt[k][h], k)
+						f.removeResident(f.rowAt[k][h], k)
 					}
 					ring[h] = v
 					f.births[k][h] = f.cum[v&0xFF]
@@ -354,12 +357,12 @@ func (sc *gridScratch) family(sig string, ts []*WindowTranscoder) *windowFamily 
 }
 
 // BatchTrace is one trace of an EvaluateBatch suite, with its optional
-// pre-measured raw meter (at the cells' data width) and sliced-plane
-// provider (as GridOptions.Sliced).
+// pre-measured raw meter (at the cells' data width) and the trace's
+// sliced-plane and stride-tape providers (see GridOptions).
 type BatchTrace struct {
 	Values []uint64
 	Raw    *bus.Meter
-	Sliced func(width int) *bus.SlicedTrace
+	GridOptions
 }
 
 // EvaluateBatch evaluates the same cell grid against every trace,
@@ -376,7 +379,7 @@ func EvaluateBatch(cells []GridCell, traces []BatchTrace, verify VerifyPolicy) (
 	var sc gridScratch
 	out := make([][]Result, len(traces))
 	for i := range traces {
-		res, err := sc.evaluate(cells, traces[i].Values, traces[i].Raw, verify, GridOptions{Sliced: traces[i].Sliced})
+		res, err := sc.evaluate(cells, traces[i].Values, traces[i].Raw, verify, traces[i].GridOptions)
 		if err != nil {
 			return nil, err
 		}

@@ -247,6 +247,61 @@ func TestGridSlicedProvider(t *testing.T) {
 	}
 }
 
+// TestGridTapeProvider: stride cells replay a caller-supplied tape —
+// including one deeper than any bank in the grid, which is what a tape
+// memo hands back after serving a deeper request — with results
+// identical to the grid's own tape, a provider returning nil falls back
+// to building one, and VerifyFull never asks for a tape.
+func TestGridTapeProvider(t *testing.T) {
+	const width = 12
+	trace := gridTestTrace(width, 900, 7)
+	var cells []GridCell
+	for _, k := range []int{1, 3, 5} {
+		st, err := NewStride(width, k, 0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cells = append(cells, GridCell{T: st, Lambda: 1})
+	}
+	want, err := EvaluateGrid(cells, trace, nil, VerifySampled(16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	deep := NewStrideTape(width, 40, trace)
+	for _, tc := range []struct {
+		name string
+		tape *StrideTape
+	}{{"deeper", deep}, {"nil", nil}} {
+		var asked []int
+		got, err := EvaluateGridOpts(cells, trace, nil, VerifySampled(16), GridOptions{
+			Tapes: func(w, k int) *StrideTape {
+				if w != width {
+					t.Fatalf("provider asked for width %d, want %d", w, width)
+				}
+				asked = append(asked, k)
+				return tc.tape
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(asked) != 1 || asked[0] != 5 {
+			t.Errorf("%s: provider asked for depths %v, want one request for the deepest bank (5)", tc.name, asked)
+		}
+		for i, c := range cells {
+			compareGridResult(t, tc.name+"/"+c.T.Name(), want[i], got[i])
+		}
+	}
+	if _, err := EvaluateGridOpts(cells, trace, nil, VerifyFull, GridOptions{
+		Tapes: func(int, int) *StrideTape {
+			t.Fatal("VerifyFull must take the scalar path, not a tape")
+			return nil
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // FuzzWindowFamilyMatchesScalar fuzzes (trace, family-spec) pairs
 // through the batch pass and pins every member to scalar Evaluate.
 func FuzzWindowFamilyMatchesScalar(f *testing.F) {

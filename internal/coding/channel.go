@@ -34,16 +34,15 @@ const (
 // channel is the encoder-side bus driver. The data and pair masks are
 // hoisted into the struct at construction: sendRaw ranks two candidate
 // bus states every raw cycle, and recomputing masks per candidate
-// dominated the encode profile. When the assumed Λ is integral (as in
-// every experiment except Figure 15's fractional λN points) the
-// raw-vs-inverted choice runs on bus.CostMaskedInt — the exact-ordering
-// equivalence is documented there.
+// dominated the encode profile.
 type channel struct {
 	width       int     // data wires
 	lambda      float64 // assumed Λ for the raw-vs-inverted choice
 	state       bus.Word
 	dataMask    bus.Word // Mask(width)
 	pairMask    bus.Word // Mask(busWidth-1): adjacent pairs incl. control wires
+	ctrlRaw     bus.Word // the raw-cycle control wire
+	ctrlInv     bus.Word // the inverted-raw-cycle control wire
 	lambdaInt   uint64   // integral Λ when lambdaIsInt
 	lambdaIsInt bool
 
@@ -80,15 +79,14 @@ func newChannel(width int, lambda float64) channel {
 		lambda:      lambda,
 		dataMask:    bus.Mask(width),
 		pairMask:    bus.Mask(width + 1),
+		ctrlRaw:     bus.Word(1) << uint(width),
+		ctrlInv:     bus.Word(1) << uint(width+1),
 		lambdaInt:   li,
 		lambdaIsInt: ok,
 	}
 }
 
 func (c *channel) busWidth() int { return c.width + 2 }
-
-func (c *channel) ctrlRaw() bus.Word { return bus.Word(1) << uint(c.width) }
-func (c *channel) ctrlInv() bus.Word { return bus.Word(1) << uint(c.width+1) }
 
 // sendCode applies the codeword as a transition vector to the data wires.
 func (c *channel) sendCode(code bus.Word) bus.Word {
@@ -107,73 +105,59 @@ func (c *channel) sendCode(code bus.Word) bus.Word {
 }
 
 // sendRaw drives the value (or its complement) onto the data wires and
-// toggles the corresponding control wire. It reports whether the inverted
-// form was chosen.
+// toggles the corresponding control wire, whichever candidate costs less
+// under the assumed Λ (a tie keeps the raw form). It reports whether the
+// inverted form was chosen.
+//
+// Both candidates are ranked in one fused eq. (3) evaluation. Their
+// transition vectors are complements on the data wires, so the shared
+// subexpressions are computed once: with p the current data state, x the
+// value, t = p^x, D the data mask and R/I the raw/inverted control wires,
+//
+//	raw:      transitions t|R,   rising x&^p,      falling p&^x,  plus R
+//	inverted: transitions t^D|I, rising D&^(x|p), falling p&x,   plus I
+//
+// and the self-transition counts are pt+1 and width-pt+1 for
+// pt = weight(t). The integer counts T and C are then compared as
+// T + Λ·C: in uint64 when Λ is integral (every experiment except
+// Figure 15's fractional λN points), and otherwise as
+// float64(T) + Λ·float64(C) — exactly bus.CostMasked's expression, so
+// every decision matches ranking the two candidates with CostMasked
+// (TestChannelIntCostMatchesFloat).
 func (c *channel) sendRaw(v uint64) (bus.Word, bool) {
-	if c.lambdaIsInt {
-		return c.sendRawInt(bus.Word(v) & c.dataMask)
-	}
-	keep := c.state &^ c.dataMask
-	candRaw := (keep | bus.Word(v)&c.dataMask) ^ c.ctrlRaw()
-	candInv := (keep | ^bus.Word(v)&c.dataMask) ^ c.ctrlInv()
-	costRaw := bus.CostMasked(c.state, candRaw, c.pairMask, c.lambda)
-	costInv := bus.CostMasked(c.state, candInv, c.pairMask, c.lambda)
-	chosen, inverted := candRaw, false
-	if costInv < costRaw {
-		chosen, inverted = candInv, true
-	}
-	old := c.state
-	t := old ^ chosen
-	rising := chosen &^ old
-	falling := old &^ chosen
-	single := (t ^ (t >> 1)) & c.pairMask
-	opposite := ((rising & (falling >> 1)) | (falling & (rising >> 1))) & c.pairMask
-	c.accT += uint64(bus.Weight(t))
-	c.accC += uint64(bus.Weight(single)) + 2*uint64(bus.Weight(opposite))
-	c.state = chosen
-	return chosen, inverted
-}
-
-// sendRawInt is sendRaw's integral-Λ fast path: one fused eq. (3)
-// evaluation ranks both candidates instead of two independent
-// bus.CostMaskedInt calls. The candidates' transition vectors are
-// complements on the data wires, so their shared subexpressions are
-// computed once: with p the current data state and d = p^v,
-//
-//	raw:      transitions d|R, rising v&^p,      falling p&^v,  plus R
-//	inverted: transitions d^D|I, rising D&^(v|p), falling p&v,  plus I
-//
-// and the self-transition weights are pd+1 and width-pd+1 for
-// pd = weight(d). TestChannelIntCostMatchesFloat pins every decision to
-// the float path's.
-func (c *channel) sendRawInt(v bus.Word) (bus.Word, bool) {
 	s := c.state
 	d := c.dataMask
-	ctlR := c.ctrlRaw()
-	ctlI := c.ctrlInv()
+	x := bus.Word(v) & d
+	ctlR := c.ctrlRaw
+	ctlI := c.ctrlInv
 	p := s & d
-	t := p ^ v
-	pd := uint64(bus.Weight(t))
-	rUp := (v &^ p) | (ctlR &^ s)
-	rDn := (p &^ v) | (ctlR & s)
-	iUp := (d &^ (v | p)) | (ctlI &^ s)
-	iDn := (p & v) | (ctlI & s)
+	t := p ^ x
+	pt := uint64(bus.Weight(t))
+	rUp := (x &^ p) | (ctlR &^ s)
+	rDn := (p &^ x) | (ctlR & s)
+	iUp := (d &^ (x | p)) | (ctlI &^ s)
+	iDn := (p & x) | (ctlI & s)
 	pm := c.pairMask
-	cplR := couplingEvents((t|ctlR), rUp, rDn, pm)
-	cplI := couplingEvents((t^d)|ctlI, iUp, iDn, pm)
-	costRaw := pd + 1 + c.lambdaInt*cplR
-	costInv := uint64(c.width) - pd + 1 + c.lambdaInt*cplI
-	keep := s &^ d
-	if costInv < costRaw {
-		c.accT += uint64(c.width) - pd + 1
-		c.accC += cplI
-		c.state = (keep | (v ^ d)) ^ ctlI
-		return c.state, true
+	tRaw, cRaw := pt+1, couplingEvents(t|ctlR, rUp, rDn, pm)
+	tInv, cInv := uint64(c.width)-pt+1, couplingEvents((t^d)|ctlI, iUp, iDn, pm)
+	var inverted bool
+	if c.lambdaIsInt {
+		inverted = tInv+c.lambdaInt*cInv < tRaw+c.lambdaInt*cRaw
+	} else {
+		inverted = float64(tInv)+c.lambda*float64(cInv) < float64(tRaw)+c.lambda*float64(cRaw)
 	}
-	c.accT += pd + 1
-	c.accC += cplR
-	c.state = (keep | v) ^ ctlR
-	return c.state, false
+	// The choice is data-dependent and close to a coin flip on busy
+	// traces, so the winner is selected with a mask rather than a branch.
+	var sel uint64
+	if inverted {
+		sel = ^uint64(0)
+	}
+	keep := s &^ d
+	stRaw, stInv := (keep|x)^ctlR, (keep|(x^d))^ctlI
+	c.accT += tRaw ^ (tRaw^tInv)&sel
+	c.accC += cRaw ^ (cRaw^cInv)&sel
+	c.state = stRaw ^ (stRaw^stInv)&bus.Word(sel)
+	return c.state, inverted
 }
 
 // couplingEvents counts eq. (3) coupling events for one candidate from

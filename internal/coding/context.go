@@ -127,24 +127,32 @@ type srEntry struct {
 	valid bool
 }
 
-// contextIndexMinEntries is the table (or shift register) size at which
-// the map-based reverse index starts beating the valid-and-compare linear
-// scan. It is a variable, not a constant, so tests can force either path
-// and compare them.
+// contextIndexMinEntries is the dictionary size (table plus shift
+// register) at which the hash index starts beating the valid-and-compare
+// linear scan. It is a variable, not a constant, so tests can force
+// either path and compare them.
 var contextIndexMinEntries = 16
 
 // contextState is the complete shared FSM state; encoder and decoder each
 // own one and keep them identical by construction.
 //
-// Three acceleration structures shadow the arrays without changing
-// observable behavior. tableIndex/srIndex map key → slot for O(1) probes
-// (nil below contextIndexMinEntries); they hold exactly the valid
-// entries' keys, which Invariant 1 keeps unique. tableBytes/srBytes count
-// valid entries per low key byte so the modeled selective-precharge
-// full-match counts are O(1) per probe. pendingBits mirrors the table's
-// pending flags as a bitset so the per-cycle sort pass skips over
-// pending-free regions 64 entries at a time — on a converged dictionary
-// most cycles carry at most a bit or two.
+// Dictionary slots number the table and shift register together: table
+// slot i is slot i, register slot j is slot TableSize+j — the entry's
+// codeword index minus one. Four acceleration structures shadow the
+// arrays without changing observable behavior. index maps key → slot
+// over both structures, so classifying a value is one probe, and keeps
+// per-slot back-pointers, so a sort swap relabels two slots in place and
+// a promotion moves its key to the table instead of deleting and
+// re-inserting it (nil below contextIndexMinEntries); it holds exactly
+// the valid entries' keys, which Invariant 1 keeps unique. keyBytes
+// counts valid entries of both structures per low key byte, so the
+// modeled selective-precharge full-match count is O(1) per probe and a
+// zero count rejects a key without probing. pendingBits mirrors the
+// table's pending flags as a bitset so the per-cycle sort pass skips
+// over pending-free regions 64 entries at a time — on a converged
+// dictionary most cycles carry at most a bit or two — and validBits
+// mirrors its valid flags so a promotion finds the lowest occupied entry
+// above the bottom slot without walking the empty slots between.
 type contextState struct {
 	cfg    ContextConfig
 	table  []tableEntry
@@ -156,11 +164,10 @@ type contextState struct {
 	// modulo the period check would otherwise cost on every value.
 	untilDivide int
 
-	tableIndex  *ctxIndex
-	srIndex     *ctxIndex
-	tableBytes  [256]uint32
-	srBytes     [256]uint32
+	index       *ctxIndex
+	keyBytes    [256]uint32
 	pendingBits []uint64
+	validBits   []uint64
 	// pendingCount tracks the number of set pendingBits so the per-cycle
 	// step can skip the sort pass without touching the bitset words.
 	pendingCount int
@@ -169,18 +176,17 @@ type contextState struct {
 }
 
 func newContextState(cfg ContextConfig) contextState {
+	words := (cfg.TableSize + 63) / 64
 	s := contextState{
 		cfg:         cfg,
 		table:       make([]tableEntry, cfg.TableSize),
 		sr:          make([]srEntry, cfg.ShiftEntries),
-		pendingBits: make([]uint64, (cfg.TableSize+63)/64),
+		pendingBits: make([]uint64, words),
+		validBits:   make([]uint64, words),
 		untilDivide: cfg.DividePeriod,
 	}
-	if cfg.TableSize >= contextIndexMinEntries {
-		s.tableIndex = newCtxIndex(cfg.TableSize)
-	}
-	if cfg.ShiftEntries >= contextIndexMinEntries {
-		s.srIndex = newCtxIndex(cfg.ShiftEntries)
+	if slots := cfg.TableSize + cfg.ShiftEntries; slots >= contextIndexMinEntries {
+		s.index = newCtxIndex(slots)
 	}
 	return s
 }
@@ -208,6 +214,34 @@ func (s *contextState) setPendingBit(i int, pending bool) {
 		}
 		*w &^= bit
 	}
+}
+
+// setValidBit keeps validBits in lockstep with table[i].valid.
+func (s *contextState) setValidBit(i int, valid bool) {
+	bit := uint64(1) << (i & 63)
+	if valid {
+		s.validBits[i>>6] |= bit
+	} else {
+		s.validBits[i>>6] &^= bit
+	}
+}
+
+// lastValidAbove returns the highest-numbered occupied table slot below
+// i (the lowest occupied entry above slot i in table order), or -1.
+func (s *contextState) lastValidAbove(i int) int {
+	j := i - 1
+	if j < 0 {
+		return -1
+	}
+	wi := j >> 6
+	w := s.validBits[wi] & (^uint64(0) >> (63 - uint(j&63)))
+	for w == 0 {
+		if wi--; wi < 0 {
+			return -1
+		}
+		w = s.validBits[wi]
+	}
+	return wi<<6 + 63 - bits.LeadingZeros64(w)
 }
 
 // step advances the per-cycle machinery: counter division and one pass of
@@ -287,13 +321,10 @@ func (s *contextState) swap(e int) {
 	s.table[e], s.table[e-1] = s.table[e-1], s.table[e]
 	s.setPendingBit(e, s.table[e].pending)
 	s.setPendingBit(e-1, s.table[e-1].pending)
-	if s.tableIndex != nil {
-		if s.table[e].valid {
-			s.tableIndex.put(s.table[e].key, e)
-		}
-		if s.table[e-1].valid {
-			s.tableIndex.put(s.table[e-1].key, e-1)
-		}
+	s.setValidBit(e, s.table[e].valid)
+	s.setValidBit(e-1, s.table[e-1].valid)
+	if s.index != nil {
+		s.index.swap(e, e-1)
 	}
 	if s.ops != nil {
 		s.ops.Swaps++
@@ -311,18 +342,19 @@ func (s *contextState) increment(e int) {
 	}
 }
 
-// findTable returns the table slot holding key, or -1. The map and the
-// linear scan agree because the map holds exactly the valid entries, and
-// Invariant 1 makes valid keys unique.
-func (s *contextState) findTable(key ctxKey) int {
+// find returns the dictionary slot holding key (see contextState), or
+// -1. The index and the linear scan agree because the index holds
+// exactly the valid entries' keys, and Invariant 1 makes valid keys
+// unique.
+func (s *contextState) find(key ctxKey) int {
 	// The byte histogram kept for probe modeling doubles as a negative
 	// filter: no valid entry shares the key's low byte, so the key
 	// cannot be present and neither the scan nor the hash probe runs.
-	if s.tableBytes[byte(key.cur)] == 0 {
+	if s.keyBytes[byte(key.cur)] == 0 {
 		return -1
 	}
-	if s.tableIndex != nil {
-		return s.tableIndex.get(key)
+	if s.index != nil {
+		return s.index.get(key)
 	}
 	for i := range s.table {
 		// cur differs on almost every miss; test it before the flags.
@@ -330,20 +362,9 @@ func (s *contextState) findTable(key ctxKey) int {
 			return i
 		}
 	}
-	return -1
-}
-
-// findSR returns the shift-register slot holding key, or -1.
-func (s *contextState) findSR(key ctxKey) int {
-	if s.srBytes[byte(key.cur)] == 0 {
-		return -1 // same negative filter as findTable
-	}
-	if s.srIndex != nil {
-		return s.srIndex.get(key)
-	}
 	for i := range s.sr {
 		if e := &s.sr[i]; e.key.cur == key.cur && e.valid && e.key.prev == key.prev {
-			return i
+			return len(s.table) + i
 		}
 	}
 	return -1
@@ -353,55 +374,42 @@ func (s *contextState) findSR(key ctxKey) int {
 // called after classification, and identically on both ends.
 func (s *contextState) update(v uint64) {
 	key := s.makeKey(v)
-	tableSlot := s.findTable(key)
-	srSlot := -1
-	if tableSlot < 0 {
-		srSlot = s.findSR(key)
-	}
-	s.updateAt(v, key, tableSlot, srSlot)
+	s.updateAt(v, key, s.find(key))
 }
 
-// updateAt is update for callers that already probed both structures
-// while classifying v (the encoder): tableSlot is findTable(key), and
-// srSlot is findSR(key) when tableSlot is -1 (unused otherwise). Nothing
-// between classification and update mutates the dictionaries, so reusing
-// the classification's probe results here halves the per-cycle lookups
-// without changing a single count.
-func (s *contextState) updateAt(v uint64, key ctxKey, tableSlot, srSlot int) {
-	if tableSlot >= 0 {
+// updateAt is update for callers that already probed the dictionary
+// while classifying v (the encoder): slot is find(key). Nothing between
+// classification and update mutates the dictionary, so reusing the
+// classification's probe here halves the per-cycle lookups without
+// changing a single count.
+func (s *contextState) updateAt(v uint64, key ctxKey, slot int) {
+	switch {
+	case slot < 0:
+		s.insertSR(key)
+	case slot < len(s.table):
 		// A hit to an entry whose pending bit is already set is lost
 		// (§5.3.1 footnote) — correctness is unaffected, some counts are.
-		s.table[tableSlot].pending = true
-		s.setPendingBit(tableSlot, true)
-	} else if srSlot >= 0 {
-		if s.sr[srSlot].count < counterMax {
-			s.sr[srSlot].count++
+		s.table[slot].pending = true
+		s.setPendingBit(slot, true)
+	default:
+		e := &s.sr[slot-len(s.table)]
+		if e.count < counterMax {
+			e.count++
 		}
 		if s.ops != nil {
 			s.ops.CounterIncrements++
 		}
-	} else {
-		s.insertSR(key)
 	}
 	s.last = v
 }
 
 // insertSR shifts key into the register (pointer-based: one entry
 // rewritten); the evicted entry competes for the frequency table's bottom
-// slot if it out-counts the current least-frequent entry.
+// slot (see promote).
 func (s *contextState) insertSR(key ctxKey) {
+	slot := len(s.table) + s.srHead
 	evicted := s.sr[s.srHead]
 	s.sr[s.srHead] = srEntry{key: key, count: 1, valid: true}
-	if evicted.valid {
-		s.srBytes[byte(evicted.key.cur)]--
-		if s.srIndex != nil {
-			s.srIndex.del(evicted.key)
-		}
-	}
-	s.srBytes[byte(key.cur)]++
-	if s.srIndex != nil {
-		s.srIndex.put(key, s.srHead)
-	}
 	s.srHead++
 	if s.srHead == len(s.sr) {
 		s.srHead = 0
@@ -409,41 +417,50 @@ func (s *contextState) insertSR(key ctxKey) {
 	if s.ops != nil {
 		s.ops.Shifts++
 	}
-	if !evicted.valid {
+	if evicted.valid {
+		s.promote(evicted, slot)
+	}
+	s.keyBytes[byte(key.cur)]++
+	if s.index != nil {
+		s.index.put(key, slot)
+	}
+}
+
+// promote moves the entry just evicted from register slot srSlot into
+// the table's bottom slot if it out-counts the current least-frequent
+// entry (or the slot is empty); otherwise the evicted entry is dropped.
+func (s *contextState) promote(evicted srEntry, srSlot int) {
+	bottom := len(s.table) - 1
+	old := &s.table[bottom]
+	if old.valid && evicted.count <= old.count {
+		s.keyBytes[byte(evicted.key.cur)]--
+		if s.index != nil {
+			s.index.remove(srSlot)
+		}
 		return
 	}
-	bottom := len(s.table) - 1
-	if !s.table[bottom].valid || evicted.count > s.table[bottom].count {
-		count := evicted.count
-		// Preserve Invariant 2 on insertion: the new bottom entry may not
-		// out-count the lowest occupied entry above it (the real hardware
-		// achieves this implicitly by re-earning counts; we clamp, which
-		// keeps strictly more of the earned frequency). Scan past any
-		// still-unoccupied slots.
-		for above := bottom - 1; above >= 0; above-- {
-			if s.table[above].valid {
-				if count > s.table[above].count {
-					count = s.table[above].count
-				}
-				break
-			}
+	count := evicted.count
+	// Preserve Invariant 2 on insertion: the new bottom entry may not
+	// out-count the lowest occupied entry above it (the real hardware
+	// achieves this implicitly by re-earning counts; we clamp, which
+	// keeps strictly more of the earned frequency).
+	if above := s.lastValidAbove(bottom); above >= 0 && count > s.table[above].count {
+		count = s.table[above].count
+	}
+	if old.valid {
+		s.keyBytes[byte(old.key.cur)]--
+		if s.index != nil {
+			s.index.remove(bottom)
 		}
-		old := s.table[bottom]
-		if old.valid {
-			s.tableBytes[byte(old.key.cur)]--
-			if s.tableIndex != nil {
-				s.tableIndex.del(old.key)
-			}
-		}
-		s.table[bottom] = tableEntry{key: evicted.key, count: count, valid: true}
-		s.setPendingBit(bottom, false)
-		s.tableBytes[byte(evicted.key.cur)]++
-		if s.tableIndex != nil {
-			s.tableIndex.put(evicted.key, bottom)
-		}
-		if s.ops != nil {
-			s.ops.TableWrites++
-		}
+	}
+	*old = tableEntry{key: evicted.key, count: count, valid: true}
+	s.setPendingBit(bottom, false)
+	s.setValidBit(bottom, true)
+	if s.index != nil {
+		s.index.move(srSlot, bottom)
+	}
+	if s.ops != nil {
+		s.ops.TableWrites++
 	}
 }
 
@@ -457,17 +474,12 @@ func (s *contextState) reset() {
 	s.srHead = 0
 	s.last = 0
 	s.untilDivide = s.cfg.DividePeriod
-	if s.tableIndex != nil {
-		s.tableIndex.clear()
+	if s.index != nil {
+		s.index.clear()
 	}
-	if s.srIndex != nil {
-		s.srIndex.clear()
-	}
-	s.tableBytes = [256]uint32{}
-	s.srBytes = [256]uint32{}
-	for i := range s.pendingBits {
-		s.pendingBits[i] = 0
-	}
+	s.keyBytes = [256]uint32{}
+	clear(s.pendingBits)
+	clear(s.validBits)
 	s.pendingCount = 0
 }
 
@@ -475,69 +487,71 @@ func (s *contextState) reset() {
 // acceleration structures with the arrays they shadow; used by tests.
 func (s *contextState) checkInvariants() error {
 	seen := make(map[ctxKey]bool)
-	var tb, sb [256]uint32
+	var kb [256]uint32
+	valid := 0
+	// checkSlot verifies the index entry of one dictionary slot: a valid
+	// entry's back-pointer names a bucket holding its key and pointing
+	// back at the slot, and an empty slot has no back-pointer.
+	checkSlot := func(slot int, ok bool, key ctxKey) error {
+		if s.index == nil {
+			return nil
+		}
+		b := s.index.back[slot]
+		if !ok {
+			if b != -1 {
+				return fmt.Errorf("index back-pointer %d set for empty slot %d", b, slot)
+			}
+			return nil
+		}
+		if b < 0 || s.index.keys[b] != key || int(s.index.slots[b]) != slot {
+			return fmt.Errorf("index back-pointer of slot %d (key %+v) out of sync: bucket %d", slot, key, b)
+		}
+		if got := s.index.get(key); got != slot {
+			return fmt.Errorf("index out of sync for key %+v: got %d want %d", key, got, slot)
+		}
+		return nil
+	}
 	for i, e := range s.table {
 		if e.pending != (s.pendingBits[i>>6]&(1<<(i&63)) != 0) {
 			return fmt.Errorf("pending bitset out of sync at slot %d", i)
 		}
+		if e.valid != (s.validBits[i>>6]&(1<<(i&63)) != 0) {
+			return fmt.Errorf("valid bitset out of sync at slot %d", i)
+		}
+		if err := checkSlot(i, e.valid, e.key); err != nil {
+			return err
+		}
 		if !e.valid {
 			continue
 		}
-		tb[byte(e.key.cur)]++
+		valid++
+		kb[byte(e.key.cur)]++
 		if seen[e.key] {
 			return fmt.Errorf("invariant 1 violated: duplicate table key %+v", e.key)
 		}
 		seen[e.key] = true
-		if s.tableIndex != nil {
-			if got := s.tableIndex.get(e.key); got != i {
-				return fmt.Errorf("table index out of sync for key %+v: got %d want %d", e.key, got, i)
-			}
-		}
 		if i > 0 && s.table[i-1].valid && e.count > s.table[i-1].count {
 			return fmt.Errorf("invariant 2 violated at slot %d: %d > %d", i, e.count, s.table[i-1].count)
 		}
 	}
 	for i, e := range s.sr {
+		if err := checkSlot(len(s.table)+i, e.valid, e.key); err != nil {
+			return err
+		}
 		if !e.valid {
 			continue
 		}
-		sb[byte(e.key.cur)]++
+		valid++
+		kb[byte(e.key.cur)]++
 		if seen[e.key] {
 			return fmt.Errorf("invariant 1 violated: key %+v in both table and shift register", e.key)
 		}
-		if s.srIndex != nil {
-			if got := s.srIndex.get(e.key); got != i {
-				return fmt.Errorf("sr index out of sync for key %+v: got %d want %d", e.key, got, i)
-			}
-		}
 	}
-	if tb != s.tableBytes {
-		return fmt.Errorf("table byte histogram out of sync")
+	if kb != s.keyBytes {
+		return fmt.Errorf("key byte histogram out of sync")
 	}
-	if sb != s.srBytes {
-		return fmt.Errorf("sr byte histogram out of sync")
-	}
-	if s.tableIndex != nil {
-		valid := 0
-		for _, e := range s.table {
-			if e.valid {
-				valid++
-			}
-		}
-		if s.tableIndex.len() != valid {
-			return fmt.Errorf("table index holds %d keys, want %d", s.tableIndex.len(), valid)
-		}
-	}
-	if s.srIndex != nil {
-		valid := 0
-		for _, e := range s.sr {
-			if e.valid {
-				valid++
-			}
-		}
-		if s.srIndex.len() != valid {
-			return fmt.Errorf("sr index holds %d keys, want %d", s.srIndex.len(), valid)
-		}
+	if s.index != nil && s.index.len() != valid {
+		return fmt.Errorf("index holds %d keys, want %d", s.index.len(), valid)
 	}
 	pop := 0
 	for _, w := range s.pendingBits {
@@ -557,7 +571,6 @@ type contextEncoder struct {
 }
 
 func (e *contextEncoder) Encode(v uint64) bus.Word {
-	t := e.t
 	v &= uint64(e.ch.dataMask)
 	e.st.ops = &e.ops
 	e.ops.Cycles++
@@ -565,92 +578,72 @@ func (e *contextEncoder) Encode(v uint64) bus.Word {
 	key := e.st.makeKey(v)
 	e.countProbes(key)
 
-	// Classification and update share one round of dictionary probes
-	// (updateAt); the LAST-hit path never probes during classification,
-	// so it resolves the slots here for the update.
+	// Classification and update share one dictionary probe (updateAt);
+	// the LAST-hit path needs it only for the update.
 	var out bus.Word
-	tableSlot, srSlot := -1, -1
+	slot := e.st.find(key)
 	switch {
 	case v == e.st.last:
 		e.ops.LastHits++
 		out = e.ch.sendCode(0)
-		if tableSlot = e.st.findTable(key); tableSlot < 0 {
-			srSlot = e.st.findSR(key)
-		}
+	case slot >= 0:
+		e.ops.CodeSends++
+		out = e.ch.sendCode(e.t.cb.Code(1 + slot))
 	default:
-		if tableSlot = e.st.findTable(key); tableSlot >= 0 {
-			e.ops.CodeSends++
-			out = e.ch.sendCode(t.cb.Code(1 + tableSlot))
-		} else if srSlot = e.st.findSR(key); srSlot >= 0 {
-			e.ops.CodeSends++
-			out = e.ch.sendCode(t.cb.Code(1 + t.cfg.TableSize + srSlot))
-		} else {
-			e.ops.RawSends++
-			out, _ = e.ch.sendRaw(v)
-		}
+		e.ops.RawSends++
+		out, _ = e.ch.sendRaw(v)
 	}
-	e.st.updateAt(v, key, tableSlot, srSlot)
+	e.st.updateAt(v, key, slot)
 	return out
 }
 
 // encodeStream implements streamEncoder: Encode's per-cycle algorithm
-// with the mask, table size and hot counters hoisted into locals. The
-// channel self-accounts the run's Σ activity (see beginBlock), folded
-// into the meter stream with one AddBlock instead of a per-cycle record.
+// with the mask and hot counters hoisted into locals. The channel
+// self-accounts the run's Σ activity (see beginBlock), folded into the
+// meter stream with one AddBlock instead of a per-cycle record.
 // TestContextEncodeStreamMatchesEncode pins it cycle-for-cycle (outputs,
 // ops and dictionary state) to Encode.
 func (e *contextEncoder) encodeStream(vals []uint64, st *bus.MeterStream) {
-	t := e.t
+	cb := e.t.cb
 	mask := uint64(e.ch.dataMask)
-	tableSize := t.cfg.TableSize
 	probes := uint64(len(e.st.table) + len(e.st.sr))
 	e.st.ops = &e.ops
 	e.ch.beginBlock()
-	var lastHits, codeSends, rawSends, partial, full uint64
+	var lastHits, codeSends, rawSends, full uint64
 	for _, v := range vals {
 		v &= mask
 		e.st.step()
 		key := e.st.makeKey(v)
-		partial += probes
-		b := byte(key.cur)
-		full += uint64(e.st.tableBytes[b]) + uint64(e.st.srBytes[b])
-		tableSlot, srSlot := -1, -1
+		full += uint64(e.st.keyBytes[byte(key.cur)])
+		slot := e.st.find(key)
 		switch {
 		case v == e.st.last:
 			lastHits++
-			if tableSlot = e.st.findTable(key); tableSlot < 0 {
-				srSlot = e.st.findSR(key)
-			}
+		case slot >= 0:
+			codeSends++
+			e.ch.sendCode(cb.Code(1 + slot))
 		default:
-			if tableSlot = e.st.findTable(key); tableSlot >= 0 {
-				codeSends++
-				e.ch.sendCode(t.cb.Code(1 + tableSlot))
-			} else if srSlot = e.st.findSR(key); srSlot >= 0 {
-				codeSends++
-				e.ch.sendCode(t.cb.Code(1 + tableSize + srSlot))
-			} else {
-				rawSends++
-				e.ch.sendRaw(v)
-			}
+			rawSends++
+			e.ch.sendRaw(v)
 		}
-		e.st.updateAt(v, key, tableSlot, srSlot)
+		e.st.updateAt(v, key, slot)
 	}
-	st.AddBlock(uint64(len(vals)), e.ch.accT, e.ch.accC, e.ch.state)
-	e.ops.Cycles += uint64(len(vals))
+	n := uint64(len(vals))
+	st.AddBlock(n, e.ch.accT, e.ch.accC, e.ch.state)
+	e.ops.Cycles += n
 	e.ops.LastHits += lastHits
 	e.ops.CodeSends += codeSends
 	e.ops.RawSends += rawSends
-	e.ops.PartialMatches += partial
+	e.ops.PartialMatches += n * probes
 	e.ops.FullMatches += full
 }
 
 // countProbes models the selective-precharge CAM probe across the
-// frequency table and shift register. The byte histograms keep the
+// frequency table and shift register. The byte histogram keeps the
 // modeled counts identical to scanning both arrays.
 func (e *contextEncoder) countProbes(key ctxKey) {
 	e.ops.PartialMatches += uint64(len(e.st.table) + len(e.st.sr))
-	b := byte(key.cur)
-	e.ops.FullMatches += uint64(e.st.tableBytes[b]) + uint64(e.st.srBytes[b])
+	e.ops.FullMatches += uint64(e.st.keyBytes[byte(key.cur)])
 }
 
 func (e *contextEncoder) BusWidth() int { return e.ch.busWidth() }

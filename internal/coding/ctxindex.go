@@ -4,36 +4,43 @@ import "math/bits"
 
 // ctxIndex is a small open-addressing hash index from ctxKey to a slot
 // number, replacing map[ctxKey]int in the per-cycle encode/decode paths.
-// The dictionary FSMs probe it several times per bus cycle (classification,
-// frequency update, and two reassignments per sort swap), where the
-// runtime map's generic machinery — 128-bit key hashing and bucket
-// group probing — dominated the encode profile. This index is linear
-// probing over three parallel arrays at ≤¼ load, with the classical
-// backward-shift deletion so probe chains never accumulate tombstones.
+// The dictionary FSMs probe it every bus cycle, where the runtime map's
+// generic machinery — 128-bit key hashing and bucket group probing —
+// dominated the encode profile. This index is linear probing at ≤¼ load,
+// with the classical backward-shift deletion so probe chains never
+// accumulate tombstones.
 //
-// Capacity is fixed at construction: the callers index fixed-size
-// hardware tables whose entry count never grows past the size they were
-// built with (Invariant 1 keeps live keys unique).
+// Its callers index fixed-size hardware dictionaries whose slots each
+// hold at most one key, and whose keys each sit in at most one slot
+// (Invariant 1). So besides key → slot the index keeps a slot → bucket
+// back-pointer per slot: an entry leaving its slot is deleted without
+// probing for its key, and an entry moving between slots (a sort swap, a
+// shift-register promotion) relabels its bucket in place instead of
+// being deleted and re-inserted (re-hashed). Capacity is the slot count
+// fixed at construction.
 type ctxIndex struct {
 	keys  []ctxKey
-	slots []int32
-	used  []bool
+	slots []int32 // bucket → slot; -1 marks a free bucket
+	back  []int32 // slot → bucket; -1 marks a slot with no key
 	mask  uint32
 	n     int
 }
 
-// newCtxIndex returns an index able to hold capacity keys at ≤¼ load.
-func newCtxIndex(capacity int) *ctxIndex {
+// newCtxIndex returns an index over slots 0..slots-1, at ≤¼ load when
+// every slot holds a key.
+func newCtxIndex(slots int) *ctxIndex {
 	size := 16
-	for size < 4*capacity {
+	for size < 4*slots {
 		size <<= 1
 	}
-	return &ctxIndex{
+	ix := &ctxIndex{
 		keys:  make([]ctxKey, size),
 		slots: make([]int32, size),
-		used:  make([]bool, size),
+		back:  make([]int32, slots),
 		mask:  uint32(size - 1),
 	}
+	ix.clear()
+	return ix
 }
 
 // hashCtxKey mixes both words of the key (splitmix64-style finalizer);
@@ -46,10 +53,10 @@ func hashCtxKey(k ctxKey) uint64 {
 	return h
 }
 
-// get returns the slot stored for k, or -1.
+// get returns the slot holding k, or -1.
 func (ix *ctxIndex) get(k ctxKey) int {
 	i := uint32(hashCtxKey(k)) & ix.mask
-	for ix.used[i] {
+	for ix.slots[i] >= 0 {
 		if ix.keys[i] == k {
 			return int(ix.slots[i])
 		}
@@ -58,56 +65,65 @@ func (ix *ctxIndex) get(k ctxKey) int {
 	return -1
 }
 
-// put stores slot for k, overwriting any previous entry for the same key.
+// put records k at slot; k must be absent and slot empty.
 func (ix *ctxIndex) put(k ctxKey, slot int) {
 	i := uint32(hashCtxKey(k)) & ix.mask
-	for ix.used[i] {
-		if ix.keys[i] == k {
-			ix.slots[i] = int32(slot)
-			return
-		}
+	for ix.slots[i] >= 0 {
 		i = (i + 1) & ix.mask
 	}
 	ix.keys[i] = k
 	ix.slots[i] = int32(slot)
-	ix.used[i] = true
+	ix.back[slot] = int32(i)
 	ix.n++
 }
 
-// del removes k if present, backward-shifting the probe chain so that
-// every remaining key stays reachable from its home position.
-func (ix *ctxIndex) del(k ctxKey) {
-	mask := ix.mask
-	i := uint32(hashCtxKey(k)) & mask
-	for {
-		if !ix.used[i] {
-			return
-		}
-		if ix.keys[i] == k {
-			break
-		}
-		i = (i + 1) & mask
+// swap exchanges the keys of slots a and b (either may be empty).
+func (ix *ctxIndex) swap(a, b int) {
+	ba, bb := ix.back[a], ix.back[b]
+	if ba >= 0 {
+		ix.slots[ba] = int32(b)
 	}
+	if bb >= 0 {
+		ix.slots[bb] = int32(a)
+	}
+	ix.back[a], ix.back[b] = bb, ba
+}
+
+// move relabels the key of slot from to the empty slot to.
+func (ix *ctxIndex) move(from, to int) {
+	i := ix.back[from]
+	ix.slots[i] = int32(to)
+	ix.back[to] = i
+	ix.back[from] = -1
+}
+
+// remove deletes the key held by slot, backward-shifting the probe chain
+// behind it (and the back-pointers of the keys it shifts) so that every
+// remaining key stays reachable from its home bucket.
+func (ix *ctxIndex) remove(slot int) {
+	mask := ix.mask
+	i := uint32(ix.back[slot])
+	ix.back[slot] = -1
 	ix.n--
 	j := i
 	for {
-		ix.used[i] = false
+		ix.slots[i] = -1
 		for {
 			j = (j + 1) & mask
-			if !ix.used[j] {
+			if ix.slots[j] < 0 {
 				return
 			}
 			home := uint32(hashCtxKey(ix.keys[j])) & mask
-			// keys[j] may fill the gap at i iff its home position does not
-			// lie cyclically within (i, j] — otherwise moving it would break
-			// its own probe chain.
+			// keys[j] may fill the gap at i iff its home bucket does not
+			// lie cyclically within (i, j] — otherwise moving it would
+			// break its own probe chain.
 			if (j-home)&mask >= (j-i)&mask {
 				break
 			}
 		}
 		ix.keys[i] = ix.keys[j]
 		ix.slots[i] = ix.slots[j]
-		ix.used[i] = true
+		ix.back[ix.slots[i]] = int32(i)
 		i = j
 	}
 }
@@ -117,8 +133,11 @@ func (ix *ctxIndex) len() int { return ix.n }
 
 // clear removes every key.
 func (ix *ctxIndex) clear() {
-	for i := range ix.used {
-		ix.used[i] = false
+	for i := range ix.slots {
+		ix.slots[i] = -1
+	}
+	for i := range ix.back {
+		ix.back[i] = -1
 	}
 	ix.n = 0
 }

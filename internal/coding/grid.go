@@ -2,7 +2,6 @@ package coding
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"buspower/internal/bus"
@@ -17,14 +16,22 @@ import (
 //     requested Λ. Figure 15's λ0/λ1 families collapse from one encode
 //     per (assumed, actual) pair to one per assumed Λ.
 //   - shared stride tape: every stride bank size replays one prediction
-//     tape computed in a single pass (see strideTape).
+//     tape computed in a single pass (see StrideTape); a caller's tape
+//     provider (GridOptions.Tapes) shares it across grids too.
 //   - bit-sliced stateless coders: raw, Gray and spatial cells are
 //     metered lane-parallel on a transposed trace (bus.SlicedTrace) —
-//     64 cycles per machine word — instead of cycle-by-cycle.
+//     64 cycles per machine word — instead of cycle-by-cycle; the
+//     enumerative coders materialize their coded streams and meter them
+//     the same way.
 //
-// Everything else runs through the scalar Evaluator, still profiting
-// from the ConfigKey dedupe. Results are bit-identical to evaluating
-// each cell individually (differential-tested by grid_test.go).
+// Everything else — window singletons, every Context configuration,
+// inversion and partial bus-invert — runs through the scalar Evaluator,
+// still profiting from the ConfigKey dedupe. A one-cell grid is the
+// single-point evaluation path too: the experiments layer evaluates
+// every result-memo miss, serve and job requests included, as a grid, so a
+// lone stride or enumerative request takes the same fast paths as a
+// sweep. Results are bit-identical to evaluating each cell individually
+// (differential-tested by grid_test.go).
 
 // GridCell is one evaluation request: a transcoder read at coupling
 // ratio Lambda.
@@ -54,6 +61,14 @@ type GridOptions struct {
 	// plug it in here so repeated grids over the same named trace stop
 	// re-transposing it; a nil return falls back to building one.
 	Sliced func(width int) *bus.SlicedTrace
+	// Tapes, when non-nil, supplies a stride prediction tape of the
+	// trace at the given width, at least k strides deep — what
+	// NewStrideTape(width, k, trace) would build, or any deeper tape of
+	// the same trace. Callers holding a tape cache (the experiments
+	// layer's content-addressed tape memo) plug it in here so repeated
+	// grids over the same named trace replay one tape instead of
+	// rebuilding it; a nil return falls back to building one.
+	Tapes func(width, k int) *StrideTape
 }
 
 // EvaluateGrid evaluates every cell against one trace. raw, when
@@ -191,7 +206,7 @@ func (sc *gridScratch) evaluate(cells []GridCell, trace []uint64, raw *bus.Meter
 
 	// One shared stride tape per data width, deep enough for the largest
 	// bank in the grid.
-	var tapes map[int]*strideTape
+	var tapes map[int]*StrideTape
 	if verify.mode != verifyFull {
 		var maxK map[int]int
 		for _, g := range order {
@@ -203,9 +218,16 @@ func (sc *gridScratch) evaluate(cells []GridCell, trace []uint64, raw *bus.Meter
 			}
 		}
 		if maxK != nil {
-			tapes = make(map[int]*strideTape, len(maxK))
+			tapes = make(map[int]*StrideTape, len(maxK))
 			for w, k := range maxK {
-				tapes[w] = sharedStrideTape(w, k, trace)
+				var tp *StrideTape
+				if opts.Tapes != nil {
+					tp = opts.Tapes(w, k)
+				}
+				if tp == nil {
+					tp = NewStrideTape(w, k, trace)
+				}
+				tapes[w] = tp
 			}
 		}
 	}
@@ -318,7 +340,7 @@ const tapeMaxStrides = 250
 // tapeRawRec marks a cycle no stride predicted.
 const tapeRawRec = 0xFF
 
-// strideTape is the shared prediction record behind the grid's stride
+// StrideTape is the shared prediction record behind the grid's stride
 // fan-out. The stride history ring is pushed unconditionally with every
 // masked input value, so its contents — and therefore each stride-k
 // prediction p_k(i) = (2·v[i-k] − v[i-2k]) mod 2^width, zero-padded
@@ -327,8 +349,9 @@ const tapeRawRec = 0xFF
 // (0 for a LAST-value hit, tapeRawRec for none); a size-K bank then
 // replays the tape: record m = 0 sends code 0, 1 ≤ m ≤ K sends the
 // bank's code for stride m (probing m predictors on the way), and
-// anything deeper falls back to raw after probing all K.
-type strideTape struct {
+// anything deeper falls back to raw after probing all K. A tape of
+// depth D therefore serves every bank of depth K ≤ D on its trace.
+type StrideTape struct {
 	width int
 	maxK  int
 	recs  []uint8
@@ -336,77 +359,15 @@ type strideTape struct {
 	raws  uint64   // cycles with no match at any stride ≤ maxK
 }
 
-// tapeCache memoizes stride tapes across grid evaluations: the li-suite
-// experiments replay the same handful of cached traces through many
-// grids, and each rebuild costs a full prediction pass. An entry keyed
-// on the trace's backing array is sound because the entry itself pins
-// that array — no other trace can occupy its address while the key
-// lives. A tape built deep enough serves every shallower bank (the same
-// replay contract the in-grid sharing relies on), so lookups accept any
-// entry with maxK at least the requested depth.
-type tapeCacheEntry struct {
-	width int
-	trace []uint64 // pins the backing array; its address identifies the trace
-	tape  *strideTape
-}
+// Depth returns the deepest bank the tape serves.
+func (tp *StrideTape) Depth() int { return tp.maxK }
 
-var (
-	tapeCacheMu sync.Mutex
-	tapeCache   []tapeCacheEntry
-)
-
-// tapeCacheCap bounds the cache; on overflow the whole cache is dropped
-// (entries are cheap to rebuild, and steady state holds one entry per
-// cached trace × width).
-const tapeCacheCap = 64
-
-func sharedStrideTape(width, maxK int, trace []uint64) *strideTape {
-	if len(trace) == 0 {
-		return buildStrideTape(width, maxK, trace)
-	}
-	head := &trace[0]
-	n := len(trace)
-	tapeCacheMu.Lock()
-	for i := range tapeCache {
-		e := &tapeCache[i]
-		if e.width == width && len(e.trace) == n && &e.trace[0] == head && e.tape.maxK >= maxK {
-			tp := e.tape
-			tapeCacheMu.Unlock()
-			return tp
-		}
-	}
-	tapeCacheMu.Unlock()
-	tp := buildStrideTape(width, maxK, trace)
-	tapeCacheMu.Lock()
-	for i := range tapeCache {
-		e := &tapeCache[i]
-		if e.width == width && len(e.trace) == n && &e.trace[0] == head {
-			// A deeper tape supersedes a shallower one for the same trace.
-			if e.tape.maxK < maxK {
-				e.tape = tp
-			}
-			tapeCacheMu.Unlock()
-			return tp
-		}
-	}
-	if len(tapeCache) >= tapeCacheCap {
-		tapeCache = nil
-	}
-	tapeCache = append(tapeCache, tapeCacheEntry{width: width, trace: trace, tape: tp})
-	tapeCacheMu.Unlock()
-	return tp
-}
-
-// ClearStrideTapeCache drops every memoized stride tape (the bench
-// harness's memo-cold phases, via experiments.ClearEvalMemo).
-func ClearStrideTapeCache() {
-	tapeCacheMu.Lock()
-	tapeCache = nil
-	tapeCacheMu.Unlock()
-}
-
-func buildStrideTape(width, maxK int, trace []uint64) *strideTape {
-	tp := &strideTape{
+// NewStrideTape records the stride prediction tape of trace at the given
+// data width, maxK strides deep (clamped to the deepest bank a tape
+// record can encode).
+func NewStrideTape(width, maxK int, trace []uint64) *StrideTape {
+	maxK = min(maxK, tapeMaxStrides)
+	tp := &StrideTape{
 		width: width,
 		maxK:  maxK,
 		recs:  make([]uint8, len(trace)),
@@ -449,7 +410,7 @@ func buildStrideTape(width, maxK int, trace []uint64) *strideTape {
 // evaluate replays the tape as a size-t.strides bank, producing the
 // coded-bus meter and OpStats bit-identical to the scalar
 // strideEncoder run (grid_test.go differentials).
-func (tp *strideTape) evaluate(t *StrideTranscoder, trace []uint64, verify VerifyPolicy) (*bus.Meter, OpStats, error) {
+func (tp *StrideTape) evaluate(t *StrideTranscoder, trace []uint64, verify VerifyPolicy) (*bus.Meter, OpStats, error) {
 	ch := newChannel(t.width, t.lambda)
 	coded := bus.NewMeterLite(ch.busWidth())
 	stream := coded.Stream()

@@ -281,23 +281,44 @@ func TestContextEncodeStreamMatchesEncode(t *testing.T) {
 	}
 }
 
-// TestChannelIntCostMatchesFloat pins the uint64 cost fast path to the
-// float path decision-for-decision across random raw sends.
+// TestChannelIntCostMatchesFloat pins the fused sendRaw — uint64 ranking
+// for integral Λ, float64(T)+Λ·float64(C) otherwise — to an independent
+// reference: build both candidate bus states explicitly, rank them with
+// two bus.CostMasked calls, and keep the raw form on a tie. Widths cover
+// a one-wire bus and a 64-wire coded bus (62 data wires).
 func TestChannelIntCostMatchesFloat(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	for _, lambda := range []float64{0, 1, 2, 7, 100} {
-		ci := newChannel(14, lambda)
-		cf := newChannel(14, lambda)
-		if !ci.lambdaIsInt {
-			t.Fatalf("λ=%g should take the integer path", lambda)
-		}
-		cf.lambdaIsInt = false // force the float path
-		for i := 0; i < 5000; i++ {
-			v := rng.Uint64()
-			wi, invI := ci.sendRaw(v)
-			wf, invF := cf.sendRaw(v)
-			if wi != wf || invI != invF {
-				t.Fatalf("λ=%g cycle %d: int path (%#x,%v) != float path (%#x,%v)", lambda, i, wi, invI, wf, invF)
+	for _, width := range []int{1, 14, 32, 62} {
+		for _, lambda := range []float64{0, 0.1, 0.25, 1.0 / 3, 0.5, 1, 2, 1e-9, 1e6} {
+			c := newChannel(width, lambda)
+			dataMask := bus.Mask(width)
+			pairMask := bus.Mask(width + 1)
+			ctlR, ctlI := bus.Word(1)<<uint(width), bus.Word(1)<<uint(width+1)
+			state := bus.Word(0)
+			var wantT, wantC float64 // Σ self-transitions and couplings of the chosen states
+			for i := 0; i < 5000; i++ {
+				v := rng.Uint64()
+				if i%7 == 0 {
+					v = uint64(state) // repeats and near-repeats force ties
+				}
+				keep := state &^ dataMask
+				candRaw := (keep | bus.Word(v)&dataMask) ^ ctlR
+				candInv := (keep | ^bus.Word(v)&dataMask) ^ ctlI
+				want, wantInv := candRaw, false
+				if bus.CostMasked(state, candInv, pairMask, lambda) < bus.CostMasked(state, candRaw, pairMask, lambda) {
+					want, wantInv = candInv, true
+				}
+				got, gotInv := c.sendRaw(v)
+				if got != want || gotInv != wantInv {
+					t.Fatalf("w=%d λ=%g cycle %d: sendRaw (%#x,%v), reference (%#x,%v)", width, lambda, i, got, gotInv, want, wantInv)
+				}
+				self := bus.CostMasked(state, want, pairMask, 0)
+				wantT += self
+				wantC += bus.CostMasked(state, want, pairMask, 1) - self
+				state = want
+			}
+			if float64(c.accT) != wantT || float64(c.accC) != wantC {
+				t.Fatalf("w=%d λ=%g: accumulated (T,C) = (%d,%d), reference (%g,%g)", width, lambda, c.accT, c.accC, wantT, wantC)
 			}
 		}
 	}

@@ -84,7 +84,8 @@ var windowIndexMinEntries = 24
 // Two acceleration structures ride along without changing observable
 // behavior. index (a ctxIndex keyed on the bare value) maps value →
 // physical slot for O(1) find on large registers (nil below
-// windowIndexMinEntries). Its invariant relies on
+// windowIndexMinEntries); its slot back-pointers let an eviction drop the
+// oldest entry's key without probing for it. Its invariant relies on
 // entries being unique: values are only inserted on a miss. The one
 // duplicate case is the initial all-zero fill — while any of those fresh
 // zeros remain (tracked by fresh), the slots [head, n) all hold zero and
@@ -141,7 +142,7 @@ func (s *windowState) insert(v uint64) {
 		if s.fresh > 0 {
 			s.fresh-- // evicting one of the initial zeros, which the index never held
 		} else {
-			s.index.del(ctxKey{cur: evicted})
+			s.index.remove(s.head)
 		}
 		s.index.put(ctxKey{cur: v}, s.head)
 	}

@@ -32,8 +32,7 @@ func windowResultFor(name, busName string, entries int, cfg Config) (coding.Resu
 	if err != nil {
 		return coding.Result{}, err
 	}
-	var ev coding.Evaluator
-	return evalResultKeyed(&ev, win, workloadTraceID(name, busName, cfg), evalLambda, cfg,
+	return evalResultKeyed(win, workloadTraceID(name, busName, cfg), evalLambda, cfg,
 		func() ([]uint64, *bus.Meter, error) {
 			tr, err := busTrace(name, busName, cfg)
 			if err != nil {
@@ -69,7 +68,6 @@ func runFig26(cfg Config) (*Table, error) {
 		if err != nil {
 			return 0, err
 		}
-		var ev coding.Evaluator
 		sum := 0.0
 		for _, name := range names {
 			tr, err := busTrace(name, "reg", cfg)
@@ -80,7 +78,7 @@ func runFig26(cfg Config) (*Table, error) {
 			if err != nil {
 				return 0, err
 			}
-			res, err := evalResult(&ev, tc, workloadTraceID(name, "reg", cfg), tr, evalLambda, raw, cfg)
+			res, err := evalResult(tc, workloadTraceID(name, "reg", cfg), tr, evalLambda, raw, cfg)
 			if err != nil {
 				return 0, err
 			}

@@ -94,7 +94,6 @@ func runExtCtx(cfg Config) (*Table, error) {
 		if err != nil {
 			return err
 		}
-		var ev coding.Evaluator
 		var savings, xovers []float64
 		for _, name := range names {
 			tr, err := busTrace(name, "reg", cfg)
@@ -107,7 +106,7 @@ func runExtCtx(cfg Config) (*Table, error) {
 			}
 			// The same (transcoder, trace, Λ) evaluation repeats across the
 			// technology axis; the memo collapses those to one computation.
-			res, err := evalResult(&ev, tc, workloadTraceID(name, "reg", cfg), tr, evalLambda, raw, cfg)
+			res, err := evalResult(tc, workloadTraceID(name, "reg", cfg), tr, evalLambda, raw, cfg)
 			if err != nil {
 				return err
 			}

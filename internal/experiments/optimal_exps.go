@@ -164,7 +164,6 @@ func runExtXover(cfg Config) (*Table, error) {
 		if err != nil {
 			return err
 		}
-		var ev coding.Evaluator
 		var savings, ratios, xovers []float64
 		for _, name := range names {
 			tr, err := busTrace(name, "reg", cfg)
@@ -177,7 +176,7 @@ func runExtXover(cfg Config) (*Table, error) {
 			}
 			// The evaluation memo collapses the technology axis: the same
 			// (transcoder, trace, Λ) measurement serves all three nodes.
-			res, err := evalResult(&ev, tc, workloadTraceID(name, "reg", cfg), tr, evalLambda, raw, cfg)
+			res, err := evalResult(tc, workloadTraceID(name, "reg", cfg), tr, evalLambda, raw, cfg)
 			if err != nil {
 				return err
 			}
@@ -229,7 +228,6 @@ func runExtDvs(cfg Config) (*Table, error) {
 		if err != nil {
 			return err
 		}
-		var ev coding.Evaluator
 		var savings, ratios, xovers []float64
 		for _, name := range names {
 			tr, err := busTrace(name, "reg", cfg)
@@ -240,7 +238,7 @@ func runExtDvs(cfg Config) (*Table, error) {
 			if err != nil {
 				return err
 			}
-			res, err := evalResult(&ev, tc, workloadTraceID(name, "reg", cfg), tr, evalLambda, raw, cfg)
+			res, err := evalResult(tc, workloadTraceID(name, "reg", cfg), tr, evalLambda, raw, cfg)
 			if err != nil {
 				return err
 			}

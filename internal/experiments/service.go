@@ -238,6 +238,10 @@ func (r *EvalRequest) runConfig() workload.RunConfig {
 	return run
 }
 
+// inlineSourcePrefix starts the trace identity of an inline submitted
+// trace.
+const inlineSourcePrefix = "inline:"
+
 // sourceID derives the request's memo trace identity and display name.
 func (r *EvalRequest) sourceID(width int) (traceID, string) {
 	switch {
@@ -258,7 +262,7 @@ func (r *EvalRequest) sourceID(width int) (traceID, string) {
 			h.Write(b[:])
 		}
 		sum := hex.EncodeToString(h.Sum(nil)[:12])
-		name := fmt.Sprintf("inline:%s/w%d", sum, width)
+		name := fmt.Sprintf("%s%s/w%d", inlineSourcePrefix, sum, width)
 		return traceID{source: name, n: len(r.Values)}, name
 	}
 }
@@ -319,8 +323,7 @@ func EvaluateRequest(ctx context.Context, req EvalRequest) (*EvalResponse, error
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	var ev coding.Evaluator
-	res, err := evalResultKeyed(&ev, tc, id, req.Lambda, cfg, func() ([]uint64, *bus.Meter, error) {
+	res, err := evalResultKeyed(tc, id, req.Lambda, cfg, func() ([]uint64, *bus.Meter, error) {
 		return fetchRequestTrace(ctx, req, tc.DataWidth(), id, cfg)
 	})
 	if err != nil {

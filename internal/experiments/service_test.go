@@ -175,3 +175,81 @@ func TestEvaluateRequestRandomMatchesSharedTrace(t *testing.T) {
 		t.Errorf("random-source transitions %d, want %d", resp.Coded.Transitions, want.Coded.Transitions())
 	}
 }
+
+// TestEvaluateRequestMatchesScalarEvaluator: the request path evaluates a
+// miss as a one-cell grid, so it takes the grid engine's fast paths
+// (stride tapes, materialized enumerative meters, bit-sliced stateless
+// coders). For one scheme of every registered kind under every verify
+// policy, its response must equal the one built from a direct scalar
+// Evaluator run: raw and coded meters, widths, op counts and energy.
+func TestEvaluateRequestMatchesScalarEvaluator(t *testing.T) {
+	schemes := map[string][]string{
+		"raw":       {"raw"},
+		"gray":      {"gray"},
+		"spatial":   {"spatial:width=4"},
+		"businvert": {"businvert"},
+		"inversion": {"inversion:patterns=4,lambda=0.5"},
+		"pbi":       {"pbi:groups=4"},
+		"stride":    {"stride:strides=8,lambda=0.25"},
+		"window":    {"window:entries=24,lambda=0.5"},
+		"context": {
+			"context:table=32,sr=8,divide=256,lambda=0.5",
+			"context:table=8,sr=4,divide=1024,transition=true",
+		},
+		"optmem":    {"optmem:extra=2"},
+		"vc":        {"vc:extra=2"},
+		"lowweight": {"lowweight:groups=4,extra=1"},
+		"dvs":       {"dvs:extra=2,vdd=80"},
+	}
+	cfg := QuickConfig()
+	tr, err := busTrace("li", "reg", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range coding.SchemeKinds() {
+		specs, ok := schemes[kind]
+		if !ok {
+			t.Errorf("scheme kind %q has no differential case", kind)
+			continue
+		}
+		for _, scheme := range specs {
+			for _, verify := range []string{"sampled", "off", "full"} {
+				req := EvalRequest{Workload: "li", Bus: "reg", Quick: true, Scheme: scheme, Lambda: 2, Verify: verify}
+				got, err := EvaluateRequest(context.Background(), req)
+				if err != nil {
+					t.Fatalf("%s/%s: %v", scheme, verify, err)
+				}
+
+				tc, err := coding.BuildScheme(scheme)
+				if err != nil {
+					t.Fatal(err)
+				}
+				policy, err := coding.ParseVerifyPolicy(verify)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ev := coding.Evaluator{Verify: policy}
+				ev.Use(tc)
+				res, err := ev.Evaluate(tr, req.Lambda, coding.MeasureRawValues(tc.DataWidth(), tr))
+				if err != nil {
+					t.Fatalf("%s/%s scalar: %v", scheme, verify, err)
+				}
+				want := &EvalResponse{
+					Scheme:             res.Scheme,
+					ConfigKey:          coding.ConfigKey(tc),
+					Source:             "workload:li/reg",
+					Lambda:             req.Lambda,
+					Verify:             verify,
+					Raw:                busStats(res.Raw, req.Lambda),
+					Coded:              busStats(res.Coded, req.Lambda),
+					EnergyRemovedPct:   100 * res.EnergyRemoved(),
+					EnergyRemainingPct: 100 * res.EnergyRemaining(),
+					Ops:                res.Ops,
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s/%s: request path diverges from the scalar evaluator:\ngot  %+v\nwant %+v", scheme, verify, got, want)
+				}
+			}
+		}
+	}
+}

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
+	"sync"
 
 	"buspower/internal/bus"
 	"buspower/internal/coding"
@@ -113,24 +115,63 @@ var vlcMemo = newSFMemo[resultKey, coding.VLCResult](64)
 // An entry is ~n/8 bytes per wire (≈0.5 MB for a 120k-cycle 32-wire
 // trace); 32 entries bound the cache well under the trace cache's own
 // footprint.
-type slicedKey struct {
+type derivedKey struct {
 	trace traceID
 	width int
 }
 
-var slicedMemo = newSFMemo[slicedKey, *bus.SlicedTrace](32)
+var slicedMemo = newSFMemo[derivedKey, *bus.SlicedTrace](32)
 
-// slicedProviderFor adapts the sliced-plane cache to
-// coding.GridOptions.Sliced for one trace.
-func slicedProviderFor(id traceID, tr []uint64) func(int) *bus.SlicedTrace {
-	return func(width int) *bus.SlicedTrace {
-		s, err := slicedMemo.Do(slicedKey{trace: id, width: width}, func() (*bus.SlicedTrace, error) {
-			return bus.NewSlicedTrace(width, tr), nil
-		})
-		if err != nil {
-			return nil
-		}
-		return s
+// Stride cells replay a coding.StrideTape, which likewise depends only
+// on (trace identity, width): a tape of depth D serves every bank of
+// depth ≤ D. Each entry holds the deepest tape built so far for its
+// trace; a request deeper than that rebuilds it at max(k, 2·depth)
+// (NewStrideTape caps the depth), so banks arriving in random depth
+// order rebuild O(log K) times per trace. The slot's lock makes
+// concurrent requests for one trace wait for a single build. An entry
+// is one byte per cycle (≈0.1 MB for a 120k-cycle trace).
+type tapeSlot struct {
+	mu   sync.Mutex
+	tape *coding.StrideTape
+}
+
+var tapeMemo = newSFMemo[derivedKey, *tapeSlot](64)
+
+// gridOptionsFor plugs the sliced-plane and stride-tape memos into a
+// grid evaluation of one trace. Inline request traces get neither:
+// caching their derived data would keep up to MaxRequestValues-sized
+// planes and tapes alive per submitted trace, where named and random
+// traces are a small, already-cached set.
+func gridOptionsFor(id traceID, tr []uint64) coding.GridOptions {
+	if strings.HasPrefix(id.source, inlineSourcePrefix) {
+		return coding.GridOptions{}
+	}
+	return coding.GridOptions{
+		Sliced: func(width int) *bus.SlicedTrace {
+			s, err := slicedMemo.Do(derivedKey{trace: id, width: width}, func() (*bus.SlicedTrace, error) {
+				return bus.NewSlicedTrace(width, tr), nil
+			})
+			if err != nil {
+				return nil
+			}
+			return s
+		},
+		Tapes: func(width, k int) *coding.StrideTape {
+			slot, err := tapeMemo.Do(derivedKey{trace: id, width: width}, func() (*tapeSlot, error) {
+				return &tapeSlot{}, nil
+			})
+			if err != nil {
+				return nil
+			}
+			slot.mu.Lock()
+			defer slot.mu.Unlock()
+			if slot.tape == nil {
+				slot.tape = coding.NewStrideTape(width, k, tr)
+			} else if d := slot.tape.Depth(); d < k {
+				slot.tape = coding.NewStrideTape(width, max(k, 2*d), tr)
+			}
+			return slot.tape
+		},
 	}
 }
 
@@ -144,23 +185,25 @@ func RawMeterMemoStats() MemoStats { return rawMeterMemo.Stats() }
 func SlicedCacheStats() MemoStats { return slicedMemo.Stats() }
 
 // ClearEvalMemo returns the evaluation-result memos (fixed-length and
-// VLC) and the sliced-plane cache to their cold state (the bench
-// harness's memo-cold phase; raw-meter and trace caches are governed
-// separately).
+// VLC), the sliced-plane cache and the stride-tape memo to their cold
+// state (the bench harness's memo-cold phase; raw-meter and trace caches
+// are governed separately).
 func ClearEvalMemo() {
 	resultMemo.Reset()
 	vlcMemo.Reset()
 	slicedMemo.Reset()
-	coding.ClearStrideTapeCache()
+	tapeMemo.Reset()
 }
 
 // evalResultKeyed memoizes one transcoder evaluation. fetch returns the
 // trace and its shared raw meter (nil to measure inline) and runs only on
-// a miss, so hits skip even the trace-cache lookup. On a miss the
-// evaluation runs through ev — reusing the caller's sweep-local scratch —
-// under cfg.Verify, and the Result's coded meter is detached (Clone) from
-// the evaluator before it is retained.
-func evalResultKeyed(ev *coding.Evaluator, tc coding.Transcoder, id traceID, lambda float64, cfg Config,
+// a miss, so hits skip even the trace-cache lookup. A miss evaluates as
+// a one-cell grid under cfg.Verify, so single evaluations take the grid
+// engine's fast paths (stride tapes from the tape memo, materialized
+// enumerative meters, bit-sliced stateless coders) and everything else
+// its scalar Evaluator; the Result's coded meter is detached (Clone)
+// before it is retained.
+func evalResultKeyed(tc coding.Transcoder, id traceID, lambda float64, cfg Config,
 	fetch func() ([]uint64, *bus.Meter, error)) (coding.Result, error) {
 	key := resultKey{config: coding.ConfigKey(tc), trace: id, verify: cfg.Verify.String()}
 	res, err := resultMemo.Do(key, func() (coding.Result, error) {
@@ -168,12 +211,12 @@ func evalResultKeyed(ev *coding.Evaluator, tc coding.Transcoder, id traceID, lam
 		if err != nil {
 			return coding.Result{}, err
 		}
-		ev.Use(tc)
-		ev.Verify = cfg.Verify
-		res, err := ev.Evaluate(tr, lambda, raw)
+		results, err := coding.EvaluateGridOpts([]coding.GridCell{{T: tc, Lambda: lambda}}, tr, raw, cfg.Verify,
+			gridOptionsFor(id, tr))
 		if err != nil {
 			return coding.Result{}, err
 		}
+		res := results[0]
 		res.Coded = res.Coded.Clone()
 		return res, nil
 	})
@@ -224,8 +267,7 @@ func evalGridPoints(points []gridPoint, id traceID, tr []uint64, raw *bus.Meter,
 	if len(missIdx) == 0 {
 		return out, nil
 	}
-	results, err := coding.EvaluateGridOpts(cells, tr, raw, cfg.Verify,
-		coding.GridOptions{Sliced: slicedProviderFor(id, tr)})
+	results, err := coding.EvaluateGridOpts(cells, tr, raw, cfg.Verify, gridOptionsFor(id, tr))
 	if err != nil {
 		return nil, err
 	}
@@ -312,9 +354,9 @@ func evalGridPointsMulti(points []gridPoint, traces []batchTraceInput, cfg Confi
 		bts := make([]coding.BatchTrace, len(tis))
 		for j, ti := range tis {
 			bts[j] = coding.BatchTrace{
-				Values: traces[ti].tr,
-				Raw:    traces[ti].raw,
-				Sliced: slicedProviderFor(traces[ti].id, traces[ti].tr),
+				Values:      traces[ti].tr,
+				Raw:         traces[ti].raw,
+				GridOptions: gridOptionsFor(traces[ti].id, traces[ti].tr),
 			}
 		}
 		results, err := coding.EvaluateBatch(cells, bts, cfg.Verify)
@@ -339,8 +381,8 @@ func evalGridPointsMulti(points []gridPoint, traces []batchTraceInput, cfg Confi
 
 // evalResult is evalResultKeyed for callers that already hold the trace
 // and its raw meter.
-func evalResult(ev *coding.Evaluator, tc coding.Transcoder, id traceID, tr []uint64, lambda float64, raw *bus.Meter, cfg Config) (coding.Result, error) {
-	return evalResultKeyed(ev, tc, id, lambda, cfg, func() ([]uint64, *bus.Meter, error) {
+func evalResult(tc coding.Transcoder, id traceID, tr []uint64, lambda float64, raw *bus.Meter, cfg Config) (coding.Result, error) {
+	return evalResultKeyed(tc, id, lambda, cfg, func() ([]uint64, *bus.Meter, error) {
 		return tr, raw, nil
 	})
 }

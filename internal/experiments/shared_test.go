@@ -236,9 +236,8 @@ func TestEvalResultMemoizes(t *testing.T) {
 		}
 		return win
 	}
-	var ev coding.Evaluator
 	before := EvalMemoStats()
-	a, err := evalResult(&ev, build(), id, vals, evalLambda, raw, cfg)
+	a, err := evalResult(build(), id, vals, evalLambda, raw, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,10 +247,10 @@ func TestEvalResultMemoizes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := evalResult(&ev, other, id, vals, evalLambda, raw, cfg); err != nil {
+	if _, err := evalResult(other, id, vals, evalLambda, raw, cfg); err != nil {
 		t.Fatal(err)
 	}
-	b, err := evalResult(&ev, build(), id, vals, evalLambda, raw, cfg) // rebuilt instance: must hit
+	b, err := evalResult(build(), id, vals, evalLambda, raw, cfg) // rebuilt instance: must hit
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +267,7 @@ func TestEvalResultMemoizes(t *testing.T) {
 	// A different metered Λ shares the same entry — encoder output never
 	// depends on the Λ the meters are read at — and the retrieved Result
 	// is stamped with the requested Λ.
-	atTwo, err := evalResult(&ev, build(), id, vals, 2.0, raw, cfg)
+	atTwo, err := evalResult(build(), id, vals, 2.0, raw, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +283,7 @@ func TestEvalResultMemoizes(t *testing.T) {
 	// A different verify policy is still a distinct entry.
 	st = EvalMemoStats()
 	cfgSampled := Config{Verify: coding.VerifySampled(0)}
-	if _, err := evalResult(&ev, build(), id, vals, evalLambda, raw, cfgSampled); err != nil {
+	if _, err := evalResult(build(), id, vals, evalLambda, raw, cfgSampled); err != nil {
 		t.Fatal(err)
 	}
 	if st2 := EvalMemoStats(); st2.Hits != st.Hits {
@@ -306,5 +305,51 @@ func TestRandomBundleMemoizes(t *testing.T) {
 	c := randomBundleFor(999)
 	if len(c.trace) != 999 || a.meter == c.meter {
 		t.Fatal("different lengths must be distinct entries")
+	}
+}
+
+// TestTapeMemoGrowsGeometrically: the stride-tape memo keeps one tape per
+// (trace, width), serves shallower banks from it, rebuilds a too-shallow
+// tape at max(k, 2·depth) capped at the tape record's limit, resets with
+// ClearEvalMemo, and is bypassed for inline request traces.
+func TestTapeMemoGrowsGeometrically(t *testing.T) {
+	ClearEvalMemo()
+	defer ClearEvalMemo()
+	tr := make([]uint64, 500)
+	for i := range tr {
+		tr[i] = uint64(i * i % 97)
+	}
+	tapes := gridOptionsFor(memoKey(7), tr).Tapes
+	depth := func(k int) (*coding.StrideTape, int) {
+		tp := tapes(busWidth, k)
+		return tp, tp.Depth()
+	}
+	if _, d := depth(3); d != 3 {
+		t.Fatalf("first build depth %d, want 3", d)
+	}
+	a, d := depth(4)
+	if d != 6 {
+		t.Fatalf("rebuild depth %d, want max(4, 2·3) = 6", d)
+	}
+	if b, _ := depth(5); b != a {
+		t.Error("a bank within the memoized depth rebuilt the tape")
+	}
+	if _, d := depth(9); d != 12 {
+		t.Fatalf("rebuild depth %d, want max(9, 2·6) = 12", d)
+	}
+	if _, d := depth(200); d != 200 {
+		t.Fatalf("rebuild depth %d, want 200", d)
+	}
+	if _, d := depth(201); d != 250 {
+		t.Fatalf("rebuild depth %d, want the 250-stride cap", d)
+	}
+	ClearEvalMemo()
+	if _, d := depth(2); d != 2 {
+		t.Fatalf("depth %d after ClearEvalMemo, want a fresh depth-2 build", d)
+	}
+
+	inline := traceID{source: inlineSourcePrefix + "abc/w32", n: len(tr)}
+	if opts := gridOptionsFor(inline, tr); opts.Tapes != nil || opts.Sliced != nil {
+		t.Error("inline traces must not populate the derived-data memos")
 	}
 }

@@ -200,17 +200,16 @@ func TestEvalResultMemoDropsCancellation(t *testing.T) {
 	}
 	id := traceID{source: "stats-race-test-cancel", n: 10}
 	trace := []uint64{9, 8, 7, 6, 5, 4, 3, 2, 1, 0}
-	var ev coding.Evaluator
 	// A fetch interrupted by cancellation (as when a per-request timeout
 	// fires mid-trace-load) fails this call...
-	_, err = evalResultKeyed(&ev, tc, id, 1, Config{}, func() ([]uint64, *bus.Meter, error) {
+	_, err = evalResultKeyed(tc, id, 1, Config{}, func() ([]uint64, *bus.Meter, error) {
 		return nil, nil, context.Canceled
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled fetch: %v", err)
 	}
 	// ...but must not be replayed to the next identical request.
-	res, err := evalResultKeyed(&ev, tc, id, 1, Config{}, func() ([]uint64, *bus.Meter, error) {
+	res, err := evalResultKeyed(tc, id, 1, Config{}, func() ([]uint64, *bus.Meter, error) {
 		return trace, nil, nil
 	})
 	if err != nil {
