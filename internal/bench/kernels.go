@@ -39,11 +39,15 @@ func Kernels() []Kernel {
 		{"Meter.Record/sparse-64", benchMeterRecordSparse},
 		{"Meter.MeasureTrace/dense-32", benchMeterMeasureTrace},
 		{"Window.Encode/8", benchWindowEncode(8)},
+		{"Window.Encode/32", benchWindowEncode(32)},
 		{"Window.Encode/128", benchWindowEncode(128)},
+		{"Window.Encode/1024", benchWindowEncode(1024)},
 		{"Context.Encode/16", benchContextEncode(16, 8, 4096)},
 		{"Context.Encode/128", benchContextEncode(128, 8, 4096)},
 		{"Context.Encode/t128-s16", benchContextEncode(128, 16, 256)},
-		{"Channel.SendRaw/l0.5", benchChannelSendRaw},
+		{"Context.Encode/t1024-s16", benchContextEncode(1024, 16, 4096)},
+		{"Channel.SendRaw/l0.5", benchChannelSendRaw(0.5)},
+		{"Channel.SendRaw/l1", benchChannelSendRaw(1)},
 		{"Enum.Encode/optmem-32+2", benchEnumEncode(func() (coding.Transcoder, error) {
 			return coding.NewOptMem(32, 2)
 		})},
@@ -179,8 +183,9 @@ func benchWindowEncode(entries int) func(b *B) {
 
 // benchContextEncode measures one Context encoder at its operating
 // point: a working set of ¾ its table size with a cold-value tail, so
-// cycles mix table hits, shift-register promotions and sort swaps, all
-// through the dictionary's hash index (table+sr ≥ 16 slots).
+// cycles mix table hits, shift-register promotions and sort swaps —
+// found by partial-match row walks up to 256 slots, and by the hash
+// index above (t1024-s16).
 func benchContextEncode(table, sr, divide int) func(b *B) {
 	return func(b *B) {
 		trace := dictTrace(8192, table*3/4)
@@ -203,21 +208,24 @@ func benchContextEncode(table, sr, divide int) func(b *B) {
 	}
 }
 
-// benchChannelSendRaw isolates the prediction coders' raw-send path at a
-// fractional assumed Λ: a one-entry window fed uniformly random values
-// misses on every cycle, so each Encode is a one-slot probe plus the
-// channel's fused raw-vs-inverted ranking in float64.
-func benchChannelSendRaw(b *B) {
-	trace := denseTrace(8192, 32)
-	win, err := coding.NewWindow(32, 1, 0.5)
-	if err != nil {
-		b.Fatal(err)
-	}
-	enc := win.NewEncoder()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		enc.Encode(uint64(trace[i&8191]))
+// benchChannelSendRaw isolates the prediction coders' raw-send path: a
+// one-entry window fed uniformly random values misses on every cycle, so
+// each Encode is a one-slot probe plus the channel's fused
+// raw-vs-inverted ranking — compared in float64 at a fractional assumed
+// Λ and in uint64 at an integral one.
+func benchChannelSendRaw(lambda float64) func(b *B) {
+	return func(b *B) {
+		trace := denseTrace(8192, 32)
+		win, err := coding.NewWindow(32, 1, lambda)
+		if err != nil {
+			b.Fatal(err)
+		}
+		enc := win.NewEncoder()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			enc.Encode(uint64(trace[i&8191]))
+		}
 	}
 }
 

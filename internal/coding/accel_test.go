@@ -6,21 +6,29 @@ import (
 	"buspower/internal/bus"
 )
 
-// The map indexes, byte histograms and pending bitset added to the Window
-// and Context transcoders are pure accelerations: every observable —
-// encoded words, decoded values, OpStats — must match the linear
-// reference probe exactly. These tests force both paths via the package
-// threshold variables and difference them.
+// The Window and Context dictionaries find entries by walking
+// partial-match rows, and above rowsMaxSlots by a hash index; the choice
+// is a pure acceleration: every observable — encoded words, decoded
+// values, OpStats — must match exactly. These tests build both
+// structures for the same transcoder and difference them, at sizes on
+// both sides of the crossover.
 
-// withThresholds runs f with the index thresholds overridden, restoring
-// them afterwards. forceOn (threshold 1) builds every dictionary with the
-// accelerated structures; forceOff (a huge threshold) keeps them all on
-// the linear reference path.
-func withThresholds(threshold int, f func()) {
-	ow, oc := windowIndexMinEntries, contextIndexMinEntries
-	windowIndexMinEntries, contextIndexMinEntries = threshold, threshold
-	defer func() { windowIndexMinEntries, contextIndexMinEntries = ow, oc }()
-	f()
+// forcedPair returns an encoder/decoder pair for a Window or Context
+// transcoder whose dictionaries find entries with the hash index
+// (indexed) or by the row walk alone, whatever their size.
+func forcedPair(tc Transcoder, indexed bool) (Encoder, Decoder) {
+	enc, dec := tc.NewEncoder(), tc.NewDecoder()
+	switch t := tc.(type) {
+	case *WindowTranscoder:
+		enc.(*windowEncoder).st = newWindowStateIndexed(t.entries, indexed)
+		dec.(*windowDecoder).st = newWindowStateIndexed(t.entries, indexed)
+	case *ContextTranscoder:
+		enc.(*contextEncoder).st = newContextStateIndexed(t.cfg, indexed)
+		dec.(*contextDecoder).st = newContextStateIndexed(t.cfg, indexed)
+	default:
+		panic("forcedPair: not a dictionary transcoder")
+	}
+	return enc, dec
 }
 
 // fuzzValues derives a value stream with a deliberately small alphabet
@@ -43,11 +51,24 @@ func fuzzValues(data []byte) []uint64 {
 
 // accelConfigs returns the transcoder builders the differential tests
 // cover: window and context (both flavours), including a table crossing
-// the 64-entry pending-bitset word boundary and a short divide period.
+// the 64-entry pending-bitset word boundary, a short divide period, and
+// dictionaries on either side of the rowsMaxSlots crossover.
 func accelConfigs() map[string]func() (Transcoder, error) {
 	return map[string]func() (Transcoder, error){
 		"window-3":  func() (Transcoder, error) { return NewWindow(16, 3, 1) },
 		"window-20": func() (Transcoder, error) { return NewWindow(16, 20, 1) },
+		"window-crossover": func() (Transcoder, error) {
+			return NewWindow(16, rowsMaxSlots, 1)
+		},
+		"window-crossover+1": func() (Transcoder, error) {
+			return NewWindow(16, rowsMaxSlots+1, 1)
+		},
+		"context-value-crossover": func() (Transcoder, error) {
+			return NewContext(ContextConfig{Width: 16, TableSize: rowsMaxSlots - 8, ShiftEntries: 8, DividePeriod: 256, Lambda: 1})
+		},
+		"context-transition-crossover+1": func() (Transcoder, error) {
+			return NewContext(ContextConfig{Width: 16, TableSize: rowsMaxSlots - 7, ShiftEntries: 8, DividePeriod: 256, TransitionBased: true, Lambda: 1})
+		},
 		"context-value-t8-s4": func() (Transcoder, error) {
 			return NewContext(ContextConfig{Width: 16, TableSize: 8, ShiftEntries: 4, DividePeriod: 64, Lambda: 1})
 		},
@@ -60,26 +81,19 @@ func accelConfigs() map[string]func() (Transcoder, error) {
 	}
 }
 
-// diffPaths drives the accelerated and reference implementations of one
+// diffPaths drives the row-walk and hash-index implementations of one
 // transcoder in lockstep over vals, halting on any observable divergence.
 // Both pairs are Reset mid-stream to cover the acceleration structures'
 // reset paths.
 func diffPaths(t *testing.T, name string, build func() (Transcoder, error), vals []uint64) {
 	t.Helper()
-	var refT, accT Transcoder
-	var err error
-	withThresholds(1<<30, func() { refT, err = build() })
+	tc, err := build()
 	if err != nil {
-		t.Fatalf("%s: reference build: %v", name, err)
+		t.Fatalf("%s: build: %v", name, err)
 	}
-	var err2 error
-	withThresholds(1, func() { accT, err2 = build() })
-	if err2 != nil {
-		t.Fatalf("%s: accelerated build: %v", name, err2)
-	}
-	refEnc, refDec := refT.NewEncoder(), refT.NewDecoder()
-	accEnc, accDec := accT.NewEncoder(), accT.NewDecoder()
-	mask := uint64(bus.Mask(refT.DataWidth()))
+	refEnc, refDec := forcedPair(tc, false)
+	accEnc, accDec := forcedPair(tc, true)
+	mask := uint64(bus.Mask(tc.DataWidth()))
 	for i, v := range vals {
 		if i == len(vals)/2 {
 			refEnc.Reset()
@@ -91,28 +105,34 @@ func diffPaths(t *testing.T, name string, build func() (Transcoder, error), vals
 		rw := refEnc.Encode(v)
 		aw := accEnc.Encode(v)
 		if rw != aw {
-			t.Fatalf("%s: encoded words diverged at cycle %d: reference %#x, accelerated %#x", name, i, rw, aw)
+			t.Fatalf("%s: encoded words diverged at cycle %d: rows %#x, index %#x", name, i, rw, aw)
 		}
 		if got := refDec.Decode(rw); got != v {
-			t.Fatalf("%s: reference round-trip broke at cycle %d: %#x != %#x", name, i, got, v)
+			t.Fatalf("%s: row-walk round-trip broke at cycle %d: %#x != %#x", name, i, got, v)
 		}
 		if got := accDec.Decode(aw); got != v {
-			t.Fatalf("%s: accelerated round-trip broke at cycle %d: %#x != %#x", name, i, got, v)
+			t.Fatalf("%s: indexed round-trip broke at cycle %d: %#x != %#x", name, i, got, v)
 		}
 	}
 	refOps := refEnc.(OpReporter).Ops()
 	accOps := accEnc.(OpReporter).Ops()
 	if refOps != accOps {
-		t.Fatalf("%s: OpStats diverged:\nreference   %+v\naccelerated %+v", name, refOps, accOps)
+		t.Fatalf("%s: OpStats diverged:\nrows  %+v\nindex %+v", name, refOps, accOps)
 	}
-	if ce, ok := accEnc.(*contextEncoder); ok {
-		if err := ce.st.checkInvariants(); err != nil {
-			t.Fatalf("%s: accelerated encoder state: %v", name, err)
+	for _, x := range []any{refEnc, refDec, accEnc, accDec} {
+		var err error
+		switch x := x.(type) {
+		case *contextEncoder:
+			err = x.st.checkInvariants()
+		case *contextDecoder:
+			err = x.st.checkInvariants()
+		case *windowEncoder:
+			err = x.st.checkInvariants()
+		case *windowDecoder:
+			err = x.st.checkInvariants()
 		}
-	}
-	if cd, ok := accDec.(*contextDecoder); ok {
-		if err := cd.st.checkInvariants(); err != nil {
-			t.Fatalf("%s: accelerated decoder state: %v", name, err)
+		if err != nil {
+			t.Fatalf("%s: %T state: %v", name, x, err)
 		}
 	}
 }
@@ -130,8 +150,8 @@ func TestAccelMatchesReference(t *testing.T) {
 	}
 }
 
-// FuzzRoundTrip asserts, for fuzz-chosen traces, that the accelerated and
-// reference probe paths produce identical coded words, exact round-trips
+// FuzzRoundTrip asserts, for fuzz-chosen traces, that the row-walk and
+// hash-index probe paths produce identical coded words, exact round-trips
 // and identical OpStats for every scheme.
 func FuzzRoundTrip(f *testing.F) {
 	f.Add([]byte("buspower"))

@@ -26,8 +26,9 @@ import (
 // genuinely size-independent work is shared — the per-cycle hash probe
 // (one lookup against a merged value→slots index instead of one per
 // size), the LAST-value test, the masked input stream, and the
-// selective-precharge accounting, which drops from a per-size byte
-// histogram read per cycle to an O(1)-per-insert residency credit (see
+// selective-precharge accounting, which drops from a per-size
+// partial-match row count per cycle to an O(1)-per-insert residency
+// credit (see
 // cum / births below). Outputs, meters and OpStats are bit-identical to
 // the scalar path (batch_test.go differentials + fuzz).
 //
@@ -49,8 +50,9 @@ type famResult struct {
 // windowFamily is the reusable scratch for one (width, lambda) family
 // of Window transcoders, sorted ascending by register size.
 //
-// FullMatches accounting: the scalar encoder adds byteCount[b(v)] every
-// cycle — the number of resident entries sharing the probe byte. Summed
+// FullMatches accounting: the scalar encoder adds the population of
+// v's partial-match row every cycle — the number of resident entries
+// sharing the probe byte b(v). Summed
 // over the run, each residency interval (t_ins, t_evict] of an entry u
 // contributes the number of cycles in that interval whose input shares
 // u's byte. With cum[x] = cycles seen so far with low byte x

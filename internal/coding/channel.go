@@ -93,12 +93,8 @@ func (c *channel) sendCode(code bus.Word) bus.Word {
 	t := code & c.dataMask
 	if t != 0 {
 		old := c.state
-		rising := t &^ old
-		falling := t & old
-		single := (t ^ (t >> 1)) & c.pairMask
-		opposite := ((rising & (falling >> 1)) | (falling & (rising >> 1))) & c.pairMask
 		c.accT += uint64(bus.Weight(t))
-		c.accC += uint64(bus.Weight(single)) + 2*uint64(bus.Weight(opposite))
+		c.accC += couplingEvents(t, old, c.pairMask)
 	}
 	c.state ^= t
 	return c.state
@@ -109,42 +105,45 @@ func (c *channel) sendCode(code bus.Word) bus.Word {
 // under the assumed Λ (a tie keeps the raw form). It reports whether the
 // inverted form was chosen.
 //
-// Both candidates are ranked in one fused eq. (3) evaluation. Their
-// transition vectors are complements on the data wires, so the shared
-// subexpressions are computed once: with p the current data state, x the
-// value, t = p^x, D the data mask and R/I the raw/inverted control wires,
+// Both candidates are ranked with four popcounts. With s the current bus
+// state, t the data-wire transition vector of the raw form, D the data
+// mask and R/I the raw/inverted control wires, the candidates' transition
+// vectors are t|R and (t^D)|I, so:
 //
-//	raw:      transitions t|R,   rising x&^p,      falling p&^x,  plus R
-//	inverted: transitions t^D|I, rising D&^(x|p), falling p&x,   plus I
+//   - self transitions are pt+1 and width-pt+1 for pt = weight(t);
+//   - single-toggle pairs (exactly one wire of an adjacent pair toggles,
+//     eq. 3 cost 1) are the same set for both: complementing the data
+//     wires keeps every data pair's XOR, the data-MSB/R pair is t[w-1]^1
+//     against ¬t[w-1]^0, and the R/I pair toggles exactly one wire in
+//     either form;
+//   - opposite-toggle pairs (cost 2) are the both-toggle pairs whose old
+//     bits differ, one popcount per candidate.
 //
-// and the self-transition counts are pt+1 and width-pt+1 for
-// pt = weight(t). The integer counts T and C are then compared as
-// T + Λ·C: in uint64 when Λ is integral (every experiment except
-// Figure 15's fractional λN points), and otherwise as
-// float64(T) + Λ·float64(C) — exactly bus.CostMasked's expression, so
-// every decision matches ranking the two candidates with CostMasked
-// (TestChannelIntCostMatchesFloat).
+// The integer counts T and C are then compared as T + Λ·C: in uint64
+// when Λ is integral (every experiment except Figure 15's fractional λN
+// points), and otherwise as float64(T) + Λ·float64(C) per candidate —
+// exactly bus.CostMasked's expression, so every decision matches ranking
+// the two candidates with CostMasked (TestChannelIntCostMatchesFloat,
+// and the naive per-wire oracle of TestSendRawMatchesOracle).
 func (c *channel) sendRaw(v uint64) (bus.Word, bool) {
 	s := c.state
 	d := c.dataMask
 	x := bus.Word(v) & d
-	ctlR := c.ctrlRaw
-	ctlI := c.ctrlInv
-	p := s & d
-	t := p ^ x
+	t := (s ^ x) & d
 	pt := uint64(bus.Weight(t))
-	rUp := (x &^ p) | (ctlR &^ s)
-	rDn := (p &^ x) | (ctlR & s)
-	iUp := (d &^ (x | p)) | (ctlI &^ s)
-	iDn := (p & x) | (ctlI & s)
 	pm := c.pairMask
-	tRaw, cRaw := pt+1, couplingEvents(t|ctlR, rUp, rDn, pm)
-	tInv, cInv := uint64(c.width)-pt+1, couplingEvents((t^d)|ctlI, iUp, iDn, pm)
+	tr, ti := t|c.ctrlRaw, (t^d)|c.ctrlInv
+	single := uint64(bus.Weight((tr ^ tr>>1) & pm))
+	differ := (s ^ s>>1) & pm
+	tRaw, cRaw := pt+1, single+2*uint64(bus.Weight(tr&(tr>>1)&differ))
+	tInv, cInv := uint64(c.width)-pt+1, single+2*uint64(bus.Weight(ti&(ti>>1)&differ))
 	var inverted bool
 	if c.lambdaIsInt {
 		inverted = tInv+c.lambdaInt*cInv < tRaw+c.lambdaInt*cRaw
 	} else {
-		inverted = float64(tInv)+c.lambda*float64(cInv) < float64(tRaw)+c.lambda*float64(cRaw)
+		// The counts are below 2^7, so converting through int64 (one
+		// instruction, where uint64 needs a range check) is exact.
+		inverted = float64(int64(tInv))+c.lambda*float64(int64(cInv)) < float64(int64(tRaw))+c.lambda*float64(int64(cRaw))
 	}
 	// The choice is data-dependent and close to a coin flip on busy
 	// traces, so the winner is selected with a mask rather than a branch.
@@ -152,20 +151,20 @@ func (c *channel) sendRaw(v uint64) (bus.Word, bool) {
 	if inverted {
 		sel = ^uint64(0)
 	}
-	keep := s &^ d
-	stRaw, stInv := (keep|x)^ctlR, (keep|(x^d))^ctlI
+	stRaw, stInv := s^tr, s^ti
 	c.accT += tRaw ^ (tRaw^tInv)&sel
 	c.accC += cRaw ^ (cRaw^cInv)&sel
 	c.state = stRaw ^ (stRaw^stInv)&bus.Word(sel)
 	return c.state, inverted
 }
 
-// couplingEvents counts eq. (3) coupling events for one candidate from
-// its transition vector and rising/falling wire sets: single-toggle
-// pairs cost 1, opposite-toggle pairs 2.
-func couplingEvents(t, up, dn, pm bus.Word) uint64 {
+// couplingEvents counts eq. (3) coupling events for transition vector t
+// applied to bus state old: single-toggle pairs cost 1, and both-toggle
+// pairs whose old bits differ (one wire rises as its neighbour falls)
+// cost 2.
+func couplingEvents(t, old, pm bus.Word) uint64 {
 	single := (t ^ t>>1) & pm
-	opposite := ((up & (dn >> 1)) | (dn & (up >> 1))) & pm
+	opposite := t & (t >> 1) & (old ^ old>>1) & pm
 	return uint64(bus.Weight(single)) + 2*uint64(bus.Weight(opposite))
 }
 

@@ -127,32 +127,31 @@ type srEntry struct {
 	valid bool
 }
 
-// contextIndexMinEntries is the dictionary size (table plus shift
-// register) at which the hash index starts beating the valid-and-compare
-// linear scan. It is a variable, not a constant, so tests can force
-// either path and compare them.
-var contextIndexMinEntries = 16
-
 // contextState is the complete shared FSM state; encoder and decoder each
 // own one and keep them identical by construction.
 //
 // Dictionary slots number the table and shift register together: table
 // slot i is slot i, register slot j is slot TableSize+j — the entry's
-// codeword index minus one. Four acceleration structures shadow the
-// arrays without changing observable behavior. index maps key → slot
-// over both structures, so classifying a value is one probe, and keeps
-// per-slot back-pointers, so a sort swap relabels two slots in place and
-// a promotion moves its key to the table instead of deleting and
-// re-inserting it (nil below contextIndexMinEntries); it holds exactly
-// the valid entries' keys, which Invariant 1 keeps unique. keyBytes
-// counts valid entries of both structures per low key byte, so the
-// modeled selective-precharge full-match count is O(1) per probe and a
-// zero count rejects a key without probing. pendingBits mirrors the
-// table's pending flags as a bitset so the per-cycle sort pass skips
-// over pending-free regions 64 entries at a time — on a converged
-// dictionary most cycles carry at most a bit or two — and validBits
-// mirrors its valid flags so a promotion finds the lowest occupied entry
-// above the bottom slot without walking the empty slots between.
+// codeword index minus one. Acceleration structures shadow the arrays
+// without changing observable behavior:
+//
+//   - rows (see matchRows) holds every valid entry of both structures in
+//     the partial-match row of its key's low byte, so classifying a value
+//     walks one row and the row's population is the modeled full-match
+//     count. A sort swap, a promotion or a shift touches one or two bits
+//     per entry it moves.
+//   - index, above rowsMaxSlots only, maps key → slot over both
+//     structures with per-slot back-pointers, so a sort swap relabels two
+//     slots in place and a promotion moves its key to the table instead
+//     of re-inserting it; rows then keep only their populations.
+//
+// Both hold exactly the valid entries' keys, which Invariant 1 keeps
+// unique. pendingBits mirrors the table's pending flags as a bitset so
+// the per-cycle sort pass skips over pending-free regions 64 entries at
+// a time — on a converged dictionary most cycles carry at most a bit or
+// two — and validBits mirrors its valid flags so a promotion finds the
+// lowest occupied entry above the bottom slot without walking the empty
+// slots between.
 type contextState struct {
 	cfg    ContextConfig
 	table  []tableEntry
@@ -164,8 +163,8 @@ type contextState struct {
 	// modulo the period check would otherwise cost on every value.
 	untilDivide int
 
+	rows        matchRows
 	index       *ctxIndex
-	keyBytes    [256]uint32
 	pendingBits []uint64
 	validBits   []uint64
 	// pendingCount tracks the number of set pendingBits so the per-cycle
@@ -176,16 +175,25 @@ type contextState struct {
 }
 
 func newContextState(cfg ContextConfig) contextState {
+	slots := cfg.TableSize + cfg.ShiftEntries
+	return newContextStateIndexed(cfg, slots > rowsMaxSlots)
+}
+
+// newContextStateIndexed builds the state with or without the hash
+// index; the crossover tests force both on either side of rowsMaxSlots.
+func newContextStateIndexed(cfg ContextConfig, indexed bool) contextState {
 	words := (cfg.TableSize + 63) / 64
+	slots := cfg.TableSize + cfg.ShiftEntries
 	s := contextState{
 		cfg:         cfg,
 		table:       make([]tableEntry, cfg.TableSize),
 		sr:          make([]srEntry, cfg.ShiftEntries),
+		rows:        newMatchRows(slots, indexed),
 		pendingBits: make([]uint64, words),
 		validBits:   make([]uint64, words),
 		untilDivide: cfg.DividePeriod,
 	}
-	if slots := cfg.TableSize + cfg.ShiftEntries; slots >= contextIndexMinEntries {
+	if indexed {
 		s.index = newCtxIndex(slots)
 	}
 	return s
@@ -323,6 +331,15 @@ func (s *contextState) swap(e int) {
 	s.setPendingBit(e-1, s.table[e-1].pending)
 	s.setValidBit(e, s.table[e].valid)
 	s.setValidBit(e-1, s.table[e-1].valid)
+	if a, b := &s.table[e-1], &s.table[e]; a.valid != b.valid || byte(a.key.cur) != byte(b.key.cur) {
+		// Two entries sharing a row leave it unchanged.
+		if a.valid {
+			s.rows.move(byte(a.key.cur), e-1, e)
+		}
+		if b.valid {
+			s.rows.move(byte(b.key.cur), e-1, e)
+		}
+	}
 	if s.index != nil {
 		s.index.swap(e, e-1)
 	}
@@ -343,31 +360,40 @@ func (s *contextState) increment(e int) {
 }
 
 // find returns the dictionary slot holding key (see contextState), or
-// -1. The index and the linear scan agree because the index holds
+// -1.
+func (s *contextState) find(key ctxKey) int {
+	slot, _ := s.probe(key)
+	return slot
+}
+
+// probe is the modeled CAM probe for key: the slot holding it, or -1,
+// and the population of its partial-match row — the entries that pay a
+// full compare. The row walk and the index agree because both hold
 // exactly the valid entries' keys, and Invariant 1 makes valid keys
 // unique.
-func (s *contextState) find(key ctxKey) int {
-	// The byte histogram kept for probe modeling doubles as a negative
-	// filter: no valid entry shares the key's low byte, so the key
-	// cannot be present and neither the scan nor the hash probe runs.
-	if s.keyBytes[byte(key.cur)] == 0 {
-		return -1
-	}
+func (s *contextState) probe(key ctxKey) (slot int, full uint64) {
 	if s.index != nil {
-		return s.index.get(key)
+		if full = s.rows.count(byte(key.cur)); full == 0 {
+			return -1, 0
+		}
+		return s.index.get(key), full
 	}
-	for i := range s.table {
-		// cur differs on almost every miss; test it before the flags.
-		if e := &s.table[i]; e.key.cur == key.cur && e.valid && e.key.prev == key.prev {
-			return i
+	slot = -1
+	nt := len(s.table)
+	for wi, w := range s.rows.row(byte(key.cur)) {
+		full += uint64(bits.OnesCount64(w))
+		for ; w != 0 && slot < 0; w &= w - 1 {
+			i := wi<<6 | bits.TrailingZeros64(w)
+			if i < nt {
+				if s.table[i].key == key {
+					slot = i
+				}
+			} else if s.sr[i-nt].key == key {
+				slot = i
+			}
 		}
 	}
-	for i := range s.sr {
-		if e := &s.sr[i]; e.key.cur == key.cur && e.valid && e.key.prev == key.prev {
-			return len(s.table) + i
-		}
-	}
-	return -1
+	return slot, full
 }
 
 // update applies the frequency bookkeeping for input value v. It must be
@@ -420,7 +446,7 @@ func (s *contextState) insertSR(key ctxKey) {
 	if evicted.valid {
 		s.promote(evicted, slot)
 	}
-	s.keyBytes[byte(key.cur)]++
+	s.rows.add(byte(key.cur), slot)
 	if s.index != nil {
 		s.index.put(key, slot)
 	}
@@ -433,7 +459,7 @@ func (s *contextState) promote(evicted srEntry, srSlot int) {
 	bottom := len(s.table) - 1
 	old := &s.table[bottom]
 	if old.valid && evicted.count <= old.count {
-		s.keyBytes[byte(evicted.key.cur)]--
+		s.rows.remove(byte(evicted.key.cur), srSlot)
 		if s.index != nil {
 			s.index.remove(srSlot)
 		}
@@ -448,12 +474,13 @@ func (s *contextState) promote(evicted srEntry, srSlot int) {
 		count = s.table[above].count
 	}
 	if old.valid {
-		s.keyBytes[byte(old.key.cur)]--
+		s.rows.remove(byte(old.key.cur), bottom)
 		if s.index != nil {
 			s.index.remove(bottom)
 		}
 	}
 	*old = tableEntry{key: evicted.key, count: count, valid: true}
+	s.rows.move(byte(evicted.key.cur), srSlot, bottom)
 	s.setPendingBit(bottom, false)
 	s.setValidBit(bottom, true)
 	if s.index != nil {
@@ -477,7 +504,7 @@ func (s *contextState) reset() {
 	if s.index != nil {
 		s.index.clear()
 	}
-	s.keyBytes = [256]uint32{}
+	s.rows.clear()
 	clear(s.pendingBits)
 	clear(s.validBits)
 	s.pendingCount = 0
@@ -487,7 +514,7 @@ func (s *contextState) reset() {
 // acceleration structures with the arrays they shadow; used by tests.
 func (s *contextState) checkInvariants() error {
 	seen := make(map[ctxKey]bool)
-	var kb [256]uint32
+	rows := newMatchRows(len(s.table)+len(s.sr), s.index != nil)
 	valid := 0
 	// checkSlot verifies the index entry of one dictionary slot: a valid
 	// entry's back-pointer names a bucket holding its key and pointing
@@ -525,11 +552,14 @@ func (s *contextState) checkInvariants() error {
 			continue
 		}
 		valid++
-		kb[byte(e.key.cur)]++
+		rows.add(byte(e.key.cur), i)
 		if seen[e.key] {
 			return fmt.Errorf("invariant 1 violated: duplicate table key %+v", e.key)
 		}
 		seen[e.key] = true
+		if got := s.find(e.key); got != i {
+			return fmt.Errorf("find(%+v) = %d, want table slot %d", e.key, got, i)
+		}
 		if i > 0 && s.table[i-1].valid && e.count > s.table[i-1].count {
 			return fmt.Errorf("invariant 2 violated at slot %d: %d > %d", i, e.count, s.table[i-1].count)
 		}
@@ -542,13 +572,16 @@ func (s *contextState) checkInvariants() error {
 			continue
 		}
 		valid++
-		kb[byte(e.key.cur)]++
+		rows.add(byte(e.key.cur), len(s.table)+i)
 		if seen[e.key] {
 			return fmt.Errorf("invariant 1 violated: key %+v in both table and shift register", e.key)
 		}
+		if got := s.find(e.key); got != len(s.table)+i {
+			return fmt.Errorf("find(%+v) = %d, want shift register slot %d", e.key, got, len(s.table)+i)
+		}
 	}
-	if kb != s.keyBytes {
-		return fmt.Errorf("key byte histogram out of sync")
+	if !rows.equal(&s.rows) {
+		return fmt.Errorf("partial-match rows out of sync with the valid entries")
 	}
 	if s.index != nil && s.index.len() != valid {
 		return fmt.Errorf("index holds %d keys, want %d", s.index.len(), valid)
@@ -576,12 +609,13 @@ func (e *contextEncoder) Encode(v uint64) bus.Word {
 	e.ops.Cycles++
 	e.st.step()
 	key := e.st.makeKey(v)
-	e.countProbes(key)
 
 	// Classification and update share one dictionary probe (updateAt);
 	// the LAST-hit path needs it only for the update.
+	slot, full := e.st.probe(key)
+	e.ops.PartialMatches += uint64(len(e.st.table) + len(e.st.sr))
+	e.ops.FullMatches += full
 	var out bus.Word
-	slot := e.st.find(key)
 	switch {
 	case v == e.st.last:
 		e.ops.LastHits++
@@ -614,8 +648,8 @@ func (e *contextEncoder) encodeStream(vals []uint64, st *bus.MeterStream) {
 		v &= mask
 		e.st.step()
 		key := e.st.makeKey(v)
-		full += uint64(e.st.keyBytes[byte(key.cur)])
-		slot := e.st.find(key)
+		slot, fm := e.st.probe(key)
+		full += fm
 		switch {
 		case v == e.st.last:
 			lastHits++
@@ -636,14 +670,6 @@ func (e *contextEncoder) encodeStream(vals []uint64, st *bus.MeterStream) {
 	e.ops.RawSends += rawSends
 	e.ops.PartialMatches += n * probes
 	e.ops.FullMatches += full
-}
-
-// countProbes models the selective-precharge CAM probe across the
-// frequency table and shift register. The byte histogram keeps the
-// modeled counts identical to scanning both arrays.
-func (e *contextEncoder) countProbes(key ctxKey) {
-	e.ops.PartialMatches += uint64(len(e.st.table) + len(e.st.sr))
-	e.ops.FullMatches += uint64(e.st.keyBytes[byte(key.cur)])
 }
 
 func (e *contextEncoder) BusWidth() int { return e.ch.busWidth() }

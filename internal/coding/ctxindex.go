@@ -1,14 +1,112 @@
 package coding
 
-import "math/bits"
+import (
+	"math/bits"
+	"slices"
+)
+
+// The dictionary coders (Window and Context) find entries the way their
+// selective-precharge CAM does (§5.3.3): a probe first compares every
+// entry's low 8 bits, and only the partial matches charge a full
+// compare. matchRows is that partial-match stage as a data structure,
+// and it is the dictionary's lookup: row b is a bitmap of the slots
+// whose (valid) key has low byte b, so a probe walks only its row's set
+// bits, and the row's population is the modeled FullMatches count. An
+// entry entering, leaving or moving between slots sets, clears or
+// toggles bits of its own row.
+//
+// Row walks slow down as rows fill: real traces concentrate their low
+// bytes (aligned addresses, small integers), so a large dictionary's
+// busiest rows hold dozens to hundreds of slots. Above rowsMaxSlots a
+// dictionary therefore finds keys through a ctxIndex instead, and its
+// rows shrink to their populations (counted rows): nothing walks them,
+// and a count is one load rather than a popcount over slots/64 words.
+//
+// rowsMaxSlots is the crossover, measured on the Window and Context
+// encoders over the li register and swim and gcc memory traces: at 64
+// and 128 slots the row walk beat the hash probe by up to 2x on
+// windows, at 192-256 slots the two were within noise, and at 384-512
+// slots hashing won by 1.3-1.7x. At 256 slots a row is four words.
+const rowsMaxSlots = 256
+
+type matchRows struct {
+	words int      // uint64 words per row
+	bits  []uint64 // row b is bits[b*words : (b+1)*words]; nil when counted
+	pop   []uint32 // row populations when counted, else nil
+}
+
+// newMatchRows returns empty rows over slots 0..slots-1: bitmaps, or
+// populations only when counted.
+func newMatchRows(slots int, counted bool) matchRows {
+	if counted {
+		return matchRows{pop: make([]uint32, 256)}
+	}
+	words := (slots + 63) / 64
+	return matchRows{words: words, bits: make([]uint64, 256*words)}
+}
+
+// row returns the slots whose key has low byte b (bitmap rows only).
+func (r *matchRows) row(b byte) []uint64 {
+	o := int(b) * r.words
+	return r.bits[o : o+r.words : o+r.words]
+}
+
+// add files an entry with low byte b at the empty slot.
+func (r *matchRows) add(b byte, slot int) {
+	if r.pop != nil {
+		r.pop[b]++
+		return
+	}
+	r.bits[int(b)*r.words+slot>>6] |= 1 << (slot & 63)
+}
+
+// remove drops the entry with low byte b from slot.
+func (r *matchRows) remove(b byte, slot int) {
+	if r.pop != nil {
+		r.pop[b]--
+		return
+	}
+	r.bits[int(b)*r.words+slot>>6] &^= 1 << (slot & 63)
+}
+
+// move relabels an entry of row b from slot from to slot to.
+func (r *matchRows) move(b byte, from, to int) {
+	if r.pop != nil {
+		return
+	}
+	o := int(b) * r.words
+	r.bits[o+from>>6] ^= 1 << (from & 63)
+	r.bits[o+to>>6] ^= 1 << (to & 63)
+}
+
+// count returns the population of row b: the full matches of a probe
+// for a key with low byte b.
+func (r *matchRows) count(b byte) uint64 {
+	if r.pop != nil {
+		return uint64(r.pop[b])
+	}
+	var n int
+	for _, w := range r.row(b) {
+		n += bits.OnesCount64(w)
+	}
+	return uint64(n)
+}
+
+func (r *matchRows) clear() {
+	clear(r.bits)
+	clear(r.pop)
+}
+
+// equal reports whether r and o hold the same rows.
+func (r *matchRows) equal(o *matchRows) bool {
+	return slices.Equal(r.bits, o.bits) && slices.Equal(r.pop, o.pop)
+}
 
 // ctxIndex is a small open-addressing hash index from ctxKey to a slot
-// number, replacing map[ctxKey]int in the per-cycle encode/decode paths.
-// The dictionary FSMs probe it every bus cycle, where the runtime map's
-// generic machinery — 128-bit key hashing and bucket group probing —
-// dominated the encode profile. This index is linear probing at ≤¼ load,
-// with the classical backward-shift deletion so probe chains never
-// accumulate tombstones.
+// number, used by dictionaries above rowsMaxSlots and by the Window
+// family batch's merged probe (batch.go). It is linear probing
+// at ≤¼ load, with the classical backward-shift deletion so probe chains
+// never accumulate tombstones.
 //
 // Its callers index fixed-size hardware dictionaries whose slots each
 // hold at most one key, and whose keys each sit in at most one slot

@@ -107,13 +107,12 @@ func (t *DVSTranscoder) gridOps(cycles uint64) OpStats {
 	}
 }
 
-// encodeWord maps (previous state, value) to the next full-bus state:
-// the transition vector XORed onto the coded wires, and the parity wire
-// (bit t.wires) set to the running parity of the data stream.
-func (t *DVSTranscoder) encodeWord(state, v uint64) uint64 {
-	state ^= ballUnrank(t.wires, v)
-	state ^= uint64(bits.OnesCount64(v)&1) << uint(t.wires)
-	return state
+// transition maps a value to its full-bus transition vector: the
+// codeword on the coded wires, and a toggle of the parity wire (bit
+// t.wires) for odd-weight values, which keeps that wire at the running
+// parity of the data stream.
+func (t *DVSTranscoder) transition(v uint64) uint64 {
+	return ballUnrank(t.wires, v) ^ uint64(bits.OnesCount64(v)&1)<<uint(t.wires)
 }
 
 type dvsEncoder struct {
@@ -124,7 +123,7 @@ type dvsEncoder struct {
 
 func (e *dvsEncoder) Encode(v uint64) bus.Word {
 	e.cycles++
-	e.state = e.t.encodeWord(e.state, v&uint64(bus.Mask(e.t.width)))
+	e.state ^= e.t.transition(v & uint64(bus.Mask(e.t.width)))
 	return bus.Word(e.state)
 }
 
@@ -160,9 +159,15 @@ func (d *dvsDecoder) Reset() { d.prev = 0 }
 func dvsCodedMeter(t *DVSTranscoder, trace []uint64) *bus.Meter {
 	mask := uint64(bus.Mask(t.width))
 	coded := make([]uint64, len(trace))
+	cache := newUnrankCache()
 	var state uint64
 	for i, v := range trace {
-		state = t.encodeWord(state, v&mask)
+		v &= mask
+		img, ok := cache.slot(v)
+		if !ok {
+			*img = t.transition(v)
+		}
+		state ^= *img
 		coded[i] = state
 	}
 	return bus.NewSlicedTrace(t.wires+1, coded).MeterLite()

@@ -117,6 +117,38 @@ func ballUnrank(n int, idx uint64) uint64 {
 	}
 }
 
+// unrankCacheBits sizes unrankCache: 1024 entries (16 KB), enough for
+// the distinct hot values of a bus trace.
+const unrankCacheBits = 10
+
+// unrankCache is a direct-mapped value → transition-vector table for
+// one materialize pass of an enumerative coder. Bus traces repeat a
+// small set of values, and unranking costs an O(wires) binomial walk,
+// so each pass computes a value's codeword once per residency instead of
+// once per cycle. Keys are masked data values (< 2^61), so the all-ones
+// initial key never matches.
+type unrankCache struct {
+	keys [1 << unrankCacheBits]uint64
+	imgs [1 << unrankCacheBits]uint64
+}
+
+func newUnrankCache() *unrankCache {
+	c := new(unrankCache)
+	for i := range c.keys {
+		c.keys[i] = ^uint64(0)
+	}
+	return c
+}
+
+// slot returns v's entry and whether it already holds v's image; on a
+// miss the caller stores the image through img.
+func (c *unrankCache) slot(v uint64) (img *uint64, ok bool) {
+	h := (v * 0x9E3779B97F4A7C15) >> (64 - unrankCacheBits)
+	ok = c.keys[h] == v
+	c.keys[h] = v
+	return &c.imgs[h], ok
+}
+
 // ballRank inverts ballUnrank.
 func ballRank(n int, word uint64) uint64 {
 	w := bits.OnesCount64(word)

@@ -240,10 +240,11 @@ func TestParseVerifyPolicyRoundTrip(t *testing.T) {
 // encodeStream loop to the per-cycle Encode path: identical coded-bus
 // metering, identical OpStats, and identical dictionary state afterwards
 // (proven by interleaving bulk segments with single Encode calls). Covers
-// both find paths (linear scan and hash index) via the register size.
+// both find paths (partial-match row walk and hash index) via the
+// register size.
 func TestWindowEncodeStreamMatchesEncode(t *testing.T) {
 	vals := evalTrace(2000)
-	for _, entries := range []int{3, 8, windowIndexMinEntries + 8} {
+	for _, entries := range []int{3, 8, rowsMaxSlots + 8} {
 		tc, err := NewWindow(16, entries, 1)
 		if err != nil {
 			t.Fatal(err)

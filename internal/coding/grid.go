@@ -2,6 +2,7 @@ package coding
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"buspower/internal/bus"
@@ -379,32 +380,71 @@ func NewStrideTape(width, maxK int, trace []uint64) *StrideTape {
 		v &= mask
 		if v == prev {
 			tp.hist[0]++
-			prev = v
 			continue // recs[i] already 0
 		}
-		rec := uint8(tapeRawRec)
-		for k := 1; k <= maxK; k++ {
-			var a, b uint64
-			if j := i - k; j >= 0 {
-				a = trace[j] & mask
-			}
-			if j := i - 2*k; j >= 0 {
-				b = trace[j] & mask
-			}
-			if (a+(a-b))&mask == v {
-				rec = uint8(k)
-				break
-			}
-		}
+		prev = v
+		rec := strideMatch(trace, i, v, mask, 1, maxK)
 		if rec == tapeRawRec {
 			tp.raws++
 		} else {
 			tp.hist[rec]++
 		}
 		tp.recs[i] = rec
-		prev = v
 	}
 	return tp
+}
+
+// Deepen returns the tape maxK strides deep (clamped like NewStrideTape)
+// for the trace tp was recorded from, identical to NewStrideTape(width,
+// maxK, trace) but built from tp: a record that matched at a stride ≤
+// tp.Depth() keeps it — the minimal stride does not depend on the depth
+// — and only the records raw at tp.Depth() probe the deeper strides. tp
+// is left unchanged, since replays may be reading it concurrently; a tape
+// already deep enough is returned as is.
+func (tp *StrideTape) Deepen(maxK int, trace []uint64) *StrideTape {
+	maxK = min(maxK, tapeMaxStrides)
+	if maxK <= tp.maxK {
+		return tp
+	}
+	out := &StrideTape{
+		width: tp.width,
+		maxK:  maxK,
+		recs:  slices.Clone(tp.recs),
+		hist:  make([]uint64, maxK+1),
+		raws:  tp.raws,
+	}
+	copy(out.hist, tp.hist)
+	mask := uint64(bus.Mask(tp.width))
+	for i, rec := range out.recs {
+		if rec != tapeRawRec {
+			continue
+		}
+		if rec = strideMatch(trace, i, trace[i]&mask, mask, tp.maxK+1, maxK); rec != tapeRawRec {
+			out.recs[i] = rec
+			out.hist[rec]++
+			out.raws--
+		}
+	}
+	return out
+}
+
+// strideMatch returns the smallest stride k in [from, to] whose
+// prediction from trace's history before cycle i equals v (the masked
+// trace[i]), or tapeRawRec. History before the trace start reads as 0.
+func strideMatch(trace []uint64, i int, v, mask uint64, from, to int) uint8 {
+	for k := from; k <= to; k++ {
+		var a, b uint64
+		if j := i - k; j >= 0 {
+			a = trace[j] & mask
+		}
+		if j := i - 2*k; j >= 0 {
+			b = trace[j] & mask
+		}
+		if (a+(a-b))&mask == v {
+			return uint8(k)
+		}
+	}
+	return tapeRawRec
 }
 
 // evaluate replays the tape as a size-t.strides bank, producing the

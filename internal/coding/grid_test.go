@@ -2,6 +2,7 @@ package coding
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"buspower/internal/bus"
@@ -375,4 +376,38 @@ func FuzzGridMatchesScalar(f *testing.F) {
 			compareGridResult(t, c.T.Name(), want, got[i])
 		}
 	})
+}
+
+// TestStrideTapeDeepenMatchesNew pins Deepen to the reference
+// NewStrideTape: deepening a tape from depth d to D must give exactly
+// the tape recorded at depth D, on random and workload traces, including
+// a deepening past the depth cap and a no-op request.
+func TestStrideTapeDeepenMatchesNew(t *testing.T) {
+	traces := map[string][]uint64{
+		"random":   gridTestTrace(32, 4000, 3),
+		"random12": gridTestTrace(12, 4000, 9),
+		"li-reg":   realTrace(t, "li", "reg"),
+		"swim-mem": realTrace(t, "swim", "mem"),
+	}
+	for name, tr := range traces {
+		width := 32
+		if name == "random12" {
+			width = 12
+		}
+		for _, depths := range [][2]int{{1, 2}, {2, 8}, {4, 32}, {16, 17}, {64, 400}, {8, 8}, {8, 3}} {
+			d, D := depths[0], depths[1]
+			base := NewStrideTape(width, d, tr)
+			recs, hist, raws := slices.Clone(base.recs), slices.Clone(base.hist), base.raws
+			got := base.Deepen(D, tr)
+			want := NewStrideTape(width, max(d, D), tr)
+			if got.width != want.width || got.maxK != want.maxK || got.raws != want.raws ||
+				!slices.Equal(got.recs, want.recs) || !slices.Equal(got.hist, want.hist) {
+				t.Fatalf("%s: Deepen(%d→%d) differs from NewStrideTape(%d): depth %d/%d raws %d/%d",
+					name, d, D, max(d, D), got.maxK, want.maxK, got.raws, want.raws)
+			}
+			if base.maxK != d || base.raws != raws || !slices.Equal(base.recs, recs) || !slices.Equal(base.hist, hist) {
+				t.Fatalf("%s: Deepen(%d→%d) modified the tape it started from", name, d, D)
+			}
+		}
+	}
 }

@@ -184,7 +184,7 @@ func (e *inversionEncoder) encodeStream(vals []uint64, st *bus.MeterStream) {
 			}
 			tv := state ^ best
 			accT += uint64(bus.Weight(tv))
-			accC += couplingEvents(tv, best&^state, state&^best, pairMask)
+			accC += couplingEvents(tv, state, pairMask)
 			state = best
 		}
 	} else {
@@ -202,7 +202,7 @@ func (e *inversionEncoder) encodeStream(vals []uint64, st *bus.MeterStream) {
 			}
 			tv := state ^ best
 			accT += uint64(bus.Weight(tv))
-			accC += couplingEvents(tv, best&^state, state&^best, pairMask)
+			accC += couplingEvents(tv, state, pairMask)
 			state = best
 		}
 	}

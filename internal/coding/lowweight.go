@@ -174,9 +174,15 @@ func (d *lowWeightDecoder) Reset() { d.prev = 0 }
 func lowWeightCodedMeter(t *LowWeightTranscoder, trace []uint64) *bus.Meter {
 	mask := uint64(bus.Mask(t.width))
 	coded := make([]uint64, len(trace))
+	cache := newUnrankCache()
 	var state uint64
 	for i, v := range trace {
-		state ^= t.transition(v & mask)
+		v &= mask
+		img, ok := cache.slot(v)
+		if !ok {
+			*img = t.transition(v)
+		}
+		state ^= *img
 		coded[i] = state
 	}
 	return bus.NewSlicedTrace(t.wires, coded).MeterLite()

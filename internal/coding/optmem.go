@@ -120,8 +120,14 @@ func (d *optMemDecoder) Reset() {}
 func optMemCodedMeter(t *OptMemTranscoder, trace []uint64) *bus.Meter {
 	mask := uint64(bus.Mask(t.width))
 	coded := make([]uint64, len(trace))
+	cache := newUnrankCache()
 	for i, v := range trace {
-		coded[i] = ballUnrank(t.wires, v&mask)
+		v &= mask
+		img, ok := cache.slot(v)
+		if !ok {
+			*img = ballUnrank(t.wires, v)
+		}
+		coded[i] = *img
 	}
 	return bus.NewSlicedTrace(t.wires, coded).MeterLite()
 }

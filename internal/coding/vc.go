@@ -122,9 +122,15 @@ func (d *vcDecoder) Reset() { d.prev = 0 }
 func vcCodedMeter(t *VCTranscoder, trace []uint64) *bus.Meter {
 	mask := uint64(bus.Mask(t.width))
 	coded := make([]uint64, len(trace))
+	cache := newUnrankCache()
 	var state uint64
 	for i, v := range trace {
-		state ^= ballUnrank(t.wires, v&mask)
+		v &= mask
+		img, ok := cache.slot(v)
+		if !ok {
+			*img = ballUnrank(t.wires, v)
+		}
+		state ^= *img
 		coded[i] = state
 	}
 	return bus.NewSlicedTrace(t.wires, coded).MeterLite()

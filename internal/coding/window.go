@@ -2,6 +2,7 @@ package coding
 
 import (
 	"fmt"
+	"math/bits"
 
 	"buspower/internal/bus"
 )
@@ -71,64 +72,79 @@ func (t *WindowTranscoder) NewDecoder() Decoder {
 	return &windowDecoder{t: t, st: newWindowState(t.entries), ch: newDecodeChannel(t.width)}
 }
 
-// windowIndexMinEntries is the register size at which the hash-based
-// reverse index starts beating the linear scan. Small registers (and the
-// VLC extension's ≤14-entry ones) stay on the scan, which is faster for a
-// handful of words and allocates nothing. It is a variable, not a
-// constant, so tests can force either path and compare them.
-var windowIndexMinEntries = 24
-
 // windowState is the dictionary shared (by construction) between encoder
 // and decoder: a pointer-based ring of entries plus the last input value.
 //
-// Two acceleration structures ride along without changing observable
-// behavior. index (a ctxIndex keyed on the bare value) maps value →
-// physical slot for O(1) find on large registers (nil below
-// windowIndexMinEntries); its slot back-pointers let an eviction drop the
-// oldest entry's key without probing for it. Its invariant relies on
-// entries being unique: values are only inserted on a miss. The one
-// duplicate case is the initial all-zero fill — while any of those fresh
-// zeros remain (tracked by fresh), the slots [head, n) all hold zero and
-// the lowest is head itself, so find(0) = head without consulting the map,
-// and 0 can never be *inserted* during that phase (it would have hit).
+// rows (see matchRows) files every slot under the low byte of its entry,
+// so find walks one partial-match row and the row's population is the
+// modeled selective-precharge full-match count (§5.3.3); an insert
+// moves the overwritten slot from the evicted value's row to the new
+// value's. Above rowsMaxSlots, index (a ctxIndex keyed on the bare
+// value) maps value → physical slot instead and the rows keep only
+// their populations; the index's slot back-pointers let an eviction
+// drop the oldest entry's key without probing for it.
 //
-// byteCount[b] counts entries whose low probe byte is b, so the modeled
-// selective-precharge full-match count (§5.3.3) is O(1) per probe instead
-// of a scan over the register.
+// Entries are unique (values are only inserted on a miss) except for
+// the initial all-zero fill. While any of those fresh zeros remain
+// (tracked by fresh), the slots [head, n) all hold zero and the lowest
+// is head itself, and 0 can never be *inserted* during that phase (it
+// would have hit). The row walk visits slots in ascending order, so it
+// returns head for 0 like a linear scan would; the index never holds the
+// fresh zeros and answers find(0) = head without consulting them.
 type windowState struct {
-	entries   []uint64
-	head      int // next slot to overwrite (the oldest entry)
-	last      uint64
-	index     *ctxIndex
-	fresh     int // initial zero-filled slots not yet overwritten
-	byteCount [256]uint32
+	entries []uint64
+	head    int // next slot to overwrite (the oldest entry)
+	last    uint64
+	rows    matchRows
+	index   *ctxIndex
+	fresh   int // initial zero-filled slots not yet overwritten
 }
 
 func newWindowState(n int) windowState {
-	s := windowState{entries: make([]uint64, n), fresh: n}
-	if n >= windowIndexMinEntries {
+	return newWindowStateIndexed(n, n > rowsMaxSlots)
+}
+
+// newWindowStateIndexed builds the state with or without the hash index;
+// the crossover tests force both on either side of rowsMaxSlots.
+func newWindowStateIndexed(n int, indexed bool) windowState {
+	s := windowState{entries: make([]uint64, n), rows: newMatchRows(n, indexed)}
+	if indexed {
 		s.index = newCtxIndex(n)
 	}
-	s.byteCount[0] = uint32(n)
+	s.reset()
 	return s
 }
 
-// find returns the physical slot holding v, or -1. With the index it is
-// O(1); the linear scan returns the first match, which the index
-// reproduces because entries are unique (see windowState).
+// find returns the physical slot holding v, or -1 (see windowState).
 func (s *windowState) find(v uint64) int {
-	if s.index == nil {
-		for i, e := range s.entries {
-			if e == v {
-				return i
+	slot, _ := s.probe(v)
+	return slot
+}
+
+// probe is the selective-precharge CAM probe of §5.3.3 for v: every
+// entry compares its low 8 bits, and the entries in v's partial-match
+// row charge the comparators of the remaining bits. It returns the slot
+// holding v, or -1, and that full-match count.
+func (s *windowState) probe(v uint64) (slot int, full uint64) {
+	if s.index != nil {
+		if full = s.rows.count(byte(v)); full == 0 {
+			return -1, 0
+		}
+		if v == 0 && s.fresh > 0 {
+			return s.head, full
+		}
+		return s.index.get(ctxKey{cur: v}), full
+	}
+	slot = -1
+	for wi, w := range s.rows.row(byte(v)) {
+		full += uint64(bits.OnesCount64(w))
+		for ; w != 0 && slot < 0; w &= w - 1 {
+			if i := wi<<6 | bits.TrailingZeros64(w); s.entries[i] == v {
+				slot = i
 			}
 		}
-		return -1
 	}
-	if v == 0 && s.fresh > 0 {
-		return s.head
-	}
-	return s.index.get(ctxKey{cur: v})
+	return slot, full
 }
 
 // insert overwrites the oldest entry with v (pointer-based shift: only one
@@ -136,14 +152,14 @@ func (s *windowState) find(v uint64) int {
 func (s *windowState) insert(v uint64) {
 	evicted := s.entries[s.head]
 	s.entries[s.head] = v
-	s.byteCount[evicted&0xFF]--
-	s.byteCount[v&0xFF]++
+	s.rows.remove(byte(evicted), s.head)
+	s.rows.add(byte(v), s.head)
+	if s.fresh > 0 {
+		s.fresh-- // evicting one of the initial zeros, which the index never held
+	} else if s.index != nil {
+		s.index.remove(s.head)
+	}
 	if s.index != nil {
-		if s.fresh > 0 {
-			s.fresh-- // evicting one of the initial zeros, which the index never held
-		} else {
-			s.index.remove(s.head)
-		}
 		s.index.put(ctxKey{cur: v}, s.head)
 	}
 	s.head++
@@ -153,17 +169,48 @@ func (s *windowState) insert(v uint64) {
 }
 
 func (s *windowState) reset() {
-	for i := range s.entries {
-		s.entries[i] = 0
-	}
+	clear(s.entries)
 	s.head = 0
 	s.last = 0
 	s.fresh = len(s.entries)
 	if s.index != nil {
 		s.index.clear()
 	}
-	s.byteCount = [256]uint32{}
-	s.byteCount[0] = uint32(len(s.entries))
+	s.rows.clear()
+	for i := range s.entries {
+		s.rows.add(0, i)
+	}
+}
+
+// checkInvariants verifies that the rows file exactly the slots of each
+// entry's low byte, that find locates every entry at its lowest slot, and
+// that the index (when present) holds exactly the non-fresh entries;
+// used by tests.
+func (s *windowState) checkInvariants() error {
+	rows := newMatchRows(len(s.entries), s.index != nil)
+	for i, v := range s.entries {
+		rows.add(byte(v), i)
+	}
+	if !rows.equal(&s.rows) {
+		return fmt.Errorf("partial-match rows out of sync with the entries")
+	}
+	first := make(map[uint64]int, len(s.entries))
+	for i, v := range s.entries {
+		if j, dup := first[v]; dup {
+			if v != 0 || s.fresh == 0 {
+				return fmt.Errorf("value %#x in slots %d and %d", v, j, i)
+			}
+			continue
+		}
+		first[v] = i
+		if got := s.find(v); got != i {
+			return fmt.Errorf("find(%#x) = %d, want %d", v, got, i)
+		}
+	}
+	if s.index != nil && s.index.len() != len(s.entries)-s.fresh {
+		return fmt.Errorf("index holds %d keys, want %d", s.index.len(), len(s.entries)-s.fresh)
+	}
+	return nil
 }
 
 type windowEncoder struct {
@@ -177,29 +224,22 @@ func (e *windowEncoder) Encode(v uint64) bus.Word {
 	t := e.t
 	v &= uint64(e.ch.dataMask)
 	e.ops.Cycles++
-	e.countProbes(v)
+	slot, full := e.st.probe(v)
+	e.ops.PartialMatches += uint64(len(e.st.entries))
+	e.ops.FullMatches += full
 	var out bus.Word
 	switch {
 	case v == e.st.last:
 		e.ops.LastHits++
 		out = e.ch.sendCode(0)
-	case e.st.byteCount[v&0xFF] == 0:
-		// The selective-precharge partial match (the byte histogram) already
-		// proves no entry can equal v: take the miss path without scanning.
+	case slot >= 0:
+		e.ops.CodeSends++
+		out = e.ch.sendCode(t.cb.Code(1 + slot))
+	default:
 		e.ops.RawSends++
 		e.ops.Shifts++
 		e.st.insert(v)
 		out, _ = e.ch.sendRaw(v)
-	default:
-		if slot := e.st.find(v); slot >= 0 {
-			e.ops.CodeSends++
-			out = e.ch.sendCode(t.cb.Code(1 + slot))
-		} else {
-			e.ops.RawSends++
-			e.ops.Shifts++
-			e.st.insert(v)
-			out, _ = e.ch.sendRaw(v)
-		}
 	}
 	e.st.last = v
 	return out
@@ -223,24 +263,18 @@ func (e *windowEncoder) encodeStream(vals []uint64, st *bus.MeterStream) {
 		v &= mask
 		cycles++
 		partial += nEntries
-		fm := e.st.byteCount[v&0xFF]
-		full += uint64(fm)
+		slot, fm := e.st.probe(v)
+		full += fm
 		switch {
 		case v == last:
 			lastHits++
-		case fm == 0:
+		case slot >= 0:
+			codeSends++
+			e.ch.sendCode(t.cb.Code(1 + slot))
+		default:
 			rawSends++
 			e.st.insert(v)
 			e.ch.sendRaw(v)
-		default:
-			if slot := e.st.find(v); slot >= 0 {
-				codeSends++
-				e.ch.sendCode(t.cb.Code(1 + slot))
-			} else {
-				rawSends++
-				e.st.insert(v)
-				e.ch.sendRaw(v)
-			}
 		}
 		last = v
 	}
@@ -253,15 +287,6 @@ func (e *windowEncoder) encodeStream(vals []uint64, st *bus.MeterStream) {
 	e.ops.Shifts += rawSends
 	e.ops.PartialMatches += partial
 	e.ops.FullMatches += full
-}
-
-// countProbes models the selective-precharge CAM probe of §5.3.3: every
-// entry compares its low 8 bits; only entries passing that partial match
-// charge the comparators of the remaining bits. The byte histogram keeps
-// the modeled counts identical to scanning the register.
-func (e *windowEncoder) countProbes(v uint64) {
-	e.ops.PartialMatches += uint64(len(e.st.entries))
-	e.ops.FullMatches += uint64(e.st.byteCount[v&0xFF])
 }
 
 func (e *windowEncoder) BusWidth() int { return e.ch.busWidth() }

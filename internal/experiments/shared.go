@@ -125,9 +125,10 @@ var slicedMemo = newSFMemo[derivedKey, *bus.SlicedTrace](32)
 // Stride cells replay a coding.StrideTape, which likewise depends only
 // on (trace identity, width): a tape of depth D serves every bank of
 // depth ≤ D. Each entry holds the deepest tape built so far for its
-// trace; a request deeper than that rebuilds it at max(k, 2·depth)
-// (NewStrideTape caps the depth), so banks arriving in random depth
-// order rebuild O(log K) times per trace. The slot's lock makes
+// trace; a request deeper than that deepens it to max(k, 2·depth)
+// (Deepen caps the depth), so banks arriving in random depth order
+// deepen O(log K) times per trace, and each deepening probes the new
+// strides only on the cycles still raw. The slot's lock makes
 // concurrent requests for one trace wait for a single build. An entry
 // is one byte per cycle (≈0.1 MB for a 120k-cycle trace).
 type tapeSlot struct {
@@ -168,7 +169,7 @@ func gridOptionsFor(id traceID, tr []uint64) coding.GridOptions {
 			if slot.tape == nil {
 				slot.tape = coding.NewStrideTape(width, k, tr)
 			} else if d := slot.tape.Depth(); d < k {
-				slot.tape = coding.NewStrideTape(width, max(k, 2*d), tr)
+				slot.tape = slot.tape.Deepen(max(k, 2*d), tr)
 			}
 			return slot.tape
 		},
