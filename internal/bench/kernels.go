@@ -268,7 +268,7 @@ func benchGridOptimal(b *B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := coding.EvaluateGrid(cells, vals, raw, coding.VerifySampled(0)); err != nil {
+		if _, err := coding.EvaluateGrid(cells, vals, raw, coding.VerifySampled(0), coding.GridOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -390,7 +390,7 @@ func benchGridStateless(b *B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := coding.EvaluateGrid(cells, vals, raw, coding.VerifySampled(0)); err != nil {
+		if _, err := coding.EvaluateGrid(cells, vals, raw, coding.VerifySampled(0), coding.GridOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -414,7 +414,7 @@ func benchGridStride(b *B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := coding.EvaluateGrid(cells, vals, raw, coding.VerifySampled(0)); err != nil {
+		if _, err := coding.EvaluateGrid(cells, vals, raw, coding.VerifySampled(0), coding.GridOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -438,15 +438,15 @@ func benchStrideRequest(b *B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := coding.EvaluateGridOpts(cells, vals, raw, coding.VerifySampled(0), opts); err != nil {
+		if _, err := coding.EvaluateGrid(cells, vals, raw, coding.VerifySampled(0), opts); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// benchBatchWindow fans a whole window register-size family out of one
-// grid pass — the shared-prefix batch engine: one probe index, exact
-// per-size rings, one pass over the trace metering every size at once.
+// benchBatchWindow evaluates a window register-size sweep (Figures
+// 18/19's shape) as one grid: each size is a scalar Evaluator pass over
+// the trace with its own ring and partial-match rows.
 func benchBatchWindow(b *B) {
 	vals := dictTrace(8192, 48)
 	raw := coding.MeasureRawValues(32, vals)
@@ -462,16 +462,16 @@ func benchBatchWindow(b *B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := coding.EvaluateGrid(cells, vals, raw, coding.VerifySampled(0)); err != nil {
+		if _, err := coding.EvaluateGrid(cells, vals, raw, coding.VerifySampled(0), coding.GridOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// benchBatchMultiTrace streams a small simulated suite — li's register,
-// memory-data and memory-address buses — through one EvaluateBatch call,
-// the way the experiment runners fan a scheme grid over a workload's
-// traces with shared transcoder scratch.
+// benchBatchMultiTrace evaluates a window size grid over a small
+// simulated suite — li's register, memory-data and memory-address buses
+// — with one EvaluateGrid call per bus, the way the experiment runners
+// fan a scheme grid over a workload's traces.
 func benchBatchMultiTrace(b *B) {
 	w, err := workload.ByName("li")
 	if err != nil {
@@ -495,21 +495,20 @@ func benchBatchMultiTrace(b *B) {
 		cells = append(cells, coding.GridCell{T: win, Lambda: 1})
 	}
 	var total int
-	traces := make([]coding.BatchTrace, 0, 3)
-	for _, vals := range [][]uint64{tr.RegisterBus, tr.MemoryBus, tr.MemoryAddrBus} {
-		traces = append(traces, coding.BatchTrace{Values: vals, Raw: coding.MeasureRawValues(32, vals)})
+	buses := [][]uint64{tr.RegisterBus, tr.MemoryBus, tr.MemoryAddrBus}
+	raws := make([]*bus.Meter, len(buses))
+	for j, vals := range buses {
+		raws[j] = coding.MeasureRawValues(32, vals)
 		total += len(vals)
 	}
 	b.SetBytes(int64(total) * 8 * int64(len(cells)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, err := coding.EvaluateBatch(cells, traces, coding.VerifySampled(0))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(out) != len(traces) {
-			b.Fatal("short batch result")
+		for j, vals := range buses {
+			if _, err := coding.EvaluateGrid(cells, vals, raws[j], coding.VerifySampled(0), coding.GridOptions{}); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

@@ -179,7 +179,7 @@ func (r Result) EnergyRemaining() float64 {
 // to the bus width). This is exactly the Raw meter Evaluate computes. The
 // raw measurement is Λ-independent (Λ enters only in Cost), so sweeps can
 // measure each (trace, width) once and share the meter across every
-// scheme and Λ via EvaluateShared.
+// scheme and Λ (Evaluator.Evaluate and EvaluateGrid take it as raw).
 func MeasureRawValues(width int, trace []uint64) *bus.Meter {
 	m := bus.NewMeterLite(width)
 	m.Record(0)
@@ -194,27 +194,9 @@ func MeasureRawValues(width int, trace []uint64) *bus.Meter {
 // It returns an error (never a silent wrong answer) if the decoder output
 // diverges from the encoder input at any cycle.
 func Evaluate(t Transcoder, trace []uint64, lambda float64) (Result, error) {
-	return EvaluateShared(t, trace, lambda, nil)
-}
-
-// EvaluateShared is Evaluate with an optional pre-measured raw-bus meter
-// (as from MeasureRawValues at t.DataWidth()), so sweeps that evaluate
-// many schemes over one trace measure the raw bus once instead of once
-// per scheme. Passing nil measures it here.
-func EvaluateShared(t Transcoder, trace []uint64, lambda float64, raw *bus.Meter) (Result, error) {
 	var ev Evaluator
 	ev.Use(t)
-	return ev.Evaluate(trace, lambda, raw)
-}
-
-// MustEvaluateShared is EvaluateShared but panics on error; for use in
-// experiments where divergence is a programming error.
-func MustEvaluateShared(t Transcoder, trace []uint64, lambda float64, raw *bus.Meter) Result {
-	res, err := EvaluateShared(t, trace, lambda, raw)
-	if err != nil {
-		panic(err)
-	}
-	return res
+	return ev.Evaluate(trace, lambda, nil)
 }
 
 // Evaluator runs transcoder evaluations while reusing encoder/decoder
@@ -228,15 +210,14 @@ type Evaluator struct {
 	// Verify is the decoder round-trip policy applied by Evaluate.
 	Verify VerifyPolicy
 
-	t       Transcoder
-	key     string // ConfigKey(t)
-	enc     Encoder
-	dec     Decoder
-	width   int
-	mask    uint64
-	scratch []bus.Word      // coded-trace buffer, used only by EvaluateBuffered
-	coded   *bus.Meter      // reused coded-bus meter; see Evaluate's ownership note
-	stream  bus.MeterStream // reused chunked recorder over coded (large value; kept
+	t      Transcoder
+	key    string // ConfigKey(t)
+	enc    Encoder
+	dec    Decoder
+	width  int
+	mask   uint64
+	coded  *bus.Meter      // reused coded-bus meter; see Evaluate's ownership note
+	stream bus.MeterStream // reused chunked recorder over coded (large value; kept
 	// here so passing its address to a streamEncoder never forces a heap copy)
 	sample []uint64 // sampled-verification value collection
 	venc   Encoder  // fresh-pair replay codec for sampled verification,
@@ -312,8 +293,7 @@ func (ev *Evaluator) divergence(i int, sent, got uint64) error {
 // state (the encoder/decoder are Reset, not reallocated), metering each
 // coded word as the encoder produces it — the coded trace is never
 // buffered. The decoder round-trip self-check follows ev.Verify; every
-// policy yields a bit-identical Result (see VerifyPolicy, and
-// EvaluateBuffered for the retained two-pass reference).
+// policy yields a bit-identical Result (see VerifyPolicy).
 //
 // raw, when non-nil, is a pre-measured raw-bus meter for this trace at
 // the transcoder's data width; nil measures it here.
@@ -321,7 +301,8 @@ func (ev *Evaluator) divergence(i int, sent, got uint64) error {
 // Ownership: the returned Result's Coded meter belongs to the Evaluator
 // and is overwritten by the next Evaluate call. Callers that retain
 // Results past that point must detach it with Result.Coded.Clone() (or
-// use EvaluateShared, whose throwaway Evaluator never reuses it).
+// use the package-level Evaluate, whose throwaway Evaluator never reuses
+// it).
 func (ev *Evaluator) Evaluate(trace []uint64, lambda float64, raw *bus.Meter) (Result, error) {
 	if ev.t == nil {
 		return Result{}, fmt.Errorf("coding: Evaluator has no transcoder (call Use first)")
@@ -442,43 +423,6 @@ func (ev *Evaluator) replaySample() error {
 		}
 	}
 	return nil
-}
-
-// EvaluateBuffered is the two-pass reference implementation of Evaluate:
-// it buffers the whole coded trace, verifies the decoder on every cycle
-// regardless of ev.Verify, and meters the buffer afterwards. It is
-// retained as the differential-testing and benchmarking baseline for the
-// fused streaming path; the two must produce bit-identical Results.
-// Unlike Evaluate it allocates a fresh coded meter per call, so its
-// Results are caller-owned.
-func (ev *Evaluator) EvaluateBuffered(trace []uint64, lambda float64, raw *bus.Meter) (Result, error) {
-	if ev.t == nil {
-		return Result{}, fmt.Errorf("coding: Evaluator has no transcoder (call Use first)")
-	}
-	ev.enc.Reset()
-	ev.dec.Reset()
-	raw, err := ev.checkRaw(trace, raw)
-	if err != nil {
-		return Result{}, err
-	}
-	buf := ev.scratch[:0]
-	if cap(buf) < len(trace) {
-		buf = make([]bus.Word, 0, len(trace))
-	}
-	for i, v := range trace {
-		v &= ev.mask
-		w := ev.enc.Encode(v)
-		if got := ev.dec.Decode(w); got != v {
-			return Result{}, ev.divergence(i, v, got)
-		}
-		buf = append(buf, w)
-	}
-	ev.scratch = buf
-	coded := bus.NewMeterLite(ev.enc.BusWidth())
-	coded.Record(0)
-	coded.RecordTrace(buf)
-	evaluatedCycles.Add(uint64(len(trace)))
-	return ev.result(raw, coded, lambda), nil
 }
 
 // MustEvaluate is Evaluate but panics on decoder divergence; for use in

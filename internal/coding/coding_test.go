@@ -337,6 +337,41 @@ func TestWindowOpsAccounting(t *testing.T) {
 	}
 }
 
+// TestWindowNonInclusion documents why a register-size sweep evaluates
+// every size on its own ring instead of deriving small registers from
+// the largest one's probe record: FIFO insert-on-miss dictionaries lack
+// the inclusion property. After a b c d a b e a b c d, the value e HITS the
+// 3-entry register while MISSING the 4-entry one — so no per-cycle
+// record of the superset register can reconstruct a subset's answers.
+func TestWindowNonInclusion(t *testing.T) {
+	const width = 8
+	seq := []uint64{1, 2, 3, 4, 1, 2, 5, 1, 2, 3, 4}
+	enc3 := mustWindowEncoder(t, width, 3)
+	enc4 := mustWindowEncoder(t, width, 4)
+	for _, v := range seq {
+		enc3.Encode(v)
+		enc4.Encode(v)
+	}
+	b3, b4 := enc3.ops, enc4.ops
+	enc3.Encode(5)
+	enc4.Encode(5)
+	if enc3.ops.CodeSends != b3.CodeSends+1 {
+		t.Fatalf("3-entry register should hit on the final value (ops %+v → %+v)", b3, enc3.ops)
+	}
+	if enc4.ops.RawSends != b4.RawSends+1 {
+		t.Fatalf("4-entry register should miss on the final value (ops %+v → %+v)", b4, enc4.ops)
+	}
+}
+
+func mustWindowEncoder(t testing.TB, width, entries int) *windowEncoder {
+	t.Helper()
+	w, err := NewWindow(width, entries, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w.NewEncoder().(*windowEncoder)
+}
+
 func TestStridePrediction(t *testing.T) {
 	str, _ := NewStride(32, 4, 1)
 	enc := str.NewEncoder()

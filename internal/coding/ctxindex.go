@@ -103,9 +103,8 @@ func (r *matchRows) equal(o *matchRows) bool {
 }
 
 // ctxIndex is a small open-addressing hash index from ctxKey to a slot
-// number, used by dictionaries above rowsMaxSlots and by the Window
-// family batch's merged probe (batch.go). It is linear probing
-// at ≤¼ load, with the classical backward-shift deletion so probe chains
+// number, used only by dictionaries above rowsMaxSlots. It is linear
+// probing at ≤¼ load, with the classical backward-shift deletion so probe chains
 // never accumulate tombstones.
 //
 // Its callers index fixed-size hardware dictionaries whose slots each

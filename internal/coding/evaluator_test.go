@@ -1,6 +1,7 @@
 package coding
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -39,10 +40,41 @@ func evalPolicies() map[string]VerifyPolicy {
 	}
 }
 
+// evaluateBuffered is the two-pass reference implementation of
+// Evaluator.Evaluate: it buffers the whole coded trace, verifies the
+// decoder on every cycle regardless of ev.Verify, and meters the buffer
+// afterwards. The fused streaming path must produce bit-identical
+// Results. It allocates a fresh coded meter per call, so its Results are
+// caller-owned.
+func evaluateBuffered(ev *Evaluator, trace []uint64, lambda float64, raw *bus.Meter) (Result, error) {
+	if ev.t == nil {
+		return Result{}, fmt.Errorf("coding: Evaluator has no transcoder (call Use first)")
+	}
+	ev.enc.Reset()
+	ev.dec.Reset()
+	raw, err := ev.checkRaw(trace, raw)
+	if err != nil {
+		return Result{}, err
+	}
+	buf := make([]bus.Word, 0, len(trace))
+	for i, v := range trace {
+		v &= ev.mask
+		w := ev.enc.Encode(v)
+		if got := ev.dec.Decode(w); got != v {
+			return Result{}, ev.divergence(i, v, got)
+		}
+		buf = append(buf, w)
+	}
+	coded := bus.NewMeterLite(ev.enc.BusWidth())
+	coded.Record(0)
+	coded.RecordTrace(buf)
+	return ev.result(raw, coded, lambda), nil
+}
+
 // TestEvaluateMatchesBuffered is the differential test for the fused
 // streaming path: under every verification policy, Evaluate must produce
-// a Result bit-identical to the retained two-pass EvaluateBuffered
-// reference (which buffers the coded trace and always fully verifies).
+// a Result bit-identical to the two-pass evaluateBuffered reference
+// (which buffers the coded trace and always fully verifies).
 func TestEvaluateMatchesBuffered(t *testing.T) {
 	vals := evalTrace(3 * VerifyWindow)
 	raw := MeasureRawValues(16, vals)
@@ -53,9 +85,9 @@ func TestEvaluateMatchesBuffered(t *testing.T) {
 		}
 		var ev Evaluator
 		ev.Use(tc)
-		want, err := ev.EvaluateBuffered(vals, 1.5, raw)
+		want, err := evaluateBuffered(&ev, vals, 1.5, raw)
 		if err != nil {
-			t.Fatalf("%s: EvaluateBuffered: %v", name, err)
+			t.Fatalf("%s: evaluateBuffered: %v", name, err)
 		}
 		for pname, policy := range evalPolicies() {
 			ev.Verify = policy

@@ -25,9 +25,9 @@ import (
 //     enumerative coders materialize their coded streams and meter them
 //     the same way.
 //
-// Everything else — window singletons, every Context configuration,
-// inversion and partial bus-invert — runs through the scalar Evaluator,
-// still profiting from the ConfigKey dedupe. A one-cell grid is the
+// Everything else — every Window and Context configuration, inversion
+// and partial bus-invert — runs through the scalar Evaluator, still
+// profiting from the ConfigKey dedupe. A one-cell grid is the
 // single-point evaluation path too: the experiments layer evaluates
 // every result-memo miss, serve and job requests included, as a grid, so a
 // lone stride or enumerative request takes the same fast paths as a
@@ -79,30 +79,17 @@ type GridOptions struct {
 // Evaluator.Evaluate; under VerifyFull the fast paths (which cannot run
 // a live decoder over the whole stream) step aside and every unique
 // configuration runs the scalar full-verify path, still deduplicated.
+// opts supplies shared inputs; the zero value builds them here.
 //
 // Results are cell-aligned. Cells sharing a configuration share Raw and
 // Coded meter instances; callers that mutate or Reset a meter must
 // Clone it first.
-func EvaluateGrid(cells []GridCell, trace []uint64, raw *bus.Meter, verify VerifyPolicy) ([]Result, error) {
-	return EvaluateGridOpts(cells, trace, raw, verify, GridOptions{})
-}
-
-// EvaluateGridOpts is EvaluateGrid with options.
-func EvaluateGridOpts(cells []GridCell, trace []uint64, raw *bus.Meter, verify VerifyPolicy, opts GridOptions) ([]Result, error) {
-	var sc gridScratch
-	return sc.evaluate(cells, trace, raw, verify, opts)
-}
-
-// evaluate is the grid engine body. sc persists Evaluator scratch and
-// window-family arenas between calls (EvaluateBatch streams a whole
-// suite through one scratch); a zero gridScratch is ready to use.
-func (sc *gridScratch) evaluate(cells []GridCell, trace []uint64, raw *bus.Meter, verify VerifyPolicy, opts GridOptions) ([]Result, error) {
+func EvaluateGrid(cells []GridCell, trace []uint64, raw *bus.Meter, verify VerifyPolicy, opts GridOptions) ([]Result, error) {
 	if len(cells) == 0 {
 		return nil, nil
 	}
 	results := make([]Result, len(cells))
 	type group struct {
-		key   string
 		t     Transcoder
 		cells []int
 	}
@@ -116,7 +103,7 @@ func (sc *gridScratch) evaluate(cells []GridCell, trace []uint64, raw *bus.Meter
 		key := ConfigKey(t)
 		g := groups[key]
 		if g == nil {
-			g = &group{key: key, t: t}
+			g = &group{t: t}
 			groups[key] = g
 			order = append(order, g)
 		}
@@ -155,56 +142,6 @@ func (sc *gridScratch) evaluate(cells []GridCell, trace []uint64, raw *bus.Meter
 		return s
 	}
 
-	// Window families: configurations differing only in register size
-	// share one encode pass (see batch.go). Results land keyed by the
-	// member's ConfigKey and are picked up by the per-group loop below.
-	var famRes map[string]famResult
-	if verify.mode != verifyFull {
-		type famGroup struct {
-			ts   []*WindowTranscoder
-			keys []string
-		}
-		var byFam map[string]*famGroup
-		var famOrder []string
-		for _, g := range order {
-			wt, ok := g.t.(*WindowTranscoder)
-			if !ok {
-				continue
-			}
-			fk := fmt.Sprintf("w%d/l%g", wt.width, wt.lambda)
-			if byFam == nil {
-				byFam = make(map[string]*famGroup, 1)
-			}
-			fg := byFam[fk]
-			if fg == nil {
-				fg = &famGroup{}
-				byFam[fk] = fg
-				famOrder = append(famOrder, fk)
-			}
-			fg.ts = append(fg.ts, wt)
-			fg.keys = append(fg.keys, g.key)
-		}
-		for _, fk := range famOrder {
-			fg := byFam[fk]
-			sizes := famSizes(fg.ts)
-			if len(fg.ts) < 2 || sizes == nil {
-				continue // singleton (or aliased sizes): scalar path is as good
-			}
-			sig := fk + fmt.Sprint(sizes)
-			fam := sc.family(sig, fg.ts)
-			rs, err := fam.run(trace, verify)
-			if err != nil {
-				return nil, err
-			}
-			if famRes == nil {
-				famRes = make(map[string]famResult, len(fam.ts))
-			}
-			for j, t := range fam.ts {
-				famRes[ConfigKey(t)] = rs[j]
-			}
-		}
-	}
-
 	// One shared stride tape per data width, deep enough for the largest
 	// bank in the grid.
 	var tapes map[int]*StrideTape
@@ -233,8 +170,7 @@ func (sc *gridScratch) evaluate(cells []GridCell, trace []uint64, raw *bus.Meter
 		}
 	}
 
-	ev := &sc.ev
-	ev.Verify = verify
+	ev := Evaluator{Verify: verify}
 	n := uint64(len(trace))
 	for _, g := range order {
 		width := g.t.DataWidth()
@@ -243,10 +179,7 @@ func (sc *gridScratch) evaluate(cells []GridCell, trace []uint64, raw *bus.Meter
 		var ops OpStats
 		var codedWidth int
 		fast := false
-		if fr, ok := famRes[g.key]; ok {
-			coded, ops, codedWidth, fast = fr.coded, fr.ops, width+2, true
-		}
-		if !fast && verify.mode != verifyFull {
+		if verify.mode != verifyFull {
 			switch t := g.t.(type) {
 			case *StrideTranscoder:
 				if tp := tapes[t.width]; tp != nil && t.strides <= tp.maxK {

@@ -38,7 +38,8 @@ func gridTestTrace(width, n int, seed int64) []uint64 {
 
 // gridTestCells builds a representative scheme/λ grid: stride banks of
 // several depths, stateless coders, inversion families with λ fan-out,
-// and dictionary schemes that exercise the scalar fallback.
+// and dictionary schemes (a window size sweep and a Context table) that
+// exercise the scalar fallback.
 func gridTestCells(t *testing.T, width int) []GridCell {
 	t.Helper()
 	var cells []GridCell
@@ -70,8 +71,14 @@ func gridTestCells(t *testing.T, width int) []GridCell {
 		inv, err := NewInversion(width, pats, assumed)
 		mk(inv, err, 0.5, 1, 2) // shared config read at three Λ
 	}
-	w, err := NewWindow(width, 8, 1)
-	mk(w, err, 1)
+	// A window register-size sweep, plus one size at a second assumed Λ
+	// read at two Λ: every window configuration is a scalar cell.
+	for _, n := range []int{2, 8, 64} {
+		w, err := NewWindow(width, n, 1)
+		mk(w, err, 1)
+	}
+	w0, err := NewWindow(width, 8, 0)
+	mk(w0, err, 0.5, 1)
 	ctx, err := NewContext(ContextConfig{Width: width, TableSize: 16, ShiftEntries: 4, DividePeriod: 64, Lambda: 1})
 	mk(ctx, err, 1)
 	// The optimal-codebook families: materialized fast paths with
@@ -118,7 +125,7 @@ func TestEvaluateGridMatchesScalar(t *testing.T) {
 	cells := gridTestCells(t, width)
 	for _, verify := range []VerifyPolicy{VerifySampled(64), VerifyOff, VerifyFull} {
 		t.Run(verify.String(), func(t *testing.T) {
-			got, err := EvaluateGrid(cells, trace, nil, verify)
+			got, err := EvaluateGrid(cells, trace, nil, verify, GridOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -153,7 +160,7 @@ func TestEvaluateGridSharesRawMeter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := EvaluateGrid([]GridCell{{T: st, Lambda: 1}, {T: sp, Lambda: 1}}, trace, raw, VerifyOff)
+	res, err := EvaluateGrid([]GridCell{{T: st, Lambda: 1}, {T: sp, Lambda: 1}}, trace, raw, VerifyOff, GridOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,11 +181,111 @@ func TestEvaluatedCyclesCountsCells(t *testing.T) {
 	}
 	cells := []GridCell{{T: st, Lambda: 1}, {T: st, Lambda: 2}, {T: NewRaw(width), Lambda: 1}}
 	before := EvaluatedCycles()
-	if _, err := EvaluateGrid(cells, trace, nil, VerifyOff); err != nil {
+	if _, err := EvaluateGrid(cells, trace, nil, VerifyOff, GridOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := EvaluatedCycles()-before, uint64(len(trace)*len(cells)); got != want {
 		t.Errorf("EvaluatedCycles delta: got %d want %d", got, want)
+	}
+}
+
+// TestGridSlicedProvider: a caller-supplied transposition is used as-is
+// (no rebuild), and a provider returning nil falls back to building one.
+func TestGridSlicedProvider(t *testing.T) {
+	const width = 12
+	trace := gridTestTrace(width, 700, 5)
+	g, err := NewGray(width)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := []GridCell{{T: NewRaw(width), Lambda: 1}, {T: g, Lambda: 1}}
+	want, err := EvaluateGrid(cells, trace, nil, VerifyOff, GridOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pre := bus.NewSlicedTrace(width, trace)
+	calls := 0
+	got, err := EvaluateGrid(cells, trace, nil, VerifyOff, GridOptions{
+		Sliced: func(w int) *bus.SlicedTrace {
+			calls++
+			if w != width {
+				t.Fatalf("provider asked for width %d, want %d", w, width)
+			}
+			return pre
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if calls != 1 {
+		t.Errorf("provider called %d times, want 1 (raw and gray share the transposition)", calls)
+	}
+	for i, c := range cells {
+		compareGridResult(t, c.T.Name(), want[i], got[i])
+	}
+	got, err = EvaluateGrid(cells, trace, nil, VerifyOff, GridOptions{
+		Sliced: func(int) *bus.SlicedTrace { return nil },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range cells {
+		compareGridResult(t, "nil-provider/"+c.T.Name(), want[i], got[i])
+	}
+}
+
+// TestGridTapeProvider: stride cells replay a caller-supplied tape —
+// including one deeper than any bank in the grid, which is what a tape
+// memo hands back after serving a deeper request — with results
+// identical to the grid's own tape, a provider returning nil falls back
+// to building one, and VerifyFull never asks for a tape.
+func TestGridTapeProvider(t *testing.T) {
+	const width = 12
+	trace := gridTestTrace(width, 900, 7)
+	var cells []GridCell
+	for _, k := range []int{1, 3, 5} {
+		st, err := NewStride(width, k, 0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cells = append(cells, GridCell{T: st, Lambda: 1})
+	}
+	want, err := EvaluateGrid(cells, trace, nil, VerifySampled(16), GridOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	deep := NewStrideTape(width, 40, trace)
+	for _, tc := range []struct {
+		name string
+		tape *StrideTape
+	}{{"deeper", deep}, {"nil", nil}} {
+		var asked []int
+		got, err := EvaluateGrid(cells, trace, nil, VerifySampled(16), GridOptions{
+			Tapes: func(w, k int) *StrideTape {
+				if w != width {
+					t.Fatalf("provider asked for width %d, want %d", w, width)
+				}
+				asked = append(asked, k)
+				return tc.tape
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(asked) != 1 || asked[0] != 5 {
+			t.Errorf("%s: provider asked for depths %v, want one request for the deepest bank (5)", tc.name, asked)
+		}
+		for i, c := range cells {
+			compareGridResult(t, tc.name+"/"+c.T.Name(), want[i], got[i])
+		}
+	}
+	if _, err := EvaluateGrid(cells, trace, nil, VerifyFull, GridOptions{
+		Tapes: func(int, int) *StrideTape {
+			t.Fatal("VerifyFull must take the scalar path, not a tape")
+			return nil
+		},
+	}); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -325,8 +432,9 @@ func TestChannelIntCostMatchesFloat(t *testing.T) {
 	}
 }
 
-// FuzzGridMatchesScalar cross-checks the grid fast paths against the
-// scalar evaluator on fuzzer-shaped traces.
+// FuzzGridMatchesScalar cross-checks every grid cell — the fast paths
+// and the window cells beside them — against the scalar evaluator on
+// fuzzer-shaped traces.
 func FuzzGridMatchesScalar(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 250, 0, 0, 9})
 	f.Add([]byte{0xFF, 0xFE, 0xFD})
@@ -361,7 +469,14 @@ func FuzzGridMatchesScalar(f *testing.F) {
 			t.Fatal(err)
 		}
 		cells = append(cells, GridCell{T: vc, Lambda: 1}, GridCell{T: lw, Lambda: 1})
-		got, err := EvaluateGrid(cells, trace, nil, VerifySampled(32))
+		for _, n := range []int{2, 5} {
+			w, err := NewWindow(width, n, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cells = append(cells, GridCell{T: w, Lambda: 1})
+		}
+		got, err := EvaluateGrid(cells, trace, nil, VerifySampled(32), GridOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

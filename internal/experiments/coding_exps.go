@@ -317,17 +317,13 @@ func runFig15(cfg Config) (*Table, error) {
 				points = append(points, gridPoint{tc: inv, lambda: actual})
 			}
 		}
-		// The benchmark suite streams through one shared transcoder
-		// scratch (coding.EvaluateBatch): each unique inversion config
-		// still encodes every trace, but construction, meter setup and
-		// grid bookkeeping are pinned once for the suite.
-		inputs := make([]batchTraceInput, len(traces))
+		perTrace := make([][]coding.Result, len(traces))
 		for j, tr := range traces {
-			inputs[j] = batchTraceInput{id: ids[j], tr: tr, raw: raws[j]}
-		}
-		perTrace, err := evalGridPointsMulti(points, inputs, cfg)
-		if err != nil {
-			return err
+			res, err := evalGridPoints(points, ids[j], tr, raws[j], cfg)
+			if err != nil {
+				return err
+			}
+			perTrace[j] = res
 		}
 		k := 0
 		for _, variant := range variants {

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"strings"
 	"sync"
 
@@ -212,7 +211,7 @@ func evalResultKeyed(tc coding.Transcoder, id traceID, lambda float64, cfg Confi
 		if err != nil {
 			return coding.Result{}, err
 		}
-		results, err := coding.EvaluateGridOpts([]coding.GridCell{{T: tc, Lambda: lambda}}, tr, raw, cfg.Verify,
+		results, err := coding.EvaluateGrid([]coding.GridCell{{T: tc, Lambda: lambda}}, tr, raw, cfg.Verify,
 			gridOptionsFor(id, tr))
 		if err != nil {
 			return coding.Result{}, err
@@ -268,7 +267,7 @@ func evalGridPoints(points []gridPoint, id traceID, tr []uint64, raw *bus.Meter,
 	if len(missIdx) == 0 {
 		return out, nil
 	}
-	results, err := coding.EvaluateGridOpts(cells, tr, raw, cfg.Verify, gridOptionsFor(id, tr))
+	results, err := coding.EvaluateGrid(cells, tr, raw, cfg.Verify, gridOptionsFor(id, tr))
 	if err != nil {
 		return nil, err
 	}
@@ -286,96 +285,6 @@ func evalGridPoints(points []gridPoint, id traceID, tr []uint64, raw *bus.Meter,
 		}
 		stored.Lambda = points[i].lambda
 		out[i] = stored
-	}
-	return out, nil
-}
-
-// batchTraceInput is one trace of a multi-trace sweep: identity (for
-// memo keys), values, and the shared raw meter (nil to measure inline).
-type batchTraceInput struct {
-	id  traceID
-	tr  []uint64
-	raw *bus.Meter
-}
-
-// evalGridPointsMulti is evalGridPoints fanned out over a whole trace
-// suite through coding.EvaluateBatch, which pins one set of transcoder
-// scratch (encoder dictionaries, window-family arenas) across the
-// traces. The per-point memo contract is identical: per-trace Peek for
-// hits, traces with the same miss set batch together (one scratch
-// warm-up for the whole suite — the common cold case), odd miss sets
-// batch among themselves, and every computed cell publishes under its
-// own key. Results are trace-major, aligned with traces × points.
-func evalGridPointsMulti(points []gridPoint, traces []batchTraceInput, cfg Config) ([][]coding.Result, error) {
-	configs := make([]string, len(points))
-	for i, p := range points {
-		configs[i] = coding.ConfigKey(p.tc)
-	}
-	verify := cfg.Verify.String()
-	out := make([][]coding.Result, len(traces))
-	keys := make([][]resultKey, len(traces))
-	missIdx := make([][]int, len(traces))
-	groups := make(map[string][]int, 1) // miss-set signature → trace indices
-	var order []string
-	for ti := range traces {
-		bt := &traces[ti]
-		out[ti] = make([]coding.Result, len(points))
-		keys[ti] = make([]resultKey, len(points))
-		var miss []int
-		for i, p := range points {
-			k := resultKey{config: configs[i], trace: bt.id, verify: verify}
-			keys[ti][i] = k
-			if res, err, ok := resultMemo.Peek(k); ok {
-				if err != nil {
-					return nil, err
-				}
-				res.Lambda = p.lambda
-				out[ti][i] = res
-				continue
-			}
-			miss = append(miss, i)
-		}
-		if len(miss) == 0 {
-			continue
-		}
-		missIdx[ti] = miss
-		sig := fmt.Sprint(miss)
-		if _, ok := groups[sig]; !ok {
-			order = append(order, sig)
-		}
-		groups[sig] = append(groups[sig], ti)
-	}
-	for _, sig := range order {
-		tis := groups[sig]
-		miss := missIdx[tis[0]]
-		cells := make([]coding.GridCell, len(miss))
-		for j, i := range miss {
-			cells[j] = coding.GridCell{T: points[i].tc, Lambda: points[i].lambda}
-		}
-		bts := make([]coding.BatchTrace, len(tis))
-		for j, ti := range tis {
-			bts[j] = coding.BatchTrace{
-				Values:      traces[ti].tr,
-				Raw:         traces[ti].raw,
-				GridOptions: gridOptionsFor(traces[ti].id, traces[ti].tr),
-			}
-		}
-		results, err := coding.EvaluateBatch(cells, bts, cfg.Verify)
-		if err != nil {
-			return nil, err
-		}
-		for j, ti := range tis {
-			for jj, i := range miss {
-				res := results[j][jj]
-				res.Coded = res.Coded.Clone()
-				stored, err := resultMemo.Do(keys[ti][i], func() (coding.Result, error) { return res, nil })
-				if err != nil {
-					return nil, err
-				}
-				stored.Lambda = points[i].lambda
-				out[ti][i] = stored
-			}
-		}
 	}
 	return out, nil
 }
