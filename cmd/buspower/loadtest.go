@@ -19,13 +19,13 @@ import (
 )
 
 // `buspower loadtest`: closed-loop warm-path throughput measurement
-// against one server or a whole shard group. A fixed set of distinct
-// requests is generated deterministically from a seed, warmed into
-// every cache layer (memo, response cache, peer-filled non-owner
-// caches), then hammered by N concurrent workers round-robining across
-// the targets. The committed JSON report carries the machine context
-// (CPU count, GOMAXPROCS) alongside the numbers, because absolute
-// throughput is meaningless without it.
+// against one server or a set of independent replicas. A fixed set of
+// distinct requests is generated deterministically from a seed, warmed
+// into every cache layer (memo, response cache) of every target, then
+// hammered by N concurrent workers round-robining across the targets.
+// The committed JSON report carries the machine context (CPU count,
+// GOMAXPROCS) alongside the numbers, because absolute throughput is
+// meaningless without it.
 
 // loadtestReport is the committed artifact (results/LOADTEST_*.json).
 type loadtestReport struct {
@@ -56,10 +56,9 @@ type loadtestReport struct {
 
 // loadtestRequests derives the distinct request set: deterministic
 // inline traces (xorshift from the seed), so every run against the
-// same flags measures the same key population — and so a shard group
-// spreads them across owners. Bodies are marshalled once, up front:
-// the hot loop sends fixed bytes through EvalRaw, keeping the
-// generator's per-request JSON cost out of the measurement.
+// same flags measures the same key population. Bodies are marshalled
+// once, up front: the hot loop sends fixed bytes through EvalRaw,
+// keeping the generator's per-request JSON cost out of the measurement.
 func loadtestRequests(keys, traceLen int, scheme string, seed uint64) ([][]byte, error) {
 	bodies := make([][]byte, keys)
 	state := seed | 1
@@ -87,7 +86,7 @@ func loadtestRequests(keys, traceLen int, scheme string, seed uint64) ([][]byte,
 func runLoadtest(args []string) error {
 	fs := flag.NewFlagSet("loadtest", flag.ContinueOnError)
 	var (
-		servers     = fs.String("servers", "http://localhost:8080", "comma-separated target base URLs (a shard group's members, or one server)")
+		servers     = fs.String("servers", "http://localhost:8080", "comma-separated target base URLs (independent replicas, or one server)")
 		concurrency = fs.Int("c", 32, "concurrent closed-loop workers")
 		duration    = fs.Duration("duration", 10*time.Second, "measured phase length")
 		warmup      = fs.Duration("warmup", 2*time.Second, "cache warm-up phase length (not measured)")
@@ -125,8 +124,8 @@ func runLoadtest(args []string) error {
 	defer stop()
 
 	// Warm-up: push every request through every target once (fills each
-	// replica's response cache, via peer fetch where it is not the
-	// owner), then free-run the remaining warm-up budget.
+	// replica's response cache), then free-run the remaining warm-up
+	// budget.
 	for _, c := range clients {
 		for i := range reqs {
 			if ctx.Err() != nil {

@@ -11,7 +11,6 @@
 //	buspower -exp all -verify full
 //	buspower bench -quick -out results/BENCH_PR9.json
 //	buspower serve -addr :8080 -workers 8
-//	buspower serve -addr :8081 -self n1 -peers n0=http://h0:8080,n1=http://h1:8081
 //	buspower eval -server http://localhost:8080 -scheme gray -random 10000
 //	buspower job -server http://localhost:8080 -suite table3,fig15 -watch
 //	buspower loadtest -servers http://h0:8080,http://h1:8081 -c 64 -duration 15s
@@ -47,10 +46,9 @@
 // The serve subcommand exposes the same memoized evaluation engine as an
 // HTTP JSON API (POST /v1/eval, plus /v1/schemes, /v1/workloads,
 // /healthz and Prometheus-format /metrics); see "Serving" in README.md.
-// With -self/-peers, replicas form a static consistent-hash cache group:
-// each request key has owner replicas, non-owners fetch cached results
-// over the internal /v1/peer API before computing locally, and any peer
-// failure degrades to local compute (see "Serving topology" in README.md).
+// Every answer is a pure function of the canonical request, so
+// independent replicas behind any load balancer return identical bytes
+// without coordinating (see "Scaling out" in README.md).
 // Batches and whole experiment suites run asynchronously behind
 // POST /v1/jobs: jobs are content-addressed, drained by a dedicated
 // worker pool, observable via GET /v1/jobs/{id} (or the SSE stream at
@@ -62,7 +60,7 @@
 // built on the typed SDK (pkg/buspowersdk): eval runs one synchronous
 // evaluation; job submits, lists, watches (SSE) and cancels async jobs.
 // The loadtest subcommand measures closed-loop warm-path throughput
-// against one server or a whole shard group and writes a JSON report
+// against one server or a set of replicas and writes a JSON report
 // that records the machine context next to the numbers.
 package main
 

@@ -10,7 +10,6 @@ import (
 	"syscall"
 	"time"
 
-	"buspower/internal/cluster"
 	"buspower/internal/serve"
 	"buspower/internal/workload"
 )
@@ -55,12 +54,6 @@ func runServe(args []string) error {
 		jobWork  = fs.Int("job-workers", 0, "dedicated async job worker pool size (0 = half of GOMAXPROCS)")
 		jobQueue = fs.Int("job-queue", 0, "max queued job items before submissions are shed with 429 (0 = 4x the per-job item cap)")
 
-		self      = fs.String("self", "", "this replica's node id in a sharded cache group (requires -peers)")
-		peerList  = fs.String("peers", "", "full shard-group member list as comma-separated id=url entries, self included; empty = single-replica mode")
-		vnodes    = fs.Int("vnodes", 0, "virtual nodes per replica on the consistent-hash ring (0 = 128)")
-		rf        = fs.Int("replication", 0, "owners per key on the ring (0 = 1; clamped to the group size)")
-		peerTmo   = fs.Duration("peer-timeout", 0, "deadline for one peer fetch before degrading to local compute (0 = 2s)")
-		peerBody  = fs.Int64("peer-max-body", 0, "max accepted peer payload bytes (0 = 32 MiB)")
 		respCache = fs.Int("resp-cache", 0, "marshalled-response LRU entries (0 = 4096)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -68,10 +61,6 @@ func runServe(args []string) error {
 	}
 	if fs.NArg() > 0 {
 		return fmt.Errorf("unexpected argument %q", fs.Arg(0))
-	}
-	topo, err := cluster.ParseTopology(*self, cluster.SplitPeerList(*peerList), *vnodes, *rf)
-	if err != nil {
-		return err
 	}
 	setupTraceCache(*cacheDir, *noDisk)
 
@@ -95,9 +84,6 @@ func runServe(args []string) error {
 		JobWorkers:     *jobWork,
 		JobQueueDepth:  *jobQueue,
 
-		Topology:             topo,
-		PeerTimeout:          *peerTmo,
-		PeerMaxBodyBytes:     *peerBody,
 		ResponseCacheEntries: *respCache,
 	})
 

@@ -324,24 +324,3 @@ func TestMeterMatchesStepwiseCountsAtKeyWidths(t *testing.T) {
 		}
 	}
 }
-
-// Property: cost is invariant under inverting the whole trace (all wires
-// flip state each cycle equally).
-func TestCostInversionInvariance(t *testing.T) {
-	f := func(seed int64) bool {
-		const width = 32
-		rng := rand.New(rand.NewSource(seed))
-		trace := make([]Word, 40)
-		inv := make([]Word, 40)
-		for i := range trace {
-			trace[i] = Word(rng.Uint64()) & Mask(width)
-			inv[i] = ^trace[i] & Mask(width)
-		}
-		a := MeasureTrace(width, trace)
-		b := MeasureTrace(width, inv)
-		return a.Transitions() == b.Transitions() && a.Couplings() == b.Couplings()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}

@@ -1,11 +1,13 @@
 package coding
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
 	"buspower/internal/bus"
 	"buspower/internal/stats"
+	"buspower/internal/workload"
 )
 
 // allTranscoders returns one representative instance of every scheme at
@@ -428,20 +430,61 @@ func TestStrideWrapsModuloWidth(t *testing.T) {
 	}
 }
 
+// TestBusInvertBoundsTransitions checks Stan and Burleson's bound on
+// classic bus-invert: at assumed Λ = 0 the coder picks the cheaper of
+// the raw and complemented word, and the two candidates' toggles over
+// the w data wires plus the invert wire sum to w+1, so no cycle toggles
+// more than ⌈(w+1)/2⌉ wires. The inputs are random traces at widths 1,
+// 2, 32 and 62 and the quick-mode li register and swim memory bus
+// traces.
 func TestBusInvertBoundsTransitions(t *testing.T) {
-	// Classic bus-invert guarantees at most ceil((W+1)/2) transitions per
-	// cycle under the λ0 (transition count) criterion, including the
-	// invert wire.
-	inv, _ := NewBusInvert(32, 0)
-	enc := inv.NewEncoder()
+	type input struct {
+		name  string
+		width int
+		vals  []uint64
+	}
+	var inputs []input
 	rng := stats.NewRNG(3)
-	prev := enc.Encode(0)
-	for i := 0; i < 500; i++ {
-		w := enc.Encode(rng.Uint64())
-		if d := bus.Weight(prev ^ w); d > 17 {
-			t.Fatalf("bus-invert produced %d transitions, bound is 17", d)
+	for _, w := range []int{1, 2, 32, 62} {
+		for k := 0; k < 4; k++ {
+			vals := make([]uint64, 1+rng.Intn(500))
+			for i := range vals {
+				vals[i] = rng.Uint64() & uint64(bus.Mask(w))
+			}
+			inputs = append(inputs, input{fmt.Sprintf("random/w%d/%d", w, k), w, vals})
 		}
-		prev = w
+	}
+	// The experiments' quick-mode run bound.
+	quickRun := workload.RunConfig{MaxInstructions: 250_000, MaxBusValues: 25_000}
+	li, err := workload.Traces("li", quickRun)
+	if err != nil {
+		t.Fatal(err)
+	}
+	swim, err := workload.Traces("swim", quickRun)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs = append(inputs, input{"li-reg", 32, li.Reg}, input{"swim-mem", 32, swim.Mem})
+
+	for _, in := range inputs {
+		tc, err := NewBusInvert(in.width, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc := tc.NewEncoder()
+		if got := enc.BusWidth(); got != in.width+1 {
+			t.Fatalf("%s: bus-invert drives %d wires, want %d", in.name, got, in.width+1)
+		}
+		// ⌈(w+1)/2⌉, counted from the encoder's initial all-zero state.
+		bound := (in.width + 2) / 2
+		var prev bus.Word
+		for i, v := range in.vals {
+			cur := enc.Encode(v)
+			if n := bus.Weight(prev ^ cur); n > bound {
+				t.Fatalf("%s: cycle %d toggles %d wires, bound ⌈(%d+1)/2⌉ = %d", in.name, i, n, in.width, bound)
+			}
+			prev = cur
+		}
 	}
 }
 

@@ -47,9 +47,9 @@ func TestBallRadius(t *testing.T) {
 		count uint64
 		want  int
 	}{
-		{3, 4, 1},        // 1 + 3 ≥ 4
-		{3, 5, 2},        // needs weight-2 words
-		{8, 256, 8},      // full space: radius = n
+		{3, 4, 1},         // 1 + 3 ≥ 4
+		{3, 5, 2},         // needs weight-2 words
+		{8, 256, 8},       // full space: radius = n
 		{34, 1 << 32, 15}, // 32-bit bus + 2 wires: Σ C(34,i), i≤15 ≥ 2^32
 	}
 	for _, c := range cases {
@@ -245,7 +245,7 @@ func TestOptimalConstructorBounds(t *testing.T) {
 		func() (Transcoder, error) { return NewVC(62, 1) }, // 63 wires
 		func() (Transcoder, error) { return NewLowWeight(32, 0, 1) },
 		func() (Transcoder, error) { return NewLowWeight(32, 9, 1) },
-		func() (Transcoder, error) { return NewLowWeight(2, 4, 1) }, // groups > width
+		func() (Transcoder, error) { return NewLowWeight(2, 4, 1) },  // groups > width
 		func() (Transcoder, error) { return NewLowWeight(32, 8, 4) }, // 64 wires
 		func() (Transcoder, error) { return NewDVS(32, 2, 40) },
 		func() (Transcoder, error) { return NewDVS(32, 2, 101) },

@@ -267,13 +267,11 @@ func (r *EvalRequest) sourceID(width int) (traceID, string) {
 	}
 }
 
-// RequestKey derives a request's canonical cluster-wide identity: the
-// SHA-256 (hex) of its canonical JSON encoding. The request must be in
-// canonical form (as ParseEvalRequest returns); two requests describing
-// the same evaluation — however their JSON was originally spelled — get
-// the same key. The serving layer's consistent-hash ring shards the
-// eval-result state on this key, so every replica derives the same
-// owner without coordination.
+// RequestKey derives a request's canonical identity: the SHA-256 (hex)
+// of its canonical JSON encoding. The request must be in canonical form
+// (as ParseEvalRequest returns); two requests describing the same
+// evaluation — however their JSON was originally spelled — get the same
+// key. The serving layer's response cache is addressed by this key.
 func RequestKey(req EvalRequest) (string, error) {
 	if err := req.normalize(); err != nil {
 		return "", err

@@ -408,3 +408,124 @@ func TestGracefulDrain(t *testing.T) {
 		t.Fatal("listener still accepting after drain")
 	}
 }
+
+// evalMemoLookups counts every eval-memo lookup so far, hit or miss: a
+// response served without touching the evaluation engine leaves it
+// unchanged.
+func evalMemoLookups() uint64 {
+	s := experiments.EvalMemoStats()
+	return s.Hits + s.Misses
+}
+
+// TestResponseCacheReplay: a byte-identical replay is served from the
+// raw-body alias, and a re-spaced body of the same request misses the
+// alias but hits the canonical key; neither reaches the evaluation
+// engine, and both return the first answer's exact bytes.
+func TestResponseCacheReplay(t *testing.T) {
+	srv := testServer(t, Options{RequestTimeout: 10 * time.Second})
+	defer srv.Close()
+	h := srv.Handler()
+	body := evalBody("window:entries=8")
+	first := postEval(h, body)
+	if first.Code != http.StatusOK {
+		t.Fatalf("code %d: %s", first.Code, first.Body.String())
+	}
+	want := first.Body.Bytes()
+	hits, misses, _, entries := srv.respCache.stats()
+	if hits != 0 || misses != 2 || entries != 2 {
+		t.Fatalf("after first eval: hits %d misses %d entries %d, want 0/2/2 (body alias and canonical key)", hits, misses, entries)
+	}
+	lookups := evalMemoLookups()
+
+	replay := postEval(h, body)
+	if replay.Code != http.StatusOK || !bytes.Equal(replay.Body.Bytes(), want) {
+		t.Fatalf("replay: code %d, body %s", replay.Code, replay.Body.String())
+	}
+	if hits, misses, _, _ := srv.respCache.stats(); hits != 1 || misses != 2 {
+		t.Fatalf("replay: hits %d misses %d, want a single body-alias hit", hits, misses)
+	}
+
+	respaced := strings.Replace(body, `],"`, `], "`, 1)
+	if respaced == body {
+		t.Fatalf("test body %q has no separator to respace", body)
+	}
+	canon := postEval(h, respaced)
+	if canon.Code != http.StatusOK || !bytes.Equal(canon.Body.Bytes(), want) {
+		t.Fatalf("re-spaced: code %d, body %s", canon.Code, canon.Body.String())
+	}
+	hits, misses, _, entries = srv.respCache.stats()
+	if hits != 2 || misses != 3 || entries != 3 {
+		t.Fatalf("re-spaced: hits %d misses %d entries %d, want 2/3/3 (alias miss, canonical hit, new alias)", hits, misses, entries)
+	}
+	if got := evalMemoLookups(); got != lookups {
+		t.Fatalf("cached replays reached the eval memo: %d lookups, want %d", got, lookups)
+	}
+}
+
+// TestResponseCacheSkipsErrors: an error describes one request's
+// validity, admission or deadline, never the key's value, so neither
+// the body alias nor the canonical key may hold it.
+func TestResponseCacheSkipsErrors(t *testing.T) {
+	srv := testServer(t, Options{Workers: 1, QueueDepth: -1, RequestTimeout: 10 * time.Second})
+	defer srv.Close()
+	h := srv.Handler()
+	for _, bad := range []string{evalBody("quantum"), evalBody("spatial"), `{"values":[1,2`} {
+		if rec := postEval(h, bad); rec.Code != http.StatusBadRequest {
+			t.Fatalf("%s: code %d, want 400", bad, rec.Code)
+		}
+	}
+	release, err := srv.pool.acquire(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := evalBody("gray")
+	if rec := postEval(h, body); rec.Code != http.StatusTooManyRequests {
+		t.Fatalf("saturated: code %d, want 429", rec.Code)
+	}
+	if _, _, _, entries := srv.respCache.stats(); entries != 0 {
+		t.Fatalf("error responses left %d cache entries", entries)
+	}
+	release()
+	if rec := postEval(h, body); rec.Code != http.StatusOK {
+		t.Fatalf("after release: code %d, want 200: %s", rec.Code, rec.Body.String())
+	}
+	if _, _, _, entries := srv.respCache.stats(); entries != 2 {
+		t.Fatalf("success left %d cache entries, want 2", entries)
+	}
+
+	timeout := testServer(t, Options{RequestTimeout: time.Nanosecond})
+	defer timeout.Close()
+	if rec := postEval(timeout.Handler(), evalBody("window:entries=4")); rec.Code != http.StatusGatewayTimeout {
+		t.Fatalf("timeout: code %d, want 504", rec.Code)
+	}
+	if _, _, _, entries := timeout.respCache.stats(); entries != 0 {
+		t.Fatalf("504 left %d cache entries", entries)
+	}
+}
+
+// TestResponseCacheMetricsExposition: the response cache's counters
+// surface on /metrics. A one-entry cache makes every figure exact: the
+// first eval misses both keys and its alias evicts the canonical entry,
+// and the replay hits the alias.
+func TestResponseCacheMetricsExposition(t *testing.T) {
+	srv := testServer(t, Options{ResponseCacheEntries: 1, RequestTimeout: 10 * time.Second})
+	defer srv.Close()
+	h := srv.Handler()
+	for i := 0; i < 2; i++ {
+		if rec := postEval(h, evalBody("gray")); rec.Code != http.StatusOK {
+			t.Fatalf("eval %d: code %d", i, rec.Code)
+		}
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	for _, want := range []string{
+		"buspower_response_cache_hits 1\n",
+		"buspower_response_cache_misses 2\n",
+		"buspower_response_cache_evictions 1\n",
+		"buspower_response_cache_entries 1\n",
+	} {
+		if !strings.Contains(rec.Body.String(), want) {
+			t.Errorf("metrics missing %q", want)
+		}
+	}
+}

@@ -109,8 +109,8 @@ func (m *metrics) record(handler string, code int, elapsed time.Duration) {
 	}
 }
 
-// render writes the whole exposition; s supplies the pool, job-engine,
-// response-cache and cluster gauges.
+// render writes the whole exposition; s supplies the pool, job-engine
+// and response-cache gauges.
 func (m *metrics) render(w http.ResponseWriter, s *Server) {
 	p, e := s.pool, s.jobs
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -167,11 +167,8 @@ func (m *metrics) render(w http.ResponseWriter, s *Server) {
 	gauge("buspower_trace_cache_disk_hits", "Persistent trace cache hits.", ts.DiskHits)
 	gauge("buspower_trace_cache_disk_misses", "Persistent trace cache misses.", ts.DiskMisses)
 	gauge("buspower_trace_cache_disk_errors", "Persistent trace cache entries that could not be trusted plus failed writes.", ts.DiskErrors)
-	gauge("buspower_trace_cache_peer_hits", "Trace containers fetched from the ring owner instead of re-simulated.", ts.PeerHits)
-	gauge("buspower_trace_cache_peer_misses", "Trace peer-fetch attempts the owner could not serve.", ts.PeerMisses)
-	gauge("buspower_trace_cache_peer_errors", "Peer-transferred trace containers that failed validation.", ts.PeerErrors)
 
-	// Serve-level response byte cache (all replicas, cluster or not).
+	// Serve-level response byte cache.
 	rcHits, rcMisses, rcEvictions, rcEntries := s.respCache.stats()
 	gauge("buspower_response_cache_hits", "Marshalled-response cache hits.", rcHits)
 	gauge("buspower_response_cache_misses", "Marshalled-response cache misses.", rcMisses)
@@ -210,52 +207,6 @@ func (m *metrics) render(w http.ResponseWriter, s *Server) {
 		gauge("buspower_jobs_journal_bytes", "Current job journal size in bytes.", ss.JournalBytes)
 		fmt.Fprintf(&b, "# HELP buspower_jobs_journal_compactions_total Journal snapshot compactions performed.\n# TYPE buspower_jobs_journal_compactions_total counter\nbuspower_jobs_journal_compactions_total %d\n", ss.Compactions)
 		gauge("buspower_jobs_journal_recovered_bytes", "Journal bytes discarded by corruption recovery at startup.", ss.RecoveredBytes)
-	}
-
-	// Cluster topology and routing: ring shape, per-node key-space
-	// ownership, /v1/eval routing outcomes, and the peer client's
-	// fetch/coalescing counters.
-	if c := s.cluster; c != nil {
-		ring := c.topo.Ring
-		gauge("buspower_ring_nodes", "Replicas in the consistent-hash ring.", len(ring.Nodes()))
-		gauge("buspower_ring_vnodes", "Virtual nodes per replica.", ring.VNodes())
-		gauge("buspower_ring_replication", "Owners per key (replication factor).", ring.ReplicationFactor())
-		own := ring.Ownership()
-		ids := make([]string, 0, len(own))
-		for id := range own {
-			ids = append(ids, id)
-		}
-		sort.Strings(ids)
-		b.WriteString("# HELP buspower_ring_ownership Fraction of the key space each replica primary-owns.\n# TYPE buspower_ring_ownership gauge\n")
-		for _, id := range ids {
-			fmt.Fprintf(&b, "buspower_ring_ownership{node=%q} %g\n", id, own[id])
-		}
-		b.WriteString("# HELP buspower_cluster_eval_total /v1/eval requests by routing outcome.\n# TYPE buspower_cluster_eval_total counter\n")
-		for _, rc := range []struct {
-			path string
-			n    uint64
-		}{
-			{"owned", c.ownedLocal.Load()},
-			{"cache", c.cacheServed.Load()},
-			{"peer", c.peerServed.Load()},
-			{"fallback", c.fallbacks.Load()},
-		} {
-			fmt.Fprintf(&b, "buspower_cluster_eval_total{path=%q} %d\n", rc.path, rc.n)
-		}
-		ps := c.peers.Stats()
-		b.WriteString("# HELP buspower_peer_fetch_total Peer fetches by kind and result.\n# TYPE buspower_peer_fetch_total counter\n")
-		for _, pc := range []struct {
-			kind, result string
-			n            uint64
-		}{
-			{"eval", "hit", ps.EvalHits}, {"eval", "miss", ps.EvalMisses},
-			{"eval", "timeout", ps.EvalTimeouts}, {"eval", "error", ps.EvalErrors},
-			{"trace", "hit", ps.TraceHits}, {"trace", "miss", ps.TraceMisses},
-			{"trace", "timeout", ps.TraceTimeouts}, {"trace", "error", ps.TraceErrors},
-		} {
-			fmt.Fprintf(&b, "buspower_peer_fetch_total{kind=%q,result=%q} %d\n", pc.kind, pc.result, pc.n)
-		}
-		fmt.Fprintf(&b, "# HELP buspower_peer_fetch_coalesced_total Peer fetches answered by an already in-flight identical fetch.\n# TYPE buspower_peer_fetch_coalesced_total counter\nbuspower_peer_fetch_coalesced_total %d\n", ps.Coalesced)
 	}
 
 	gauge("buspower_uptime_seconds", "Seconds since the server started.", int64(time.Since(m.started).Seconds()))

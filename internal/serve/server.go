@@ -12,9 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"buspower/internal/cluster"
 	"buspower/internal/jobs"
-	"buspower/internal/workload"
 )
 
 // Options configures a Server. The zero value is not usable; call
@@ -56,16 +54,6 @@ type Options struct {
 	// with 429 (<= 0 means 4× the per-job item cap).
 	JobQueueDepth int
 
-	// Topology makes this server one replica of a sharded cache group: a
-	// static consistent-hash ring routes each canonical request key to an
-	// owner, and non-owners fetch the owner's cached answer instead of
-	// recomputing. Nil (the default) serves single-replica exactly as
-	// before. Ring failures only ever degrade to local computation.
-	Topology *cluster.Topology
-	// PeerTimeout bounds one peer fetch (<= 0 means 2s).
-	PeerTimeout time.Duration
-	// PeerMaxBodyBytes bounds an accepted peer payload (<= 0 means 32 MiB).
-	PeerMaxBodyBytes int64
 	// ResponseCacheEntries bounds the marshalled-response LRU
 	// (<= 0 means 4096).
 	ResponseCacheEntries int
@@ -90,7 +78,6 @@ type Server struct {
 	jobs      *jobs.Engine
 	metrics   *metrics
 	respCache *respCache
-	cluster   *serveCluster // nil outside cluster mode
 	log       *slog.Logger
 	mux       *http.ServeMux
 	draining  atomic.Bool
@@ -135,28 +122,14 @@ func NewServer(opts Options) *Server {
 		opts:      opts,
 		pool:      newPool(opts.Workers, opts.QueueDepth),
 		jobs:      jobs.NewEngine(store, opts.JobWorkers, opts.JobQueueDepth),
-		metrics:   newMetrics([]string{"eval", "schemes", "workloads", "healthz", "metrics", "jobs", "job", "job_events", "peer_eval", "peer_trace"}),
+		metrics:   newMetrics([]string{"eval", "schemes", "workloads", "healthz", "metrics", "jobs", "job", "job_events"}),
 		respCache: newRespCache(opts.ResponseCacheEntries),
 		log:       log,
 		mux:       http.NewServeMux(),
 		drainCh:   make(chan struct{}),
 	}
-	if opts.Topology != nil {
-		s.cluster = &serveCluster{
-			topo:  opts.Topology,
-			peers: cluster.NewPeerClient(opts.Topology.Self.ID, opts.PeerTimeout, opts.PeerMaxBodyBytes),
-		}
-		s.installPeerTraceFetcher()
-		log.Info("cluster member",
-			"self", opts.Topology.Self.ID,
-			"nodes", len(opts.Topology.Ring.Nodes()),
-			"vnodes", opts.Topology.Ring.VNodes(),
-			"replication", opts.Topology.Ring.ReplicationFactor())
-	}
 	s.jobs.Start()
 	s.mux.Handle("/v1/eval", s.instrument("eval", s.handleEval))
-	s.mux.Handle("POST /v1/peer/eval", s.instrument("peer_eval", s.handlePeerEval))
-	s.mux.Handle("GET /v1/peer/trace/{key}", s.instrument("peer_trace", s.handlePeerTrace))
 	s.mux.Handle("/v1/schemes", s.instrument("schemes", s.handleSchemes))
 	s.mux.Handle("/v1/workloads", s.instrument("workloads", s.handleWorkloads))
 	s.mux.Handle("POST /v1/jobs", s.instrument("jobs", s.handleJobSubmit))
@@ -210,7 +183,6 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	}
 	s.draining.Store(true)
 	close(s.drainCh) // end SSE streams so they can't hold the drain open
-	s.removePeerTraceFetcher()
 	s.log.Info("draining", "timeout", s.opts.DrainTimeout.String())
 	drainCtx, cancel := context.WithTimeout(context.Background(), s.opts.DrainTimeout)
 	defer cancel()
@@ -250,16 +222,7 @@ func (s *Server) drainJobs(ctx context.Context) error {
 // and its journal) without serving; for embedding and tests that drive
 // the Handler directly.
 func (s *Server) Close() error {
-	s.removePeerTraceFetcher()
 	ctx, cancel := context.WithTimeout(context.Background(), s.opts.DrainTimeout)
 	defer cancel()
 	return s.jobs.Drain(ctx)
-}
-
-// removePeerTraceFetcher detaches this server from the process-global
-// workload hook so a drained cluster member stops issuing peer fetches.
-func (s *Server) removePeerTraceFetcher() {
-	if s.cluster != nil {
-		workload.SetPeerTraceFetcher(nil)
-	}
 }

@@ -1,14 +1,12 @@
 package workload
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -114,16 +112,7 @@ func loadTraceSet(path, name string) (TraceSet, error) {
 		return TraceSet{}, err
 	}
 	defer f.Close()
-	return decodeTraceSet(f, name)
-}
-
-// decodeTraceSet parses one BUSTRC container stream into a TraceSet,
-// enforcing the container checksum (inside ReadContainer), the expected
-// workload name and the section layout. It backs both the disk cache
-// and the peer-fetch path — a transferred container passes exactly the
-// checks a local file does before anything trusts it.
-func decodeTraceSet(r io.Reader, name string) (TraceSet, error) {
-	c, err := trace.ReadContainer(r)
+	c, err := trace.ReadContainer(f)
 	if err != nil {
 		return TraceSet{}, err
 	}
@@ -196,73 +185,3 @@ func storeTraceSet(dir, key string, ts TraceSet) error {
 
 // notExist reports whether err is a plain missing-file error.
 func notExist(err error) bool { return errors.Is(err, fs.ErrNotExist) }
-
-// validCacheKey guards the peer-serving path: keys are the hex content
-// addresses traceCacheKey derives, so anything else (path separators,
-// traversal) is rejected before touching the filesystem.
-func validCacheKey(key string) bool {
-	if len(key) != 32 {
-		return false
-	}
-	for i := 0; i < len(key); i++ {
-		c := key[i]
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return false
-		}
-	}
-	return true
-}
-
-// ErrNoCacheEntry reports that the persistent cache holds no container
-// for a key (disk layer disabled counts too).
-var ErrNoCacheEntry = errors.New("workload: no cached trace container for key")
-
-// CachedContainerBytes returns the raw BUSTRC container stored under
-// the content address key, for the peer-fetch API to serve. The bytes
-// go out verbatim — the container's trailing checksum and the
-// transfer-level checksum both travel with them, and the fetching side
-// re-verifies before storing. Returns ErrNoCacheEntry when the disk
-// layer is off or holds no such key.
-func CachedContainerBytes(key string) ([]byte, error) {
-	if !validCacheKey(key) {
-		return nil, fmt.Errorf("workload: malformed trace cache key %q", key)
-	}
-	dir := TraceCacheDir()
-	if dir == "" {
-		return nil, ErrNoCacheEntry
-	}
-	data, err := os.ReadFile(traceCachePath(dir, key))
-	if err != nil {
-		if notExist(err) {
-			return nil, ErrNoCacheEntry
-		}
-		return nil, err
-	}
-	return data, nil
-}
-
-// storeContainerBytes writes an already-encoded container under its
-// content address with the same atomic temp-and-rename discipline
-// storeTraceSet uses, so concurrent readers only ever observe complete
-// files. The caller has already validated the bytes by decoding them.
-func storeContainerBytes(dir, key string, data []byte) error {
-	tmp, err := os.CreateTemp(dir, key+".tmp-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), traceCachePath(dir, key))
-}
-
-// decodeTraceSetBytes validates and decodes a peer-transferred
-// container.
-func decodeTraceSetBytes(data []byte, name string) (TraceSet, error) {
-	return decodeTraceSet(bytes.NewReader(data), name)
-}

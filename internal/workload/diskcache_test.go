@@ -71,44 +71,61 @@ func TestDiskCacheRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDiskCacheCorruptFileFallsBack injects faults into a cache file: a
+// flipped payload bit, a torn write cut to half its length, and a
+// zero-length file. Each must be rejected, re-simulated to the same
+// TraceSet, and repaired on disk, never served as a wrong answer.
 func TestDiskCacheCorruptFileFallsBack(t *testing.T) {
-	dir := withTraceCacheDir(t)
-	want, err := Traces("li", diskTestCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := cacheFiles(t, dir)[0]
+	for _, c := range []struct {
+		name    string
+		corrupt func([]byte) []byte
+	}{
+		{"bit flip", func(d []byte) []byte { d[len(d)/2] ^= 0x40; return d }},
+		{"truncated to half", func(d []byte) []byte { return d[:len(d)/2] }},
+		{"zero length", func([]byte) []byte { return nil }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := withTraceCacheDir(t)
+			want, err := Traces("li", diskTestCfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := cacheFiles(t, dir)[0]
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, c.corrupt(data), 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	// Flip a payload bit: the checksum must reject the file and the
-	// runner must silently re-simulate (and overwrite with a good copy).
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)/2] ^= 0x40
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	ClearTraceCache()
-	got, err := Traces("li", diskTestCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := Stats()
-	if s.DiskErrors == 0 || s.DiskHits != 0 {
-		t.Fatalf("corruption not detected: %+v", s)
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Fatal("fallback re-simulation produced a different TraceSet")
-	}
+			// The container checks must reject the file and the runner
+			// must silently re-simulate (and overwrite with a good copy).
+			ClearTraceCache()
+			got, err := Traces("li", diskTestCfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s := Stats(); s.DiskErrors == 0 || s.DiskHits != 0 {
+				t.Fatalf("corruption not detected: %+v", s)
+			}
+			if !reflect.DeepEqual(want, got) {
+				t.Fatal("fallback re-simulation produced a different TraceSet")
+			}
 
-	// The bad file was repaired: a third cold pass hits disk again.
-	ClearTraceCache()
-	if _, err := Traces("li", diskTestCfg); err != nil {
-		t.Fatal(err)
-	}
-	if s := Stats(); s.DiskHits != 1 {
-		t.Fatalf("repaired entry not reused: %+v", s)
+			// The bad file was repaired: a third cold pass hits disk again.
+			ClearTraceCache()
+			again, err := Traces("li", diskTestCfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s := Stats(); s.DiskHits != 1 || s.DiskErrors != 0 {
+				t.Fatalf("repaired entry not reused: %+v", s)
+			}
+			if !reflect.DeepEqual(want, again) {
+				t.Fatal("repaired entry loads a different TraceSet")
+			}
+		})
 	}
 }
 

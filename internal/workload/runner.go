@@ -76,33 +76,7 @@ var (
 	diskHits    atomic.Uint64
 	diskMisses  atomic.Uint64
 	diskErrors  atomic.Uint64
-	peerHits    atomic.Uint64
-	peerMisses  atomic.Uint64
-	peerErrors  atomic.Uint64
-
-	peerFetchMu sync.RWMutex
-	peerFetch   func(key string) ([]byte, bool)
 )
-
-// SetPeerTraceFetcher installs (or, with nil, removes) the cluster
-// peer-fetch hook: on a disk-cache miss, simulate calls f with the
-// entry's content address before falling back to re-simulation. f
-// returns the owner replica's raw BUSTRC container bytes and true, or
-// false when the key is locally owned, the owner has no copy, or the
-// fetch failed — every false degrades to exactly the pre-cluster
-// behavior. The transferred bytes pass the full container checksum and
-// name validation before anything trusts them.
-func SetPeerTraceFetcher(f func(key string) ([]byte, bool)) {
-	peerFetchMu.Lock()
-	peerFetch = f
-	peerFetchMu.Unlock()
-}
-
-func peerTraceFetcher() func(key string) ([]byte, bool) {
-	peerFetchMu.RLock()
-	defer peerFetchMu.RUnlock()
-	return peerFetch
-}
 
 // Traces returns the workload's bus traces, memoized per (workload,
 // config) so the many figure sweeps sharing a trace do not re-simulate.
@@ -142,48 +116,24 @@ func simulate(name string, cfg RunConfig) (TraceSet, error) {
 		return TraceSet{}, err
 	}
 	dir := TraceCacheDir()
-	fetch := peerTraceFetcher()
-	if dir == "" && fetch == nil {
+	if dir == "" {
 		return Run(w, cfg)
 	}
 	key := traceCacheKey(w, cpu.DefaultConfig(), cfg)
-	if dir != "" {
-		ts, lerr := loadTraceSet(traceCachePath(dir, key), name)
-		if lerr == nil {
-			diskHits.Add(1)
-			return ts, nil
-		}
-		diskMisses.Add(1)
-		if !notExist(lerr) {
-			// The file exists but is stale, torn, or corrupt: fall back to
-			// re-simulation (which will overwrite it with a good copy).
-			diskErrors.Add(1)
-		}
+	path := traceCachePath(dir, key)
+	ts, lerr := loadTraceSet(path, name)
+	if lerr == nil {
+		diskHits.Add(1)
+		return ts, nil
 	}
-	// Before paying for a simulation, ask the ring owner for its cached
-	// container. The transferred bytes pass the same checksum, name and
-	// section validation a local file does; a good copy is persisted
-	// locally (atomic rename) so the next process restart is disk-warm.
-	if fetch != nil {
-		if data, ok := fetch(key); ok {
-			ts, perr := decodeTraceSetBytes(data, name)
-			if perr == nil {
-				peerHits.Add(1)
-				if dir != "" {
-					if serr := storeContainerBytes(dir, key, data); serr != nil {
-						diskErrors.Add(1)
-					}
-				}
-				return ts, nil
-			}
-			// The peer sent bytes we cannot trust: recompute locally.
-			peerErrors.Add(1)
-		} else {
-			peerMisses.Add(1)
-		}
+	diskMisses.Add(1)
+	if !notExist(lerr) {
+		// The file exists but is stale, torn, or corrupt: fall back to
+		// re-simulation (which will overwrite it with a good copy).
+		diskErrors.Add(1)
 	}
-	ts, err := Run(w, cfg)
-	if err == nil && dir != "" {
+	ts, err = Run(w, cfg)
+	if err == nil {
 		if serr := storeTraceSet(dir, key, ts); serr != nil {
 			diskErrors.Add(1)
 		}
@@ -212,12 +162,6 @@ type CacheStats struct {
 	// trusted (stale format, corruption) plus failed writes; each such
 	// event fell back to re-simulation, never to a wrong answer.
 	DiskErrors uint64
-	// PeerHits counts containers fetched from the ring owner instead of
-	// re-simulated; PeerMisses counts fetch attempts the owner could not
-	// serve (locally owned keys, owner cold, owner down); PeerErrors
-	// counts transferred containers that failed validation. All stay
-	// zero outside cluster mode.
-	PeerHits, PeerMisses, PeerErrors uint64
 }
 
 // Stats reports both cache layers' counters.
@@ -228,9 +172,6 @@ func Stats() CacheStats {
 		DiskHits:   diskHits.Load(),
 		DiskMisses: diskMisses.Load(),
 		DiskErrors: diskErrors.Load(),
-		PeerHits:   peerHits.Load(),
-		PeerMisses: peerMisses.Load(),
-		PeerErrors: peerErrors.Load(),
 	}
 }
 
@@ -249,7 +190,4 @@ func ClearTraceCache() {
 	diskHits.Store(0)
 	diskMisses.Store(0)
 	diskErrors.Store(0)
-	peerHits.Store(0)
-	peerMisses.Store(0)
-	peerErrors.Store(0)
 }

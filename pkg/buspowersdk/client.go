@@ -21,8 +21,9 @@ import (
 	"time"
 )
 
-// Client talks to one buspower server (or one replica of a shard
-// group — replicas route internally, so any member works).
+// Client talks to one buspower server. Replicas are independent and
+// return identical bytes for the same request, so any replica, or a
+// load balancer in front of several, works.
 type Client struct {
 	base    string
 	httpc   *http.Client
