@@ -1,11 +1,13 @@
 package buspower
 
-// The benchmark harness regenerates every table and figure of the paper
-// (one Benchmark per artifact, each printing nothing but timing the full
-// regeneration at the quick scale), measures the ablations called out in
-// DESIGN.md §5 as custom metrics, and micro-benchmarks the hot paths.
+// These benchmarks regenerate every table and figure of the paper (one
+// Benchmark per artifact, each printing nothing but timing the full
+// regeneration at the quick scale), measure the ablations called out in
+// DESIGN.md §5 as custom metrics, and time a few encoders. The pipeline's
+// hot-path kernels are BenchmarkKernels in the packages they measure
+// (internal/bus, internal/coding, internal/cpu, internal/trace).
 //
-// Run everything:   go test -bench=. -benchmem
+// Run everything:   go test -bench=. -benchmem ./...
 // One artifact:     go test -bench=BenchmarkFig19
 // Full-scale data:  go run ./cmd/buspower -exp all -o results/
 
@@ -16,7 +18,6 @@ import (
 	"buspower/internal/bus"
 	"buspower/internal/circuit"
 	"buspower/internal/coding"
-	"buspower/internal/cpu"
 	"buspower/internal/experiments"
 	"buspower/internal/stats"
 	"buspower/internal/wire"
@@ -309,47 +310,6 @@ func BenchmarkAblationJohnsonCounter(b *testing.B) {
 
 // --- Micro-benchmarks of the hot paths ---
 
-func BenchmarkMeterRecord(b *testing.B) {
-	rng := stats.NewRNG(1)
-	vals := make([]bus.Word, 4096)
-	for i := range vals {
-		vals[i] = bus.Word(rng.Uint64())
-	}
-	m := bus.NewMeter(34)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Record(vals[i&4095])
-	}
-}
-
-func BenchmarkWindowEncode(b *testing.B) {
-	trace := hotTrace(4096)
-	win, err := coding.NewWindow(32, 8, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	enc := win.NewEncoder()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		enc.Encode(trace[i&4095])
-	}
-}
-
-func BenchmarkContextEncode(b *testing.B) {
-	trace := hotTrace(4096)
-	ctx, err := coding.NewContext(coding.ContextConfig{
-		Width: 32, TableSize: 28, ShiftEntries: 4, DividePeriod: 4096, Lambda: 1,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	enc := ctx.NewEncoder()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		enc.Encode(trace[i&4095])
-	}
-}
-
 func BenchmarkStrideEncode(b *testing.B) {
 	str, err := coding.NewStride(32, 8, 1)
 	if err != nil {
@@ -381,29 +341,6 @@ func BenchmarkInversionEncode(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		enc.Encode(vals[i&4095])
 	}
-}
-
-func BenchmarkSimulator(b *testing.B) {
-	w, err := workload.ByName("li")
-	if err != nil {
-		b.Fatal(err)
-	}
-	p, err := w.Program()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sim, err := cpu.NewSimulator(p, cpu.DefaultConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-		tr := sim.Run(100_000, 0)
-		if tr.Instructions == 0 {
-			b.Fatal("no instructions executed")
-		}
-	}
-	b.SetBytes(100_000) // report instruction throughput as MB/s ~ Minstr/s
 }
 
 func BenchmarkCAMMatch(b *testing.B) {

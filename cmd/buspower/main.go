@@ -9,7 +9,7 @@
 //	buspower -exp all -o results/ -jobs 8 -v
 //	buspower -exp all -trace-cache /tmp/traces
 //	buspower -exp all -verify full
-//	buspower bench -quick -out results/BENCH_PR9.json
+//	buspower -exp all -cpuprofile cpu.pprof -o /tmp/tsv
 //	buspower serve -addr :8080 -workers 8
 //	buspower eval -server http://localhost:8080 -scheme gray -random 10000
 //	buspower job -server http://localhost:8080 -suite table3,fig15 -watch
@@ -38,10 +38,10 @@
 // "off" disables the self-check. The printed tables are bit-identical
 // under every policy — only the failure-detection latitude changes.
 //
-// The bench subcommand runs the kernel micro-benchmarks and an
-// end-to-end quick regeneration, writing a JSON report comparable across
-// PRs (see "Profiling & benchmarking" in README.md). Both modes accept
-// -cpuprofile/-memprofile for pprof captures.
+// -cpuprofile/-memprofile write pprof captures of an experiment run.
+// Benchmarks live outside the binary: the kernel benchmarks run under
+// go test -bench, and perfbench/ times whole workloads (see "Profiling &
+// benchmarking" in README.md).
 //
 // The serve subcommand exposes the same memoized evaluation engine as an
 // HTTP JSON API (POST /v1/eval, plus /v1/schemes, /v1/workloads,
@@ -73,23 +73,26 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"sort"
+	"strings"
 	"time"
 
-	"buspower/internal/bench"
 	"buspower/internal/coding"
 	"buspower/internal/experiments"
 	"buspower/internal/report"
 	"buspower/internal/workload"
 )
 
+// subcommands maps each subcommand to its entry point; a command line
+// that does not start with one runs experiments.
+var subcommands = map[string]func([]string) error{
+	"serve":    runServe,
+	"eval":     runEval,
+	"job":      runJob,
+	"loadtest": runLoadtest,
+}
+
 func main() {
-	subcommands := map[string]func([]string) error{
-		"bench":    runBench,
-		"serve":    runServe,
-		"eval":     runEval,
-		"job":      runJob,
-		"loadtest": runLoadtest,
-	}
 	if len(os.Args) > 1 {
 		if sub, ok := subcommands[os.Args[1]]; ok {
 			if err := sub(os.Args[2:]); err != nil {
@@ -105,117 +108,19 @@ func main() {
 	}
 }
 
-// profileFlags registers -cpuprofile/-memprofile on fs and returns a
-// start function whose returned stop function finishes both captures.
-func profileFlags(fs *flag.FlagSet) func() (stop func() error, err error) {
-	cpu := fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
-	mem := fs.String("memprofile", "", "write a pprof heap profile to this file")
-	return func() (func() error, error) {
-		var cpuFile *os.File
-		if *cpu != "" {
-			f, err := os.Create(*cpu)
-			if err != nil {
-				return nil, err
-			}
-			if err := pprof.StartCPUProfile(f); err != nil {
-				f.Close()
-				return nil, err
-			}
-			cpuFile = f
-		}
-		memPath := *mem
-		return func() error {
-			if cpuFile != nil {
-				pprof.StopCPUProfile()
-				if err := cpuFile.Close(); err != nil {
-					return err
-				}
-			}
-			if memPath != "" {
-				f, err := os.Create(memPath)
-				if err != nil {
-					return err
-				}
-				defer f.Close()
-				runtime.GC()
-				if err := pprof.WriteHeapProfile(f); err != nil {
-					return err
-				}
-			}
-			return nil
-		}, nil
-	}
-}
-
-// runBench implements the `buspower bench` subcommand.
-func runBench(args []string) error {
-	fs := flag.NewFlagSet("bench", flag.ContinueOnError)
-	var (
-		quick     = fs.Bool("quick", false, "short per-kernel benchmark budget (CI smoke); skips the full-scale e2e phase")
-		skipE2E   = fs.Bool("skip-e2e", false, "skip the end-to-end -exp all -quick timing")
-		out       = fs.String("out", "results/BENCH_PR9.json", "write the JSON report to this file ('-' for stdout)")
-		baseline  = fs.String("baseline", "", "previous report to embed baseline numbers and speedups from")
-		note      = fs.String("note", "", "free-form context recorded in the report (machine caveats, why the run was taken)")
-		benchtime = fs.Duration("benchtime", 0, "per-kernel time budget (0 = 500ms, or 30ms with -quick)")
-		minRatio  = fs.Float64("min-throughput-ratio", 0, "fail unless suite throughput ÷ baseline throughput ≥ this (requires -baseline; 0 disables)")
-		quiet     = fs.Bool("q", false, "suppress per-kernel progress on stderr")
-	)
-	startProfiles := profileFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	opts := bench.Options{Quick: *quick, SkipE2E: *skipE2E, BenchTime: *benchtime, Note: *note}
-	if *baseline != "" {
-		base, err := bench.Load(*baseline)
-		if err != nil {
-			return err
-		}
-		opts.Baseline = base
-	}
-	if !*quiet {
-		opts.Progress = func(line string) { fmt.Fprintln(os.Stderr, line) }
-	}
-	stopProfiles, err := startProfiles()
-	if err != nil {
-		return err
-	}
-	rep, err := bench.Run(opts)
-	if err != nil {
-		return err
-	}
-	if err := stopProfiles(); err != nil {
-		return err
-	}
-	if *minRatio > 0 {
-		if rep.E2E == nil || rep.E2E.ThroughputRatio == 0 {
-			return fmt.Errorf("bench: -min-throughput-ratio needs a -baseline report with suite throughput and an e2e phase")
-		}
-		if rep.E2E.ThroughputRatio < *minRatio {
-			return fmt.Errorf("bench: suite throughput regressed: %.1f Mcycles/s is %.2fx baseline (%.1f), below the %.2f floor",
-				rep.E2E.WarmMCyclesPerSec, rep.E2E.ThroughputRatio, rep.E2E.BaselineWarmMCyclesPerSec, *minRatio)
-		}
-		if !*quiet {
-			fmt.Fprintf(os.Stderr, "throughput gate: %.2fx baseline (floor %.2f) ok\n", rep.E2E.ThroughputRatio, *minRatio)
-		}
-	}
-	if *out == "-" {
-		data, err := rep.MarshalIndent()
-		if err != nil {
-			return err
-		}
-		fmt.Println(string(data))
+// checkNoArgs rejects positional arguments left after flag parsing: the
+// experiment runner takes none, so a stray word is a typo or a
+// subcommand that does not exist.
+func checkNoArgs(args []string) error {
+	if len(args) == 0 {
 		return nil
 	}
-	if dir := filepath.Dir(*out); dir != "." && dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return err
-		}
+	names := make([]string, 0, len(subcommands))
+	for name := range subcommands {
+		names = append(names, name)
 	}
-	if err := rep.WriteFile(*out); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s\n", *out)
-	return nil
+	sort.Strings(names)
+	return fmt.Errorf("unexpected argument %q (subcommands: %s)", args[0], strings.Join(names, ", "))
 }
 
 func run() error {
@@ -232,18 +137,44 @@ func run() error {
 		reportOut = flag.String("report", "", "write a Markdown self-check report (paper vs measured) to this file ('-' for stdout)")
 		cacheDir  = flag.String("trace-cache", "", "persistent trace cache directory (default: the per-user cache dir)")
 		noDisk    = flag.Bool("no-disk-cache", false, "disable the persistent trace cache for this run")
+		cpuProf   = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
+		memProf   = flag.String("memprofile", "", "write a pprof heap profile to this file")
 	)
-	startProfiles := profileFlags(flag.CommandLine)
 	flag.Parse()
-	stopProfiles, err := startProfiles()
-	if err != nil {
+	if err := checkNoArgs(flag.Args()); err != nil {
 		return err
 	}
-	defer func() {
-		if err := stopProfiles(); err != nil {
-			fmt.Fprintln(os.Stderr, "buspower: profile:", err)
+	if *cpuProf != "" {
+		f, err := os.Create(*cpuProf)
+		if err != nil {
+			return err
 		}
-	}()
+		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close()
+			return err
+		}
+		defer func() {
+			pprof.StopCPUProfile()
+			if err := f.Close(); err != nil {
+				fmt.Fprintln(os.Stderr, "buspower: profile:", err)
+			}
+		}()
+	}
+	if *memProf != "" {
+		defer func() {
+			f, err := os.Create(*memProf)
+			if err == nil {
+				runtime.GC()
+				err = pprof.WriteHeapProfile(f)
+				if cerr := f.Close(); err == nil {
+					err = cerr
+				}
+			}
+			if err != nil {
+				fmt.Fprintln(os.Stderr, "buspower: profile:", err)
+			}
+		}()
+	}
 
 	// The persistent trace cache is on by default: simulation output is
 	// deterministic in its content-addressed key, so reuse is always

@@ -22,6 +22,8 @@
 //
 // Executables: cmd/buspower (reproduce any table/figure), cmd/tracegen
 // (extract bus traces), cmd/transcode (apply a scheme to a trace). Worked
-// examples live under examples/. The benchmark harness in bench_test.go
-// regenerates every artifact under `go test -bench`.
+// examples live under examples/. bench_test.go regenerates every
+// artifact under `go test -bench`; each pipeline package carries its
+// hot-path kernels as BenchmarkKernels, and perfbench/ (a module of its
+// own) times whole workloads end to end.
 package buspower

@@ -43,14 +43,14 @@ type GridCell struct {
 
 // evaluatedCycles counts (trace cycle × grid cell) units delivered by
 // Evaluate/EvaluateGrid process-wide. Grouped passes deliver more cycles
-// than they execute — that efficiency is exactly what the bench suite's
-// throughput line measures.
+// than they execute; perfbench's coding.useful_ratio reads that
+// efficiency off this counter.
 var evaluatedCycles atomic.Uint64
 
 // EvaluatedCycles returns the process-wide count of evaluation cycles
 // delivered: one unit per trace cycle per evaluated grid cell (a plain
-// Evaluate counts as a one-cell grid). The bench harness differences
-// this around a suite pass to report suite-level throughput.
+// Evaluate counts as a one-cell grid). perfbench differences this
+// around a suite pass to report suite-level throughput.
 func EvaluatedCycles() uint64 { return evaluatedCycles.Load() }
 
 // GridOptions customizes a grid evaluation's shared inputs.

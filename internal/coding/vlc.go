@@ -201,16 +201,11 @@ func DecodeVLC(cfg VLCConfig, beats []bus.Word, values int) ([]uint64, error) {
 }
 
 // EvaluateVLC encodes the trace, verifies exact reconstruction, and meters
-// both the raw bus and the variable-length bus.
-func EvaluateVLC(cfg VLCConfig, trace []uint64, lambda float64) (VLCResult, error) {
-	return EvaluateVLCShared(cfg, trace, lambda, nil)
-}
-
-// EvaluateVLCShared is EvaluateVLC with an optional pre-measured raw-bus
-// meter (as from MeasureRawValues at cfg.Width), so sweeps that evaluate
-// several coders over one trace measure the raw bus once. Passing nil
-// measures it here.
-func EvaluateVLCShared(cfg VLCConfig, trace []uint64, lambda float64, raw *bus.Meter) (VLCResult, error) {
+// both the raw bus and the variable-length bus. raw is an optional
+// pre-measured raw-bus meter (as from MeasureRawValues at cfg.Width), so
+// sweeps that evaluate several coders over one trace measure the raw bus
+// once; nil measures it here.
+func EvaluateVLC(cfg VLCConfig, trace []uint64, lambda float64, raw *bus.Meter) (VLCResult, error) {
 	beats, err := EncodeVLC(cfg, trace)
 	if err != nil {
 		return VLCResult{}, err

@@ -35,7 +35,7 @@ func TestVLCRoundTripTraffic(t *testing.T) {
 	traces["one"] = []uint64{42}
 	traces["seven"] = []uint64{1, 2, 3, 4, 5, 6, 7} // partial final beat
 	for name, tr := range traces {
-		if _, err := EvaluateVLC(vlcCfg(), tr, 1); err != nil {
+		if _, err := EvaluateVLC(vlcCfg(), tr, 1, nil); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
 	}
@@ -48,7 +48,7 @@ func TestVLCQuick(t *testing.T) {
 		for i, v := range raw {
 			trace[i] = uint64(v)
 		}
-		_, err := EvaluateVLC(cfg, trace, 1)
+		_, err := EvaluateVLC(cfg, trace, 1, nil)
 		return err == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
@@ -63,7 +63,7 @@ func TestVLCCompressesHitsInTime(t *testing.T) {
 	for i := range trace {
 		trace[i] = 0xCAFE
 	}
-	res, err := EvaluateVLC(vlcCfg(), trace, 1)
+	res, err := EvaluateVLC(vlcCfg(), trace, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestVLCExpandsRandomTraffic(t *testing.T) {
 	for i := range trace {
 		trace[i] = rng.Uint64() & 0xFFFFFFFF
 	}
-	res, err := EvaluateVLC(vlcCfg(), trace, 1)
+	res, err := EvaluateVLC(vlcCfg(), trace, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestVLCTradeoffOnPredictableTraffic(t *testing.T) {
 			trace[i] = hot[rng.Intn(len(hot))]
 		}
 	}
-	vlc, err := EvaluateVLC(VLCConfig{Width: 32, Entries: 14, Lambda: 1}, trace, 1)
+	vlc, err := EvaluateVLC(VLCConfig{Width: 32, Entries: 14, Lambda: 1}, trace, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

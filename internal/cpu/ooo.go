@@ -176,9 +176,10 @@ func (r *slotRing) reserve(from uint64, cap int32) uint64 {
 // bandwidth and structural constraints — the same functional-first
 // organization the paper built its bus timing generators on.
 //
-// This is the optimized implementation; ReferenceSimulator (kept in
-// ooo_reference.go) is the map-based original, and the golden differential
-// test requires both to produce byte-identical BusTraces.
+// This is the optimized implementation; ReferenceSimulator (a test-only
+// oracle in ooo_reference_test.go) is the map-based original, and the
+// golden differential test requires both to produce byte-identical
+// BusTraces.
 type Simulator struct {
 	cfg  Config
 	core *Core

@@ -80,6 +80,41 @@ func TestRunAllMatchesSerial(t *testing.T) {
 	}
 }
 
+// A second full pass in one process must be served from the eval memo:
+// no new misses, some hits, and tables byte-identical to the first pass.
+// Zero hits here would mean the memo is broken and every warm timing of
+// a rerun measures recomputation.
+func TestRunAllSecondPassHitsMemo(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every experiment twice")
+	}
+	ids, err := ResolveIDs("all")
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := RunAll(context.Background(), quickCfg, ids, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := EvalMemoStats()
+	second, err := RunAll(context.Background(), quickCfg, ids, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := EvalMemoStats()
+	if after.Misses != before.Misses {
+		t.Errorf("second pass added %d eval-memo misses, want 0", after.Misses-before.Misses)
+	}
+	if after.Hits == before.Hits {
+		t.Error("second pass recorded no eval-memo hits")
+	}
+	for i, id := range ids {
+		if got, want := second[i].TSV(), first[i].TSV(); got != want {
+			t.Errorf("%s: second pass differs from first:\n--- second ---\n%s--- first ---\n%s", id, got, want)
+		}
+	}
+}
+
 func TestRunAllValidatesUpFront(t *testing.T) {
 	// An unknown id anywhere in the list must fail before any experiment
 	// runs — observable through the trace-cache counters.

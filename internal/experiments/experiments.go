@@ -1,8 +1,8 @@
 // Package experiments reproduces every table and figure of the paper's
 // evaluation. Each runner is a pure function of its Config, returning a
 // Table whose rows/series correspond to what the paper plots; cmd/buspower
-// prints them as TSV and the bench harness regenerates them under
-// go test -bench.
+// prints them as TSV, and the root package's benchmarks regenerate them
+// under go test -bench.
 package experiments
 
 import (

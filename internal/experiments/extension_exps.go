@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"buspower/internal/circuit"
 	"buspower/internal/coding"
 	"buspower/internal/energy"
@@ -192,17 +190,8 @@ func runExtVLC(cfg Config) (*Table, error) {
 		if err != nil {
 			return err
 		}
-		// The VLC evaluator has its own entry point (no Transcoder), so its
-		// memo key carries a hand-built config string.
 		vlcCfg := coding.VLCConfig{Width: busWidth, Entries: 14, Lambda: evalLambda}
-		vlcKey := resultKey{
-			config: fmt.Sprintf("vlc-%d/w%d/l%g", vlcCfg.Entries, vlcCfg.Width, vlcCfg.Lambda),
-			trace:  workloadTraceID(name, "reg", cfg),
-			verify: cfg.Verify.String(),
-		}
-		vlc, err := vlcMemo.Do(vlcKey, func() (coding.VLCResult, error) {
-			return coding.EvaluateVLCShared(vlcCfg, tr, evalLambda, raw)
-		})
+		vlc, err := coding.EvaluateVLC(vlcCfg, tr, evalLambda, raw)
 		if err != nil {
 			return err
 		}

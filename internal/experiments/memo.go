@@ -199,8 +199,8 @@ func (c *sfMemo[K, V]) Stats() MemoStats {
 }
 
 // Reset drops every completed entry and zeroes the counters, returning
-// the memo to its cold state (for tests and the bench harness's memo-cold
-// phases). In-flight entries are kept so their waiters still coalesce.
+// the memo to its cold state (for tests and benchmark passes that must
+// start cold). In-flight entries are kept so their waiters still coalesce.
 func (c *sfMemo[K, V]) Reset() {
 	c.mu.Lock()
 	defer c.mu.Unlock()

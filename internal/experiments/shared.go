@@ -101,11 +101,6 @@ type resultKey struct {
 // meter plus counters, well under 1 KiB).
 var resultMemo = newSFMemo[resultKey, coding.Result](2048)
 
-// vlcMemo is the variable-length-coding counterpart: VLC evaluations
-// return their own result type (beat-accurate), so they get a small memo
-// of their own on the same machinery.
-var vlcMemo = newSFMemo[resultKey, coding.VLCResult](64)
-
 // The stateless grid cells (raw, Gray, spatial) meter on a bit-sliced
 // transposition of the trace. The transposition depends only on
 // (trace identity, width) — content-addressed exactly like the trace
@@ -184,13 +179,12 @@ func RawMeterMemoStats() MemoStats { return rawMeterMemo.Stats() }
 // SlicedCacheStats reports the sliced-plane cache's counters.
 func SlicedCacheStats() MemoStats { return slicedMemo.Stats() }
 
-// ClearEvalMemo returns the evaluation-result memos (fixed-length and
-// VLC), the sliced-plane cache and the stride-tape memo to their cold
-// state (the bench harness's memo-cold phase; raw-meter and trace caches
-// are governed separately).
+// ClearEvalMemo returns the evaluation-result memo, the sliced-plane
+// cache and the stride-tape memo to their cold state (tests and
+// perfbench's passes; raw-meter and trace caches are governed
+// separately).
 func ClearEvalMemo() {
 	resultMemo.Reset()
-	vlcMemo.Reset()
 	slicedMemo.Reset()
 	tapeMemo.Reset()
 }
