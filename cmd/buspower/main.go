@@ -276,8 +276,6 @@ func run() error {
 		fmt.Fprintf(os.Stderr, "eval memo: %d hits / %d misses, %d evictions, %d entries", m.Hits, m.Misses, m.Evictions, m.Size)
 		r := experiments.RawMeterMemoStats()
 		fmt.Fprintf(os.Stderr, "; raw meters: %d hits / %d misses\n", r.Hits, r.Misses)
-		sl := experiments.SlicedCacheStats()
-		fmt.Fprintf(os.Stderr, "sliced planes: %d hits / %d misses, %d entries\n", sl.Hits, sl.Misses, sl.Size)
 	}
 	if err != nil {
 		return err

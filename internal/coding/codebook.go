@@ -1,8 +1,9 @@
 package coding
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"buspower/internal/bus"
 )
@@ -67,11 +68,11 @@ func NewCodebook(width, n int, lambda float64) (*Codebook, error) {
 			}
 		}
 	}
-	sort.SliceStable(cands, func(a, b int) bool {
-		if cands[a].cost != cands[b].cost {
-			return cands[a].cost < cands[b].cost
+	slices.SortStableFunc(cands, func(a, b cand) int {
+		if a.cost != b.cost {
+			return cmp.Compare(a.cost, b.cost)
 		}
-		return cands[a].w < cands[b].w
+		return cmp.Compare(a.w, b.w)
 	})
 
 	cb := &Codebook{

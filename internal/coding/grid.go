@@ -55,13 +55,6 @@ func EvaluatedCycles() uint64 { return evaluatedCycles.Load() }
 
 // GridOptions customizes a grid evaluation's shared inputs.
 type GridOptions struct {
-	// Sliced, when non-nil, supplies the bit-sliced transposition of
-	// the trace at the given width — exactly what
-	// bus.NewSlicedTrace(width, trace) would build. Callers holding a
-	// transposition cache (the experiments layer's sliced-plane memo)
-	// plug it in here so repeated grids over the same named trace stop
-	// re-transposing it; a nil return falls back to building one.
-	Sliced func(width int) *bus.SlicedTrace
 	// Tapes, when non-nil, supplies a stride prediction tape of the
 	// trace at the given width, at least k strides deep — what
 	// NewStrideTape(width, k, trace) would build, or any deeper tape of
@@ -125,20 +118,14 @@ func EvaluateGrid(cells []GridCell, trace []uint64, raw *bus.Meter, verify Verif
 
 	var sliced map[int]*bus.SlicedTrace
 	slicedFor := func(width int) *bus.SlicedTrace {
-		if s := sliced[width]; s != nil {
-			return s
-		}
-		if sliced == nil {
-			sliced = make(map[int]*bus.SlicedTrace, 1)
-		}
-		var s *bus.SlicedTrace
-		if opts.Sliced != nil {
-			s = opts.Sliced(width)
-		}
+		s := sliced[width]
 		if s == nil {
+			if sliced == nil {
+				sliced = make(map[int]*bus.SlicedTrace, 1)
+			}
 			s = bus.NewSlicedTrace(width, trace)
+			sliced[width] = s
 		}
-		sliced[width] = s
 		return s
 	}
 

@@ -189,51 +189,6 @@ func TestEvaluatedCyclesCountsCells(t *testing.T) {
 	}
 }
 
-// TestGridSlicedProvider: a caller-supplied transposition is used as-is
-// (no rebuild), and a provider returning nil falls back to building one.
-func TestGridSlicedProvider(t *testing.T) {
-	const width = 12
-	trace := gridTestTrace(width, 700, 5)
-	g, err := NewGray(width)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cells := []GridCell{{T: NewRaw(width), Lambda: 1}, {T: g, Lambda: 1}}
-	want, err := EvaluateGrid(cells, trace, nil, VerifyOff, GridOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pre := bus.NewSlicedTrace(width, trace)
-	calls := 0
-	got, err := EvaluateGrid(cells, trace, nil, VerifyOff, GridOptions{
-		Sliced: func(w int) *bus.SlicedTrace {
-			calls++
-			if w != width {
-				t.Fatalf("provider asked for width %d, want %d", w, width)
-			}
-			return pre
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls != 1 {
-		t.Errorf("provider called %d times, want 1 (raw and gray share the transposition)", calls)
-	}
-	for i, c := range cells {
-		compareGridResult(t, c.T.Name(), want[i], got[i])
-	}
-	got, err = EvaluateGrid(cells, trace, nil, VerifyOff, GridOptions{
-		Sliced: func(int) *bus.SlicedTrace { return nil },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, c := range cells {
-		compareGridResult(t, "nil-provider/"+c.T.Name(), want[i], got[i])
-	}
-}
-
 // TestGridTapeProvider: stride cells replay a caller-supplied tape —
 // including one deeper than any bank in the grid, which is what a tape
 // memo hands back after serving a deeper request — with results

@@ -590,12 +590,14 @@ func (s *Simulator) collect(executed uint64, maxBusValues int) BusTraces {
 			scratch = make([]busEvent, len(ev))
 		}
 		radixSortByCycle(ev, scratch[:len(ev)])
+		// Size the output to the kept prefix: traces stay resident in the
+		// trace cache, so a truncated tail must not pin the full buffer.
+		if maxBusValues > 0 && len(ev) > maxBusValues {
+			ev = ev[:maxBusValues]
+		}
 		out := make([]uint64, len(ev))
 		for i, e := range ev {
 			out[i] = uint64(e.value)
-		}
-		if maxBusValues > 0 && len(out) > maxBusValues {
-			out = out[:maxBusValues]
 		}
 		return out
 	}

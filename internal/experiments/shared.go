@@ -101,30 +101,21 @@ type resultKey struct {
 // meter plus counters, well under 1 KiB).
 var resultMemo = newSFMemo[resultKey, coding.Result](2048)
 
-// The stateless grid cells (raw, Gray, spatial) meter on a bit-sliced
-// transposition of the trace. The transposition depends only on
-// (trace identity, width) — content-addressed exactly like the trace
-// cache — so grid calls, serve requests and jobs share one build per
-// named trace instead of re-transposing it every EvaluateGrid call.
-// An entry is ~n/8 bytes per wire (≈0.5 MB for a 120k-cycle 32-wire
-// trace); 32 entries bound the cache well under the trace cache's own
-// footprint.
+// Stride cells replay a coding.StrideTape, which depends only on
+// (trace identity, width), content-addressed exactly like the trace
+// cache: a tape of depth D serves every bank of depth ≤ D. Each entry
+// holds the deepest tape built so far for its trace; a request deeper
+// than that deepens it to max(k, 2·depth) (Deepen caps the depth), so
+// banks arriving in random depth order deepen O(log K) times per trace,
+// and each deepening probes the new strides only on the cycles still
+// raw. The slot's lock makes concurrent requests for one trace wait for
+// a single build. An entry is one byte per cycle (≈0.1 MB for a
+// 120k-cycle trace).
 type derivedKey struct {
 	trace traceID
 	width int
 }
 
-var slicedMemo = newSFMemo[derivedKey, *bus.SlicedTrace](32)
-
-// Stride cells replay a coding.StrideTape, which likewise depends only
-// on (trace identity, width): a tape of depth D serves every bank of
-// depth ≤ D. Each entry holds the deepest tape built so far for its
-// trace; a request deeper than that deepens it to max(k, 2·depth)
-// (Deepen caps the depth), so banks arriving in random depth order
-// deepen O(log K) times per trace, and each deepening probes the new
-// strides only on the cycles still raw. The slot's lock makes
-// concurrent requests for one trace wait for a single build. An entry
-// is one byte per cycle (≈0.1 MB for a 120k-cycle trace).
 type tapeSlot struct {
 	mu   sync.Mutex
 	tape *coding.StrideTape
@@ -132,25 +123,15 @@ type tapeSlot struct {
 
 var tapeMemo = newSFMemo[derivedKey, *tapeSlot](64)
 
-// gridOptionsFor plugs the sliced-plane and stride-tape memos into a
-// grid evaluation of one trace. Inline request traces get neither:
-// caching their derived data would keep up to MaxRequestValues-sized
-// planes and tapes alive per submitted trace, where named and random
+// gridOptionsFor plugs the stride-tape memo into a grid evaluation of
+// one trace. Inline request traces do not get it: caching their tapes
+// would keep one per submitted trace alive, where named and random
 // traces are a small, already-cached set.
 func gridOptionsFor(id traceID, tr []uint64) coding.GridOptions {
 	if strings.HasPrefix(id.source, inlineSourcePrefix) {
 		return coding.GridOptions{}
 	}
 	return coding.GridOptions{
-		Sliced: func(width int) *bus.SlicedTrace {
-			s, err := slicedMemo.Do(derivedKey{trace: id, width: width}, func() (*bus.SlicedTrace, error) {
-				return bus.NewSlicedTrace(width, tr), nil
-			})
-			if err != nil {
-				return nil
-			}
-			return s
-		},
 		Tapes: func(width, k int) *coding.StrideTape {
 			slot, err := tapeMemo.Do(derivedKey{trace: id, width: width}, func() (*tapeSlot, error) {
 				return &tapeSlot{}, nil
@@ -176,16 +157,17 @@ func EvalMemoStats() MemoStats { return resultMemo.Stats() }
 // RawMeterMemoStats reports the shared raw-bus meter memo's counters.
 func RawMeterMemoStats() MemoStats { return rawMeterMemo.Stats() }
 
-// SlicedCacheStats reports the sliced-plane cache's counters.
-func SlicedCacheStats() MemoStats { return slicedMemo.Stats() }
+// SlicedCacheStats always reports zero counters. The sliced-plane
+// cache it once described is gone: every grid call builds its own
+// transposition, which a full -exp all never reused across calls. It is
+// kept only because the benchmark harness still reads it.
+func SlicedCacheStats() MemoStats { return MemoStats{} }
 
-// ClearEvalMemo returns the evaluation-result memo, the sliced-plane
-// cache and the stride-tape memo to their cold state (tests and
-// perfbench's passes; raw-meter and trace caches are governed
-// separately).
+// ClearEvalMemo returns the evaluation-result memo and the stride-tape
+// memo to their cold state (tests and perfbench's passes; raw-meter and
+// trace caches are governed separately).
 func ClearEvalMemo() {
 	resultMemo.Reset()
-	slicedMemo.Reset()
 	tapeMemo.Reset()
 }
 

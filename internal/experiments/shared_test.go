@@ -349,7 +349,7 @@ func TestTapeMemoGrowsGeometrically(t *testing.T) {
 	}
 
 	inline := traceID{source: inlineSourcePrefix + "abc/w32", n: len(tr)}
-	if opts := gridOptionsFor(inline, tr); opts.Tapes != nil || opts.Sliced != nil {
-		t.Error("inline traces must not populate the derived-data memos")
+	if opts := gridOptionsFor(inline, tr); opts.Tapes != nil {
+		t.Error("inline traces must not populate the stride-tape memo")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -196,6 +197,16 @@ func TestHealthzAndDrainingFlag(t *testing.T) {
 	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
 	if rec.Code != http.StatusServiceUnavailable || !strings.Contains(rec.Body.String(), `"draining"`) {
 		t.Fatalf("draining healthz: %d %s", rec.Code, rec.Body.String())
+	}
+}
+
+// TestNilLoggerDisabled: a server built without a Logger discards logs by
+// disabling every level, so access-log lines are never formatted.
+func TestNilLoggerDisabled(t *testing.T) {
+	srv := testServer(t, Options{})
+	defer srv.Close()
+	if srv.log.Enabled(context.Background(), slog.LevelError) {
+		t.Fatal("nil-Logger server's logger is enabled at error level")
 	}
 }
 

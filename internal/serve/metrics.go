@@ -186,11 +186,6 @@ func (m *metrics) render(w http.ResponseWriter, s *Server) {
 	gauge("buspower_raw_meter_memo_hits", "Shared raw-bus meter memo hits.", rs.Hits)
 	gauge("buspower_raw_meter_memo_misses", "Shared raw-bus meter memo misses.", rs.Misses)
 
-	sl := experiments.SlicedCacheStats()
-	gauge("buspower_sliced_plane_cache_hits", "Sliced-plane (bit-transposed trace) cache hits.", sl.Hits)
-	gauge("buspower_sliced_plane_cache_misses", "Sliced-plane cache misses (transpositions built).", sl.Misses)
-	gauge("buspower_sliced_plane_cache_entries", "Sliced-plane cache current entries.", sl.Size)
-
 	// Async job engine: lifecycle census, worker-pool saturation and
 	// journal health. Items-completed is the throughput counter — its
 	// rate() is items/s.

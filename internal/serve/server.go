@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"log/slog"
+	"math"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -107,7 +108,9 @@ func NewServer(opts Options) *Server {
 	}
 	log := opts.Logger
 	if log == nil {
-		log = slog.New(slog.NewTextHandler(io.Discard, nil))
+		// Disabled at every level, so call sites skip formatting entirely
+		// rather than rendering each access-log line into io.Discard.
+		log = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.Level(math.MaxInt)}))
 	}
 	// The job store follows the trace-cache discipline for an unusable
 	// directory: degrade to memory-only with a warning instead of failing

@@ -109,26 +109,24 @@ func readUint64Block(r io.Reader, vals []uint64, buf []byte) error {
 	return nil
 }
 
-// readUint64Progressive decodes count values, growing the result one block
-// at a time so a corrupt header announcing an absurd count costs only the
-// bytes actually present in the stream, not an upfront 8*count allocation.
+// readUint64Progressive decodes count values, growing the result by
+// capped doubling — to min(count, max(2·cap, len+block)) — so a valid
+// section ends with cap == count (decoded traces stay resident for the
+// life of the process), while a corrupt header announcing an absurd count
+// costs about twice the bytes actually present in the stream, not an
+// upfront 8*count allocation.
 func readUint64Progressive(r io.Reader, count uint64, buf []byte) ([]uint64, error) {
-	capHint := count
-	if capHint > blockWords {
-		capHint = blockWords
-	}
-	vals := make([]uint64, 0, capHint)
-	for uint64(len(vals)) < count {
-		n := count - uint64(len(vals))
-		if n > blockWords {
-			n = blockWords
+	vals := make([]uint64, 0, min(count, blockWords))
+	for n := uint64(0); n < count; n = uint64(len(vals)) {
+		if n == uint64(cap(vals)) {
+			grown := make([]uint64, n, min(count, max(2*n, n+blockWords)))
+			copy(grown, vals)
+			vals = grown
 		}
-		if _, err := io.ReadFull(r, buf[:n*8]); err != nil {
+		if err := readUint64Block(r, vals[n:cap(vals)], buf); err != nil {
 			return nil, err
 		}
-		for i := uint64(0); i < n; i++ {
-			vals = append(vals, binary.LittleEndian.Uint64(buf[i*8:]))
-		}
+		vals = vals[:cap(vals)]
 	}
 	return vals, nil
 }

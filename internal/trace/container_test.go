@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"runtime"
 	"testing"
 
 	"buspower/internal/stats"
@@ -65,9 +66,13 @@ func TestContainerRoundTripProperty(t *testing.T) {
 	}
 }
 
+// TestContainerRoundTripBlockBoundary round-trips sections around the
+// block size and at the experiments' full trace length, and requires each
+// decoded section to be exactly as long as its data: decoded traces stay
+// resident in the trace cache, so spare capacity is memory held for
+// nothing.
 func TestContainerRoundTripBlockBoundary(t *testing.T) {
-	// Exactly the block size, one less, one more.
-	for _, n := range []int{blockWords - 1, blockWords, blockWords + 1, 0} {
+	for _, n := range []int{0, 1, blockWords - 1, blockWords, blockWords + 1, 120_000} {
 		vals := make([]uint64, n)
 		for i := range vals {
 			vals[i] = uint64(i) * 0x9E3779B97F4A7C15
@@ -81,11 +86,51 @@ func TestContainerRoundTripBlockBoundary(t *testing.T) {
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
+		dec := got.Sections[0].Values
+		if len(dec) != n || cap(dec) != n {
+			t.Fatalf("n=%d: decoded len %d cap %d, want both %d", n, len(dec), cap(dec), n)
+		}
 		for i, v := range vals {
-			if got.Sections[0].Values[i] != v {
+			if dec[i] != v {
 				t.Fatalf("n=%d: value %d differs", n, i)
 			}
 		}
+	}
+}
+
+// TestContainerLyingCountCostsPresentBytes: a header announcing
+// maxContainerValues values but followed by a single block must fail as a
+// format error after allocating a few blocks' worth, never 8×count bytes.
+func TestContainerLyingCountCostsPresentBytes(t *testing.T) {
+	var buf bytes.Buffer
+	buf.Write(containerMagic[:])
+	var u16 [2]byte
+	var u32 [4]byte
+	var u64 [8]byte
+	buf.Write(u16[:]) // name len 0
+	buf.Write(u32[:]) // meta len 0
+	binary.LittleEndian.PutUint16(u16[:], 1)
+	buf.Write(u16[:]) // one section
+	binary.LittleEndian.PutUint16(u16[:], 3)
+	buf.Write(u16[:])
+	buf.WriteString("reg")
+	binary.LittleEndian.PutUint16(u16[:], 32)
+	buf.Write(u16[:])
+	binary.LittleEndian.PutUint64(u64[:], maxContainerValues)
+	buf.Write(u64[:])
+	buf.Write(make([]byte, blockWords*8)) // one block of values, then EOF
+	data := buf.Bytes()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadContainer(bytes.NewReader(data))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrContainerFormat) {
+		t.Fatalf("short section accepted: %v", err)
+	}
+	const blockBytes = blockWords * 8
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 8*blockBytes {
+		t.Fatalf("decoding one present block allocated %d bytes, want at most %d", grew, 8*blockBytes)
 	}
 }
 

@@ -129,6 +129,56 @@ func TestDiskCacheCorruptFileFallsBack(t *testing.T) {
 	}
 }
 
+// TestDiskCacheWriteFailureFallsBack injects a fault into the cache write:
+// a non-empty directory at the entry's path makes storeTraceSet's rename
+// fail. The caller must still get the simulated traces, the failure must
+// be counted, no temp file may be left behind, and a later call must
+// simulate again instead of reading anything partial.
+func TestDiskCacheWriteFailureFallsBack(t *testing.T) {
+	dir := withTraceCacheDir(t)
+	if _, err := SetTraceCacheDir(""); err != nil {
+		t.Fatal(err)
+	}
+	want, err := Traces("li", diskTestCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := SetTraceCacheDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	w, err := ByName("li")
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := traceCachePath(dir, traceCacheKey(w, cpu.DefaultConfig(), diskTestCfg))
+	if err := os.MkdirAll(filepath.Join(path, "blocker"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+
+	for pass := 1; pass <= 2; pass++ {
+		ClearTraceCache()
+		got, err := Traces("li", diskTestCfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("pass %d: traces differ from a run without the disk cache", pass)
+		}
+		// The blocked entry can be neither read nor replaced: one error
+		// for the unreadable entry, one for the failed write.
+		if s := Stats(); s.MemMisses != 1 || s.DiskHits != 0 || s.DiskMisses != 1 || s.DiskErrors != 2 {
+			t.Fatalf("pass %d: %+v, want one disk miss with a read and a write error", pass, s)
+		}
+		tmps, err := filepath.Glob(filepath.Join(dir, "*.tmp-*"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(tmps) != 0 {
+			t.Fatalf("pass %d: temp files left behind: %v", pass, tmps)
+		}
+	}
+}
+
 func TestDiskCacheStaleVersionIgnored(t *testing.T) {
 	dir := withTraceCacheDir(t)
 	if _, err := Traces("li", diskTestCfg); err != nil {

@@ -118,6 +118,34 @@ func TestTraceCaching(t *testing.T) {
 	ClearTraceCache()
 }
 
+// TestTraceSetExactSize: a simulated TraceSet under a bus-value cap keeps
+// no spare capacity on any bus. Traces stay resident in the trace cache
+// for the life of the process, so a buffer sized for every buffered
+// event (fpppp's register bus buffers more than three times the cap)
+// would pin memory that no reader can reach.
+func TestTraceSetExactSize(t *testing.T) {
+	w, err := ByName("fpppp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultRunConfig()
+	ts, err := Run(w, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range []struct {
+		name string
+		vals []uint64
+	}{{"reg", ts.Reg}, {"mem", ts.Mem}, {"addr", ts.Addr}} {
+		if len(b.vals) > cfg.MaxBusValues {
+			t.Errorf("%s: %d values exceed the cap %d", b.name, len(b.vals), cfg.MaxBusValues)
+		}
+		if cap(b.vals) != len(b.vals) {
+			t.Errorf("%s: len %d cap %d, want cap == len", b.name, len(b.vals), cap(b.vals))
+		}
+	}
+}
+
 func TestRandomTraceDeterministic(t *testing.T) {
 	a := RandomTrace(100, 7)
 	b := RandomTrace(100, 7)
