@@ -14,7 +14,6 @@ func BenchmarkKernels(b *testing.B) {
 	b.Run("Meter.Record/dense-32", func(b *testing.B) { benchMeterRecord(b, denseTrace(4096, 32), 32) })
 	b.Run("Meter.Record/sparse-64", func(b *testing.B) { benchMeterRecord(b, sparseTrace(4096), 64) })
 	b.Run("Meter.MeasureTrace/dense-32", benchMeterMeasureTrace)
-	b.Run("Bus.SlicedMeter/32x8k", benchSlicedMeter)
 }
 
 // denseTrace is uniformly random traffic: roughly half of all wires toggle
@@ -61,36 +60,6 @@ func benchMeterMeasureTrace(b *testing.B) {
 		m := MeasureTrace(32, trace)
 		if m.Cycles() == 0 {
 			b.Fatal("empty measurement")
-		}
-	}
-}
-
-// benchSlicedMeter measures the transposed-trace metering primitive the
-// grid engine's stateless fast paths are built on: one transpose of an
-// 8k-value trace into bit planes plus a word-parallel Σλ/Σψ count. The
-// values are a 48-value hot set with a cold tail, like the coding
-// package's dictionary-friendly traffic.
-func benchSlicedMeter(b *testing.B) {
-	rng := stats.NewRNG(424242)
-	hot := make([]uint64, 48)
-	for i := range hot {
-		hot[i] = rng.Uint64() & 0xFFFFFFFF
-	}
-	vals := make([]uint64, 8192)
-	for i := range vals {
-		if rng.Intn(12) == 0 {
-			vals[i] = rng.Uint64() & 0xFFFFFFFF
-		} else {
-			vals[i] = hot[rng.Intn(len(hot))]
-		}
-	}
-	b.SetBytes(int64(len(vals)) * 8)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		st := NewSlicedTrace(32, vals)
-		if st.MeterLite().Cycles() == 0 {
-			b.Fatal("empty sliced measurement")
 		}
 	}
 }

@@ -197,7 +197,7 @@ func benchGrid(b *testing.B, hotValues int, cells []GridCell, opts GridOptions) 
 }
 
 // benchGridStateless fans the stateless coders (raw at two Λ, inversion,
-// gray) out of one grid pass — the bit-sliced fast path.
+// gray) out of one grid pass: three scalar encodes, raw's shared by both Λ.
 func benchGridStateless(b *testing.B) {
 	inv, err := NewBusInvert(32, 1)
 	if err != nil {
@@ -245,8 +245,8 @@ func benchStrideRequest(b *testing.B) {
 }
 
 // benchGridOptimal fans the four optimal-codebook coders out of one grid
-// pass, exercising their materialize-and-slice fast paths the way the
-// extopt experiment runs them.
+// pass the way the extopt experiment runs them: scalar encodes through
+// each encoder's unrank cache.
 func benchGridOptimal(b *testing.B) {
 	var cells []GridCell
 	for _, spec := range []string{

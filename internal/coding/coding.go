@@ -219,9 +219,8 @@ type Evaluator struct {
 	coded  *bus.Meter      // reused coded-bus meter; see Evaluate's ownership note
 	stream bus.MeterStream // reused chunked recorder over coded (large value; kept
 	// here so passing its address to a streamEncoder never forces a heap copy)
-	sample []uint64 // sampled-verification value collection
-	venc   Encoder  // fresh-pair replay codec for sampled verification,
-	vdec   Decoder  // built lazily on the first sampled Evaluate
+	venc Encoder // replay codec for sampled verification, built
+	vdec Decoder // lazily on the first sampled Evaluate that needs it
 }
 
 // Use selects the transcoder for subsequent Evaluate calls. A fresh
@@ -318,10 +317,16 @@ func (ev *Evaluator) Evaluate(trace []uint64, lambda float64, raw *bus.Meter) (R
 	st := &ev.stream
 	coded.StreamInto(st)
 	st.Record(0)
+	live := 0 // leading cycles checked against the live decoder
 	switch ev.Verify.mode {
 	case verifyFull:
+		live = len(trace)
+	case verifySampled:
+		live = min(VerifyWindow, len(trace))
+	}
+	if live > 0 {
 		ev.dec.Reset()
-		for i, v := range trace {
+		for i, v := range trace[:live] {
 			v &= ev.mask
 			w := ev.enc.Encode(v)
 			if got := ev.dec.Decode(w); got != v {
@@ -329,72 +334,14 @@ func (ev *Evaluator) Evaluate(trace []uint64, lambda float64, raw *bus.Meter) (R
 			}
 			st.Record(w)
 		}
-	case verifySampled:
-		ev.dec.Reset()
-		n := len(trace)
-		every := ev.Verify.every
-		ev.sample = ev.sample[:0]
-		// The loop is split at the window boundaries so the long middle
-		// stretch carries no per-cycle verification branches (and no i%every
-		// division — the next sample index is tracked by a counter).
-		head := min(VerifyWindow, n)
-		tail := max(n-VerifyWindow, head)
-		for i := 0; i < head; i++ {
-			v := trace[i] & ev.mask
-			w := ev.enc.Encode(v)
-			if got := ev.dec.Decode(w); got != v {
-				return Result{}, ev.divergence(i, v, got)
-			}
-			st.Record(w)
+	}
+	ev.encodeRun(trace[live:], st)
+	if ev.Verify.mode == verifySampled && len(trace) > live {
+		if ev.venc == nil {
+			ev.venc, ev.vdec = ev.t.NewEncoder(), ev.t.NewDecoder()
 		}
-		next := (head + every - 1) / every * every
-		if se, ok := ev.enc.(streamEncoder); ok {
-			// Bulk-encode the unsampled runs between consecutive sample
-			// indices; the sampled cycle itself goes through Encode so the
-			// value lands in ev.sample.
-			for i := head; i < tail; {
-				stop := tail
-				if next < tail {
-					stop = next
-				}
-				se.encodeStream(trace[i:stop], st)
-				i = stop
-				if i < tail {
-					v := trace[i] & ev.mask
-					st.Record(ev.enc.Encode(v))
-					ev.sample = append(ev.sample, v)
-					next += every
-					i++
-				}
-			}
-		} else {
-			for i := head; i < tail; i++ {
-				v := trace[i] & ev.mask
-				w := ev.enc.Encode(v)
-				if i == next {
-					ev.sample = append(ev.sample, v)
-					next += every
-				}
-				st.Record(w)
-			}
-		}
-		for i := tail; i < n; i++ {
-			v := trace[i] & ev.mask
-			w := ev.enc.Encode(v)
-			ev.sample = append(ev.sample, v)
-			st.Record(w)
-		}
-		if err := ev.replaySample(); err != nil {
+		if err := verifySample(ev.t, trace, ev.Verify.every, ev.venc, ev.vdec); err != nil {
 			return Result{}, err
-		}
-	case verifyOff:
-		if se, ok := ev.enc.(streamEncoder); ok {
-			se.encodeStream(trace, st)
-		} else {
-			for _, v := range trace {
-				w := ev.enc.Encode(v & ev.mask)
-				st.Record(w)
-			}
 		}
 	}
 	st.Flush()
@@ -402,27 +349,16 @@ func (ev *Evaluator) Evaluate(trace []uint64, lambda float64, raw *bus.Meter) (R
 	return ev.result(raw, coded, lambda), nil
 }
 
-// replaySample round-trips the collected sample values through a fresh
-// encoder/decoder pair (see VerifyPolicy: any value sequence must
-// round-trip from reset, so a mismatch here is a real codec bug).
-func (ev *Evaluator) replaySample() error {
-	if len(ev.sample) == 0 {
-		return nil
+// encodeRun encodes vals unverified into st, in bulk when the encoder
+// supports it.
+func (ev *Evaluator) encodeRun(vals []uint64, st *bus.MeterStream) {
+	if se, ok := ev.enc.(streamEncoder); ok {
+		se.encodeStream(vals, st)
+		return
 	}
-	if ev.venc == nil {
-		ev.venc = ev.t.NewEncoder()
-		ev.vdec = ev.t.NewDecoder()
-	} else {
-		ev.venc.Reset()
-		ev.vdec.Reset()
+	for _, v := range vals {
+		st.Record(ev.enc.Encode(v & ev.mask))
 	}
-	for j, v := range ev.sample {
-		w := ev.venc.Encode(v)
-		if got := ev.vdec.Decode(w); got != v {
-			return fmt.Errorf("coding: %s sampled-verification replay diverged at sample %d: sent %#x, decoded %#x", ev.t.Name(), j, v, got)
-		}
-	}
-	return nil
 }
 
 // MustEvaluate is Evaluate but panics on decoder divergence; for use in

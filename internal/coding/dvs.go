@@ -93,7 +93,11 @@ func (t *DVSTranscoder) ConfigKey() string {
 }
 
 // NewEncoder implements Transcoder.
-func (t *DVSTranscoder) NewEncoder() Encoder { return &dvsEncoder{t: t} }
+func (t *DVSTranscoder) NewEncoder() Encoder {
+	e := &dvsEncoder{t: t}
+	e.cache.init()
+	return e
+}
 
 // NewDecoder implements Transcoder.
 func (t *DVSTranscoder) NewDecoder() Decoder { return &dvsDecoder{t: t} }
@@ -119,11 +123,17 @@ type dvsEncoder struct {
 	t      *DVSTranscoder
 	state  uint64
 	cycles uint64
+	cache  unrankCache
 }
 
 func (e *dvsEncoder) Encode(v uint64) bus.Word {
 	e.cycles++
-	e.state ^= e.t.transition(v & uint64(bus.Mask(e.t.width)))
+	v &= uint64(bus.Mask(e.t.width))
+	img, ok := e.cache.slot(v)
+	if !ok {
+		*img = e.t.transition(v)
+	}
+	e.state ^= *img
 	return bus.Word(e.state)
 }
 
@@ -153,22 +163,3 @@ func (d *dvsDecoder) Decode(w bus.Word) uint64 {
 }
 
 func (d *dvsDecoder) Reset() { d.prev = 0 }
-
-// dvsCodedMeter materializes the state stream (transition code + parity
-// wire) and meters it lane-parallel — the grid fast path.
-func dvsCodedMeter(t *DVSTranscoder, trace []uint64) *bus.Meter {
-	mask := uint64(bus.Mask(t.width))
-	coded := make([]uint64, len(trace))
-	cache := newUnrankCache()
-	var state uint64
-	for i, v := range trace {
-		v &= mask
-		img, ok := cache.slot(v)
-		if !ok {
-			*img = t.transition(v)
-		}
-		state ^= *img
-		coded[i] = state
-	}
-	return bus.NewSlicedTrace(t.wires+1, coded).MeterLite()
-}

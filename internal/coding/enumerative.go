@@ -121,23 +121,22 @@ func ballUnrank(n int, idx uint64) uint64 {
 // the distinct hot values of a bus trace.
 const unrankCacheBits = 10
 
-// unrankCache is a direct-mapped value → transition-vector table for
-// one materialize pass of an enumerative coder. Bus traces repeat a
-// small set of values, and unranking costs an O(wires) binomial walk,
-// so each pass computes a value's codeword once per residency instead of
-// once per cycle. Keys are masked data values (< 2^61), so the all-ones
+// unrankCache is the direct-mapped value → codeword (or transition
+// vector) table inside each enumerative encoder. Bus traces repeat a
+// small set of values, and unranking costs an O(wires) binomial walk, so
+// an encoder computes a value's image once per residency instead of once
+// per cycle. The image is a pure function of the value, so Reset keeps
+// the table. Keys are masked data values (< 2^61), so the all-ones
 // initial key never matches.
 type unrankCache struct {
 	keys [1 << unrankCacheBits]uint64
 	imgs [1 << unrankCacheBits]uint64
 }
 
-func newUnrankCache() *unrankCache {
-	c := new(unrankCache)
+func (c *unrankCache) init() {
 	for i := range c.keys {
 		c.keys[i] = ^uint64(0)
 	}
-	return c
 }
 
 // slot returns v's entry and whether it already holds v's image; on a

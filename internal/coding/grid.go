@@ -9,7 +9,7 @@ import (
 )
 
 // Grid evaluation: one trace against a whole scheme/λ grid in a single
-// grouped pass. The savings stack in three layers:
+// grouped pass. The savings stack in two layers:
 //
 //   - λ fan-out: activity meters are Λ-independent (Λ enters only when a
 //     Result's Cost is read), so grid cells that share a transcoder
@@ -19,20 +19,15 @@ import (
 //   - shared stride tape: every stride bank size replays one prediction
 //     tape computed in a single pass (see StrideTape); a caller's tape
 //     provider (GridOptions.Tapes) shares it across grids too.
-//   - bit-sliced stateless coders: raw, Gray and spatial cells are
-//     metered lane-parallel on a transposed trace (bus.SlicedTrace) —
-//     64 cycles per machine word — instead of cycle-by-cycle; the
-//     enumerative coders materialize their coded streams and meter them
-//     the same way.
 //
-// Everything else — every Window and Context configuration, inversion
-// and partial bus-invert — runs through the scalar Evaluator, still
-// profiting from the ConfigKey dedupe. A one-cell grid is the
-// single-point evaluation path too: the experiments layer evaluates
-// every result-memo miss, serve and job requests included, as a grid, so a
-// lone stride or enumerative request takes the same fast paths as a
-// sweep. Results are bit-identical to evaluating each cell individually
-// (differential-tested by grid_test.go).
+// Every other configuration — raw, Gray, spatial, the enumerative
+// coders, Window, Context, inversion and partial bus-invert — runs
+// through the scalar Evaluator, still profiting from the ConfigKey
+// dedupe. A one-cell grid is the single-point evaluation path too: the
+// experiments layer evaluates every result-memo miss, serve and job
+// requests included, as a grid, so a lone stride request replays a tape
+// like a sweep does. Results are bit-identical to evaluating each cell
+// individually (differential-tested by grid_test.go).
 
 // GridCell is one evaluation request: a transcoder read at coupling
 // ratio Lambda.
@@ -69,8 +64,8 @@ type GridOptions struct {
 // non-nil, is a pre-measured raw-bus meter (as from MeasureRawValues)
 // for cells whose data width matches; other widths are measured here
 // once each. verify applies to every cell exactly as in
-// Evaluator.Evaluate; under VerifyFull the fast paths (which cannot run
-// a live decoder over the whole stream) step aside and every unique
+// Evaluator.Evaluate; under VerifyFull the stride tape (which cannot run
+// a live decoder over the whole stream) steps aside and every unique
 // configuration runs the scalar full-verify path, still deduplicated.
 // opts supplies shared inputs; the zero value builds them here.
 //
@@ -116,19 +111,6 @@ func EvaluateGrid(cells []GridCell, trace []uint64, raw *bus.Meter, verify Verif
 		return m
 	}
 
-	var sliced map[int]*bus.SlicedTrace
-	slicedFor := func(width int) *bus.SlicedTrace {
-		s := sliced[width]
-		if s == nil {
-			if sliced == nil {
-				sliced = make(map[int]*bus.SlicedTrace, 1)
-			}
-			s = bus.NewSlicedTrace(width, trace)
-			sliced[width] = s
-		}
-		return s
-	}
-
 	// One shared stride tape per data width, deep enough for the largest
 	// bank in the grid.
 	var tapes map[int]*StrideTape
@@ -165,66 +147,21 @@ func EvaluateGrid(cells []GridCell, trace []uint64, raw *bus.Meter, verify Verif
 		var coded *bus.Meter
 		var ops OpStats
 		var codedWidth int
-		fast := false
-		if verify.mode != verifyFull {
-			switch t := g.t.(type) {
-			case *StrideTranscoder:
-				if tp := tapes[t.width]; tp != nil && t.strides <= tp.maxK {
-					m, o, err := tp.evaluate(t, trace, verify)
-					if err != nil {
-						return nil, err
-					}
-					coded, ops, codedWidth, fast = m, o, t.width+2, true
-				}
-			case *RawTranscoder:
-				if err := verifyStatelessSampled(t, trace, verify); err != nil {
-					return nil, err
-				}
-				coded = slicedFor(width).MeterLite()
-				codedWidth, fast = width, true
-			case *GrayTranscoder:
-				if err := verifyStatelessSampled(t, trace, verify); err != nil {
-					return nil, err
-				}
-				coded = slicedFor(width).Gray().MeterLite()
-				codedWidth, fast = width, true
-			case *SpatialTranscoder:
-				if err := verifyStatelessSampled(t, trace, verify); err != nil {
-					return nil, err
-				}
-				coded = spatialCodedMeter(t, trace)
-				codedWidth, fast = 1<<uint(t.width), true
-			// The enumerative coders (optmem and the prefix-XOR transition
-			// codes) materialize their coded streams and meter lane-parallel;
-			// their op counts are formulaic (see gridOps), so the fast path
-			// reproduces the scalar encoder's stats exactly.
-			case *OptMemTranscoder:
-				if err := verifyStatelessSampled(t, trace, verify); err != nil {
-					return nil, err
-				}
-				coded, ops = optMemCodedMeter(t, trace), t.gridOps(n)
-				codedWidth, fast = t.wires, true
-			case *VCTranscoder:
-				if err := verifyStatelessSampled(t, trace, verify); err != nil {
-					return nil, err
-				}
-				coded, ops = vcCodedMeter(t, trace), t.gridOps(n)
-				codedWidth, fast = t.wires, true
-			case *LowWeightTranscoder:
-				if err := verifyStatelessSampled(t, trace, verify); err != nil {
-					return nil, err
-				}
-				coded, ops = lowWeightCodedMeter(t, trace), t.gridOps(n)
-				codedWidth, fast = t.wires, true
-			case *DVSTranscoder:
-				if err := verifyStatelessSampled(t, trace, verify); err != nil {
-					return nil, err
-				}
-				coded, ops = dvsCodedMeter(t, trace), t.gridOps(n)
-				codedWidth, fast = t.wires+1, true
-			}
+		// The stride tape is the grid's one fast path; tapes is nil under
+		// VerifyFull, which needs a live decoder over the whole stream.
+		var tp *StrideTape
+		st, isStride := g.t.(*StrideTranscoder)
+		if isStride {
+			tp = tapes[st.width]
 		}
-		if !fast {
+		if tp != nil && st.strides <= tp.maxK {
+			m, o, err := tp.evaluate(st, trace, verify)
+			if err != nil {
+				return nil, err
+			}
+			coded, ops, codedWidth = m, o, st.width+2
+			evaluatedCycles.Add(n * uint64(len(g.cells)))
+		} else {
 			ev.Use(g.t)
 			res, err := ev.Evaluate(trace, cells[g.cells[0]].Lambda, rawM)
 			if err != nil {
@@ -235,8 +172,6 @@ func EvaluateGrid(cells []GridCell, trace []uint64, raw *bus.Meter, verify Verif
 			ops = res.Ops
 			codedWidth = res.CodedWidth
 			evaluatedCycles.Add(n * uint64(len(g.cells)-1)) // Evaluate counted one cell
-		} else {
-			evaluatedCycles.Add(n * uint64(len(g.cells)))
 		}
 		name := g.t.Name()
 		for _, ci := range g.cells {
@@ -424,7 +359,7 @@ func (tp *StrideTape) evaluate(t *StrideTranscoder, trace []uint64, verify Verif
 	st.AddBlock(uint64(n-head), ch.accT, ch.accC, ch.state)
 	st.Flush()
 	if verify.mode == verifySampled {
-		if err := replaySampledFresh(t, trace, verify); err != nil {
+		if err := verifySample(t, trace, verify.every, t.NewEncoder(), t.NewDecoder()); err != nil {
 			return nil, OpStats{}, err
 		}
 	}
@@ -445,71 +380,4 @@ func (tp *StrideTape) evaluate(t *StrideTranscoder, trace []uint64, verify Verif
 	ops.RawSends = rawSends
 	ops.PartialMatches = probes + rawSends*uint64(t.strides)
 	return coded, ops, nil
-}
-
-// spatialCodedMeter produces the spatial coder's coded-bus meter by
-// materializing its one-toggle-per-cycle wire states (a trivial prefix
-// XOR) and metering them lane-parallel on the 2^width-wire sliced bus.
-func spatialCodedMeter(t *SpatialTranscoder, trace []uint64) *bus.Meter {
-	mask := uint64(bus.Mask(t.width))
-	coded := make([]uint64, len(trace))
-	var state uint64
-	for i, v := range trace {
-		state ^= 1 << uint(v&mask)
-		coded[i] = state
-	}
-	return bus.NewSlicedTrace(1<<uint(t.width), coded).MeterLite()
-}
-
-// verifyStatelessSampled replicates Evaluate's sampled-verification
-// ritual for the stateless fast paths: the first VerifyWindow cycles
-// round-trip through a live encoder/decoder pair (fresh from reset —
-// which for these coders sees exactly the words the evaluation
-// produces), then every every-th value plus the trailing window replays
-// through a second fresh pair.
-func verifyStatelessSampled(t Transcoder, trace []uint64, verify VerifyPolicy) error {
-	if verify.mode != verifySampled {
-		return nil
-	}
-	mask := uint64(bus.Mask(t.DataWidth()))
-	enc, dec := t.NewEncoder(), t.NewDecoder()
-	head := min(VerifyWindow, len(trace))
-	for i := 0; i < head; i++ {
-		v := trace[i] & mask
-		w := enc.Encode(v)
-		if got := dec.Decode(w); got != v {
-			return fmt.Errorf("coding: %s decoder diverged at cycle %d: sent %#x, decoded %#x", t.Name(), i, v, got)
-		}
-	}
-	return replaySampledFresh(t, trace, verify)
-}
-
-// replaySampledFresh collects the sampled-verification value set —
-// every every-th value past the head window plus the trace's last
-// VerifyWindow values — and round-trips it through a fresh
-// encoder/decoder pair, exactly as Evaluator.replaySample does.
-func replaySampledFresh(t Transcoder, trace []uint64, verify VerifyPolicy) error {
-	mask := uint64(bus.Mask(t.DataWidth()))
-	n := len(trace)
-	every := verify.every
-	head := min(VerifyWindow, n)
-	tail := max(n-VerifyWindow, head)
-	var sample []uint64
-	for i := (head + every - 1) / every * every; i < tail; i += every {
-		sample = append(sample, trace[i]&mask)
-	}
-	for i := tail; i < n; i++ {
-		sample = append(sample, trace[i]&mask)
-	}
-	if len(sample) == 0 {
-		return nil
-	}
-	venc, vdec := t.NewEncoder(), t.NewDecoder()
-	for j, v := range sample {
-		w := venc.Encode(v)
-		if got := vdec.Decode(w); got != v {
-			return fmt.Errorf("coding: %s sampled-verification replay diverged at sample %d: sent %#x, decoded %#x", t.Name(), j, v, got)
-		}
-	}
-	return nil
 }

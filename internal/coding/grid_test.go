@@ -81,8 +81,8 @@ func gridTestCells(t *testing.T, width int) []GridCell {
 	mk(w0, err, 0.5, 1)
 	ctx, err := NewContext(ContextConfig{Width: width, TableSize: 16, ShiftEntries: 4, DividePeriod: 64, Lambda: 1})
 	mk(ctx, err, 1)
-	// The optimal-codebook families: materialized fast paths with
-	// formulaic ops, λ fan-out over one config for vc.
+	// The optimal-codebook families: scalar cells with formulaic ops,
+	// λ fan-out over one config for vc.
 	om, err := NewOptMem(width, 2)
 	mk(om, err, 1)
 	vc, err := NewVC(width, 2)

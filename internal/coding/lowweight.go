@@ -105,7 +105,11 @@ func (t *LowWeightTranscoder) ConfigKey() string {
 }
 
 // NewEncoder implements Transcoder.
-func (t *LowWeightTranscoder) NewEncoder() Encoder { return &lowWeightEncoder{t: t} }
+func (t *LowWeightTranscoder) NewEncoder() Encoder {
+	e := &lowWeightEncoder{t: t}
+	e.cache.init()
+	return e
+}
 
 // NewDecoder implements Transcoder.
 func (t *LowWeightTranscoder) NewDecoder() Decoder { return &lowWeightDecoder{t: t} }
@@ -137,11 +141,17 @@ type lowWeightEncoder struct {
 	t      *LowWeightTranscoder
 	state  uint64
 	cycles uint64
+	cache  unrankCache
 }
 
 func (e *lowWeightEncoder) Encode(v uint64) bus.Word {
 	e.cycles++
-	e.state ^= e.t.transition(v & uint64(bus.Mask(e.t.width)))
+	v &= uint64(bus.Mask(e.t.width))
+	img, ok := e.cache.slot(v)
+	if !ok {
+		*img = e.t.transition(v)
+	}
+	e.state ^= *img
 	return bus.Word(e.state)
 }
 
@@ -168,22 +178,3 @@ func (d *lowWeightDecoder) Decode(w bus.Word) uint64 {
 }
 
 func (d *lowWeightDecoder) Reset() { d.prev = 0 }
-
-// lowWeightCodedMeter materializes the prefix-XOR state stream and meters
-// it lane-parallel — the grid fast path.
-func lowWeightCodedMeter(t *LowWeightTranscoder, trace []uint64) *bus.Meter {
-	mask := uint64(bus.Mask(t.width))
-	coded := make([]uint64, len(trace))
-	cache := newUnrankCache()
-	var state uint64
-	for i, v := range trace {
-		v &= mask
-		img, ok := cache.slot(v)
-		if !ok {
-			*img = t.transition(v)
-		}
-		state ^= *img
-		coded[i] = state
-	}
-	return bus.NewSlicedTrace(t.wires, coded).MeterLite()
-}

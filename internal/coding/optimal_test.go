@@ -176,7 +176,7 @@ func TestOptMemWeightBound(t *testing.T) {
 }
 
 // TestOptimalOpsFormulaic pins the enumerative coders' op counts to the
-// documented formula — what lets the grid fast path reproduce them.
+// documented formula, which the unrank cache must not change.
 func TestOptimalOpsFormulaic(t *testing.T) {
 	vals := gridTestTrace(16, 777, 5)
 	for name, c := range optimalConfigs(t, 16) {
@@ -260,8 +260,8 @@ func TestOptimalConstructorBounds(t *testing.T) {
 
 // FuzzOptimalRoundTrip explores the round-trip and toggle-bound
 // properties of all four optimal-codebook families on fuzzer-shaped
-// traces, and cross-checks each family's grid materialization against
-// its scalar encoder meter.
+// traces, and checks each family's cached encoder against an uncached
+// per-cycle reference.
 func FuzzOptimalRoundTrip(f *testing.F) {
 	f.Add([]byte("buspower"))
 	f.Add([]byte{0, 0, 0, 0, 1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144})
@@ -281,39 +281,77 @@ func FuzzOptimalRoundTrip(f *testing.F) {
 				t.Fatalf("%s: %v", name, err)
 			}
 			checkOptimalStream(t, name, tc, c.bound(tc), vals)
-			diffOptimalMeter(t, name, tc, vals)
+			diffUnrankCache(t, name, tc, vals)
 		}
 	})
 }
 
-// diffOptimalMeter compares the grid fast path's materialized meter with
-// a scalar per-cycle encode of the same trace.
-func diffOptimalMeter(t *testing.T, name string, tc Transcoder, vals []uint64) {
+// enumReference returns a per-cycle reference encoder for an
+// enumerative coder that unranks every value afresh, bypassing the
+// encoder's unrank cache: the memoryless codeword for optmem, and the
+// prefix XOR of the transition vectors for the transition codes.
+func enumReference(t *testing.T, tc Transcoder) func(v uint64) bus.Word {
 	t.Helper()
-	var fast *bus.Meter
+	var state uint64
 	switch tt := tc.(type) {
 	case *OptMemTranscoder:
-		fast = optMemCodedMeter(tt, vals)
+		return func(v uint64) bus.Word { return bus.Word(ballUnrank(tt.wires, v)) }
 	case *VCTranscoder:
-		fast = vcCodedMeter(tt, vals)
+		return func(v uint64) bus.Word { state ^= ballUnrank(tt.wires, v); return bus.Word(state) }
 	case *LowWeightTranscoder:
-		fast = lowWeightCodedMeter(tt, vals)
+		return func(v uint64) bus.Word { state ^= tt.transition(v); return bus.Word(state) }
 	case *DVSTranscoder:
-		fast = dvsCodedMeter(tt, vals)
-	default:
-		t.Fatalf("%s: no materializer", name)
+		return func(v uint64) bus.Word { state ^= tt.transition(v); return bus.Word(state) }
 	}
+	t.Fatalf("%s: no reference encoder", tc.Name())
+	return nil
+}
+
+// diffUnrankCache checks that the cached encoder's words equal the
+// uncached reference on every cycle, across a Reset that keeps the
+// cache warm.
+func diffUnrankCache(t *testing.T, name string, tc Transcoder, vals []uint64) {
+	t.Helper()
 	enc := tc.NewEncoder()
-	ref := bus.NewMeterLite(enc.BusWidth())
-	ref.Record(0)
 	mask := uint64(bus.Mask(tc.DataWidth()))
-	for _, v := range vals {
-		ref.Record(enc.Encode(v & mask))
+	for pass := 0; pass < 2; pass++ {
+		enc.Reset()
+		ref := enumReference(t, tc)
+		for i, v := range vals {
+			v &= mask
+			if got, want := enc.Encode(v), ref(v); got != want {
+				t.Fatalf("%s pass %d cycle %d value %#x: encoder sent %#x, reference %#x", name, pass, i, v, got, want)
+			}
+		}
 	}
-	if fast.Cycles() != ref.Cycles() || fast.Transitions() != ref.Transitions() ||
-		fast.Couplings() != ref.Couplings() || fast.State() != ref.State() {
-		t.Fatalf("%s: materialized meter diverged: got %d/%d/%d/%#x want %d/%d/%d/%#x", name,
-			fast.Cycles(), fast.Transitions(), fast.Couplings(), fast.State(),
-			ref.Cycles(), ref.Transitions(), ref.Couplings(), ref.State())
+}
+
+// TestUnrankCacheCollisions drives every enumerative family over a
+// trace that alternates values sharing one slot of the direct-mapped
+// unrank cache, so each lookup finds a neighbour's image in its slot.
+func TestUnrankCacheCollisions(t *testing.T) {
+	const width = 16
+	var probe unrankCache
+	probe.init()
+	target, _ := probe.slot(0)
+	same := []uint64{0}
+	for v := uint64(1); v < 1<<width && len(same) < 4; v++ {
+		if img, _ := probe.slot(v); img == target {
+			same = append(same, v)
+		}
+	}
+	if len(same) < 4 {
+		t.Fatalf("found only %d values sharing a slot", len(same))
+	}
+	var vals []uint64
+	for i := 0; i < 200; i++ {
+		vals = append(vals, same[i%3], same[i%len(same)])
+	}
+	for name, c := range optimalConfigs(t, width) {
+		tc, err := c.build()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		diffUnrankCache(t, name, tc, vals)
 	}
 }

@@ -73,16 +73,20 @@ func (t *OptMemTranscoder) ConfigKey() string {
 }
 
 // NewEncoder implements Transcoder.
-func (t *OptMemTranscoder) NewEncoder() Encoder { return &optMemEncoder{t: t} }
+func (t *OptMemTranscoder) NewEncoder() Encoder {
+	e := &optMemEncoder{t: t}
+	e.cache.init()
+	return e
+}
 
 // NewDecoder implements Transcoder.
 func (t *OptMemTranscoder) NewDecoder() Decoder { return &optMemDecoder{t: t} }
 
 // gridOps returns the encoder's operation counts for a run of the given
-// length. The enumerative coders' activity is purely formulaic — the
+// length. The enumerative coders' activity is purely formulaic: the
 // adder chain switches on every cycle regardless of data (like the
-// inversion coder's majority voter) — which is what lets the grid fast
-// path reproduce the scalar encoder's counts exactly.
+// inversion coder's majority voter), so the unrank cache, which skips
+// the walk in simulation only, leaves the modeled counts unchanged.
 func (t *OptMemTranscoder) gridOps(cycles uint64) OpStats {
 	return OpStats{
 		Cycles:            cycles,
@@ -94,11 +98,17 @@ func (t *OptMemTranscoder) gridOps(cycles uint64) OpStats {
 type optMemEncoder struct {
 	t      *OptMemTranscoder
 	cycles uint64
+	cache  unrankCache
 }
 
 func (e *optMemEncoder) Encode(v uint64) bus.Word {
 	e.cycles++
-	return bus.Word(ballUnrank(e.t.wires, v&uint64(bus.Mask(e.t.width))))
+	v &= uint64(bus.Mask(e.t.width))
+	img, ok := e.cache.slot(v)
+	if !ok {
+		*img = ballUnrank(e.t.wires, v)
+	}
+	return bus.Word(*img)
 }
 
 func (e *optMemEncoder) BusWidth() int { return e.t.wires }
@@ -114,20 +124,3 @@ func (d *optMemDecoder) Decode(w bus.Word) uint64 {
 }
 
 func (d *optMemDecoder) Reset() {}
-
-// optMemCodedMeter materializes the memoryless codeword stream and meters
-// it lane-parallel — the grid fast path.
-func optMemCodedMeter(t *OptMemTranscoder, trace []uint64) *bus.Meter {
-	mask := uint64(bus.Mask(t.width))
-	coded := make([]uint64, len(trace))
-	cache := newUnrankCache()
-	for i, v := range trace {
-		v &= mask
-		img, ok := cache.slot(v)
-		if !ok {
-			*img = ballUnrank(t.wires, v)
-		}
-		coded[i] = *img
-	}
-	return bus.NewSlicedTrace(t.wires, coded).MeterLite()
-}

@@ -109,6 +109,23 @@ func realTrace(t *testing.T, name, busName string) []uint64 {
 	return ts.Reg
 }
 
+// oracleEncode encodes trace cycle by cycle through a fresh encoder and
+// counts the coded bus's activity with the oracle, from the all-zero
+// power-up state.
+func oracleEncode(tc Transcoder, trace []uint64) (T, C uint64) {
+	enc := tc.NewEncoder()
+	wires := enc.BusWidth()
+	mask := uint64(bus.Mask(tc.DataWidth()))
+	var prev bus.Word
+	for _, v := range trace {
+		w := enc.Encode(v & mask)
+		dt, dc := oracleCounts(prev, w, wires)
+		T, C = T+dt, C+dc
+		prev = w
+	}
+	return T, C
+}
+
 // TestDictionaryMeterMatchesOracle re-meters a Context run (li, register
 // bus) and a Window run (swim, memory bus) with the oracle: the coded
 // words of a per-cycle encode, counted wire by wire, must sum to the
@@ -137,19 +154,68 @@ func TestDictionaryMeterMatchesOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		enc := run.tc.NewEncoder()
-		wires := enc.BusWidth()
-		var prev bus.Word
-		var T, C uint64
-		for _, v := range run.trace {
-			w := enc.Encode(v)
-			dt, dc := oracleCounts(prev, w, wires)
-			T, C = T+dt, C+dc
-			prev = w
-		}
+		T, C := oracleEncode(run.tc, run.trace)
 		if res.Coded.Transitions() != T || res.Coded.Couplings() != C {
 			t.Errorf("%s: meter T=%d C=%d, oracle T=%d C=%d",
 				run.tc.Name(), res.Coded.Transitions(), res.Coded.Couplings(), T, C)
+		}
+	}
+}
+
+// TestGridCellsMatchOracle re-meters EvaluateGrid's stateless,
+// enumerative and stride cells on workload traces with the oracle: each
+// cell's coded T and C must equal the wire-by-wire count of a per-cycle
+// encode. The shallow stride bank replays a tape the grid records
+// itself; the deep bank is served through a tape provider that deepens
+// a shallower tape, as the experiments layer's tape memo does, so its
+// replay runs on a StrideTape.Deepen result.
+func TestGridCellsMatchOracle(t *testing.T) {
+	specs := []string{
+		"raw", "gray", "spatial:width=4",
+		"optmem:extra=2", "vc:extra=2", "lowweight:groups=4,extra=1", "dvs:extra=2,vdd=80",
+		"stride:strides=4,lambda=0.5",
+	}
+	for _, run := range []struct {
+		workload, bus string
+	}{{"li", "reg"}, {"swim", "mem"}} {
+		trace := realTrace(t, run.workload, run.bus)
+		var cells []GridCell
+		for _, spec := range specs {
+			tc, err := BuildScheme(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cells = append(cells, GridCell{T: tc, Lambda: 1})
+		}
+		results, err := EvaluateGrid(cells, trace, nil, VerifySampled(0), GridOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		deep, err := NewStride(32, 16, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shallow := NewStrideTape(32, 4, trace)
+		deepened := false
+		opts := GridOptions{Tapes: func(width, k int) *StrideTape {
+			deepened = deepened || k > shallow.Depth()
+			return shallow.Deepen(k, trace)
+		}}
+		deepRes, err := EvaluateGrid([]GridCell{{T: deep, Lambda: 1}}, trace, nil, VerifySampled(0), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !deepened {
+			t.Fatalf("%s/%s: the grid never asked for a tape deeper than %d", run.workload, run.bus, shallow.Depth())
+		}
+		cells = append(cells, GridCell{T: deep, Lambda: 1})
+		results = append(results, deepRes...)
+		for i, res := range results {
+			T, C := oracleEncode(cells[i].T, trace)
+			if res.Coded.Transitions() != T || res.Coded.Couplings() != C {
+				t.Errorf("%s/%s %s: meter T=%d C=%d, oracle T=%d C=%d", run.workload, run.bus,
+					res.Scheme, res.Coded.Transitions(), res.Coded.Couplings(), T, C)
+			}
 		}
 	}
 }

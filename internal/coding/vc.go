@@ -72,7 +72,11 @@ func (t *VCTranscoder) ConfigKey() string {
 }
 
 // NewEncoder implements Transcoder.
-func (t *VCTranscoder) NewEncoder() Encoder { return &vcEncoder{t: t} }
+func (t *VCTranscoder) NewEncoder() Encoder {
+	e := &vcEncoder{t: t}
+	e.cache.init()
+	return e
+}
 
 // NewDecoder implements Transcoder.
 func (t *VCTranscoder) NewDecoder() Decoder { return &vcDecoder{t: t} }
@@ -91,11 +95,17 @@ type vcEncoder struct {
 	t      *VCTranscoder
 	state  uint64
 	cycles uint64
+	cache  unrankCache
 }
 
 func (e *vcEncoder) Encode(v uint64) bus.Word {
 	e.cycles++
-	e.state ^= ballUnrank(e.t.wires, v&uint64(bus.Mask(e.t.width)))
+	v &= uint64(bus.Mask(e.t.width))
+	img, ok := e.cache.slot(v)
+	if !ok {
+		*img = ballUnrank(e.t.wires, v)
+	}
+	e.state ^= *img
 	return bus.Word(e.state)
 }
 
@@ -116,22 +126,3 @@ func (d *vcDecoder) Decode(w bus.Word) uint64 {
 }
 
 func (d *vcDecoder) Reset() { d.prev = 0 }
-
-// vcCodedMeter materializes the prefix-XOR state stream and meters it
-// lane-parallel — the grid fast path.
-func vcCodedMeter(t *VCTranscoder, trace []uint64) *bus.Meter {
-	mask := uint64(bus.Mask(t.width))
-	coded := make([]uint64, len(trace))
-	cache := newUnrankCache()
-	var state uint64
-	for i, v := range trace {
-		v &= mask
-		img, ok := cache.slot(v)
-		if !ok {
-			*img = ballUnrank(t.wires, v)
-		}
-		state ^= *img
-		coded[i] = state
-	}
-	return bus.NewSlicedTrace(t.wires, coded).MeterLite()
-}

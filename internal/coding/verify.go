@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"buspower/internal/bus"
 )
 
 // Decoder round-trip verification policy.
@@ -115,6 +117,33 @@ func ParseVerifyPolicy(s string) (VerifyPolicy, error) {
 		return VerifySampled(n), nil
 	}
 	return VerifyPolicy{}, fmt.Errorf("coding: unknown verification policy %q (want full, sampled[:N] or off)", s)
+}
+
+// verifySample round-trips the sampled-verification value set of trace —
+// every every-th value past the head window plus the last VerifyWindow
+// values, in trace order — through enc/dec from reset. Any value
+// sequence must round-trip from reset, so a mismatch is a real codec
+// bug.
+func verifySample(t Transcoder, trace []uint64, every int, enc Encoder, dec Decoder) error {
+	mask := uint64(bus.Mask(t.DataWidth()))
+	n := len(trace)
+	head := min(VerifyWindow, n)
+	tail := max(n-VerifyWindow, head)
+	enc.Reset()
+	dec.Reset()
+	i := min((head+every-1)/every*every, tail)
+	for j := 0; i < n; j++ {
+		v := trace[i] & mask
+		if got := dec.Decode(enc.Encode(v)); got != v {
+			return fmt.Errorf("coding: %s sampled-verification replay diverged at sample %d (cycle %d): sent %#x, decoded %#x", t.Name(), j, i, v, got)
+		}
+		if i < tail {
+			i = min(i+every, tail)
+		} else {
+			i++
+		}
+	}
+	return nil
 }
 
 // ConfigKeyer is implemented by transcoders whose Name does not fully

@@ -35,8 +35,6 @@ type VLCConfig struct {
 	Width int
 	// Entries is the window dictionary size, at most 14 (symbol values 1-14).
 	Entries int
-	// Lambda is the coupling ratio used when metering.
-	Lambda float64
 }
 
 // maxVLCEntries is the dictionary capacity addressable by one symbol.

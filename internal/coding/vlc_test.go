@@ -7,7 +7,7 @@ import (
 	"buspower/internal/stats"
 )
 
-func vlcCfg() VLCConfig { return VLCConfig{Width: 32, Entries: 14, Lambda: 1} }
+func vlcCfg() VLCConfig { return VLCConfig{Width: 32, Entries: 14} }
 
 func TestVLCRoundTripTraffic(t *testing.T) {
 	rng := stats.NewRNG(11)
@@ -42,7 +42,7 @@ func TestVLCRoundTripTraffic(t *testing.T) {
 }
 
 func TestVLCQuick(t *testing.T) {
-	cfg := VLCConfig{Width: 16, Entries: 6, Lambda: 1}
+	cfg := VLCConfig{Width: 16, Entries: 6}
 	f := func(raw []uint16) bool {
 		trace := make([]uint64, len(raw))
 		for i, v := range raw {
@@ -117,7 +117,7 @@ func TestVLCTradeoffOnPredictableTraffic(t *testing.T) {
 			trace[i] = hot[rng.Intn(len(hot))]
 		}
 	}
-	vlc, err := EvaluateVLC(VLCConfig{Width: 32, Entries: 14, Lambda: 1}, trace, 1, nil)
+	vlc, err := EvaluateVLC(VLCConfig{Width: 32, Entries: 14}, trace, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestVLCDecodeRejectsCorruptStreams(t *testing.T) {
 		t.Error("truncated stream accepted")
 	}
 	// An out-of-range dictionary symbol (with a small dictionary).
-	small := VLCConfig{Width: 32, Entries: 2, Lambda: 1}
+	small := VLCConfig{Width: 32, Entries: 2}
 	smallBeats, err := EncodeVLC(small, trace)
 	if err != nil {
 		t.Fatal(err)

@@ -190,7 +190,7 @@ func runExtVLC(cfg Config) (*Table, error) {
 		if err != nil {
 			return err
 		}
-		vlcCfg := coding.VLCConfig{Width: busWidth, Entries: 14, Lambda: evalLambda}
+		vlcCfg := coding.VLCConfig{Width: busWidth, Entries: 14}
 		vlc, err := coding.EvaluateVLC(vlcCfg, tr, evalLambda, raw)
 		if err != nil {
 			return err

@@ -177,11 +177,10 @@ func TestEvaluateRequestRandomMatchesSharedTrace(t *testing.T) {
 }
 
 // TestEvaluateRequestMatchesScalarEvaluator: the request path evaluates a
-// miss as a one-cell grid, so it takes the grid engine's fast paths
-// (stride tapes, materialized enumerative meters, bit-sliced stateless
-// coders). For one scheme of every registered kind under every verify
-// policy, its response must equal the one built from a direct scalar
-// Evaluator run: raw and coded meters, widths, op counts and energy.
+// miss as a one-cell grid, so a stride request replays a stride tape.
+// For one scheme of every registered kind under every verify policy,
+// its response must equal the one built from a direct scalar Evaluator
+// run: raw and coded meters, widths, op counts and energy.
 func TestEvaluateRequestMatchesScalarEvaluator(t *testing.T) {
 	schemes := map[string][]string{
 		"raw":       {"raw"},

@@ -157,10 +157,10 @@ func EvalMemoStats() MemoStats { return resultMemo.Stats() }
 // RawMeterMemoStats reports the shared raw-bus meter memo's counters.
 func RawMeterMemoStats() MemoStats { return rawMeterMemo.Stats() }
 
-// SlicedCacheStats always reports zero counters. The sliced-plane
-// cache it once described is gone: every grid call builds its own
-// transposition, which a full -exp all never reused across calls. It is
-// kept only because the benchmark harness still reads it.
+// SlicedCacheStats always reports zero counters. The bit-sliced meter
+// and the sliced-plane cache it once described are gone; every grid cell
+// but a stride bank is metered by the scalar Evaluator. It is kept only
+// because the benchmark harness still reads it.
 func SlicedCacheStats() MemoStats { return MemoStats{} }
 
 // ClearEvalMemo returns the evaluation-result memo and the stride-tape
@@ -174,11 +174,10 @@ func ClearEvalMemo() {
 // evalResultKeyed memoizes one transcoder evaluation. fetch returns the
 // trace and its shared raw meter (nil to measure inline) and runs only on
 // a miss, so hits skip even the trace-cache lookup. A miss evaluates as
-// a one-cell grid under cfg.Verify, so single evaluations take the grid
-// engine's fast paths (stride tapes from the tape memo, materialized
-// enumerative meters, bit-sliced stateless coders) and everything else
-// its scalar Evaluator; the Result's coded meter is detached (Clone)
-// before it is retained.
+// a one-cell grid under cfg.Verify, so a stride request replays a tape
+// from the tape memo and everything else runs the grid's scalar
+// Evaluator; the Result's coded meter is detached (Clone) before it is
+// retained.
 func evalResultKeyed(tc coding.Transcoder, id traceID, lambda float64, cfg Config,
 	fetch func() ([]uint64, *bus.Meter, error)) (coding.Result, error) {
 	key := resultKey{config: coding.ConfigKey(tc), trace: id, verify: cfg.Verify.String()}

@@ -1,6 +1,8 @@
 package jobs
 
 import (
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 )
@@ -168,6 +170,82 @@ func TestCompactionPreservesEverything(t *testing.T) {
 		j, ok := s2.Get(JobID(mkItems(id)))
 		if !ok || j.State != StateDone || j.Progress.Done != 1 {
 			t.Errorf("job %s not intact after compaction+reopen: %+v", id, j)
+		}
+	}
+}
+
+// TestSnapshotWriteFailureKeepsJournal blocks the snapshot path with a
+// non-empty directory, so every compaction's rename fails. The failed
+// compactions must leave the journal untruncated, count nothing and
+// leave no temp file, and a store reopened with the blocker still in
+// place must restore every job and item state from the journal alone.
+func TestSnapshotWriteFailureKeepsJournal(t *testing.T) {
+	dir := t.TempDir()
+	blocker := filepath.Join(dir, snapshotName)
+	if err := os.MkdirAll(blocker, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(blocker, "keep"), []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.compactBytes = 256 // every append past 256 bytes attempts a compaction
+	done, _, _ := s.Submit(mkItems("table3", "fig15"))
+	s.SetItemResult(done.ID, 0, ItemResult{Status: ItemDone, Result: []byte(`{"id":"table3"}`)})
+	s.SetItemResult(done.ID, 1, ItemResult{Status: ItemDone, Result: []byte(`{"id":"fig15"}`)})
+	s.SetState(done.ID, StateDone)
+	failed, _, _ := s.Submit(mkItems("fig16", "fig17"))
+	s.SetItemResult(failed.ID, 0, ItemResult{Status: ItemDone, Result: []byte(`{"id":"fig16"}`)})
+	s.SetItemResult(failed.ID, 1, ItemResult{Status: ItemFailed, Error: "boom"})
+	s.SetState(failed.ID, StateFailed)
+	pending, _, _ := s.Submit(mkItems("fig18"))
+	want := map[string]Job{}
+	for _, j := range []*Job{done, failed, pending} {
+		got, _ := s.Get(j.ID)
+		want[j.ID] = *got
+	}
+	before := s.Stats()
+	if before.JournalBytes < s.compactBytes {
+		t.Fatalf("journal holds %d bytes, below the %d-byte compaction threshold", before.JournalBytes, s.compactBytes)
+	}
+	if err := s.Close(); err != nil { // Close compacts once more
+		t.Fatal(err)
+	}
+	if after := s.Stats(); after.Compactions != 0 || before.Compactions != 0 {
+		t.Errorf("compactions = %d before Close, %d after; want 0 with the snapshot path blocked",
+			before.Compactions, after.Compactions)
+	}
+	if st, err := os.Stat(filepath.Join(dir, journalName)); err != nil || st.Size() != before.JournalBytes {
+		t.Fatalf("journal truncated by a failed compaction: %v, size %v, want %d", err, st, before.JournalBytes)
+	}
+	if tmps, _ := filepath.Glob(filepath.Join(dir, snapshotName+".tmp*")); len(tmps) != 0 {
+		t.Errorf("failed snapshot writes left temp files: %v", tmps)
+	}
+
+	s2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if got := len(s2.List()); got != len(want) {
+		t.Fatalf("%d jobs after reopen, want %d", got, len(want))
+	}
+	for id, w := range want {
+		got, ok := s2.Get(id)
+		if !ok {
+			t.Fatalf("job %s lost", id)
+		}
+		if got.State != w.State || got.Progress != w.Progress || len(got.Results) != len(w.Results) {
+			t.Fatalf("job %s: state %s progress %+v, want %s %+v", id, got.State, got.Progress, w.State, w.Progress)
+		}
+		for i, r := range got.Results {
+			wr := w.Results[i]
+			if r.Status != wr.Status || string(r.Result) != string(wr.Result) || r.Error != wr.Error {
+				t.Errorf("job %s item %d: %+v, want %+v", id, i, r, wr)
+			}
 		}
 	}
 }
