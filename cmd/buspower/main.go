@@ -267,7 +267,7 @@ func run() error {
 	tables, err := experiments.RunAll(ctx, cfg, ids, opts)
 	if *verbose {
 		s := workload.Stats()
-		fmt.Fprintf(os.Stderr, "trace cache: memory %d hits / %d misses", s.MemHits, s.MemMisses)
+		fmt.Fprintf(os.Stderr, "trace cache: memory %d hits / %d misses, %s resident", s.MemHits, s.MemMisses, mb(s.ResidentBytes))
 		if dir := workload.TraceCacheDir(); dir != "" {
 			fmt.Fprintf(os.Stderr, "; disk %d hits / %d misses (%d errors) in %s", s.DiskHits, s.DiskMisses, s.DiskErrors, dir)
 		}
@@ -275,7 +275,9 @@ func run() error {
 		m := experiments.EvalMemoStats()
 		fmt.Fprintf(os.Stderr, "eval memo: %d hits / %d misses, %d evictions, %d entries", m.Hits, m.Misses, m.Evictions, m.Size)
 		r := experiments.RawMeterMemoStats()
-		fmt.Fprintf(os.Stderr, "; raw meters: %d hits / %d misses\n", r.Hits, r.Misses)
+		fmt.Fprintf(os.Stderr, "; raw meters: %d hits / %d misses", r.Hits, r.Misses)
+		tp, tapeBytes := experiments.TapeMemoStats()
+		fmt.Fprintf(os.Stderr, "; stride tapes: %d hits / %d misses, %s resident\n", tp.Hits, tp.Misses, mb(tapeBytes))
 	}
 	if err != nil {
 		return err
@@ -296,3 +298,6 @@ func run() error {
 	}
 	return nil
 }
+
+// mb formats a byte count for the -v cache lines.
+func mb(bytes uint64) string { return fmt.Sprintf("%.1f MB", float64(bytes)/(1<<20)) }

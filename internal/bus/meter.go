@@ -106,14 +106,19 @@ func (m *Meter) account(prev, cur, t Word) {
 // overhead — the batch fast path for measuring whole traces.
 func (m *Meter) RecordTrace(trace []Word) { recordAll(m, trace) }
 
-// RecordValues is RecordTrace for raw data-value streams ([]uint64), the
-// form workload traces arrive in; each value is masked to the bus width.
-func (m *Meter) RecordValues(values []uint64) { recordAll(m, values) }
+// Value is the element type of a raw data-value stream: uint32 for the
+// workload traces (every bus of the simulated machine is 32 bits wide),
+// uint64 for wider synthetic streams.
+type Value interface{ ~uint32 | ~uint64 }
+
+// RecordValues is RecordTrace for raw data-value streams; each value is
+// masked to the bus width.
+func RecordValues[T Value](m *Meter, values []T) { recordAll(m, values) }
 
 // recordAll is the shared batch recording core. Σ totals accumulate in
 // locals and flush once; histogram meters fall back to the per-cycle
 // account path only on cycles that actually moved wires.
-func recordAll[T ~uint64](m *Meter, vals []T) {
+func recordAll[T Value](m *Meter, vals []T) {
 	if len(vals) == 0 {
 		return
 	}

@@ -5,11 +5,15 @@ import (
 	"testing"
 )
 
-// referenceRecord is the pre-optimization bit-serial accounting, kept as
-// the oracle the word-parallel fast path is differenced against.
+// referenceMeter is the oracle the meter's word-parallel paths are
+// differenced against. It shares no code with the package: it reads each
+// wire's level bit by bit and counts straight from the paper's
+// definitions — λ_n (eq. 2) is one per cycle wire n changes, and ψ_n is
+// eq. 3 taken literally, |(W_n − W_{n+1}) − (W'_n − W'_{n+1})| over the
+// levels before (W) and after (W') the cycle.
 type referenceMeter struct {
 	width       int
-	prev        Word
+	prev        []int // per-wire level of the last recorded word
 	started     bool
 	cycles      uint64
 	transitions uint64
@@ -19,39 +23,43 @@ type referenceMeter struct {
 }
 
 func newReferenceMeter(width int) *referenceMeter {
-	return &referenceMeter{width: width, perWire: make([]uint64, width), perPair: make([]uint64, max(width-1, 0))}
+	return &referenceMeter{width: width, prev: make([]int, width),
+		perWire: make([]uint64, width), perPair: make([]uint64, max(width-1, 0))}
 }
 
 func (m *referenceMeter) Record(w Word) {
-	w &= Mask(m.width)
+	cur := make([]int, m.width)
+	for n := range cur {
+		cur[n] = int(w>>uint(n)) & 1
+	}
+	m.cycles++
 	if !m.started {
 		m.started = true
-		m.prev = w
-		m.cycles++
+		m.prev = cur
 		return
 	}
-	m.transitions += uint64(TransitionCount(m.prev, w, m.width))
-	single, opposite := CouplingPairs(m.prev, w, m.width)
-	m.couplings += uint64(Weight(single)) + 2*uint64(Weight(opposite))
-	t := m.prev ^ w
-	for n := 0; t != 0; n++ {
-		if t&1 != 0 {
+	for n := 0; n < m.width; n++ {
+		if m.prev[n] != cur[n] {
 			m.perWire[n]++
+			m.transitions++
 		}
-		t >>= 1
 	}
-	for n := 0; single != 0 || opposite != 0; n++ {
-		if single&1 != 0 {
-			m.perPair[n]++
-		}
-		if opposite&1 != 0 {
-			m.perPair[n] += 2
-		}
-		single >>= 1
-		opposite >>= 1
+	for n := 0; n+1 < m.width; n++ {
+		d := (m.prev[n] - m.prev[n+1]) - (cur[n] - cur[n+1])
+		psi := uint64(max(d, -d))
+		m.perPair[n] += psi
+		m.couplings += psi
 	}
-	m.prev = w
-	m.cycles++
+	m.prev = cur
+}
+
+// state reassembles the last recorded word from the wire levels.
+func (m *referenceMeter) state() Word {
+	var w Word
+	for n, b := range m.prev {
+		w |= Word(b) << uint(n)
+	}
+	return w
 }
 
 func randomTrace(t *testing.T, n, width int, seed int64) []Word {
@@ -77,7 +85,8 @@ func randomTrace(t *testing.T, n, width int, seed int64) []Word {
 }
 
 // TestMeterMatchesReference differences the optimized Record and the batch
-// paths against the bit-serial oracle on every statistic, across widths.
+// paths, and the per-cycle TransitionCount and CouplingCount, against the
+// bit-serial oracle on every statistic, across widths.
 func TestMeterMatchesReference(t *testing.T) {
 	for _, width := range []int{1, 2, 7, 31, 32, 33, 63, 64} {
 		trace := randomTrace(t, 2000, width, int64(width)*7919)
@@ -85,9 +94,19 @@ func TestMeterMatchesReference(t *testing.T) {
 		rec := NewMeter(width)
 		batch := NewMeter(width)
 		lite := NewMeterLite(width)
-		for _, w := range trace {
+		for i, w := range trace {
+			prevT, prevC := ref.transitions, ref.couplings
 			ref.Record(w)
 			rec.Record(w)
+			if i == 0 {
+				continue
+			}
+			if got := TransitionCount(trace[i-1], w, width); uint64(got) != ref.transitions-prevT {
+				t.Fatalf("width %d cycle %d: TransitionCount %d, reference %d", width, i, got, ref.transitions-prevT)
+			}
+			if got := CouplingCount(trace[i-1], w, width); uint64(got) != ref.couplings-prevC {
+				t.Fatalf("width %d cycle %d: CouplingCount %d, reference %d", width, i, got, ref.couplings-prevC)
+			}
 		}
 		batch.RecordTrace(trace)
 		lite.RecordTrace(trace)
@@ -96,8 +115,8 @@ func TestMeterMatchesReference(t *testing.T) {
 				t.Fatalf("width %d %s: got (%d, %d, %d), reference (%d, %d, %d)",
 					width, name, m.Cycles(), m.Transitions(), m.Couplings(), ref.cycles, ref.transitions, ref.couplings)
 			}
-			if m.State() != ref.prev {
-				t.Fatalf("width %d %s: state %#x != reference %#x", width, name, m.State(), ref.prev)
+			if m.State() != ref.state() {
+				t.Fatalf("width %d %s: state %#x != reference %#x", width, name, m.State(), ref.state())
 			}
 		}
 		for n := 0; n < width; n++ {
@@ -119,20 +138,30 @@ func TestMeterMatchesReference(t *testing.T) {
 	}
 }
 
-// TestMeterRecordValuesMatchesRecordTrace covers the []uint64 alias path.
+// TestMeterRecordValuesMatchesRecordTrace covers the value-stream paths:
+// []uint64 with high bits that must be masked off, and the []uint32 form
+// workload traces are held in.
 func TestMeterRecordValuesMatchesRecordTrace(t *testing.T) {
 	trace := randomTrace(t, 500, 32, 99)
 	vals := make([]uint64, len(trace))
+	vals32 := make([]uint32, len(trace))
 	for i, w := range trace {
-		vals[i] = uint64(w) | 0xFF00000000000000 // high bits must be masked off
+		vals[i] = uint64(w) | 0xFF00000000000000
+		vals32[i] = uint32(w)
 	}
-	a := NewMeter(32)
-	b := NewMeter(32)
-	a.RecordTrace(trace)
-	b.RecordValues(vals)
-	if a.Transitions() != b.Transitions() || a.Couplings() != b.Couplings() || a.Cycles() != b.Cycles() {
-		t.Fatalf("RecordValues diverged: (%d,%d,%d) != (%d,%d,%d)",
-			b.Cycles(), b.Transitions(), b.Couplings(), a.Cycles(), a.Transitions(), a.Couplings())
+	for _, width := range []int{32, 20} {
+		a := NewMeter(width)
+		b := NewMeter(width)
+		c := NewMeterLite(width)
+		a.RecordTrace(trace)
+		RecordValues(b, vals)
+		RecordValues(c, vals32)
+		for _, m := range []*Meter{b, c} {
+			if a.Transitions() != m.Transitions() || a.Couplings() != m.Couplings() || a.Cycles() != m.Cycles() {
+				t.Fatalf("width %d: RecordValues diverged: (%d,%d,%d) != (%d,%d,%d)", width,
+					m.Cycles(), m.Transitions(), m.Couplings(), a.Cycles(), a.Transitions(), a.Couplings())
+			}
+		}
 	}
 }
 

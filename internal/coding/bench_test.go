@@ -62,10 +62,15 @@ func BenchmarkKernels(b *testing.B) {
 	}
 	b.Run("Coding.EvaluateSweep/window", benchEvaluateSweep)
 	b.Run("Evaluate/window-8", func(b *testing.B) {
-		benchEvaluate(b, 8, func() (Transcoder, error) { return NewWindow(32, 8, 1) })
+		benchEvaluate(b, 8, false, func() (Transcoder, error) { return NewWindow(32, 8, 1) })
+	})
+	// The window-8 evaluation over the 32-bit form workload traces are
+	// held in, reaching the bulk encoder through the widening block.
+	b.Run("Evaluate.U32/window-8", func(b *testing.B) {
+		benchEvaluate(b, 8, true, func() (Transcoder, error) { return NewWindow(32, 8, 1) })
 	})
 	b.Run("Evaluate/context-64", func(b *testing.B) {
-		benchEvaluate(b, 48, func() (Transcoder, error) {
+		benchEvaluate(b, 48, false, func() (Transcoder, error) {
 			return NewContext(ContextConfig{
 				Width: 32, TableSize: 64, ShiftEntries: 8,
 				DividePeriod: 4096, Lambda: 1,
@@ -133,8 +138,9 @@ func benchEncode(b *testing.B, trace []uint64, build func() (Transcoder, error))
 // (sampled verification, shared raw meter, reused evaluator scratch).
 // hot sizes the trace's working set to the scheme's capture range, so the
 // transcoder runs at its operating point — hit-dominated with a
-// realistic miss tail — rather than as a pure raw-send benchmark.
-func benchEvaluate(b *testing.B, hot int, build func() (Transcoder, error)) {
+// realistic miss tail — rather than as a pure raw-send benchmark. u32
+// runs the same values as a []uint32 stream.
+func benchEvaluate(b *testing.B, hot int, u32 bool, build func() (Transcoder, error)) {
 	trace := dictTrace(8192, hot)
 	tc, err := build()
 	if err != nil {
@@ -144,14 +150,22 @@ func benchEvaluate(b *testing.B, hot int, build func() (Transcoder, error)) {
 	var ev Evaluator
 	ev.Verify = VerifySampled(0)
 	ev.Use(tc)
-	if _, err := ev.Evaluate(trace, 1, raw); err != nil { // warm scratch
+	run := func() (Result, error) { return ev.Evaluate(trace, 1, raw) }
+	if u32 {
+		narrow := make([]uint32, len(trace))
+		for i, v := range trace {
+			narrow[i] = uint32(v)
+		}
+		run = func() (Result, error) { return evaluate(&ev, narrow, 1, raw) }
+	}
+	if _, err := run(); err != nil { // warm scratch
 		b.Fatal(err)
 	}
 	b.SetBytes(int64(len(trace)) * 8)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ev.Evaluate(trace, 1, raw); err != nil {
+		if _, err := run(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -61,7 +61,9 @@ type Decoder interface {
 // Evaluate uses it for the unverified stretches of a trace, eliminating
 // the per-cycle interface dispatch there; encodeStream must mutate the
 // encoder exactly as the equivalent sequence of Encode calls would
-// (differential tests compare the two paths cycle-for-cycle).
+// (differential tests compare the two paths cycle-for-cycle). A 32-bit
+// trace reaches it through the Evaluator's widening block, wideBlock
+// values per call.
 type streamEncoder interface {
 	encodeStream(vals []uint64, st *bus.MeterStream)
 }
@@ -180,10 +182,14 @@ func (r Result) EnergyRemaining() float64 {
 // raw measurement is Λ-independent (Λ enters only in Cost), so sweeps can
 // measure each (trace, width) once and share the meter across every
 // scheme and Λ (Evaluator.Evaluate and EvaluateGrid take it as raw).
-func MeasureRawValues(width int, trace []uint64) *bus.Meter {
+func MeasureRawValues(width int, trace []uint64) *bus.Meter { return MeasureRaw(width, trace) }
+
+// MeasureRaw is MeasureRawValues over either value-stream form: the
+// 32-bit workload traces or 64-bit synthetic values.
+func MeasureRaw[T bus.Value](width int, trace []T) *bus.Meter {
 	m := bus.NewMeterLite(width)
 	m.Record(0)
-	m.RecordValues(trace)
+	bus.RecordValues(m, trace)
 	return m
 }
 
@@ -193,10 +199,10 @@ func MeasureRawValues(width int, trace []uint64) *bus.Meter {
 //
 // It returns an error (never a silent wrong answer) if the decoder output
 // diverges from the encoder input at any cycle.
-func Evaluate(t Transcoder, trace []uint64, lambda float64) (Result, error) {
+func Evaluate[T bus.Value](t Transcoder, trace []T, lambda float64) (Result, error) {
 	var ev Evaluator
 	ev.Use(t)
-	return ev.Evaluate(trace, lambda, nil)
+	return evaluate(&ev, trace, lambda, nil)
 }
 
 // Evaluator runs transcoder evaluations while reusing encoder/decoder
@@ -219,9 +225,15 @@ type Evaluator struct {
 	coded  *bus.Meter      // reused coded-bus meter; see Evaluate's ownership note
 	stream bus.MeterStream // reused chunked recorder over coded (large value; kept
 	// here so passing its address to a streamEncoder never forces a heap copy)
-	venc Encoder // replay codec for sampled verification, built
-	vdec Decoder // lazily on the first sampled Evaluate that needs it
+	venc Encoder            // replay codec for sampled verification, built
+	vdec Decoder            // lazily on the first sampled Evaluate that needs it
+	wide *[wideBlock]uint64 // widening block, allocated on first use
 }
+
+// wideBlock is the size of the Evaluator's widening block: a 32-bit
+// trace reaches a bulk encoder's encodeStream([]uint64) through it,
+// wideBlock values per call, so no evaluation copies a whole trace.
+const wideBlock = 4096
 
 // Use selects the transcoder for subsequent Evaluate calls. A fresh
 // encoder/decoder pair is constructed only when t's configuration
@@ -259,9 +271,9 @@ func (ev *Evaluator) codedMeter() *bus.Meter {
 	return ev.coded
 }
 
-func (ev *Evaluator) checkRaw(trace []uint64, raw *bus.Meter) (*bus.Meter, error) {
+func checkRaw[T bus.Value](ev *Evaluator, trace []T, raw *bus.Meter) (*bus.Meter, error) {
 	if raw == nil {
-		return MeasureRawValues(ev.width, trace), nil
+		return MeasureRaw(ev.width, trace), nil
 	}
 	if raw.Width() != ev.width {
 		return nil, fmt.Errorf("coding: shared raw meter width %d != %s data width %d", raw.Width(), ev.t.Name(), ev.width)
@@ -303,11 +315,17 @@ func (ev *Evaluator) divergence(i int, sent, got uint64) error {
 // use the package-level Evaluate, whose throwaway Evaluator never reuses
 // it).
 func (ev *Evaluator) Evaluate(trace []uint64, lambda float64, raw *bus.Meter) (Result, error) {
+	return evaluate(ev, trace, lambda, raw)
+}
+
+// evaluate is Evaluator.Evaluate over either value-stream form; every
+// evaluation entry point runs through it.
+func evaluate[T bus.Value](ev *Evaluator, trace []T, lambda float64, raw *bus.Meter) (Result, error) {
 	if ev.t == nil {
 		return Result{}, fmt.Errorf("coding: Evaluator has no transcoder (call Use first)")
 	}
 	ev.enc.Reset()
-	raw, err := ev.checkRaw(trace, raw)
+	raw, err := checkRaw(ev, trace, raw)
 	if err != nil {
 		return Result{}, err
 	}
@@ -326,8 +344,8 @@ func (ev *Evaluator) Evaluate(trace []uint64, lambda float64, raw *bus.Meter) (R
 	}
 	if live > 0 {
 		ev.dec.Reset()
-		for i, v := range trace[:live] {
-			v &= ev.mask
+		for i, x := range trace[:live] {
+			v := uint64(x) & ev.mask
 			w := ev.enc.Encode(v)
 			if got := ev.dec.Decode(w); got != v {
 				return Result{}, ev.divergence(i, v, got)
@@ -335,7 +353,7 @@ func (ev *Evaluator) Evaluate(trace []uint64, lambda float64, raw *bus.Meter) (R
 			st.Record(w)
 		}
 	}
-	ev.encodeRun(trace[live:], st)
+	encodeRun(ev, trace[live:], st)
 	if ev.Verify.mode == verifySampled && len(trace) > live {
 		if ev.venc == nil {
 			ev.venc, ev.vdec = ev.t.NewEncoder(), ev.t.NewDecoder()
@@ -350,20 +368,36 @@ func (ev *Evaluator) Evaluate(trace []uint64, lambda float64, raw *bus.Meter) (R
 }
 
 // encodeRun encodes vals unverified into st, in bulk when the encoder
-// supports it.
-func (ev *Evaluator) encodeRun(vals []uint64, st *bus.MeterStream) {
-	if se, ok := ev.enc.(streamEncoder); ok {
-		se.encodeStream(vals, st)
+// supports it. 64-bit values go to encodeStream as they are; narrower
+// ones are widened through ev.wide one block at a time.
+func encodeRun[T bus.Value](ev *Evaluator, vals []T, st *bus.MeterStream) {
+	se, ok := ev.enc.(streamEncoder)
+	if !ok {
+		for _, v := range vals {
+			st.Record(ev.enc.Encode(uint64(v) & ev.mask))
+		}
 		return
 	}
-	for _, v := range vals {
-		st.Record(ev.enc.Encode(v & ev.mask))
+	if wide, ok := any(vals).([]uint64); ok {
+		se.encodeStream(wide, st)
+		return
+	}
+	if ev.wide == nil {
+		ev.wide = new([wideBlock]uint64)
+	}
+	for len(vals) > 0 {
+		blk := ev.wide[:min(len(vals), wideBlock)]
+		for i := range blk {
+			blk[i] = uint64(vals[i])
+		}
+		se.encodeStream(blk, st)
+		vals = vals[len(blk):]
 	}
 }
 
 // MustEvaluate is Evaluate but panics on decoder divergence; for use in
 // experiments where divergence is a programming error.
-func MustEvaluate(t Transcoder, trace []uint64, lambda float64) Result {
+func MustEvaluate[T bus.Value](t Transcoder, trace []T, lambda float64) Result {
 	res, err := Evaluate(t, trace, lambda)
 	if err != nil {
 		panic(err)

@@ -52,7 +52,7 @@ func evaluateBuffered(ev *Evaluator, trace []uint64, lambda float64, raw *bus.Me
 	}
 	ev.enc.Reset()
 	ev.dec.Reset()
-	raw, err := ev.checkRaw(trace, raw)
+	raw, err := checkRaw(ev, trace, raw)
 	if err != nil {
 		return Result{}, err
 	}

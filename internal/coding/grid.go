@@ -72,7 +72,7 @@ type GridOptions struct {
 // Results are cell-aligned. Cells sharing a configuration share Raw and
 // Coded meter instances; callers that mutate or Reset a meter must
 // Clone it first.
-func EvaluateGrid(cells []GridCell, trace []uint64, raw *bus.Meter, verify VerifyPolicy, opts GridOptions) ([]Result, error) {
+func EvaluateGrid[T bus.Value](cells []GridCell, trace []T, raw *bus.Meter, verify VerifyPolicy, opts GridOptions) ([]Result, error) {
 	if len(cells) == 0 {
 		return nil, nil
 	}
@@ -106,7 +106,7 @@ func EvaluateGrid(cells []GridCell, trace []uint64, raw *bus.Meter, verify Verif
 		if m := rawMeters[width]; m != nil {
 			return m
 		}
-		m := MeasureRawValues(width, trace)
+		m := MeasureRaw(width, trace)
 		rawMeters[width] = m
 		return m
 	}
@@ -155,7 +155,7 @@ func EvaluateGrid(cells []GridCell, trace []uint64, raw *bus.Meter, verify Verif
 			tp = tapes[st.width]
 		}
 		if tp != nil && st.strides <= tp.maxK {
-			m, o, err := tp.evaluate(st, trace, verify)
+			m, o, err := evaluateTape(tp, st, trace, verify)
 			if err != nil {
 				return nil, err
 			}
@@ -163,7 +163,7 @@ func EvaluateGrid(cells []GridCell, trace []uint64, raw *bus.Meter, verify Verif
 			evaluatedCycles.Add(n * uint64(len(g.cells)))
 		} else {
 			ev.Use(g.t)
-			res, err := ev.Evaluate(trace, cells[g.cells[0]].Lambda, rawM)
+			res, err := evaluate(&ev, trace, cells[g.cells[0]].Lambda, rawM)
 			if err != nil {
 				return nil, err
 			}
@@ -218,10 +218,13 @@ type StrideTape struct {
 // Depth returns the deepest bank the tape serves.
 func (tp *StrideTape) Depth() int { return tp.maxK }
 
+// Bytes returns the memory the tape's records and histogram hold.
+func (tp *StrideTape) Bytes() int { return cap(tp.recs) + 8*cap(tp.hist) }
+
 // NewStrideTape records the stride prediction tape of trace at the given
 // data width, maxK strides deep (clamped to the deepest bank a tape
 // record can encode).
-func NewStrideTape(width, maxK int, trace []uint64) *StrideTape {
+func NewStrideTape[T bus.Value](width, maxK int, trace []T) *StrideTape {
 	maxK = min(maxK, tapeMaxStrides)
 	tp := &StrideTape{
 		width: width,
@@ -231,8 +234,8 @@ func NewStrideTape(width, maxK int, trace []uint64) *StrideTape {
 	}
 	mask := uint64(bus.Mask(width))
 	var prev uint64
-	for i, v := range trace {
-		v &= mask
+	for i, x := range trace {
+		v := uint64(x) & mask
 		if v == prev {
 			tp.hist[0]++
 			continue // recs[i] already 0
@@ -249,14 +252,14 @@ func NewStrideTape(width, maxK int, trace []uint64) *StrideTape {
 	return tp
 }
 
-// Deepen returns the tape maxK strides deep (clamped like NewStrideTape)
-// for the trace tp was recorded from, identical to NewStrideTape(width,
-// maxK, trace) but built from tp: a record that matched at a stride ≤
-// tp.Depth() keeps it — the minimal stride does not depend on the depth
-// — and only the records raw at tp.Depth() probe the deeper strides. tp
-// is left unchanged, since replays may be reading it concurrently; a tape
-// already deep enough is returned as is.
-func (tp *StrideTape) Deepen(maxK int, trace []uint64) *StrideTape {
+// DeepenStrideTape returns the tape maxK strides deep (clamped like
+// NewStrideTape) for the trace tp was recorded from, identical to
+// NewStrideTape(width, maxK, trace) but built from tp: a record that
+// matched at a stride ≤ tp.Depth() keeps it — the minimal stride does
+// not depend on the depth — and only the records raw at tp.Depth() probe
+// the deeper strides. tp is left unchanged, since replays may be reading
+// it concurrently; a tape already deep enough is returned as is.
+func DeepenStrideTape[T bus.Value](tp *StrideTape, maxK int, trace []T) *StrideTape {
 	maxK = min(maxK, tapeMaxStrides)
 	if maxK <= tp.maxK {
 		return tp
@@ -274,7 +277,7 @@ func (tp *StrideTape) Deepen(maxK int, trace []uint64) *StrideTape {
 		if rec != tapeRawRec {
 			continue
 		}
-		if rec = strideMatch(trace, i, trace[i]&mask, mask, tp.maxK+1, maxK); rec != tapeRawRec {
+		if rec = strideMatch(trace, i, uint64(trace[i])&mask, mask, tp.maxK+1, maxK); rec != tapeRawRec {
 			out.recs[i] = rec
 			out.hist[rec]++
 			out.raws--
@@ -286,14 +289,14 @@ func (tp *StrideTape) Deepen(maxK int, trace []uint64) *StrideTape {
 // strideMatch returns the smallest stride k in [from, to] whose
 // prediction from trace's history before cycle i equals v (the masked
 // trace[i]), or tapeRawRec. History before the trace start reads as 0.
-func strideMatch(trace []uint64, i int, v, mask uint64, from, to int) uint8 {
+func strideMatch[T bus.Value](trace []T, i int, v, mask uint64, from, to int) uint8 {
 	for k := from; k <= to; k++ {
 		var a, b uint64
 		if j := i - k; j >= 0 {
-			a = trace[j] & mask
+			a = uint64(trace[j]) & mask
 		}
 		if j := i - 2*k; j >= 0 {
-			b = trace[j] & mask
+			b = uint64(trace[j]) & mask
 		}
 		if (a+(a-b))&mask == v {
 			return uint8(k)
@@ -302,10 +305,10 @@ func strideMatch(trace []uint64, i int, v, mask uint64, from, to int) uint8 {
 	return tapeRawRec
 }
 
-// evaluate replays the tape as a size-t.strides bank, producing the
+// evaluateTape replays the tape as a size-t.strides bank, producing the
 // coded-bus meter and OpStats bit-identical to the scalar
 // strideEncoder run (grid_test.go differentials).
-func (tp *StrideTape) evaluate(t *StrideTranscoder, trace []uint64, verify VerifyPolicy) (*bus.Meter, OpStats, error) {
+func evaluateTape[T bus.Value](tp *StrideTape, t *StrideTranscoder, trace []T, verify VerifyPolicy) (*bus.Meter, OpStats, error) {
 	ch := newChannel(t.width, t.lambda)
 	coded := bus.NewMeterLite(ch.busWidth())
 	stream := coded.Stream()
@@ -327,7 +330,7 @@ func (tp *StrideTape) evaluate(t *StrideTranscoder, trace []uint64, verify Verif
 		case rec <= K:
 			return ch.sendCode(codes[rec])
 		default:
-			w, _ := ch.sendRaw(trace[i] & mask)
+			w, _ := ch.sendRaw(uint64(trace[i]) & mask)
 			return w
 		}
 	}
@@ -337,7 +340,7 @@ func (tp *StrideTape) evaluate(t *StrideTranscoder, trace []uint64, verify Verif
 		dec := t.NewDecoder()
 		for i := 0; i < head; i++ {
 			w := replay(i)
-			v := trace[i] & mask
+			v := uint64(trace[i]) & mask
 			if got := dec.Decode(w); got != v {
 				return nil, OpStats{}, fmt.Errorf("coding: %s decoder diverged at cycle %d: sent %#x, decoded %#x", t.Name(), i, v, got)
 			}
@@ -353,7 +356,7 @@ func (tp *StrideTape) evaluate(t *StrideTranscoder, trace []uint64, verify Verif
 		case rec <= K:
 			ch.sendCode(codes[rec])
 		default:
-			ch.sendRaw(trace[i] & mask)
+			ch.sendRaw(uint64(trace[i]) & mask)
 		}
 	}
 	st.AddBlock(uint64(n-head), ch.accT, ch.accC, ch.state)

@@ -448,7 +448,7 @@ func FuzzGridMatchesScalar(f *testing.F) {
 	})
 }
 
-// TestStrideTapeDeepenMatchesNew pins Deepen to the reference
+// TestStrideTapeDeepenMatchesNew pins DeepenStrideTape to the reference
 // NewStrideTape: deepening a tape from depth d to D must give exactly
 // the tape recorded at depth D, on random and workload traces, including
 // a deepening past the depth cap and a no-op request.
@@ -468,7 +468,7 @@ func TestStrideTapeDeepenMatchesNew(t *testing.T) {
 			d, D := depths[0], depths[1]
 			base := NewStrideTape(width, d, tr)
 			recs, hist, raws := slices.Clone(base.recs), slices.Clone(base.hist), base.raws
-			got := base.Deepen(D, tr)
+			got := DeepenStrideTape(base, D, tr)
 			want := NewStrideTape(width, max(d, D), tr)
 			if got.width != want.width || got.maxK != want.maxK || got.raws != want.raws ||
 				!slices.Equal(got.recs, want.recs) || !slices.Equal(got.hist, want.hist) {

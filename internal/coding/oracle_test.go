@@ -168,7 +168,7 @@ func TestDictionaryMeterMatchesOracle(t *testing.T) {
 // encode. The shallow stride bank replays a tape the grid records
 // itself; the deep bank is served through a tape provider that deepens
 // a shallower tape, as the experiments layer's tape memo does, so its
-// replay runs on a StrideTape.Deepen result.
+// replay runs on a DeepenStrideTape result.
 func TestGridCellsMatchOracle(t *testing.T) {
 	specs := []string{
 		"raw", "gray", "spatial:width=4",
@@ -199,7 +199,7 @@ func TestGridCellsMatchOracle(t *testing.T) {
 		deepened := false
 		opts := GridOptions{Tapes: func(width, k int) *StrideTape {
 			deepened = deepened || k > shallow.Depth()
-			return shallow.Deepen(k, trace)
+			return DeepenStrideTape(shallow, k, trace)
 		}}
 		deepRes, err := EvaluateGrid([]GridCell{{T: deep, Lambda: 1}}, trace, nil, VerifySampled(0), opts)
 		if err != nil {

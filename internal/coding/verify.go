@@ -124,7 +124,7 @@ func ParseVerifyPolicy(s string) (VerifyPolicy, error) {
 // values, in trace order — through enc/dec from reset. Any value
 // sequence must round-trip from reset, so a mismatch is a real codec
 // bug.
-func verifySample(t Transcoder, trace []uint64, every int, enc Encoder, dec Decoder) error {
+func verifySample[T bus.Value](t Transcoder, trace []T, every int, enc Encoder, dec Decoder) error {
 	mask := uint64(bus.Mask(t.DataWidth()))
 	n := len(trace)
 	head := min(VerifyWindow, n)
@@ -133,7 +133,7 @@ func verifySample(t Transcoder, trace []uint64, every int, enc Encoder, dec Deco
 	dec.Reset()
 	i := min((head+every-1)/every*every, tail)
 	for j := 0; i < n; j++ {
-		v := trace[i] & mask
+		v := uint64(trace[i]) & mask
 		if got := dec.Decode(enc.Encode(v)); got != v {
 			return fmt.Errorf("coding: %s sampled-verification replay diverged at sample %d (cycle %d): sent %#x, decoded %#x", t.Name(), j, i, v, got)
 		}

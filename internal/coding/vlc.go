@@ -88,17 +88,25 @@ func (c VLCConfig) validate() error {
 }
 
 // EncodeVLC compresses the trace into bus beats. Exposed for tests and
-// tools; EvaluateVLC wraps it with decode verification and metering.
-func EncodeVLC(cfg VLCConfig, trace []uint64) ([]bus.Word, error) {
+// tools; EvaluateVLC runs the same coder, metering and verifying each
+// beat as it is produced instead of collecting them.
+func EncodeVLC[T bus.Value](cfg VLCConfig, trace []T) ([]bus.Word, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
+	var beats []bus.Word
+	encodeVLC(cfg, trace, func(b bus.Word) { beats = append(beats, b) })
+	return beats, nil
+}
+
+// encodeVLC compresses the trace for a validated cfg, handing each beat to
+// emit in bus order.
+func encodeVLC[T bus.Value](cfg VLCConfig, trace []T, emit func(bus.Word)) {
 	mask := uint64(bus.Mask(cfg.Width))
 	typeWire := bus.Word(1) << uint(cfg.Width)
 	symbolsPerBeat := cfg.vlcSymbols()
 
 	st := newWindowState(cfg.Entries)
-	var beats []bus.Word
 	var packed bus.Word
 	var literals []bus.Word
 	var prevBeat bus.Word
@@ -111,17 +119,17 @@ func EncodeVLC(cfg VLCConfig, trace []uint64) ([]bus.Word, error) {
 		// Packed beats are transition-coded against the previous beat so
 		// repeating symbol patterns (hit streaks) leave the wires still.
 		out := (prevBeat ^ packed) & bus.Word(mask)
-		beats = append(beats, out)
+		emit(out)
 		prevBeat = out
 		for _, l := range literals {
-			beats = append(beats, l)
+			emit(l)
 			prevBeat = l
 		}
 		packed, literals, nsym = 0, literals[:0], 0
 	}
 
-	for _, v := range trace {
-		v &= mask
+	for _, x := range trace {
+		v := uint64(x) & mask
 		var sym bus.Word
 		switch {
 		case v == st.last:
@@ -143,7 +151,100 @@ func EncodeVLC(cfg VLCConfig, trace []uint64) ([]bus.Word, error) {
 		}
 	}
 	flush()
-	return beats, nil
+}
+
+// vlcDecoder reconstructs an agreed number of values from beats fed one
+// at a time, so a beat can be checked the moment it is produced.
+type vlcDecoder struct {
+	cfg            VLCConfig
+	typeWire, mask bus.Word
+	st             windowState
+	prevBeat       bus.Word
+	symbols        bus.Word // undecoded symbols of the current packed beat
+	left           int      // how many of them remain
+	literal        bool     // the next beat is the literal a symbol escaped
+	sym            int      // symbol position of the last decoded symbol
+	want           int      // values still to decode
+	beat           int      // beats fed so far
+}
+
+func newVLCDecoder(cfg VLCConfig, values int) *vlcDecoder {
+	return &vlcDecoder{
+		cfg:      cfg,
+		typeWire: bus.Word(1) << uint(cfg.Width),
+		mask:     bus.Mask(cfg.Width),
+		st:       newWindowState(cfg.Entries),
+		want:     values,
+	}
+}
+
+// feed consumes one beat, passing every value it completes to out. Beats
+// past the agreed value count are ignored.
+func (d *vlcDecoder) feed(beat bus.Word, out func(uint64)) error {
+	d.beat++
+	if d.literal {
+		if beat&d.typeWire == 0 {
+			return fmt.Errorf("coding: vlc literal beat missing after symbol %d", d.sym)
+		}
+		v := uint64(beat & d.mask)
+		d.prevBeat = beat
+		d.literal = false
+		d.st.insert(v)
+		d.emit(v, out)
+		return d.drain(out)
+	}
+	if d.want == 0 {
+		return nil
+	}
+	if beat&d.typeWire != 0 {
+		return fmt.Errorf("coding: vlc decoder expected a packed beat at %d", d.beat-1)
+	}
+	d.symbols = (beat ^ d.prevBeat) & d.mask
+	d.prevBeat = beat
+	d.left = d.cfg.vlcSymbols()
+	return d.drain(out)
+}
+
+// drain decodes the current packed beat's symbols up to the next literal
+// escape or the agreed value count.
+func (d *vlcDecoder) drain(out func(uint64)) error {
+	for d.left > 0 && d.want > 0 {
+		d.sym = d.cfg.vlcSymbols() - d.left
+		sym := d.symbols & 0xF
+		d.symbols >>= 4
+		d.left--
+		switch {
+		case sym == 0:
+			d.emit(d.st.last, out)
+		case sym == 15:
+			d.literal = true
+			return nil
+		default:
+			slot := int(sym) - 1
+			if slot >= d.cfg.Entries {
+				return fmt.Errorf("coding: vlc symbol %d exceeds dictionary size %d", sym, d.cfg.Entries)
+			}
+			d.emit(d.st.entries[slot], out)
+		}
+	}
+	return nil
+}
+
+func (d *vlcDecoder) emit(v uint64, out func(uint64)) {
+	d.st.last = v
+	d.want--
+	out(v)
+}
+
+// finish reports whether the beats fed so far completed every value.
+func (d *vlcDecoder) finish(values int) error {
+	if d.literal {
+		return fmt.Errorf("coding: vlc literal beat missing after symbol %d", d.sym)
+	}
+	if d.want != 0 {
+		return fmt.Errorf("coding: vlc stream ended after %d of %d values", values-d.want, values)
+	}
+	return nil
 }
 
 // DecodeVLC reconstructs exactly values data values from beats.
@@ -151,49 +252,16 @@ func DecodeVLC(cfg VLCConfig, beats []bus.Word, values int) ([]uint64, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	typeWire := bus.Word(1) << uint(cfg.Width)
-	symbolsPerBeat := cfg.vlcSymbols()
-	dataMask := bus.Mask(cfg.Width)
-
-	st := newWindowState(cfg.Entries)
+	d := newVLCDecoder(cfg, values)
 	out := make([]uint64, 0, values)
-	i := 0
-	var prevBeat bus.Word
-	for i < len(beats) && len(out) < values {
-		beat := beats[i]
-		i++
-		if beat&typeWire != 0 {
-			return nil, fmt.Errorf("coding: vlc decoder expected a packed beat at %d", i-1)
-		}
-		symbols := (beat ^ prevBeat) & dataMask
-		prevBeat = beat
-		for s := 0; s < symbolsPerBeat && len(out) < values; s++ {
-			sym := (symbols >> uint(4*s)) & 0xF
-			var v uint64
-			switch {
-			case sym == 0:
-				v = st.last
-			case sym == 15:
-				if i >= len(beats) || beats[i]&typeWire == 0 {
-					return nil, fmt.Errorf("coding: vlc literal beat missing after symbol %d", s)
-				}
-				v = uint64(beats[i] & dataMask)
-				prevBeat = beats[i]
-				i++
-				st.insert(v)
-			default:
-				slot := int(sym) - 1
-				if slot >= cfg.Entries {
-					return nil, fmt.Errorf("coding: vlc symbol %d exceeds dictionary size %d", sym, cfg.Entries)
-				}
-				v = st.entries[slot]
-			}
-			st.last = v
-			out = append(out, v)
+	keep := func(v uint64) { out = append(out, v) }
+	for _, b := range beats {
+		if err := d.feed(b, keep); err != nil {
+			return nil, err
 		}
 	}
-	if len(out) != values {
-		return nil, fmt.Errorf("coding: vlc stream ended after %d of %d values", len(out), values)
+	if err := d.finish(values); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -202,33 +270,48 @@ func DecodeVLC(cfg VLCConfig, beats []bus.Word, values int) ([]uint64, error) {
 // both the raw bus and the variable-length bus. raw is an optional
 // pre-measured raw-bus meter (as from MeasureRawValues at cfg.Width), so
 // sweeps that evaluate several coders over one trace measure the raw bus
-// once; nil measures it here.
-func EvaluateVLC(cfg VLCConfig, trace []uint64, lambda float64, raw *bus.Meter) (VLCResult, error) {
-	beats, err := EncodeVLC(cfg, trace)
-	if err != nil {
+// once; nil measures it here. Each beat is metered and decoded as the
+// coder emits it; no beat or decoded value is buffered.
+func EvaluateVLC[T bus.Value](cfg VLCConfig, trace []T, lambda float64, raw *bus.Meter) (VLCResult, error) {
+	if err := cfg.validate(); err != nil {
 		return VLCResult{}, err
-	}
-	decoded, err := DecodeVLC(cfg, beats, len(trace))
-	if err != nil {
-		return VLCResult{}, err
-	}
-	mask := uint64(bus.Mask(cfg.Width))
-	for i := range trace {
-		if decoded[i] != trace[i]&mask {
-			return VLCResult{}, fmt.Errorf("coding: vlc diverged at value %d: %#x != %#x", i, decoded[i], trace[i]&mask)
-		}
 	}
 	if raw == nil {
-		raw = MeasureRawValues(cfg.Width, trace)
+		raw = MeasureRaw(cfg.Width, trace)
 	} else if raw.Width() != cfg.Width {
 		return VLCResult{}, fmt.Errorf("coding: shared raw meter width %d != vlc width %d", raw.Width(), cfg.Width)
 	}
+	mask := uint64(bus.Mask(cfg.Width))
+	dec := newVLCDecoder(cfg, len(trace))
+	var err error
+	next := 0 // index of the next value the decoder must reproduce
+	check := func(v uint64) {
+		if want := uint64(trace[next]) & mask; v != want && err == nil {
+			err = fmt.Errorf("coding: vlc diverged at value %d: %#x != %#x", next, v, want)
+		}
+		next++
+	}
 	coded := bus.NewMeterLite(cfg.Width + 1)
-	coded.Record(0)
-	coded.RecordTrace(beats)
+	st := coded.Stream()
+	st.Record(0)
+	beats := 0
+	encodeVLC(cfg, trace, func(b bus.Word) {
+		st.Record(b)
+		beats++
+		if err == nil {
+			err = dec.feed(b, check)
+		}
+	})
+	st.Flush()
+	if err == nil {
+		err = dec.finish(len(trace))
+	}
+	if err != nil {
+		return VLCResult{}, err
+	}
 	return VLCResult{
 		Values: len(trace),
-		Beats:  len(beats),
+		Beats:  beats,
 		Raw:    raw,
 		Coded:  coded,
 		Lambda: lambda,

@@ -414,7 +414,7 @@ func TestSimulatorRunsAndProducesTraces(t *testing.T) {
 	}
 	// The fill loop stores multiples of 7: those values must appear on the
 	// memory bus.
-	seen := map[uint64]bool{}
+	seen := map[uint32]bool{}
 	for _, v := range tr.MemoryBus {
 		seen[v] = true
 	}

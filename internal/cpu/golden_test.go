@@ -85,7 +85,7 @@ func compareBusTraces(t *testing.T, got, want cpu.BusTraces) {
 	}
 }
 
-func compareStream(t *testing.T, name string, got, want []uint64) {
+func compareStream(t *testing.T, name string, got, want []uint32) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: length %d, want %d", name, len(got), len(want))

@@ -61,15 +61,15 @@ func DefaultConfig() Config {
 type BusTraces struct {
 	// RegisterBus is the sequence of 32-bit values appearing on the
 	// integer register file's output port, ordered by issue time.
-	RegisterBus []uint64
+	RegisterBus []uint32
 	// MemoryBus is the sequence of 32-bit data values crossing the
 	// memory data bus (cache-fill words of L1 misses and outgoing store
 	// data), ordered by the cycle the value appears on the bus.
-	MemoryBus []uint64
+	MemoryBus []uint32
 	// MemoryAddrBus is the sequence of addresses on the memory address
 	// bus, one per MemoryBus beat — the traffic the related-work
 	// address-bus coders (workzone, sector) target.
-	MemoryAddrBus []uint64
+	MemoryAddrBus []uint32
 
 	Instructions   uint64
 	Cycles         uint64
@@ -585,7 +585,7 @@ func (s *Simulator) acquireFU(class FUClass, from uint64) uint64 {
 
 func (s *Simulator) collect(executed uint64, maxBusValues int) BusTraces {
 	var scratch []busEvent
-	sortEvents := func(ev []busEvent) []uint64 {
+	sortEvents := func(ev []busEvent) []uint32 {
 		if len(ev) > len(scratch) {
 			scratch = make([]busEvent, len(ev))
 		}
@@ -595,9 +595,9 @@ func (s *Simulator) collect(executed uint64, maxBusValues int) BusTraces {
 		if maxBusValues > 0 && len(ev) > maxBusValues {
 			ev = ev[:maxBusValues]
 		}
-		out := make([]uint64, len(ev))
+		out := make([]uint32, len(ev))
 		for i, e := range ev {
-			out[i] = uint64(e.value)
+			out[i] = e.value
 		}
 		return out
 	}

@@ -338,16 +338,16 @@ func (s *ReferenceSimulator) pruneStores(frontier uint64) {
 }
 
 func (s *ReferenceSimulator) collect(executed uint64, maxBusValues int) BusTraces {
-	sortEvents := func(ev []refBusEvent) []uint64 {
+	sortEvents := func(ev []refBusEvent) []uint32 {
 		sort.Slice(ev, func(i, j int) bool {
 			if ev[i].cycle != ev[j].cycle {
 				return ev[i].cycle < ev[j].cycle
 			}
 			return ev[i].seq < ev[j].seq
 		})
-		out := make([]uint64, len(ev))
+		out := make([]uint32, len(ev))
 		for i, e := range ev {
-			out[i] = uint64(e.value)
+			out[i] = e.value
 		}
 		if maxBusValues > 0 && len(out) > maxBusValues {
 			out = out[:maxBusValues]

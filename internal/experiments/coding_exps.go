@@ -50,7 +50,7 @@ func sweepRows(t *Table, busName string, cfg Config, params []int, includeRandom
 	}
 	return gatherRows(t, cfg, len(sources), func(i int, out *Table) error {
 		src := sources[i]
-		var tr []uint64
+		var tr []uint32
 		var raw *bus.Meter
 		var id traceID
 		var err error
@@ -273,11 +273,11 @@ func runFig15(cfg Config) (*Table, error) {
 	}
 	err = gatherRows(t, cfg, len(sources), func(i int, out *Table) error {
 		src := sources[i]
-		var traces [][]uint64
+		var traces [][]uint32
 		var raws []*bus.Meter
 		var ids []traceID
 		if src.bus == "" {
-			traces = [][]uint64{randomTraceFor(n)}
+			traces = [][]uint32{randomTraceFor(n)}
 			raws = []*bus.Meter{randomRawMeter(n)}
 			ids = []traceID{randomTraceID(n)}
 		} else {

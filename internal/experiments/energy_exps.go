@@ -33,7 +33,7 @@ func windowResultFor(name, busName string, entries int, cfg Config) (coding.Resu
 		return coding.Result{}, err
 	}
 	return evalResultKeyed(win, workloadTraceID(name, busName, cfg), evalLambda, cfg,
-		func() ([]uint64, *bus.Meter, error) {
+		func() ([]uint32, *bus.Meter, error) {
 			tr, err := busTrace(name, busName, cfg)
 			if err != nil {
 				return nil, nil, err
@@ -183,11 +183,11 @@ func analysisFor(tech wire.Technology, name, bus string, entries int, cfg Config
 		return energy.Analysis{}, err
 	}
 	if bus == "mem" {
-		ts, err := workload.Traces(name, cfg.Run)
+		tr, err := workload.Resident(name, cfg.Run)
 		if err != nil {
 			return energy.Analysis{}, err
 		}
-		a = a.WithDutyCycle(uint64(len(ts.Mem)), ts.Summary.Cycles)
+		a = a.WithDutyCycle(uint64(len(tr.MemoryBus)), tr.Cycles)
 	}
 	return a, nil
 }

@@ -198,6 +198,20 @@ func (c *sfMemo[K, V]) Stats() MemoStats {
 	}
 }
 
+// values returns the values of the completed, error-free entries, for
+// reports that size what the memo holds.
+func (c *sfMemo[K, V]) values() []V {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := make([]V, 0, len(c.entries))
+	for _, e := range c.entries {
+		if e.done && e.err == nil {
+			out = append(out, e.val)
+		}
+	}
+	return out
+}
+
 // Reset drops every completed entry and zeroes the counters, returning
 // the memo to its cold state (for tests and benchmark passes that must
 // start cold). In-flight entries are kept so their waiters still coalesce.

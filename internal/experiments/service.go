@@ -321,9 +321,23 @@ func EvaluateRequest(ctx context.Context, req EvalRequest) (*EvalResponse, error
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	res, err := evalResultKeyed(tc, id, req.Lambda, cfg, func() ([]uint64, *bus.Meter, error) {
-		return fetchRequestTrace(ctx, req, tc.DataWidth(), id, cfg)
-	})
+	var res coding.Result
+	if len(req.Values) != 0 {
+		// Inline values stay 64-bit: scheme widths reach 62.
+		res, err = evalResultKeyed(tc, id, req.Lambda, cfg, func() ([]uint64, *bus.Meter, error) {
+			if err := ctx.Err(); err != nil {
+				return nil, nil, err
+			}
+			raw, err := rawMeterMemo.Do(id, func() (*bus.Meter, error) {
+				return coding.MeasureRawValues(tc.DataWidth(), req.Values), nil
+			})
+			return req.Values, raw, err
+		})
+	} else {
+		res, err = evalResultKeyed(tc, id, req.Lambda, cfg, func() ([]uint32, *bus.Meter, error) {
+			return fetchRequestTrace(ctx, req, tc.DataWidth(), cfg)
+		})
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -341,10 +355,10 @@ func EvaluateRequest(ctx context.Context, req EvalRequest) (*EvalResponse, error
 	}, nil
 }
 
-// fetchRequestTrace resolves the request's trace and (when available at
-// the scheme's width) its shared raw-bus meter. It runs only on an
-// eval-memo miss.
-func fetchRequestTrace(ctx context.Context, req EvalRequest, width int, id traceID, cfg Config) ([]uint64, *bus.Meter, error) {
+// fetchRequestTrace resolves a workload or random request's trace and
+// (when available at the scheme's width) its shared raw-bus meter. It
+// runs only on an eval-memo miss.
+func fetchRequestTrace(ctx context.Context, req EvalRequest, width int, cfg Config) ([]uint32, *bus.Meter, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
@@ -361,16 +375,11 @@ func fetchRequestTrace(ctx context.Context, req EvalRequest, width int, id trace
 		}
 		raw, err := rawMeterFor(req.Workload, req.Bus, cfg)
 		return tr, raw, err
-	case req.Random != 0:
+	default:
 		b := randomBundleFor(req.Random)
 		if width != busWidth {
 			return b.trace, nil, nil
 		}
 		return b.trace, b.meter, nil
-	default:
-		raw, err := rawMeterMemo.Do(id, func() (*bus.Meter, error) {
-			return coding.MeasureRawValues(width, req.Values), nil
-		})
-		return req.Values, raw, err
 	}
 }

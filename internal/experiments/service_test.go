@@ -200,11 +200,13 @@ func TestEvaluateRequestMatchesScalarEvaluator(t *testing.T) {
 		"lowweight": {"lowweight:groups=4,extra=1"},
 		"dvs":       {"dvs:extra=2,vdd=80"},
 	}
-	cfg := QuickConfig()
-	tr, err := busTrace("li", "reg", cfg)
+	// The scalar reference runs the widened 64-bit copy, so every case
+	// also checks the service's 32-bit path against the 64-bit one.
+	ts, err := workload.Traces("li", QuickConfig().Run)
 	if err != nil {
 		t.Fatal(err)
 	}
+	tr := ts.Reg
 	for _, kind := range coding.SchemeKinds() {
 		specs, ok := schemes[kind]
 		if !ok {

@@ -42,14 +42,15 @@ func rawMeterFor(name, busName string, cfg Config) (*bus.Meter, error) {
 		if err != nil {
 			return nil, err
 		}
-		return coding.MeasureRawValues(busWidth, tr), nil
+		return coding.MeasureRaw(busWidth, tr), nil
 	})
 }
 
 // randomBundle pairs the n-value random comparison trace with its raw-bus
 // meter, so the runners neither regenerate the values nor re-meter them.
+// The values are 32-bit, held like the workload traces.
 type randomBundle struct {
-	trace []uint64
+	trace []uint32
 	meter *bus.Meter
 }
 
@@ -57,14 +58,17 @@ var randomMemo = newSFMemo[int, randomBundle](8)
 
 func randomBundleFor(n int) randomBundle {
 	b, _ := randomMemo.Do(n, func() (randomBundle, error) {
-		tr := workload.RandomTrace(n, randomSeed)
-		return randomBundle{trace: tr, meter: coding.MeasureRawValues(busWidth, tr)}, nil
+		tr := make([]uint32, n)
+		for i, v := range workload.RandomTrace(n, randomSeed) {
+			tr[i] = uint32(v)
+		}
+		return randomBundle{trace: tr, meter: coding.MeasureRaw(busWidth, tr)}, nil
 	})
 	return b
 }
 
 // randomTraceFor returns the shared n-value random comparison trace.
-func randomTraceFor(n int) []uint64 { return randomBundleFor(n).trace }
+func randomTraceFor(n int) []uint32 { return randomBundleFor(n).trace }
 
 // randomRawMeter returns the shared raw-bus meter of that trace.
 func randomRawMeter(n int) *bus.Meter { return randomBundleFor(n).meter }
@@ -127,7 +131,7 @@ var tapeMemo = newSFMemo[derivedKey, *tapeSlot](64)
 // one trace. Inline request traces do not get it: caching their tapes
 // would keep one per submitted trace alive, where named and random
 // traces are a small, already-cached set.
-func gridOptionsFor(id traceID, tr []uint64) coding.GridOptions {
+func gridOptionsFor[T bus.Value](id traceID, tr []T) coding.GridOptions {
 	if strings.HasPrefix(id.source, inlineSourcePrefix) {
 		return coding.GridOptions{}
 	}
@@ -144,7 +148,7 @@ func gridOptionsFor(id traceID, tr []uint64) coding.GridOptions {
 			if slot.tape == nil {
 				slot.tape = coding.NewStrideTape(width, k, tr)
 			} else if d := slot.tape.Depth(); d < k {
-				slot.tape = slot.tape.Deepen(max(k, 2*d), tr)
+				slot.tape = coding.DeepenStrideTape(slot.tape, max(k, 2*d), tr)
 			}
 			return slot.tape
 		},
@@ -156,6 +160,20 @@ func EvalMemoStats() MemoStats { return resultMemo.Stats() }
 
 // RawMeterMemoStats reports the shared raw-bus meter memo's counters.
 func RawMeterMemoStats() MemoStats { return rawMeterMemo.Stats() }
+
+// TapeMemoStats reports the stride-tape memo's counters and the bytes its
+// tapes hold. It waits for any tape being built.
+func TapeMemoStats() (MemoStats, uint64) {
+	var bytes uint64
+	for _, slot := range tapeMemo.values() {
+		slot.mu.Lock()
+		if slot.tape != nil {
+			bytes += uint64(slot.tape.Bytes())
+		}
+		slot.mu.Unlock()
+	}
+	return tapeMemo.Stats(), bytes
+}
 
 // SlicedCacheStats always reports zero counters. The bit-sliced meter
 // and the sliced-plane cache it once described are gone; every grid cell
@@ -178,8 +196,8 @@ func ClearEvalMemo() {
 // from the tape memo and everything else runs the grid's scalar
 // Evaluator; the Result's coded meter is detached (Clone) before it is
 // retained.
-func evalResultKeyed(tc coding.Transcoder, id traceID, lambda float64, cfg Config,
-	fetch func() ([]uint64, *bus.Meter, error)) (coding.Result, error) {
+func evalResultKeyed[T bus.Value](tc coding.Transcoder, id traceID, lambda float64, cfg Config,
+	fetch func() ([]T, *bus.Meter, error)) (coding.Result, error) {
 	key := resultKey{config: coding.ConfigKey(tc), trace: id, verify: cfg.Verify.String()}
 	res, err := resultMemo.Do(key, func() (coding.Result, error) {
 		tr, raw, err := fetch()
@@ -221,7 +239,7 @@ type gridPoint struct {
 // share one cache and identical hit/miss accounting. Results are
 // bit-identical to per-point evalResult calls — the grid engine is
 // differentially tested against the scalar evaluator cell by cell.
-func evalGridPoints(points []gridPoint, id traceID, tr []uint64, raw *bus.Meter, cfg Config) ([]coding.Result, error) {
+func evalGridPoints(points []gridPoint, id traceID, tr []uint32, raw *bus.Meter, cfg Config) ([]coding.Result, error) {
 	out := make([]coding.Result, len(points))
 	keys := make([]resultKey, len(points))
 	var missIdx []int
@@ -266,8 +284,8 @@ func evalGridPoints(points []gridPoint, id traceID, tr []uint64, raw *bus.Meter,
 
 // evalResult is evalResultKeyed for callers that already hold the trace
 // and its raw meter.
-func evalResult(tc coding.Transcoder, id traceID, tr []uint64, lambda float64, raw *bus.Meter, cfg Config) (coding.Result, error) {
-	return evalResultKeyed(tc, id, lambda, cfg, func() ([]uint64, *bus.Meter, error) {
+func evalResult(tc coding.Transcoder, id traceID, tr []uint32, lambda float64, raw *bus.Meter, cfg Config) (coding.Result, error) {
+	return evalResultKeyed(tc, id, lambda, cfg, func() ([]uint32, *bus.Meter, error) {
 		return tr, raw, nil
 	})
 }

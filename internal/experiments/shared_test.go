@@ -222,11 +222,11 @@ func TestMemoResetKeepsInFlight(t *testing.T) {
 func TestEvalResultMemoizes(t *testing.T) {
 	ClearEvalMemo()
 	t.Cleanup(ClearEvalMemo)
-	vals := make([]uint64, 2000)
+	vals := make([]uint32, 2000)
 	for i := range vals {
-		vals[i] = uint64(i*2654435761) >> 16
+		vals[i] = uint32(uint64(i*2654435761) >> 16)
 	}
-	raw := coding.MeasureRawValues(busWidth, vals)
+	raw := coding.MeasureRaw(busWidth, vals)
 	id := traceID{source: "test-eval-memo"}
 	cfg := Config{}
 	build := func() coding.Transcoder {
@@ -342,6 +342,11 @@ func TestTapeMemoGrowsGeometrically(t *testing.T) {
 	}
 	if _, d := depth(201); d != 250 {
 		t.Fatalf("rebuild depth %d, want the 250-stride cap", d)
+	}
+	// The -v report sizes the memo by the one tape the slot now holds.
+	last, _ := depth(1)
+	if st, bytes := TapeMemoStats(); st.Size != 1 || bytes != uint64(last.Bytes()) || bytes < uint64(len(tr)) {
+		t.Errorf("TapeMemoStats: %d entries, %d bytes; want 1 entry of %d bytes", st.Size, bytes, last.Bytes())
 	}
 	ClearEvalMemo()
 	if _, d := depth(2); d != 2 {

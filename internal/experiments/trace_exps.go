@@ -23,19 +23,20 @@ func init() {
 	})
 }
 
-// busTrace fetches one bus of a workload's traffic.
-func busTrace(name, bus string, cfg Config) ([]uint64, error) {
-	ts, err := workload.Traces(name, cfg.Run)
+// busTrace fetches one bus of a workload's traffic: the trace cache's
+// resident 32-bit stream, shared and read-only.
+func busTrace(name, bus string, cfg Config) ([]uint32, error) {
+	tr, err := workload.Resident(name, cfg.Run)
 	if err != nil {
 		return nil, err
 	}
 	switch bus {
 	case "reg":
-		return ts.Reg, nil
+		return tr.RegisterBus, nil
 	case "mem":
-		return ts.Mem, nil
+		return tr.MemoryBus, nil
 	case "addr":
-		return ts.Addr, nil
+		return tr.MemoryAddrBus, nil
 	default:
 		return nil, fmt.Errorf("unknown bus %q", bus)
 	}

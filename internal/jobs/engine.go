@@ -414,7 +414,9 @@ func (e *Engine) runItem(ref itemRef) {
 }
 
 // completeItem journals the outcome and performs the terminal transition
-// when this was the job's last incomplete item.
+// when this was the job's last incomplete item. A journal failure needs
+// no handling here: the store has already recorded the item failed, so
+// the job finalizes failed.
 func (e *Engine) completeItem(ref itemRef, res ItemResult) {
 	e.store.SetItemResult(ref.id, ref.index, res)
 	e.itemsCompleted.Add(1)

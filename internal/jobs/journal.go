@@ -24,7 +24,7 @@ import (
 //
 //	<16 lowercase hex digits of FNV-1a 64 over the payload> <payload JSON>\n
 //
-// Corruption handling follows the BUSTRC02 trace-container discipline:
+// Corruption handling follows the BUSTRC03 trace-container discipline:
 // readers trust nothing after the first malformed line (torn tail write,
 // bit-flipped checksum, merged lines) and the store truncates the file
 // back to the last valid record — corruption costs the tail, never the

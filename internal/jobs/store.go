@@ -207,8 +207,11 @@ func (s *Store) applyState(j *Job, st State, ts time.Time) {
 }
 
 // append journals one record. Memory is the source of truth while the
-// process lives; a failed append degrades durability, not correctness,
-// so callers decide whether to surface the error. Called under mu.
+// process lives, but it must never claim more than the journal holds: a
+// caller whose append failed records an outcome that is not done (see
+// SetItemResult and SetState). A partly written record is cut off again
+// when the file allows it, so later appends stay readable. Called under
+// mu.
 func (s *Store) append(rec *record) error {
 	if s.journal == nil {
 		return nil
@@ -218,10 +221,14 @@ func (s *Store) append(rec *record) error {
 		return err
 	}
 	n, err := s.journal.Write(line)
-	s.journalBytes += int64(n)
 	if err != nil {
+		if n > 0 && s.journal.Truncate(s.journalBytes) == nil {
+			n = 0
+		}
+		s.journalBytes += int64(n)
 		return fmt.Errorf("jobs: journal append: %w", err)
 	}
+	s.journalBytes += int64(n)
 	if s.journalBytes >= s.compactBytes {
 		s.compactLocked()
 	}
@@ -336,7 +343,11 @@ func (s *Store) SetItemRunning(id string, index int) {
 	s.publish(j, Event{Type: "item", JobID: id, State: j.State, Index: index, Item: &res, Progress: j.Progress})
 }
 
-// SetItemResult records (and journals) one item's durable outcome.
+// SetItemResult records (and journals) one item's durable outcome. If the
+// journal append fails, the item ends failed with the journal error
+// instead — an outcome that is not durable is never reported done — and
+// that failure is journaled if the journal takes it; if not, a reopened
+// store finds the item pending and runs it again.
 func (s *Store) SetItemResult(id string, index int, res ItemResult) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -345,6 +356,12 @@ func (s *Store) SetItemResult(id string, index int, res ItemResult) error {
 		return fmt.Errorf("jobs: no item %d in job %s", index, id)
 	}
 	err := s.append(&record{Type: "item", ID: id, Index: index, Item: &res})
+	if err != nil {
+		res = ItemResult{Status: ItemFailed, Error: err.Error(), ElapsedMS: res.ElapsedMS}
+		// Best effort: if this append fails too, the item is simply absent
+		// from the journal, which reads as pending on reopen.
+		_ = s.append(&record{Type: "item", ID: id, Index: index, Item: &res})
+	}
 	j.Results[index] = res
 	j.recount()
 	s.publish(j, Event{Type: "item", JobID: id, State: j.State, Index: index, Item: &res, Progress: j.Progress})
@@ -353,7 +370,9 @@ func (s *Store) SetItemResult(id string, index int, res ItemResult) error {
 
 // SetState records (and journals) a job-level transition, publishing it
 // to subscribers. Terminal transitions close every subscriber channel:
-// the SSE layer re-reads the final job and ends the stream.
+// the SSE layer re-reads the final job and ends the stream. A transition
+// to done whose journal append fails ends the job failed instead: the job
+// is not reported done while the journal does not say so.
 func (s *Store) SetState(id string, st State) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -366,7 +385,13 @@ func (s *Store) SetState(id string, st State) error {
 	}
 	rec := &record{Type: "state", ID: id, State: st, TS: s.now().UTC()}
 	err := s.append(rec)
-	s.applyState(j, st, rec.TS)
+	if err != nil && st == StateDone {
+		rec.State = StateFailed
+		// Best effort, as in SetItemResult: a lost state record is
+		// re-derived from the item records on reopen.
+		_ = s.append(rec)
+	}
+	s.applyState(j, rec.State, rec.TS)
 	s.publish(j, Event{Type: "state", JobID: id, State: j.State, Progress: j.Progress})
 	return err
 }

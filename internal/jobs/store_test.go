@@ -1,10 +1,14 @@
 package jobs
 
 import (
+	"context"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
+
+	"buspower/internal/experiments"
 )
 
 func TestSubmitDedupAndReactivation(t *testing.T) {
@@ -247,5 +251,146 @@ func TestSnapshotWriteFailureKeepsJournal(t *testing.T) {
 				t.Errorf("job %s item %d: %+v, want %+v", id, i, r, wr)
 			}
 		}
+	}
+}
+
+// breakJournal swaps the store's journal for a read-only handle on the
+// same file, so every later append fails the way one on a read-only or
+// full disk does.
+func breakJournal(s *Store) error {
+	f, err := os.Open(filepath.Join(s.dir, journalName))
+	if err != nil {
+		return err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.journal.Close()
+	s.journal = f
+	return nil
+}
+
+// TestJournalAppendFailureNeverReportsDone makes the journal unwritable
+// while a job runs: the item that finishes after it and every later one
+// must end failed with the journal error, in Get and in the SSE event
+// stream, the job must end failed, and a reopened store must not show
+// any of them done either. The item finished before the fault stays done.
+func TestJournalAppendFailureNeverReportsDone(t *testing.T) {
+	dir := t.TempDir()
+	e := newTestEngine(t, dir, 1, 0)
+	gate := make(chan struct{})
+	e.runEval = func(ctx context.Context, req *experiments.EvalRequest) (interface{}, error) {
+		switch len(req.Values) {
+		case 1:
+			<-gate // hold the first item until the test has subscribed
+		case 2:
+			if err := breakJournal(e.store); err != nil {
+				return nil, err
+			}
+		}
+		return "ok", nil
+	}
+	e.Start()
+	j, _, err := e.Submit(evalItems(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	events, cancel, ok := e.Subscribe(j.ID)
+	if !ok {
+		t.Fatal("subscribe failed")
+	}
+	defer cancel()
+	close(gate)
+	var last Event
+	for ev := range events { // closed by the terminal transition
+		if ev.Type == "item" && ev.Index > 0 && ev.Item.Status == ItemDone {
+			t.Errorf("SSE reported item %d done after the journal broke", ev.Index)
+		}
+		if ev.State == StateDone {
+			t.Errorf("SSE reported the job done: %+v", ev)
+		}
+		last = ev
+	}
+	if last.State != StateFailed {
+		t.Errorf("last event state %s, want failed", last.State)
+	}
+	live, _ := e.Get(j.ID)
+	if live.State != StateFailed || live.Results[0].Status != ItemDone {
+		t.Fatalf("live job: state %s, item 0 %+v", live.State, live.Results[0])
+	}
+	for i := 1; i < 3; i++ {
+		if r := live.Results[i]; r.Status != ItemFailed || !strings.Contains(r.Error, "journal append") {
+			t.Errorf("live item %d: %+v, want failed with the journal error", i, r)
+		}
+	}
+	e.Drain(context.Background()) // closing the broken journal may fail
+
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	got, ok := s.Get(j.ID)
+	if !ok {
+		t.Fatal("job lost on reopen")
+	}
+	if got.State == StateDone || got.Results[0].Status != ItemDone {
+		t.Fatalf("reopened job: state %s, item 0 %+v", got.State, got.Results[0])
+	}
+	for i := 1; i < 3; i++ {
+		if got.Results[i].Status == ItemDone {
+			t.Errorf("reopened store shows item %d done", i)
+		}
+	}
+}
+
+// TestJournalAppendFailureOnDoneTransition: when every item is durable but
+// the job's done record cannot be journaled, the job ends failed, live and
+// after a reopen, and a resubmission finalizes it done once the journal
+// works again.
+func TestJournalAppendFailureOnDoneTransition(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	items := mkItems("table3")
+	j, _, _ := s.Submit(items)
+	if err := s.SetItemResult(j.ID, 0, ItemResult{Status: ItemDone, Result: []byte(`1`)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := breakJournal(s); err != nil {
+		t.Fatal(err)
+	}
+	events, cancel, _ := s.Subscribe(j.ID)
+	defer cancel()
+	if err := s.SetState(j.ID, StateDone); err == nil {
+		t.Fatal("SetState on a broken journal reported no error")
+	}
+	for ev := range events {
+		if ev.State != StateFailed {
+			t.Errorf("event state %s, want failed", ev.State)
+		}
+	}
+	if live, _ := s.Get(j.ID); live.State != StateFailed {
+		t.Fatalf("live state %s, want failed", live.State)
+	}
+	s.Close()
+
+	s2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if got, _ := s2.Get(j.ID); got.State == StateDone || got.Results[0].Status != ItemDone {
+		t.Fatalf("reopened: state %s, item %+v", got.State, got.Results[0])
+	}
+	e := NewEngine(s2, 1, 0)
+	e.Start()
+	defer e.Drain(context.Background())
+	if _, created, err := e.Submit(items); err != nil || !created {
+		t.Fatalf("resubmit: created=%v err=%v", created, err)
+	}
+	if final := waitTerminal(t, e, j.ID); final.State != StateDone {
+		t.Fatalf("resubmitted job ended %s, want done", final.State)
 	}
 }

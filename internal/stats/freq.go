@@ -2,6 +2,10 @@ package stats
 
 import "sort"
 
+// Value is the element type of a value trace: uint32 for the workload
+// bus traces, uint64 for wider streams.
+type Value interface{ ~uint32 | ~uint64 }
+
 // FrequencyCDF computes the cumulative distribution of the most frequent
 // unique values in a trace, reproducing the statistic of the paper's
 // Figure 7: point i of the result is the fraction of all trace entries
@@ -9,11 +13,11 @@ import "sort"
 //
 // The returned slice is non-decreasing and ends at 1 for non-empty input;
 // it is empty for empty input.
-func FrequencyCDF(trace []uint64) []float64 {
+func FrequencyCDF[T Value](trace []T) []float64 {
 	if len(trace) == 0 {
 		return nil
 	}
-	counts := make(map[uint64]int, 1024)
+	counts := make(map[T]int, 1024)
 	for _, v := range trace {
 		counts[v]++
 	}
@@ -50,7 +54,7 @@ func CoverageAt(cdf []float64, n int) float64 {
 // values within the window that are unique (appear exactly once in that
 // window). Windows slide by one position. A window size of 1 always yields
 // 1. It returns 0 when the trace is shorter than the window.
-func WindowUniqueFraction(trace []uint64, window int) float64 {
+func WindowUniqueFraction[T Value](trace []T, window int) float64 {
 	return NewWindowUniqueProfile(trace).Fraction(window)
 }
 
@@ -69,14 +73,14 @@ type WindowUniqueProfile struct {
 // NewWindowUniqueProfile indexes the trace's previous/next occurrence
 // structure. Traces are bounded well below 2^31 values (the trace reader
 // rejects counts over 2^30), which keeps the occurrence links in int32.
-func NewWindowUniqueProfile(trace []uint64) *WindowUniqueProfile {
+func NewWindowUniqueProfile[T Value](trace []T) *WindowUniqueProfile {
 	n := len(trace)
 	p := &WindowUniqueProfile{
 		n:    n,
 		prev: make([]int32, n),
 		next: make([]int32, n),
 	}
-	last := make(map[uint64]int32, 1024)
+	last := make(map[T]int32, 1024)
 	for i, v := range trace {
 		if j, ok := last[v]; ok {
 			p.prev[i] = j
@@ -123,8 +127,8 @@ func (p *WindowUniqueProfile) Fraction(window int) float64 {
 }
 
 // UniqueCount returns the number of distinct values in the trace.
-func UniqueCount(trace []uint64) int {
-	seen := make(map[uint64]struct{}, 1024)
+func UniqueCount[T Value](trace []T) int {
+	seen := make(map[T]struct{}, 1024)
 	for _, v := range trace {
 		seen[v] = struct{}{}
 	}

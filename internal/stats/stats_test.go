@@ -168,7 +168,7 @@ func TestFrequencyCDF(t *testing.T) {
 }
 
 func TestFrequencyCDFEmpty(t *testing.T) {
-	if cdf := FrequencyCDF(nil); cdf != nil {
+	if cdf := FrequencyCDF[uint64](nil); cdf != nil {
 		t.Errorf("expected nil CDF for empty trace, got %v", cdf)
 	}
 }
@@ -276,7 +276,7 @@ func TestUniqueCount(t *testing.T) {
 	if got := UniqueCount([]uint64{1, 2, 2, 3, 3, 3}); got != 3 {
 		t.Errorf("UniqueCount = %d, want 3", got)
 	}
-	if got := UniqueCount(nil); got != 0 {
-		t.Errorf("UniqueCount(nil) = %d, want 0", got)
+	if got := UniqueCount[uint64](nil); got != 0 {
+		t.Errorf("UniqueCount[uint64](nil) = %d, want 0", got)
 	}
 }

@@ -31,6 +31,15 @@ func benchTraceValues(n int) []uint64 {
 	return out
 }
 
+// benchBeats is benchTraceValues in the 4-byte form containers hold.
+func benchBeats(n int) []uint32 {
+	out := make([]uint32, n)
+	for i, v := range benchTraceValues(n) {
+		out[i] = uint32(v)
+	}
+	return out
+}
+
 func benchTraceWrite(b *testing.B) {
 	tr := &Trace{Name: "bench/reg", Width: 32, Values: benchTraceValues(benchTraceSize)}
 	b.SetBytes(int64(len(tr.Values)) * 8)
@@ -67,16 +76,16 @@ func benchContainer() *Container {
 		Name: "bench",
 		Meta: []byte(`{"instructions":1500000,"cycles":2000000}`),
 		Sections: []Section{
-			{Name: "reg", Width: 32, Values: benchTraceValues(benchTraceSize)},
-			{Name: "mem", Width: 32, Values: benchTraceValues(benchTraceSize)},
-			{Name: "addr", Width: 32, Values: benchTraceValues(benchTraceSize)},
+			{Name: "reg", Width: 32, Values: benchBeats(benchTraceSize)},
+			{Name: "mem", Width: 32, Values: benchBeats(benchTraceSize)},
+			{Name: "addr", Width: 32, Values: benchBeats(benchTraceSize)},
 		},
 	}
 }
 
 func benchContainerWrite(b *testing.B) {
 	c := benchContainer()
-	b.SetBytes(3 * benchTraceSize * 8)
+	b.SetBytes(3 * benchTraceSize * 4)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -97,7 +106,7 @@ func benchContainerRead(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ReadContainer(bytes.NewReader(data)); err != nil {
+		if _, err := ReadContainer(bytes.NewReader(data), int64(len(data))); err != nil {
 			b.Fatal(err)
 		}
 	}

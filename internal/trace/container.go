@@ -10,20 +10,21 @@ import (
 	"io"
 )
 
-// BUSTRC02 is the bulk-I/O container format behind the persistent trace
+// BUSTRC03 is the bulk-I/O container format behind the persistent trace
 // cache: one file holds every bus stream of a workload run plus an opaque
 // metadata blob (the run's summary statistics), so a cache hit restores a
-// whole TraceSet in a few large reads instead of one file (and one
-// per-value loop) per bus.
+// whole run in a few large reads instead of one file (and one per-value
+// loop) per bus. Every bus of the simulated machine is 32 bits wide, so
+// a value takes 4 bytes on disk and in memory.
 //
 // Layout (all integers little-endian):
 //
-//	magic[8] "BUSTRC02"
+//	magic[8] "BUSTRC03"
 //	nameLen u16 | name bytes
 //	metaLen u32 | meta bytes (opaque to this package)
 //	sectionCount u16
-//	per section: nameLen u16 | name | width u16 | count u64
-//	per section: count * 8 bytes of values (64 KiB block-encoded)
+//	per section: nameLen u16 | name | width u16 (1..32) | count u64
+//	per section: count * 4 bytes of values (32 KiB block-encoded)
 //	checksum u64 (FNV-1a over everything after the magic)
 //
 // The trailing checksum makes torn or bit-rotted cache files detectable:
@@ -32,12 +33,12 @@ import (
 
 // containerMagic identifies the container format and its version; bumping
 // the version changes the magic, so stale files fail the magic check.
-var containerMagic = [8]byte{'B', 'U', 'S', 'T', 'R', 'C', '0', '2'}
+var containerMagic = [8]byte{'B', 'U', 'S', 'T', 'R', 'C', '0', '3'}
 
 // ContainerVersion names the on-disk format for cache-key derivation:
 // changing the layout must change this string (and the magic), which
 // invalidates every previously written cache entry.
-const ContainerVersion = "BUSTRC02"
+const ContainerVersion = "BUSTRC03"
 
 // Limits keep a corrupted header from driving huge allocations.
 const (
@@ -50,10 +51,10 @@ const (
 type Section struct {
 	// Name identifies the bus, e.g. "reg".
 	Name string
-	// Width is the bus width in bits (1..64).
+	// Width is the bus width in bits (1..32).
 	Width int
 	// Values is the per-beat value stream.
-	Values []uint64
+	Values []uint32
 }
 
 // Container is a named bundle of bus streams with an opaque metadata blob.
@@ -67,9 +68,13 @@ type Container struct {
 	Sections []Section
 }
 
-// blockWords is the bulk-I/O chunk size: 8192 values = 64 KiB per Write
-// or ReadFull call instead of one call per 8-byte value.
+// blockWords is the bulk-I/O chunk size in values: one Write or ReadFull
+// call per 8192 values (32 KiB of container beats, 64 KiB of BUSTRC01
+// trace values) instead of one call per value.
 const blockWords = 8192
+
+// maxSectionWidth is the widest bus a container section holds.
+const maxSectionWidth = 32
 
 // writeUint64Block encodes vals in blockWords chunks through buf (which
 // must hold blockWords*8 bytes).
@@ -109,26 +114,36 @@ func readUint64Block(r io.Reader, vals []uint64, buf []byte) error {
 	return nil
 }
 
-// readUint64Progressive decodes count values, growing the result by
-// capped doubling — to min(count, max(2·cap, len+block)) — so a valid
-// section ends with cap == count (decoded traces stay resident for the
-// life of the process), while a corrupt header announcing an absurd count
-// costs about twice the bytes actually present in the stream, not an
-// upfront 8*count allocation.
-func readUint64Progressive(r io.Reader, count uint64, buf []byte) ([]uint64, error) {
-	vals := make([]uint64, 0, min(count, blockWords))
-	for n := uint64(0); n < count; n = uint64(len(vals)) {
-		if n == uint64(cap(vals)) {
-			grown := make([]uint64, n, min(count, max(2*n, n+blockWords)))
-			copy(grown, vals)
-			vals = grown
+// writeUint32Block is writeUint64Block for 4-byte values (buf must hold
+// blockWords*4 bytes).
+func writeUint32Block(w io.Writer, vals []uint32, buf []byte) error {
+	for len(vals) > 0 {
+		n := min(len(vals), blockWords)
+		for i, v := range vals[:n] {
+			binary.LittleEndian.PutUint32(buf[i*4:], v)
 		}
-		if err := readUint64Block(r, vals[n:cap(vals)], buf); err != nil {
-			return nil, err
+		if _, err := w.Write(buf[:n*4]); err != nil {
+			return err
 		}
-		vals = vals[:cap(vals)]
+		vals = vals[n:]
 	}
-	return vals, nil
+	return nil
+}
+
+// readUint32Block is readUint64Block for 4-byte values (buf must hold
+// blockWords*4 bytes).
+func readUint32Block(r io.Reader, vals []uint32, buf []byte) error {
+	for len(vals) > 0 {
+		n := min(len(vals), blockWords)
+		if _, err := io.ReadFull(r, buf[:n*4]); err != nil {
+			return err
+		}
+		for i := range vals[:n] {
+			vals[i] = binary.LittleEndian.Uint32(buf[i*4:])
+		}
+		vals = vals[n:]
+	}
+	return nil
 }
 
 // Write serializes the container with its trailing checksum.
@@ -178,7 +193,7 @@ func (c *Container) Write(w io.Writer) error {
 		if len(s.Name) > 0xFFFF {
 			return errors.New("trace: section name too long")
 		}
-		if s.Width < 1 || s.Width > 64 {
+		if s.Width < 1 || s.Width > maxSectionWidth {
 			return fmt.Errorf("trace: section %s: invalid width %d", s.Name, s.Width)
 		}
 		if len(s.Values) > maxContainerValues {
@@ -196,9 +211,9 @@ func (c *Container) Write(w io.Writer) error {
 			return err
 		}
 	}
-	buf := make([]byte, blockWords*8)
+	buf := make([]byte, blockWords*4)
 	for _, s := range c.Sections {
-		if err := writeUint64Block(hw, s.Values, buf); err != nil {
+		if err := writeUint32Block(hw, s.Values, buf); err != nil {
 			return err
 		}
 	}
@@ -233,11 +248,15 @@ func (cr *checksumReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// ReadContainer deserializes a container written by Write, verifying the
-// checksum. Any structural problem — wrong magic (e.g. a stale-version
-// file), truncation, corruption — yields an error wrapping
-// ErrContainerFormat and never a panic.
-func ReadContainer(r io.Reader) (*Container, error) {
+// ReadContainer deserializes a container of size bytes written by Write,
+// verifying the checksum. Any structural problem — wrong magic (e.g. a
+// stale-version file), truncation, corruption — yields an error wrapping
+// ErrContainerFormat and never a panic. The section headers' value counts
+// are checked against size before any values are read, so each section
+// is allocated once at its exact length (decoded traces stay resident
+// for the life of the process) and a corrupt header announcing an absurd
+// count allocates nothing.
+func ReadContainer(r io.Reader, size int64) (*Container, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	var m [8]byte
 	if _, err := io.ReadFull(br, m[:]); err != nil {
@@ -300,7 +319,7 @@ func ReadContainer(r io.Reader) (*Container, error) {
 			return nil, containerErrf("section %s width: %v", s.Name, err)
 		}
 		s.Width = int(binary.LittleEndian.Uint16(u16[:]))
-		if s.Width < 1 || s.Width > 64 {
+		if s.Width < 1 || s.Width > maxSectionWidth {
 			return nil, containerErrf("section %s: invalid width %d", s.Name, s.Width)
 		}
 		if _, err := io.ReadFull(cr, u64[:]); err != nil {
@@ -312,11 +331,16 @@ func ReadContainer(r io.Reader) (*Container, error) {
 		}
 		total += counts[i]
 	}
-	buf := make([]byte, blockWords*8)
+	if 4*total > uint64(max(size, 0)) {
+		return nil, containerErrf("%d values overrun the %d-byte container", total, size)
+	}
+	buf := make([]byte, blockWords*4)
 	for i := range c.Sections {
-		if c.Sections[i].Values, err = readUint64Progressive(cr, counts[i], buf); err != nil {
+		vals := make([]uint32, counts[i])
+		if err := readUint32Block(cr, vals, buf); err != nil {
 			return nil, containerErrf("section %s values: %v", c.Sections[i].Name, err)
 		}
+		c.Sections[i].Values = vals
 	}
 	want := cr.sum.Sum64()
 	if _, err := io.ReadFull(br, u64[:]); err != nil {

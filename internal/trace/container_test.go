@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/fnv"
 	"runtime"
+	"strings"
 	"testing"
 
 	"buspower/internal/stats"
@@ -19,13 +21,13 @@ func randomContainer(seed uint64) *Container {
 	nSections := 1 + int(rng.Uint32()%4)
 	for s := 0; s < nSections; s++ {
 		n := int(rng.Uint32() % 20000)
-		vals := make([]uint64, n)
+		vals := make([]uint32, n)
 		for i := range vals {
-			vals[i] = rng.Uint64()
+			vals[i] = rng.Uint32()
 		}
 		c.Sections = append(c.Sections, Section{
 			Name:   []string{"reg", "mem", "addr", "extra"}[s],
-			Width:  1 + int(rng.Uint32()%64),
+			Width:  1 + int(rng.Uint32()%maxSectionWidth),
 			Values: vals,
 		})
 	}
@@ -42,7 +44,7 @@ func TestContainerRoundTripProperty(t *testing.T) {
 		if err := orig.Write(&buf); err != nil {
 			t.Fatalf("seed %d: write: %v", seed, err)
 		}
-		got, err := ReadContainer(bytes.NewReader(buf.Bytes()))
+		got, err := ReadContainer(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
 		if err != nil {
 			t.Fatalf("seed %d: read: %v", seed, err)
 		}
@@ -73,16 +75,16 @@ func TestContainerRoundTripProperty(t *testing.T) {
 // nothing.
 func TestContainerRoundTripBlockBoundary(t *testing.T) {
 	for _, n := range []int{0, 1, blockWords - 1, blockWords, blockWords + 1, 120_000} {
-		vals := make([]uint64, n)
+		vals := make([]uint32, n)
 		for i := range vals {
-			vals[i] = uint64(i) * 0x9E3779B97F4A7C15
+			vals[i] = uint32(i) * 0x9E3779B9
 		}
 		c := &Container{Name: "b", Sections: []Section{{Name: "reg", Width: 32, Values: vals}}}
 		var buf bytes.Buffer
 		if err := c.Write(&buf); err != nil {
 			t.Fatal(err)
 		}
-		got, err := ReadContainer(&buf)
+		got, err := ReadContainer(&buf, int64(buf.Len()))
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -100,7 +102,8 @@ func TestContainerRoundTripBlockBoundary(t *testing.T) {
 
 // TestContainerLyingCountCostsPresentBytes: a header announcing
 // maxContainerValues values but followed by a single block must fail as a
-// format error after allocating a few blocks' worth, never 8×count bytes.
+// format error before any section is allocated, never costing 4×count
+// bytes: the counts are checked against the container's size.
 func TestContainerLyingCountCostsPresentBytes(t *testing.T) {
 	var buf bytes.Buffer
 	buf.Write(containerMagic[:])
@@ -118,19 +121,19 @@ func TestContainerLyingCountCostsPresentBytes(t *testing.T) {
 	buf.Write(u16[:])
 	binary.LittleEndian.PutUint64(u64[:], maxContainerValues)
 	buf.Write(u64[:])
-	buf.Write(make([]byte, blockWords*8)) // one block of values, then EOF
+	buf.Write(make([]byte, blockWords*4)) // one block of values, then EOF
 	data := buf.Bytes()
 
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, err := ReadContainer(bytes.NewReader(data))
+	_, err := ReadContainer(bytes.NewReader(data), int64(len(data)))
 	runtime.ReadMemStats(&after)
 	if !errors.Is(err, ErrContainerFormat) {
 		t.Fatalf("short section accepted: %v", err)
 	}
-	const blockBytes = blockWords * 8
-	if grew := after.TotalAlloc - before.TotalAlloc; grew > 8*blockBytes {
-		t.Fatalf("decoding one present block allocated %d bytes, want at most %d", grew, 8*blockBytes)
+	const readBuffer = 1 << 16
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 2*readBuffer {
+		t.Fatalf("rejecting the header allocated %d bytes, want at most %d", grew, 2*readBuffer)
 	}
 }
 
@@ -145,14 +148,49 @@ func TestContainerTruncation(t *testing.T) {
 	data := buf.Bytes()
 	step := len(data)/97 + 1 // sample cut points across the whole file
 	for cut := 0; cut < len(data); cut += step {
-		if _, err := ReadContainer(bytes.NewReader(data[:cut])); !errors.Is(err, ErrContainerFormat) {
+		if _, err := ReadContainer(bytes.NewReader(data[:cut]), int64(cut)); !errors.Is(err, ErrContainerFormat) {
 			t.Fatalf("cut at %d/%d: error %v does not wrap ErrContainerFormat", cut, len(data), err)
 		}
 	}
 }
 
+// bustrc02File encodes a well-formed container of the previous format,
+// BUSTRC02, whose values took 8 bytes each: the kind of file a trace cache
+// written before BUSTRC03 holds.
+func bustrc02File() []byte {
+	var body bytes.Buffer
+	var u16 [2]byte
+	var u32 [4]byte
+	var u64 [8]byte
+	binary.LittleEndian.PutUint16(u16[:], 2)
+	body.Write(u16[:])
+	body.WriteString("li")
+	meta := []byte(`{"Instructions":1}`)
+	binary.LittleEndian.PutUint32(u32[:], uint32(len(meta)))
+	body.Write(u32[:])
+	body.Write(meta)
+	binary.LittleEndian.PutUint16(u16[:], 1)
+	body.Write(u16[:]) // one section
+	binary.LittleEndian.PutUint16(u16[:], 3)
+	body.Write(u16[:])
+	body.WriteString("reg")
+	binary.LittleEndian.PutUint16(u16[:], 32)
+	body.Write(u16[:])
+	vals := []uint64{1, 0xDEADBEEF, 7}
+	binary.LittleEndian.PutUint64(u64[:], uint64(len(vals)))
+	body.Write(u64[:])
+	for _, v := range vals {
+		binary.LittleEndian.PutUint64(u64[:], v)
+		body.Write(u64[:])
+	}
+	sum := fnv.New64a()
+	sum.Write(body.Bytes())
+	out := append([]byte("BUSTRC02"), body.Bytes()...)
+	return binary.LittleEndian.AppendUint64(out, sum.Sum64())
+}
+
 func TestContainerBadMagicAndStaleVersion(t *testing.T) {
-	c := &Container{Name: "x", Sections: []Section{{Name: "reg", Width: 32, Values: []uint64{1, 2}}}}
+	c := &Container{Name: "x", Sections: []Section{{Name: "reg", Width: 32, Values: []uint32{1, 2}}}}
 	var buf bytes.Buffer
 	if err := c.Write(&buf); err != nil {
 		t.Fatal(err)
@@ -162,11 +200,21 @@ func TestContainerBadMagicAndStaleVersion(t *testing.T) {
 	// A previous-version magic (BUSTRC01) must be rejected as stale.
 	stale := append([]byte{}, data...)
 	copy(stale, "BUSTRC01")
-	if _, err := ReadContainer(bytes.NewReader(stale)); !errors.Is(err, ErrContainerFormat) {
+	if _, err := ReadContainer(bytes.NewReader(stale), int64(len(stale))); !errors.Is(err, ErrContainerFormat) {
 		t.Errorf("stale-version magic accepted: %v", err)
 	}
+	// A whole, checksum-valid BUSTRC02 file (8-byte values) is stale too.
+	old := bustrc02File()
+	if _, err := ReadContainer(bytes.NewReader(old), int64(len(old))); !errors.Is(err, ErrContainerFormat) {
+		t.Errorf("BUSTRC02 file accepted: %v", err)
+	}
+	// Sections wider than 32 bits do not fit 4-byte values.
+	wide := &Container{Name: "x", Sections: []Section{{Name: "reg", Width: 33}}}
+	if err := wide.Write(&bytes.Buffer{}); err == nil {
+		t.Error("33-bit section written")
+	}
 	// Arbitrary garbage.
-	if _, err := ReadContainer(bytes.NewReader([]byte("hello world, not a trace"))); !errors.Is(err, ErrContainerFormat) {
+	if _, err := ReadContainer(strings.NewReader("hello world, not a trace"), 24); !errors.Is(err, ErrContainerFormat) {
 		t.Error("garbage accepted")
 	}
 }
@@ -180,7 +228,7 @@ func TestContainerChecksumDetectsCorruption(t *testing.T) {
 	data := buf.Bytes()
 	// Flip one payload bit somewhere after the header.
 	data[len(data)/2] ^= 0x10
-	if _, err := ReadContainer(bytes.NewReader(data)); !errors.Is(err, ErrContainerFormat) {
+	if _, err := ReadContainer(bytes.NewReader(data), int64(len(data))); !errors.Is(err, ErrContainerFormat) {
 		t.Errorf("bit flip not detected: %v", err)
 	}
 }
@@ -196,7 +244,7 @@ func TestContainerRejectsOversizedFields(t *testing.T) {
 	buf.Write(u32[:]) // meta len 0
 	binary.LittleEndian.PutUint16(u16[:], 0xFFFF)
 	buf.Write(u16[:]) // section count 65535
-	if _, err := ReadContainer(bytes.NewReader(buf.Bytes())); !errors.Is(err, ErrContainerFormat) {
+	if _, err := ReadContainer(bytes.NewReader(buf.Bytes()), int64(buf.Len())); !errors.Is(err, ErrContainerFormat) {
 		t.Errorf("oversized section count accepted: %v", err)
 	}
 }
@@ -252,8 +300,8 @@ func FuzzReadContainer(f *testing.F) {
 		Name: "seed",
 		Meta: []byte(`{"i":1}`),
 		Sections: []Section{
-			{Name: "reg", Width: 32, Values: []uint64{1, 2, 3}},
-			{Name: "mem", Width: 64, Values: []uint64{0xFFFFFFFFFFFFFFFF}},
+			{Name: "reg", Width: 32, Values: []uint32{1, 2, 3}},
+			{Name: "mem", Width: 8, Values: []uint32{0xFFFFFFFF}},
 		},
 	}
 	var buf bytes.Buffer
@@ -261,11 +309,13 @@ func FuzzReadContainer(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(buf.Bytes())
+	f.Add([]byte("BUSTRC03"))
+	f.Add(bustrc02File())
 	f.Add([]byte("BUSTRC02"))
 	f.Add([]byte("BUSTRC01 old format"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := ReadContainer(bytes.NewReader(data))
+		got, err := ReadContainer(bytes.NewReader(data), int64(len(data)))
 		if err != nil {
 			return
 		}
@@ -273,7 +323,7 @@ func FuzzReadContainer(f *testing.F) {
 		if err := got.Write(&out); err != nil {
 			t.Fatalf("accepted container failed to re-encode: %v", err)
 		}
-		if _, err := ReadContainer(bytes.NewReader(out.Bytes())); err != nil {
+		if _, err := ReadContainer(bytes.NewReader(out.Bytes()), int64(out.Len())); err != nil {
 			t.Fatalf("re-encoded container failed to decode: %v", err)
 		}
 	})

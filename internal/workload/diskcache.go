@@ -18,7 +18,7 @@ import (
 
 // The persistent trace cache: trace extraction is deterministic in
 // (program, cpu.Config, RunConfig), so its output is a reusable artifact.
-// Each TraceSet is stored as one BUSTRC02 container in a
+// Each run's traces are stored as one BUSTRC03 container in a
 // content-addressed file — the name is a hash of everything the
 // simulation depends on — which makes invalidation automatic: any change
 // to the workload source, the core configuration, the run bounds, or the
@@ -102,56 +102,56 @@ func traceCachePath(dir, key string) string {
 // beats (§4.1).
 const busWidthBits = 32
 
-// loadTraceSet reads a cached TraceSet. A fs.ErrNotExist error means a
-// plain miss; any other error means the file exists but cannot be
-// trusted (stale format, torn write, corruption) and the caller should
+// loadTraces reads a cached run. A fs.ErrNotExist error means a plain
+// miss; any other error means the file exists but cannot be trusted
+// (stale format, torn write, corruption) and the caller should
 // re-simulate.
-func loadTraceSet(path, name string) (TraceSet, error) {
+func loadTraces(path, name string) (cpu.BusTraces, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return TraceSet{}, err
+		return cpu.BusTraces{}, err
 	}
 	defer f.Close()
-	c, err := trace.ReadContainer(f)
+	st, err := f.Stat()
 	if err != nil {
-		return TraceSet{}, err
+		return cpu.BusTraces{}, err
+	}
+	c, err := trace.ReadContainer(f, st.Size())
+	if err != nil {
+		return cpu.BusTraces{}, err
 	}
 	if c.Name != name {
-		return TraceSet{}, fmt.Errorf("workload: cache entry names %q, want %q", c.Name, name)
+		return cpu.BusTraces{}, fmt.Errorf("workload: cache entry names %q, want %q", c.Name, name)
 	}
-	ts := TraceSet{Workload: name}
-	if err := json.Unmarshal(c.Meta, &ts.Summary); err != nil {
-		return TraceSet{}, fmt.Errorf("workload: cache summary: %w", err)
+	var tr cpu.BusTraces
+	if err := json.Unmarshal(c.Meta, &tr); err != nil {
+		return cpu.BusTraces{}, fmt.Errorf("workload: cache summary: %w", err)
 	}
+	// The streams come from the sections, as the simulator produces them.
 	for _, want := range []struct {
 		name string
-		dst  *[]uint64
-	}{{"reg", &ts.Reg}, {"mem", &ts.Mem}, {"addr", &ts.Addr}} {
+		dst  *[]uint32
+	}{{"reg", &tr.RegisterBus}, {"mem", &tr.MemoryBus}, {"addr", &tr.MemoryAddrBus}} {
 		s, ok := c.SectionByName(want.name)
 		if !ok {
-			return TraceSet{}, fmt.Errorf("workload: cache entry missing %s section", want.name)
+			return cpu.BusTraces{}, fmt.Errorf("workload: cache entry missing %s section", want.name)
 		}
 		*want.dst = s.Values
 	}
-	if len(ts.Reg) == 0 {
-		return TraceSet{}, errors.New("workload: cache entry has empty register trace")
+	if len(tr.RegisterBus) == 0 {
+		return cpu.BusTraces{}, errors.New("workload: cache entry has empty register trace")
 	}
-	// Re-point the summary's streams at the loaded sections so the
-	// TraceSet is self-consistent, as Run produces it.
-	ts.Summary.RegisterBus = ts.Reg
-	ts.Summary.MemoryBus = ts.Mem
-	ts.Summary.MemoryAddrBus = ts.Addr
-	return ts, nil
+	return tr, nil
 }
 
-// storeTraceSet writes the TraceSet to its content address atomically:
+// storeTraces writes a run's traces to their content address atomically:
 // the container goes to a temp file in the same directory and is renamed
 // into place, so concurrent readers and writers (including other
 // processes) only ever observe complete files.
-func storeTraceSet(dir, key string, ts TraceSet) error {
-	// The summary's stream copies are redundant with the sections; strip
-	// them from the JSON blob rather than storing every value twice.
-	summary := ts.Summary
+func storeTraces(dir, key, name string, tr cpu.BusTraces) error {
+	// The streams go into the sections; strip them from the JSON summary
+	// blob rather than storing every value twice.
+	summary := tr
 	summary.RegisterBus = nil
 	summary.MemoryBus = nil
 	summary.MemoryAddrBus = nil
@@ -160,12 +160,12 @@ func storeTraceSet(dir, key string, ts TraceSet) error {
 		return err
 	}
 	c := &trace.Container{
-		Name: ts.Workload,
+		Name: name,
 		Meta: meta,
 		Sections: []trace.Section{
-			{Name: "reg", Width: busWidthBits, Values: ts.Reg},
-			{Name: "mem", Width: busWidthBits, Values: ts.Mem},
-			{Name: "addr", Width: busWidthBits, Values: ts.Addr},
+			{Name: "reg", Width: busWidthBits, Values: tr.RegisterBus},
+			{Name: "mem", Width: busWidthBits, Values: tr.MemoryBus},
+			{Name: "addr", Width: busWidthBits, Values: tr.MemoryAddrBus},
 		},
 	}
 	tmp, err := os.CreateTemp(dir, key+".tmp-*")

@@ -71,6 +71,39 @@ func TestDiskCacheRoundTrip(t *testing.T) {
 	}
 }
 
+// TestContainerRoundTripsSimulatedRun: a full-length simulated run stored
+// as a BUSTRC03 container decodes to exactly the simulator's output —
+// every 32-bit beat of every bus and every summary statistic.
+func TestContainerRoundTripsSimulatedRun(t *testing.T) {
+	dir := t.TempDir()
+	w, err := ByName("gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := run(w, DefaultRunConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := storeTraces(dir, "k", w.Name, want); err != nil {
+		t.Fatal(err)
+	}
+	got, err := loadTraces(traceCachePath(dir, "k"), w.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Fatal("BUSTRC03 round trip changed the simulated run")
+	}
+	info, err := os.Stat(traceCachePath(dir, "k"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	values := len(want.RegisterBus) + len(want.MemoryBus) + len(want.MemoryAddrBus)
+	if info.Size() < 4*int64(values) || info.Size() > 4*int64(values)+4096 {
+		t.Errorf("container of %d values is %d bytes, want 4 bytes per value plus a header", values, info.Size())
+	}
+}
+
 // TestDiskCacheCorruptFileFallsBack injects faults into a cache file: a
 // flipped payload bit, a torn write cut to half its length, and a
 // zero-length file. Each must be rejected, re-simulated to the same
@@ -130,7 +163,7 @@ func TestDiskCacheCorruptFileFallsBack(t *testing.T) {
 }
 
 // TestDiskCacheWriteFailureFallsBack injects a fault into the cache write:
-// a non-empty directory at the entry's path makes storeTraceSet's rename
+// a non-empty directory at the entry's path makes storeTraces's rename
 // fail. The caller must still get the simulated traces, the failure must
 // be counted, no temp file may be left behind, and a later call must
 // simulate again instead of reading anything partial.

@@ -8,7 +8,11 @@ import (
 	"buspower/internal/cpu"
 )
 
-// TraceSet is the bus traffic extracted from one workload run.
+// TraceSet is the bus traffic extracted from one workload run, with each
+// stream widened to a caller-owned []uint64 copy. It is the form tools
+// outside the evaluation path take (the trace and transcode commands,
+// the examples, the benchmark harness); the evaluation path reads the
+// cache's 32-bit streams through Resident instead.
 type TraceSet struct {
 	// Workload names the benchmark.
 	Workload string
@@ -18,8 +22,22 @@ type TraceSet struct {
 	Mem []uint64
 	// Addr is the memory address bus stream (one address per Mem beat).
 	Addr []uint64
-	// Summary carries the timing model's run statistics.
+	// Summary carries the timing model's run statistics. Its streams are
+	// the 32-bit originals, shared with the trace cache: read-only.
 	Summary cpu.BusTraces
+}
+
+// widen returns the TraceSet view of one run: fresh 64-bit copies of its
+// streams.
+func widen(name string, tr cpu.BusTraces) TraceSet {
+	w := func(vals []uint32) []uint64 {
+		out := make([]uint64, len(vals))
+		for i, v := range vals {
+			out[i] = uint64(v)
+		}
+		return out
+	}
+	return TraceSet{Workload: name, Reg: w(tr.RegisterBus), Mem: w(tr.MemoryBus), Addr: w(tr.MemoryAddrBus), Summary: tr}
 }
 
 // RunConfig bounds a trace-collection run.
@@ -37,21 +55,31 @@ func DefaultRunConfig() RunConfig {
 }
 
 // Run executes the workload under the out-of-order timing model and
-// captures its bus traffic.
+// captures its bus traffic, bypassing the trace cache.
 func Run(w Workload, cfg RunConfig) (TraceSet, error) {
-	p, err := w.Program()
+	tr, err := run(w, cfg)
 	if err != nil {
 		return TraceSet{}, err
 	}
+	return widen(w.Name, tr), nil
+}
+
+// run is Run without the widening: the simulator's 32-bit streams, as the
+// trace cache keeps them.
+func run(w Workload, cfg RunConfig) (cpu.BusTraces, error) {
+	p, err := w.Program()
+	if err != nil {
+		return cpu.BusTraces{}, err
+	}
 	sim, err := cpu.NewSimulator(p, cpu.DefaultConfig())
 	if err != nil {
-		return TraceSet{}, fmt.Errorf("workload %s: %w", w.Name, err)
+		return cpu.BusTraces{}, fmt.Errorf("workload %s: %w", w.Name, err)
 	}
 	tr := sim.Run(cfg.MaxInstructions, cfg.MaxBusValues)
 	if len(tr.RegisterBus) == 0 {
-		return TraceSet{}, fmt.Errorf("workload %s: produced no register bus traffic", w.Name)
+		return cpu.BusTraces{}, fmt.Errorf("workload %s: produced no register bus traffic", w.Name)
 	}
-	return TraceSet{Workload: w.Name, Reg: tr.RegisterBus, Mem: tr.MemoryBus, Addr: tr.MemoryAddrBus, Summary: tr}, nil
+	return tr, nil
 }
 
 type cacheKey struct {
@@ -64,7 +92,7 @@ type cacheKey struct {
 // the stored result.
 type cacheEntry struct {
 	ready chan struct{}
-	ts    TraceSet
+	tr    cpu.BusTraces
 	err   error
 }
 
@@ -78,15 +106,17 @@ var (
 	diskErrors  atomic.Uint64
 )
 
-// Traces returns the workload's bus traces, memoized per (workload,
-// config) so the many figure sweeps sharing a trace do not re-simulate.
+// Resident returns the workload's bus traces as the trace cache holds
+// them — the simulator's 32-bit streams, 4 bytes per beat — memoized per
+// (workload, config) so the many figure sweeps sharing a trace do not
+// re-simulate. It is the evaluation path's accessor and copies nothing.
 //
 // The cache is single-flight and safe for concurrent use: when N callers
 // ask for the same (workload, config) at once, exactly one runs the
 // simulation while the rest block until its result (or error — errors are
 // deterministic here, so they are cached too) is ready. All callers share
 // the same backing arrays; traces must be treated as read-only.
-func Traces(name string, cfg RunConfig) (TraceSet, error) {
+func Resident(name string, cfg RunConfig) (cpu.BusTraces, error) {
 	key := cacheKey{name, cfg}
 	cacheMu.Lock()
 	e, ok := traceCache[key]
@@ -94,37 +124,48 @@ func Traces(name string, cfg RunConfig) (TraceSet, error) {
 		cacheMu.Unlock()
 		cacheHits.Add(1)
 		<-e.ready
-		return e.ts, e.err
+		return e.tr, e.err
 	}
 	e = &cacheEntry{ready: make(chan struct{})}
 	traceCache[key] = e
 	cacheMu.Unlock()
 	cacheMisses.Add(1)
-	e.ts, e.err = simulate(name, cfg)
+	e.tr, e.err = simulate(name, cfg)
 	close(e.ready)
-	return e.ts, e.err
+	return e.tr, e.err
 }
 
-// simulate produces a TraceSet, consulting the persistent disk cache when
-// one is configured. It runs inside the single-flight leader, so for any
-// (workload, config) at most one goroutine touches the disk entry at a
-// time within this process; cross-process safety comes from the cache's
-// atomic rename-on-write.
-func simulate(name string, cfg RunConfig) (TraceSet, error) {
-	w, err := ByName(name)
+// Traces returns the workload's bus traces from the same cache as
+// Resident, widened into a TraceSet whose streams are fresh []uint64
+// copies, made on every call. Tools outside the evaluation path use it.
+func Traces(name string, cfg RunConfig) (TraceSet, error) {
+	tr, err := Resident(name, cfg)
 	if err != nil {
 		return TraceSet{}, err
 	}
+	return widen(name, tr), nil
+}
+
+// simulate produces a run's traces, consulting the persistent disk cache
+// when one is configured. It runs inside the single-flight leader, so for
+// any (workload, config) at most one goroutine touches the disk entry at
+// a time within this process; cross-process safety comes from the cache's
+// atomic rename-on-write.
+func simulate(name string, cfg RunConfig) (cpu.BusTraces, error) {
+	w, err := ByName(name)
+	if err != nil {
+		return cpu.BusTraces{}, err
+	}
 	dir := TraceCacheDir()
 	if dir == "" {
-		return Run(w, cfg)
+		return run(w, cfg)
 	}
 	key := traceCacheKey(w, cpu.DefaultConfig(), cfg)
 	path := traceCachePath(dir, key)
-	ts, lerr := loadTraceSet(path, name)
+	tr, lerr := loadTraces(path, name)
 	if lerr == nil {
 		diskHits.Add(1)
-		return ts, nil
+		return tr, nil
 	}
 	diskMisses.Add(1)
 	if !notExist(lerr) {
@@ -132,13 +173,13 @@ func simulate(name string, cfg RunConfig) (TraceSet, error) {
 		// re-simulation (which will overwrite it with a good copy).
 		diskErrors.Add(1)
 	}
-	ts, err = Run(w, cfg)
+	tr, err = run(w, cfg)
 	if err == nil {
-		if serr := storeTraceSet(dir, key, ts); serr != nil {
+		if serr := storeTraces(dir, key, name, tr); serr != nil {
 			diskErrors.Add(1)
 		}
 	}
-	return ts, err
+	return tr, err
 }
 
 // TraceCacheStats reports the in-memory cache's counters: hits counts
@@ -162,17 +203,31 @@ type CacheStats struct {
 	// trusted (stale format, corruption) plus failed writes; each such
 	// event fell back to re-simulation, never to a wrong answer.
 	DiskErrors uint64
+	// ResidentBytes is the size of the value streams the memory layer
+	// holds (4 bytes per beat), over its completed entries.
+	ResidentBytes uint64
 }
 
 // Stats reports both cache layers' counters.
 func Stats() CacheStats {
-	return CacheStats{
+	s := CacheStats{
 		MemHits:    cacheHits.Load(),
 		MemMisses:  cacheMisses.Load(),
 		DiskHits:   diskHits.Load(),
 		DiskMisses: diskMisses.Load(),
 		DiskErrors: diskErrors.Load(),
 	}
+	cacheMu.Lock()
+	defer cacheMu.Unlock()
+	for _, e := range traceCache {
+		select {
+		case <-e.ready:
+			n := len(e.tr.RegisterBus) + len(e.tr.MemoryBus) + len(e.tr.MemoryAddrBus)
+			s.ResidentBytes += 4 * uint64(n)
+		default: // still simulating
+		}
+	}
+	return s
 }
 
 // ClearTraceCache drops all memoized traces and resets every counter,

@@ -3,18 +3,20 @@ package workload
 import (
 	"sync"
 	"testing"
+
+	"buspower/internal/cpu"
 )
 
 // Single-flight contract: 16 goroutines racing on the same (workload,
 // config) key must trigger exactly one simulation; everyone shares the
-// winner's backing arrays. Run under -race this also stresses the cache's
-// synchronization.
+// winner's resident backing arrays. Run under -race this also stresses
+// the cache's synchronization.
 func TestTracesSingleFlight(t *testing.T) {
 	ClearTraceCache()
 	defer ClearTraceCache()
 	cfg := RunConfig{MaxInstructions: 50_000, MaxBusValues: 5_000}
 	const callers = 16
-	results := make([]TraceSet, callers)
+	results := make([]cpu.BusTraces, callers)
 	errs := make([]error, callers)
 	var start, done sync.WaitGroup
 	start.Add(1)
@@ -23,7 +25,7 @@ func TestTracesSingleFlight(t *testing.T) {
 		go func(i int) {
 			defer done.Done()
 			start.Wait() // line everyone up on the cold cache
-			results[i], errs[i] = Traces("li", cfg)
+			results[i], errs[i] = Resident("li", cfg)
 		}(i)
 	}
 	start.Done()
@@ -32,7 +34,7 @@ func TestTracesSingleFlight(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatalf("caller %d: %v", i, errs[i])
 		}
-		if &results[i].Reg[0] != &results[0].Reg[0] {
+		if &results[i].RegisterBus[0] != &results[0].RegisterBus[0] {
 			t.Errorf("caller %d got a different backing array — duplicate simulation", i)
 		}
 	}

@@ -101,28 +101,96 @@ func TestWorkloadsShowValueLocality(t *testing.T) {
 	}
 }
 
+// TestTraceCaching: a second Resident lookup hits the cache and shares
+// the first one's backing arrays, while Traces widens a fresh copy of the
+// same values on every call, so a caller can never write into the cache.
 func TestTraceCaching(t *testing.T) {
 	ClearTraceCache()
+	defer ClearTraceCache()
 	cfg := RunConfig{MaxInstructions: 50_000, MaxBusValues: 5_000}
-	a, err := Traces("li", cfg)
+	a, err := Resident("li", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Traces("li", cfg)
+	b, err := Resident("li", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if &a.Reg[0] != &b.Reg[0] {
+	if &a.RegisterBus[0] != &b.RegisterBus[0] {
 		t.Error("second lookup should hit the cache (same backing array)")
 	}
-	ClearTraceCache()
+	if hits, misses := TraceCacheStats(); hits != 1 || misses != 1 {
+		t.Errorf("hits/misses = %d/%d, want 1/1", hits, misses)
+	}
+	x, err := Traces("li", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	y, err := Traces("li", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &x.Reg[0] == &y.Reg[0] {
+		t.Error("Traces returned a shared array, want a per-call copy")
+	}
+	for _, s := range []struct {
+		name string
+		wide []uint64
+		res  []uint32
+	}{{"reg", x.Reg, a.RegisterBus}, {"mem", x.Mem, a.MemoryBus}, {"addr", x.Addr, a.MemoryAddrBus}} {
+		if len(s.wide) != len(s.res) {
+			t.Fatalf("%s: %d widened values, %d resident", s.name, len(s.wide), len(s.res))
+		}
+		for i, v := range s.res {
+			if s.wide[i] != uint64(v) {
+				t.Fatalf("%s value %d: widened %#x, resident %#x", s.name, i, s.wide[i], v)
+			}
+		}
+	}
+	if hits, misses := TraceCacheStats(); hits != 3 || misses != 1 {
+		t.Errorf("hits/misses = %d/%d, want 3/1 (Traces reads the same cache)", hits, misses)
+	}
+}
+
+// TestResidentStreamsExactSize is TestTraceSetExactSize for the form the
+// trace cache keeps: every resident stream, simulated or decoded from the
+// disk cache, has cap == len, and the cache accounts it at 4 bytes per
+// value.
+func TestResidentStreamsExactSize(t *testing.T) {
+	withTraceCacheDir(t)
+	cfg := DefaultRunConfig()
+	for _, pass := range []string{"simulated", "disk-loaded"} {
+		ClearTraceCache()
+		tr, err := Resident("fpppp", cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s := Stats(); (pass == "disk-loaded") != (s.DiskHits == 1) {
+			t.Fatalf("%s pass: %+v", pass, s)
+		}
+		total := 0
+		for _, b := range []struct {
+			name string
+			vals []uint32
+		}{{"reg", tr.RegisterBus}, {"mem", tr.MemoryBus}, {"addr", tr.MemoryAddrBus}} {
+			if len(b.vals) == 0 || len(b.vals) > cfg.MaxBusValues {
+				t.Errorf("%s %s: %d values, want 1..%d", pass, b.name, len(b.vals), cfg.MaxBusValues)
+			}
+			if cap(b.vals) != len(b.vals) {
+				t.Errorf("%s %s: len %d cap %d, want cap == len", pass, b.name, len(b.vals), cap(b.vals))
+			}
+			total += cap(b.vals)
+		}
+		if got := Stats().ResidentBytes; got != 4*uint64(total) {
+			t.Errorf("%s: ResidentBytes %d, want 4 × %d values", pass, got, total)
+		}
+	}
 }
 
 // TestTraceSetExactSize: a simulated TraceSet under a bus-value cap keeps
-// no spare capacity on any bus. Traces stay resident in the trace cache
-// for the life of the process, so a buffer sized for every buffered
-// event (fpppp's register bus buffers more than three times the cap)
-// would pin memory that no reader can reach.
+// no spare capacity on any bus (fpppp's register bus buffers more than
+// three times the cap). TestResidentStreamsExactSize checks the same for
+// the streams the trace cache keeps for the life of the process.
 func TestTraceSetExactSize(t *testing.T) {
 	w, err := ByName("fpppp")
 	if err != nil {
