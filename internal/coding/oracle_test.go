@@ -163,9 +163,10 @@ func TestDictionaryMeterMatchesOracle(t *testing.T) {
 }
 
 // TestGridCellsMatchOracle re-meters EvaluateGrid's stateless,
-// enumerative and stride cells on workload traces with the oracle: each
-// cell's coded T and C must equal the wire-by-wire count of a per-cycle
-// encode. The shallow stride bank replays a tape the grid records
+// enumerative, inversion, partial bus-invert and stride cells on workload
+// traces with the oracle: each cell's coded T and C must equal the
+// wire-by-wire count of a per-cycle encode. The inversion cell assumes a
+// fractional Λ, so its pattern choice runs the float cost comparison. The shallow stride bank replays a tape the grid records
 // itself; the deep bank is served through a tape provider that deepens
 // a shallower tape, as the experiments layer's tape memo does, so its
 // replay runs on a DeepenStrideTape result.
@@ -173,6 +174,7 @@ func TestGridCellsMatchOracle(t *testing.T) {
 	specs := []string{
 		"raw", "gray", "spatial:width=4",
 		"optmem:extra=2", "vc:extra=2", "lowweight:groups=4,extra=1", "dvs:extra=2,vdd=80",
+		"inversion:patterns=4,lambda=0.5", "pbi:groups=4",
 		"stride:strides=4,lambda=0.5",
 	}
 	for _, run := range []struct {

@@ -11,10 +11,13 @@ import (
 // stable across changes, so before/after comparisons keep meaning the
 // same operation.
 func BenchmarkKernels(b *testing.B) {
-	b.Run("CPU.Simulate/li-50k", benchSimulate)
+	b.Run("CPU.Simulate/li-50k", func(b *testing.B) { benchSimulate(b, 50_000, 0) })
+	// The experiments' run bounds (workload.DefaultRunConfig): the loop
+	// stops once both buses have produced 120k beats.
+	b.Run("CPU.Simulate/li-capped", func(b *testing.B) { benchSimulate(b, 1_500_000, 120_000) })
 }
 
-func benchSimulate(b *testing.B) {
+func benchSimulate(b *testing.B, maxInstrs uint64, maxBusValues int) {
 	w, err := workload.ByName("li")
 	if err != nil {
 		b.Fatal(err)
@@ -30,7 +33,7 @@ func benchSimulate(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		tr := sim.Run(50_000, 0)
+		tr := sim.Run(maxInstrs, maxBusValues)
 		if tr.Instructions == 0 {
 			b.Fatal("no instructions executed")
 		}

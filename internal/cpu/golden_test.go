@@ -9,24 +9,36 @@ import (
 )
 
 // The optimized Simulator (index-based slot rings, direct-mapped store
-// tracking, pre-decoded metadata, radix-sorted event collection) must be
+// tracking, pre-decoded metadata, bus beats streamed in cycle order) must be
 // cycle-identical to the map-based ReferenceSimulator it replaced: every
 // experiment artifact derives from these traces, so "faster" is only
 // admissible when BusTraces match byte for byte.
 
-// goldenWorkloads covers the behaviour space: integer pointer chasing,
+// goldenCases covers the behaviour space: integer pointer chasing,
 // hashing/branching, FP stencils (FP register timing paths), and a
-// store-heavy kernel (memory bus + writeback paths).
-var goldenWorkloads = []string{"li", "gcc", "compress", "swim", "tomcatv"}
+// store-heavy kernel (memory bus + writeback paths), at the 40k-beat cap.
+// The 2k-beat cases fill the register bus within the first few thousand
+// instructions, so it drops every later beat while the memory bus is
+// still filling: perl's memory bus fills partway through and stops the
+// run, go's never fills and ends short of its cap.
+var goldenCases = []struct {
+	name, workload string
+	maxValues      int
+}{
+	{"li", "li", 40_000},
+	{"gcc", "gcc", 40_000},
+	{"compress", "compress", 40_000},
+	{"swim", "swim", 40_000},
+	{"tomcatv", "tomcatv", 40_000},
+	{"perl-cap2000", "perl", 2_000},
+	{"go-cap2000", "go", 2_000},
+}
 
 func TestGoldenTraceDifferential(t *testing.T) {
-	const (
-		maxInstrs = 300_000
-		maxValues = 40_000
-	)
-	for _, name := range goldenWorkloads {
-		t.Run(name, func(t *testing.T) {
-			w, err := workload.ByName(name)
+	const maxInstrs = 300_000
+	for _, c := range goldenCases {
+		t.Run(c.name, func(t *testing.T) {
+			w, err := workload.ByName(c.workload)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -42,9 +54,7 @@ func TestGoldenTraceDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := opt.Run(maxInstrs, maxValues)
-			want := ref.Run(maxInstrs, maxValues)
-			compareBusTraces(t, got, want)
+			compareBusTraces(t, opt.Run(maxInstrs, c.maxValues), ref.Run(maxInstrs, c.maxValues))
 		})
 	}
 }

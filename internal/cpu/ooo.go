@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 )
 
@@ -221,16 +222,6 @@ type Simulator struct {
 	// overflow silently wraps like real hardware).
 	ras    [16]int32
 	rasTop int
-
-	regEvents  []busEvent
-	memEvents  []busEvent
-	addrEvents []busEvent
-
-	// regCutoff, once non-zero, is a proven upper bound on the cycle of
-	// any register-bus event that can still appear in the truncated
-	// output; later events beyond it are skipped at the append site (see
-	// compactRegEvents).
-	regCutoff uint64
 }
 
 // rasPush records a call's return address.
@@ -246,12 +237,99 @@ func (s *Simulator) rasPop() int32 {
 	return addr
 }
 
-// busEvent is one value beat. Events are appended in program order, and
-// the collection sort is stable, so no explicit sequence tie-break is
-// needed.
+// busEvent is one value beat and the cycle it crosses the bus.
 type busEvent struct {
 	cycle uint64
 	value uint32
+}
+
+// busCapture places one bus's beats in cycle order as the simulation
+// runs, the way the paper's bus timing generators put each value on the
+// bus in the cycle it crosses (§4.1). Beats arrive in program order, not
+// cycle order, so pending[head:] holds the ones still open, sorted by
+// cycle with ties in arrival order (insertion from the back). flush
+// emits every pending beat below a watermark no later beat can fall
+// under. The output is therefore the stable sort of all beats by cycle,
+// cut to max values (0 = unlimited), while only the beats in flight are
+// buffered. Once the output is full every later beat sorts after it, so
+// the capture drops it.
+type busCapture struct {
+	pending   []busEvent
+	head      int
+	out       []uint32
+	max       int
+	watermark uint64 // every beat below it has been emitted
+	generated int    // beats added, kept or dropped
+}
+
+func newBusCapture(max int) busCapture {
+	c := busCapture{max: max}
+	if max > 0 {
+		c.out = make([]uint32, 0, max)
+	}
+	return c
+}
+
+func (c *busCapture) full() bool { return c.max > 0 && len(c.out) >= c.max }
+
+// add records a beat. A beat below the last flushed watermark would
+// have to be emitted before beats already emitted: the watermark proof
+// broke, so add panics rather than reorder the trace silently.
+func (c *busCapture) add(cycle uint64, value uint32) {
+	if cycle < c.watermark {
+		panic(fmt.Sprintf("cpu: bus beat at cycle %d falls below the flushed watermark %d", cycle, c.watermark))
+	}
+	c.generated++
+	if c.full() {
+		return
+	}
+	p := append(c.pending, busEvent{})
+	i := len(p) - 1
+	for i > c.head && p[i-1].cycle > cycle {
+		p[i] = p[i-1]
+		i--
+	}
+	p[i] = busEvent{cycle, value}
+	c.pending = p
+}
+
+// flush emits every pending beat below watermark w; the caller promises
+// that no later beat falls below w.
+func (c *busCapture) flush(w uint64) {
+	c.watermark = w
+	if c.head < len(c.pending) && c.pending[c.head].cycle < w {
+		c.emit(w)
+	}
+}
+
+func (c *busCapture) emit(w uint64) {
+	p, h := c.pending, c.head
+	for h < len(p) && p[h].cycle < w && !c.full() {
+		c.out = append(c.out, p[h].value)
+		h++
+	}
+	switch {
+	case h == len(p) || c.full():
+		p, h = p[:0], 0
+	case 2*h >= len(p):
+		// Reclaim the emitted prefix once it outweighs the live beats,
+		// so the copies cost O(1) per beat.
+		p, h = p[:copy(p, p[h:])], 0
+	}
+	c.pending, c.head = p, h
+}
+
+// finish emits the remaining beats and returns the trace trimmed to
+// cap == len, so a short trace does not pin its whole allocation in the
+// trace cache. An empty trace is empty, not nil.
+func (c *busCapture) finish() []uint32 {
+	c.flush(math.MaxUint64)
+	if c.out != nil && cap(c.out) == len(c.out) {
+		return c.out
+	}
+	out := make([]uint32, len(c.out))
+	copy(out, c.out)
+	return out
 }
 
 // ringSizeFor picks the bandwidth-ring capacity: comfortably above the
@@ -311,21 +389,20 @@ func (s *Simulator) Run(maxInstrs uint64, maxBusValues int) BusTraces {
 		executed    uint64
 		info        StepInfo
 	)
-	// When the caller caps the trace length, size the event buffers up
-	// front and bound the register-bus buffer by periodic compaction: the
-	// loop runs until *both* buses are full, so the busier register bus
-	// would otherwise grow to many multiples of the cap, only to be
-	// sorted and truncated in collect.
-	highWater := 0
-	if maxBusValues > 0 {
-		highWater = 4 * maxBusValues
-		if s.regEvents == nil {
-			s.regEvents = make([]busEvent, 0, highWater+4)
-			s.memEvents = make([]busEvent, 0, maxBusValues+4)
-			s.addrEvents = make([]busEvent, 0, maxBusValues+4)
-		}
-	}
+	reg, mem, addr := newBusCapture(maxBusValues), newBusCapture(maxBusValues), newBusCapture(maxBusValues)
+	var watermark uint64
 	for executed < maxInstrs && !core.halted {
+		// Every later beat lands at or after fetchFrontier+3: a later
+		// instruction fetches no earlier than the frontier, dispatches at
+		// least two cycles after fetch and issues at least one after
+		// that, a memory beat lands at completion (never before issue),
+		// and the frontier never decreases.
+		if w := s.fetchFrontier + 3; w != watermark {
+			watermark = w
+			reg.flush(w)
+			mem.flush(w)
+			addr.flush(w)
+		}
 		core.StepInto(&info)
 		if info.Halted && info.Instr.Op != OpHalt {
 			break
@@ -397,26 +474,16 @@ func (s *Simulator) Run(maxInstrs uint64, maxBusValues int) BusTraces {
 		}
 
 		// --- Register bus events: operand reads at issue ---
-		if s.regCutoff == 0 || issue <= s.regCutoff {
-			for i := 0; i < info.NSrcInt; i++ {
-				s.regEvents = append(s.regEvents, busEvent{issue, info.SrcInt[i]})
-			}
-			if highWater > 0 && len(s.regEvents) >= highWater {
-				s.compactRegEvents(maxBusValues)
-				// If ties at the cutoff kept the buffer large, raise the
-				// trigger so compaction cannot thrash.
-				if hw := 2 * len(s.regEvents); hw > highWater {
-					highWater = hw
-				}
-			}
+		for i := 0; i < info.NSrcInt; i++ {
+			reg.add(issue, info.SrcInt[i])
 		}
 
 		// --- Memory bus events (§4.1): load data crossing the external
 		// bus on an L1 miss arrives at completion; store data leaves the
 		// store buffer at completion. ---
 		if (info.IsLoad && l1Miss) || info.IsStore {
-			s.memEvents = append(s.memEvents, busEvent{complete, info.Data})
-			s.addrEvents = append(s.addrEvents, busEvent{complete, info.Addr})
+			mem.add(complete, info.Data)
+			addr.add(complete, info.Addr)
 		}
 
 		// --- Writeback: destination ready ---
@@ -490,11 +557,24 @@ func (s *Simulator) Run(maxInstrs uint64, maxBusValues int) BusTraces {
 			}
 		}
 
-		if maxBusValues > 0 && len(s.regEvents) >= maxBusValues && len(s.memEvents) >= maxBusValues {
+		if maxBusValues > 0 && reg.generated >= maxBusValues && mem.generated >= maxBusValues {
 			break
 		}
 	}
-	return s.collect(executed, maxBusValues)
+	t := BusTraces{
+		RegisterBus:    reg.finish(),
+		MemoryBus:      mem.finish(),
+		MemoryAddrBus:  addr.finish(),
+		Instructions:   executed,
+		Cycles:         s.lastCycle,
+		L1DMissRate:    s.l1d.MissRate(),
+		L2MissRate:     s.l2.MissRate(),
+		BranchAccuracy: s.pred.Accuracy(),
+	}
+	if t.Cycles > 0 {
+		t.IPC = float64(t.Instructions) / float64(t.Cycles)
+	}
+	return t
 }
 
 // fpSrcReadyTimes returns the cycle the FP instruction's source operands
@@ -581,155 +661,6 @@ func (s *Simulator) acquireFU(class FUClass, from uint64) uint64 {
 	}
 	units[best] = start + 1 // fully pipelined units
 	return start
-}
-
-func (s *Simulator) collect(executed uint64, maxBusValues int) BusTraces {
-	var scratch []busEvent
-	sortEvents := func(ev []busEvent) []uint32 {
-		if len(ev) > len(scratch) {
-			scratch = make([]busEvent, len(ev))
-		}
-		radixSortByCycle(ev, scratch[:len(ev)])
-		// Size the output to the kept prefix: traces stay resident in the
-		// trace cache, so a truncated tail must not pin the full buffer.
-		if maxBusValues > 0 && len(ev) > maxBusValues {
-			ev = ev[:maxBusValues]
-		}
-		out := make([]uint32, len(ev))
-		for i, e := range ev {
-			out[i] = e.value
-		}
-		return out
-	}
-	t := BusTraces{
-		RegisterBus:    sortEvents(s.regEvents),
-		MemoryBus:      sortEvents(s.memEvents),
-		MemoryAddrBus:  sortEvents(s.addrEvents),
-		Instructions:   executed,
-		Cycles:         s.lastCycle,
-		L1DMissRate:    s.l1d.MissRate(),
-		L2MissRate:     s.l2.MissRate(),
-		BranchAccuracy: s.pred.Accuracy(),
-	}
-	if t.Cycles > 0 {
-		t.IPC = float64(t.Instructions) / float64(t.Cycles)
-	}
-	return t
-}
-
-// compactRegEvents bounds the register-bus event buffer without changing
-// the collected trace. Let T be the maxBusValues-th smallest cycle
-// currently buffered: at least maxBusValues events have cycle <= T, and
-// the collection sort is stable, so every event with cycle > T sorts
-// strictly after them and can never be among the first maxBusValues
-// output values. Dropping those events — and, via regCutoff, skipping
-// future ones — while keeping *all* events with cycle <= T in append
-// order therefore leaves the truncated, stably-sorted output
-// byte-identical to the unbounded build. Recomputed cutoffs only
-// tighten: later selections run over a subset of events all <= the
-// previous cutoff.
-func (s *Simulator) compactRegEvents(maxBusValues int) {
-	t := kthSmallestCycle(s.regEvents, maxBusValues)
-	w := 0
-	for _, e := range s.regEvents {
-		if e.cycle <= t {
-			s.regEvents[w] = e
-			w++
-		}
-	}
-	s.regEvents = s.regEvents[:w]
-	s.regCutoff = t
-}
-
-// kthSmallestCycle returns the k-th smallest (1-indexed, counting
-// duplicates) cycle among the events without perturbing their order:
-// iterative quickselect with median-of-three pivots over a scratch copy
-// of the cycles. Requires 1 <= k <= len(ev).
-func kthSmallestCycle(ev []busEvent, k int) uint64 {
-	c := make([]uint64, len(ev))
-	for i := range ev {
-		c[i] = ev[i].cycle
-	}
-	lo, hi, idx := 0, len(c)-1, k-1
-	for lo < hi {
-		mid := lo + (hi-lo)/2
-		if c[mid] < c[lo] {
-			c[mid], c[lo] = c[lo], c[mid]
-		}
-		if c[hi] < c[lo] {
-			c[hi], c[lo] = c[lo], c[hi]
-		}
-		if c[hi] < c[mid] {
-			c[hi], c[mid] = c[mid], c[hi]
-		}
-		p := c[mid]
-		i, j := lo, hi
-		for i <= j {
-			for c[i] < p {
-				i++
-			}
-			for c[j] > p {
-				j--
-			}
-			if i <= j {
-				c[i], c[j] = c[j], c[i]
-				i++
-				j--
-			}
-		}
-		switch {
-		case idx <= j:
-			hi = j
-		case idx >= i:
-			lo = i
-		default:
-			return c[idx]
-		}
-	}
-	return c[idx]
-}
-
-// radixSortByCycle sorts events by cycle with a stable byte-wise LSD radix
-// sort, preserving append (program) order within a cycle — the same order
-// sort.Slice over (cycle, seq) produced, without the comparison-sort
-// closures that dominated the collection profile. Passes whose byte is
-// constant across all events (the high cycle bytes, usually) are skipped.
-func radixSortByCycle(ev, scratch []busEvent) {
-	if len(ev) < 2 {
-		return
-	}
-	var orAll, andAll uint64 = 0, ^uint64(0)
-	for i := range ev {
-		orAll |= ev[i].cycle
-		andAll &= ev[i].cycle
-	}
-	src, dst := ev, scratch
-	swapped := false
-	var counts [256]int
-	for shift := uint(0); shift < 64; shift += 8 {
-		varying := byte(orAll>>shift) ^ byte(andAll>>shift)
-		if varying == 0 {
-			continue // every event shares this byte
-		}
-		counts = [256]int{}
-		for i := range src {
-			counts[byte(src[i].cycle>>shift)]++
-		}
-		total := 0
-		for b := 0; b < 256; b++ {
-			counts[b], total = total, total+counts[b]
-		}
-		for i := range src {
-			b := byte(src[i].cycle >> shift)
-			dst[counts[b]] = src[i]
-			counts[b]++
-		}
-		src, dst = dst, src
-		swapped = !swapped
-	}
-	if swapped {
-		copy(ev, src)
-	}
 }
 
 func usesRs2(op Op) bool {

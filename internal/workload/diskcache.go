@@ -7,9 +7,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 
 	"buspower/internal/cpu"
@@ -22,9 +24,12 @@ import (
 // content-addressed file — the name is a hash of everything the
 // simulation depends on — which makes invalidation automatic: any change
 // to the workload source, the core configuration, the run bounds, or the
-// container format produces a different key, and stale files are simply
-// never opened again. Corrupt or foreign files fail the container
-// checksum/magic checks and fall back to re-simulation.
+// container format produces a different key, and stale files are never
+// opened again; each store deletes the entries an older (or newer)
+// container format left behind. Corrupt or foreign files fail the
+// container checksum/magic checks and fall back to re-simulation. The
+// key does not hash the simulator's code: a change to internal/cpu that
+// moves a trace must be checked with the disk cache off.
 
 // traceCacheKeyVersion pins the key derivation itself. It incorporates the
 // container format version, so a format bump invalidates every entry.
@@ -180,7 +185,49 @@ func storeTraces(dir, key, name string, tr cpu.BusTraces) error {
 	if err := tmp.Close(); err != nil {
 		return err
 	}
-	return os.Rename(tmp.Name(), traceCachePath(dir, key))
+	if err := os.Rename(tmp.Name(), traceCachePath(dir, key)); err != nil {
+		return err
+	}
+	pruneStale(dir)
+	return nil
+}
+
+// pruneStale deletes the cache entries of other container formats: files
+// named like an entry (<32 hex digits>.trc) whose magic is not
+// trace.ContainerVersion. The format is hashed into every key, so this
+// build never opens them again. Temp files and foreign names stay, and
+// failures are ignored: another process may be pruning the same
+// directory.
+func pruneStale(dir string) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return
+	}
+	for _, e := range entries {
+		key, ok := strings.CutSuffix(e.Name(), ".trc")
+		if !ok || len(key) != 32 || !e.Type().IsRegular() {
+			continue
+		}
+		if _, err := hex.DecodeString(key); err != nil {
+			continue
+		}
+		if path := filepath.Join(dir, e.Name()); staleFormat(path) {
+			os.Remove(path)
+		}
+	}
+}
+
+// staleFormat reports whether the file at path does not start with this
+// build's container magic. A file that cannot be opened is not judged.
+func staleFormat(path string) bool {
+	f, err := os.Open(path)
+	if err != nil {
+		return false
+	}
+	defer f.Close()
+	var m [len(trace.ContainerVersion)]byte
+	_, err = io.ReadFull(f, m[:])
+	return err != nil || string(m[:]) != trace.ContainerVersion
 }
 
 // notExist reports whether err is a plain missing-file error.

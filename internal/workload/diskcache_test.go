@@ -291,3 +291,57 @@ func TestDiskCacheDisabledByDefault(t *testing.T) {
 		t.Fatalf("disk layer active while disabled: %+v", s)
 	}
 }
+
+// TestStoreTracesPrunesStaleFormats: a store deletes the entries of an
+// older container format (a planted BUSTRC02 file under a key-shaped
+// name) and leaves current entries, temp files and foreign names alone.
+func TestStoreTracesPrunesStaleFormats(t *testing.T) {
+	dir := t.TempDir()
+	w, err := ByName("li")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := run(w, diskTestCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const (
+		current = "0123456789abcdef0123456789abcdef"
+		stale   = "fedcba9876543210fedcba9876543210"
+		fresh   = "00112233445566778899aabbccddeeff"
+	)
+	if err := storeTraces(dir, current, w.Name, tr); err != nil {
+		t.Fatal(err)
+	}
+	planted := map[string]string{
+		stale + ".trc":            "BUSTRC02 an entry of the previous format",
+		"notes.trc":               "BUSTRC02 a foreign name",
+		stale + ".tmp-12345":      "BUSTRC02 a temp file",
+		stale[:31] + "g" + ".trc": "BUSTRC02 not a hex key",
+	}
+	for name, body := range planted {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	if err := storeTraces(dir, fresh, w.Name, tr); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, stale+".trc")); !os.IsNotExist(err) {
+		t.Errorf("stale BUSTRC02 entry survived the store: %v", err)
+	}
+	for _, key := range []string{current, fresh} {
+		if _, err := loadTraces(traceCachePath(dir, key), w.Name); err != nil {
+			t.Errorf("current entry %s: %v", key, err)
+		}
+	}
+	for name := range planted {
+		if name == stale+".trc" {
+			continue
+		}
+		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+			t.Errorf("%s was removed: %v", name, err)
+		}
+	}
+}
