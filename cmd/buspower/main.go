@@ -267,7 +267,8 @@ func run() error {
 	tables, err := experiments.RunAll(ctx, cfg, ids, opts)
 	if *verbose {
 		s := workload.Stats()
-		fmt.Fprintf(os.Stderr, "trace cache: memory %d hits / %d misses, %s resident", s.MemHits, s.MemMisses, mb(s.ResidentBytes))
+		fmt.Fprintf(os.Stderr, "trace cache: memory %d hits / %d misses, %s resident (%s mapped, %s heap)",
+			s.MemHits, s.MemMisses, mb(s.ResidentBytes), mb(s.MappedBytes), mb(s.ResidentBytes-s.MappedBytes))
 		if dir := workload.TraceCacheDir(); dir != "" {
 			fmt.Fprintf(os.Stderr, "; disk %d hits / %d misses (%d errors) in %s", s.DiskHits, s.DiskMisses, s.DiskErrors, dir)
 		}

@@ -292,6 +292,103 @@ func TestMeterStreamContinuesMeter(t *testing.T) {
 	}
 }
 
+// TestMeterStreamAddBlockMatchesReference differences AddBlock against
+// the bit-serial oracle. Each random stream is split into random blocks of
+// length 0, 1, a few, or long runs past the staging chunk; each block is
+// either Recorded word by word or folded in with AddBlock, whose counts
+// are the per-cycle sums of referenceMeter over the block. At random
+// Flush points, and at the end, the meter's cycles, Σ counts and bus
+// state must equal the oracle's over the same prefix.
+func TestMeterStreamAddBlockMatchesReference(t *testing.T) {
+	for _, width := range []int{1, 2, 7, 32, 33, 64} {
+		for seed := int64(1); seed <= 4; seed++ {
+			rng := rand.New(rand.NewSource(seed*7877 + int64(width)))
+			trace := randomTrace(t, 4000, width, seed*31+int64(width))
+
+			// Oracle prefix statistics: after[i] holds the totals once
+			// trace[:i+1] has been recorded.
+			type totals struct{ cycles, transitions, couplings uint64 }
+			ref := newReferenceMeter(width)
+			after := make([]totals, len(trace))
+			states := make([]Word, len(trace))
+			for i, w := range trace {
+				ref.Record(w)
+				after[i] = totals{ref.cycles, ref.transitions, ref.couplings}
+				states[i] = ref.state()
+			}
+
+			m := NewMeterLite(width)
+			st := m.Stream()
+			st.Record(trace[0]) // AddBlock needs the power-up state pinned
+			pos, blocks := 1, 0
+			for pos < len(trace) {
+				var n int
+				switch rng.Intn(4) {
+				case 0:
+					n = 0
+				case 1:
+					n = 1
+				case 2:
+					n = 2 + rng.Intn(20)
+				default:
+					n = streamChunk + rng.Intn(4*streamChunk)
+				}
+				n = min(n, len(trace)-pos)
+				block := trace[pos : pos+n]
+				if rng.Intn(2) == 0 {
+					for _, w := range block {
+						st.Record(w)
+					}
+				} else {
+					prev := after[pos-1]
+					cycles, trans, coup := uint64(0), uint64(0), uint64(0)
+					last := Word(rng.Uint64()) // an empty block's last word is ignored
+					if n > 0 {
+						end := after[pos+n-1]
+						cycles, trans, coup = end.cycles-prev.cycles, end.transitions-prev.transitions, end.couplings-prev.couplings
+						// Bits above the bus width must be masked off.
+						last = block[n-1] | ^Mask(width)
+					}
+					st.AddBlock(cycles, trans, coup, last)
+				}
+				pos += n
+				blocks++
+				if rng.Intn(5) == 0 || pos == len(trace) {
+					st.Flush()
+					want := after[pos-1]
+					if m.Cycles() != want.cycles || m.Transitions() != want.transitions ||
+						m.Couplings() != want.couplings || m.State() != states[pos-1] {
+						t.Fatalf("width %d seed %d after %d blocks (%d words): meter (%d, %d, %d, %#x), reference (%d, %d, %d, %#x)",
+							width, seed, blocks, pos, m.Cycles(), m.Transitions(), m.Couplings(), m.State(),
+							want.cycles, want.transitions, want.couplings, states[pos-1])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestMeterStreamAddBlockPreconditions: AddBlock refuses a histogram
+// meter (it cannot split a block's counts across wires) and a stream with
+// no recorded word yet (the block's first transition would have no
+// starting state), while an empty block is always a no-op.
+func TestMeterStreamAddBlockPreconditions(t *testing.T) {
+	panics := func(f func()) (panicked bool) {
+		defer func() { panicked = recover() != nil }()
+		f()
+		return false
+	}
+	fresh := NewMeterLite(8).Stream()
+	if !panics(func() { fresh.AddBlock(3, 2, 1, 0xF) }) {
+		t.Error("AddBlock before any recorded word did not panic")
+	}
+	fresh.AddBlock(0, 0, 0, 0xF)
+	fresh.Flush()
+	if !panics(func() { st := NewMeter(8).Stream(); st.Record(1); st.AddBlock(1, 1, 1, 0) }) {
+		t.Error("AddBlock on a histogram meter did not panic")
+	}
+}
+
 // TestMeterCloneDetaches verifies Clone copies every statistic and that
 // mutating the original afterwards leaves the clone untouched.
 func TestMeterCloneDetaches(t *testing.T) {

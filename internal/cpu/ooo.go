@@ -119,6 +119,45 @@ func init() {
 	}
 }
 
+// storeTable maps each data-memory word to the completion cycle of the
+// youngest store to it, 0 for a word never stored. It is paged: a page of
+// storePageWords entries is allocated on the first store into it, so a
+// simulation pays for the pages its program writes, not 8 bytes for every
+// word of data memory. Pages are fixed-size arrays behind pointers, so an
+// access costs one pointer load and no bounds check inside the page.
+type storeTable struct {
+	pages []*[storePageWords]uint64
+}
+
+// storePageWords is the page size: 1024 words (4 KiB of data memory,
+// 8 KiB of table).
+const (
+	storePageBits  = 10
+	storePageWords = 1 << storePageBits
+)
+
+func newStoreTable(words int) storeTable {
+	return storeTable{pages: make([]*[storePageWords]uint64, words>>storePageBits+1)}
+}
+
+// get returns the completion of the youngest store to word.
+func (t *storeTable) get(word uint32) uint64 {
+	if p := t.pages[word>>storePageBits]; p != nil {
+		return p[word%storePageWords]
+	}
+	return 0
+}
+
+// set records a store to word completing at cycle c.
+func (t *storeTable) set(word uint32, c uint64) {
+	p := t.pages[word>>storePageBits]
+	if p == nil {
+		p = new([storePageWords]uint64)
+		t.pages[word>>storePageBits] = p
+	}
+	p[word%storePageWords] = c
+}
+
 // slotRing is an index-based replacement for the per-cycle bandwidth maps:
 // a power-of-two ring of (cycle tag, reservation count) slots. A slot
 // whose tag differs from the queried cycle is empty — stale tags belong to
@@ -208,11 +247,11 @@ type Simulator struct {
 	fetchSlots  slotRing
 
 	// Store forwarding/conflict tracking: completion of the youngest
-	// store to each memory word, direct-mapped over the data memory
-	// (exact — no pruning, no hashing). Entries the map-based original
-	// pruned are provably unreachable: a later load's ready time already
-	// exceeds any completion old enough to have been pruned.
-	storeDone []uint64
+	// store to each memory word (exact — no pruning, no hashing). Entries
+	// the map-based original pruned are provably unreachable: a later
+	// load's ready time already exceeds any completion old enough to have
+	// been pruned.
+	storeDone storeTable
 
 	fetchFrontier uint64 // earliest cycle the next instruction can fetch
 	lastCommit    uint64 // commit time of the previous instruction (in-order)
@@ -364,7 +403,7 @@ func NewSimulator(p *Program, cfg Config) (*Simulator, error) {
 		issueSlots:    newSlotRing(ringSize),
 		commitSlots:   newSlotRing(ringSize),
 		fetchSlots:    newSlotRing(ringSize),
-		storeDone:     make([]uint64, core.Mem.Size()/4+1),
+		storeDone:     newStoreTable(core.Mem.Size() / 4),
 		fetchFrontier: 1,
 	}
 	for class := range s.fuFree {
@@ -455,7 +494,7 @@ func (s *Simulator) Run(maxInstrs uint64, maxBusValues int) BusTraces {
 		// Memory ordering: a load may not issue before the youngest
 		// earlier store to the same word completes (no speculation).
 		if info.IsLoad {
-			if t := s.storeDone[info.Addr>>2]; t > ready {
+			if t := s.storeDone.get(info.Addr >> 2); t > ready {
 				ready = t
 			}
 		}
@@ -496,7 +535,7 @@ func (s *Simulator) Run(maxInstrs uint64, maxBusValues int) BusTraces {
 			s.fpReady[in.Rd] = complete
 		}
 		if info.IsStore {
-			s.storeDone[info.Addr>>2] = complete
+			s.storeDone.set(info.Addr>>2, complete)
 		}
 
 		// --- Commit: in order ---

@@ -19,7 +19,7 @@ func BenchmarkKernels(b *testing.B) {
 	b.Run("Trace.Write/120k", benchTraceWrite)
 	b.Run("Trace.Read/120k", benchTraceRead)
 	b.Run("Container.Write/3x120k", benchContainerWrite)
-	b.Run("Container.Read/3x120k", benchContainerRead)
+	b.Run("Container.Parse/3x120k", benchContainerParse)
 }
 
 func benchTraceValues(n int) []uint64 {
@@ -95,7 +95,7 @@ func benchContainerWrite(b *testing.B) {
 	}
 }
 
-func benchContainerRead(b *testing.B) {
+func benchContainerParse(b *testing.B) {
 	c := benchContainer()
 	var buf bytes.Buffer
 	if err := c.Write(&buf); err != nil {
@@ -106,7 +106,7 @@ func benchContainerRead(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ReadContainer(bytes.NewReader(data), int64(len(data))); err != nil {
+		if _, err := ParseContainer(data); err != nil {
 			b.Fatal(err)
 		}
 	}

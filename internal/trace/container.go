@@ -5,40 +5,42 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash"
 	"hash/fnv"
 	"io"
+	"os"
 )
 
-// BUSTRC03 is the bulk-I/O container format behind the persistent trace
+// BUSTRC04 is the bulk-I/O container format behind the persistent trace
 // cache: one file holds every bus stream of a workload run plus an opaque
 // metadata blob (the run's summary statistics), so a cache hit restores a
-// whole run in a few large reads instead of one file (and one per-value
-// loop) per bus. Every bus of the simulated machine is 32 bits wide, so
-// a value takes 4 bytes on disk and in memory.
+// whole run from one file. Every bus of the simulated machine is 32 bits
+// wide, so a value takes 4 bytes on disk and in memory, and the values
+// start at a 4-byte-aligned file offset: a reader can map the file and
+// use its sections in place.
 //
 // Layout (all integers little-endian):
 //
-//	magic[8] "BUSTRC03"
+//	magic[8] "BUSTRC04"
 //	nameLen u16 | name bytes
 //	metaLen u32 | meta bytes (opaque to this package)
 //	sectionCount u16
 //	per section: nameLen u16 | name | width u16 (1..32) | count u64
-//	per section: count * 4 bytes of values (32 KiB block-encoded)
-//	checksum u64 (FNV-1a over everything after the magic)
+//	zero bytes up to the next 4-byte-aligned file offset
+//	per section: count * 4 bytes of values
+//	checksum u64 (FNV-1a over everything after the magic, padding included)
 //
 // The trailing checksum makes torn or bit-rotted cache files detectable:
-// readers verify it before trusting the payload, and the cache layer
+// the parser verifies it before any section is used, and the cache layer
 // falls back to re-simulation on any error.
 
 // containerMagic identifies the container format and its version; bumping
 // the version changes the magic, so stale files fail the magic check.
-var containerMagic = [8]byte{'B', 'U', 'S', 'T', 'R', 'C', '0', '3'}
+var containerMagic = [8]byte{'B', 'U', 'S', 'T', 'R', 'C', '0', '4'}
 
 // ContainerVersion names the on-disk format for cache-key derivation:
 // changing the layout must change this string (and the magic), which
 // invalidates every previously written cache entry.
-const ContainerVersion = "BUSTRC03"
+const ContainerVersion = "BUSTRC04"
 
 // Limits keep a corrupted header from driving huge allocations.
 const (
@@ -130,23 +132,7 @@ func writeUint32Block(w io.Writer, vals []uint32, buf []byte) error {
 	return nil
 }
 
-// readUint32Block is readUint64Block for 4-byte values (buf must hold
-// blockWords*4 bytes).
-func readUint32Block(r io.Reader, vals []uint32, buf []byte) error {
-	for len(vals) > 0 {
-		n := min(len(vals), blockWords)
-		if _, err := io.ReadFull(r, buf[:n*4]); err != nil {
-			return err
-		}
-		for i := range vals[:n] {
-			vals[i] = binary.LittleEndian.Uint32(buf[i*4:])
-		}
-		vals = vals[n:]
-	}
-	return nil
-}
-
-// Write serializes the container with its trailing checksum.
+// Write serializes the container with its padding and trailing checksum.
 func (c *Container) Write(w io.Writer) error {
 	if len(c.Name) > 0xFFFF {
 		return errors.New("trace: container name too long")
@@ -157,38 +143,11 @@ func (c *Container) Write(w io.Writer) error {
 	if len(c.Sections) > maxContainerSections {
 		return fmt.Errorf("trace: %d sections exceed limit %d", len(c.Sections), maxContainerSections)
 	}
-	bw := bufio.NewWriterSize(w, 1<<16)
-	if _, err := bw.Write(containerMagic[:]); err != nil {
-		return err
-	}
-	sum := fnv.New64a()
-	hw := io.MultiWriter(bw, sum) // checksum covers everything after the magic
-
-	var u16 [2]byte
-	var u32 [4]byte
-	var u64 [8]byte
-	putString := func(s string) error {
-		binary.LittleEndian.PutUint16(u16[:], uint16(len(s)))
-		if _, err := hw.Write(u16[:]); err != nil {
-			return err
-		}
-		_, err := io.WriteString(hw, s)
-		return err
-	}
-	if err := putString(c.Name); err != nil {
-		return err
-	}
-	binary.LittleEndian.PutUint32(u32[:], uint32(len(c.Meta)))
-	if _, err := hw.Write(u32[:]); err != nil {
-		return err
-	}
-	if _, err := hw.Write(c.Meta); err != nil {
-		return err
-	}
-	binary.LittleEndian.PutUint16(u16[:], uint16(len(c.Sections)))
-	if _, err := hw.Write(u16[:]); err != nil {
-		return err
-	}
+	le := binary.LittleEndian
+	hdr := append([]byte(nil), containerMagic[:]...)
+	hdr = append(le.AppendUint16(hdr, uint16(len(c.Name))), c.Name...)
+	hdr = append(le.AppendUint32(hdr, uint32(len(c.Meta))), c.Meta...)
+	hdr = le.AppendUint16(hdr, uint16(len(c.Sections)))
 	for _, s := range c.Sections {
 		if len(s.Name) > 0xFFFF {
 			return errors.New("trace: section name too long")
@@ -199,157 +158,228 @@ func (c *Container) Write(w io.Writer) error {
 		if len(s.Values) > maxContainerValues {
 			return fmt.Errorf("trace: section %s: %d values exceed limit", s.Name, len(s.Values))
 		}
-		if err := putString(s.Name); err != nil {
-			return err
-		}
-		binary.LittleEndian.PutUint16(u16[:], uint16(s.Width))
-		if _, err := hw.Write(u16[:]); err != nil {
-			return err
-		}
-		binary.LittleEndian.PutUint64(u64[:], uint64(len(s.Values)))
-		if _, err := hw.Write(u64[:]); err != nil {
-			return err
-		}
+		hdr = append(le.AppendUint16(hdr, uint16(len(s.Name))), s.Name...)
+		hdr = le.AppendUint16(hdr, uint16(s.Width))
+		hdr = le.AppendUint64(hdr, uint64(len(s.Values)))
 	}
+	hdr = append(hdr, make([]byte, valuesPadding(len(hdr)))...)
+
+	sum := fnv.New64a() // covers everything after the magic
+	sum.Write(hdr[len(containerMagic):])
+	bw := bufio.NewWriterSize(w, 1<<16)
+	if _, err := bw.Write(hdr); err != nil {
+		return err
+	}
+	hw := io.MultiWriter(bw, sum)
 	buf := make([]byte, blockWords*4)
 	for _, s := range c.Sections {
 		if err := writeUint32Block(hw, s.Values, buf); err != nil {
 			return err
 		}
 	}
-	binary.LittleEndian.PutUint64(u64[:], sum.Sum64())
-	if _, err := bw.Write(u64[:]); err != nil {
+	if _, err := bw.Write(le.AppendUint64(nil, sum.Sum64())); err != nil {
 		return err
 	}
 	return bw.Flush()
 }
 
+// valuesPadding is the number of zero bytes that take a header of n bytes
+// to the 4-byte-aligned offset where the values start.
+func valuesPadding(n int) int { return -n & 3 }
+
 // ErrContainerFormat wraps every structural decode failure: bad magic,
-// implausible header fields, truncation, checksum mismatch. Callers
-// (the disk cache) treat any such error as "re-simulate".
+// implausible header fields, truncation, bad padding, checksum mismatch.
+// Callers (the disk cache) treat any such error as "re-simulate".
 var ErrContainerFormat = errors.New("trace: bad container")
 
 func containerErrf(format string, args ...interface{}) error {
 	return fmt.Errorf("%w: %s", ErrContainerFormat, fmt.Sprintf(format, args...))
 }
 
-// checksumReader hashes everything read through it so the decoder can
-// verify the trailing checksum without buffering the file.
-type checksumReader struct {
-	r   io.Reader
-	sum hash.Hash64
+// littleEndian reports whether the host stores a uint32 in the
+// container's byte order, so that a section can be used in place.
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// minContainerSize is the smallest well-formed container: the magic, an
+// empty name and meta, no sections and the checksum.
+const minContainerSize = 8 + 2 + 4 + 2 + 8
+
+// cursor reads the container header out of a byte slice.
+type cursor struct {
+	data []byte
+	off  int
 }
 
-func (cr *checksumReader) Read(p []byte) (int, error) {
-	n, err := cr.r.Read(p)
-	if n > 0 {
-		cr.sum.Write(p[:n])
+// take returns the next n bytes, or a format error naming what was cut
+// off when fewer than n remain.
+func (c *cursor) take(n int, what string) ([]byte, error) {
+	if n > len(c.data)-c.off {
+		return nil, containerErrf("%s at byte %d runs past the %d-byte container", what, c.off, len(c.data))
 	}
-	return n, err
+	b := c.data[c.off : c.off+n]
+	c.off += n
+	return b, nil
 }
 
-// ReadContainer deserializes a container of size bytes written by Write,
-// verifying the checksum. Any structural problem — wrong magic (e.g. a
-// stale-version file), truncation, corruption — yields an error wrapping
-// ErrContainerFormat and never a panic. The section headers' value counts
-// are checked against size before any values are read, so each section
-// is allocated once at its exact length (decoded traces stay resident
-// for the life of the process) and a corrupt header announcing an absurd
-// count allocates nothing.
-func ReadContainer(r io.Reader, size int64) (*Container, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	var m [8]byte
-	if _, err := io.ReadFull(br, m[:]); err != nil {
-		return nil, containerErrf("reading magic: %v", err)
+func (c *cursor) uint16(what string) (int, error) {
+	b, err := c.take(2, what)
+	if err != nil {
+		return 0, err
 	}
-	if m != containerMagic {
-		return nil, containerErrf("magic %q is not %q (stale or foreign file)", m[:], containerMagic[:])
-	}
-	cr := &checksumReader{r: br, sum: fnv.New64a()}
+	return int(binary.LittleEndian.Uint16(b)), nil
+}
 
-	var u16 [2]byte
-	var u32 [4]byte
-	var u64 [8]byte
-	readString := func(what string, limit int) (string, error) {
-		if _, err := io.ReadFull(cr, u16[:]); err != nil {
-			return "", containerErrf("%s length: %v", what, err)
-		}
-		n := int(binary.LittleEndian.Uint16(u16[:]))
-		if n > limit {
-			return "", containerErrf("%s length %d exceeds limit %d", what, n, limit)
-		}
-		b := make([]byte, n)
-		if _, err := io.ReadFull(cr, b); err != nil {
-			return "", containerErrf("%s: %v", what, err)
-		}
-		return string(b), nil
+func (c *cursor) string(what string) (string, error) {
+	n, err := c.uint16(what + " length")
+	if err != nil {
+		return "", err
 	}
-	c := &Container{}
-	var err error
-	if c.Name, err = readString("container name", 0xFFFF); err != nil {
-		return nil, err
+	b, err := c.take(n, what)
+	return string(b), err
+}
+
+// ParseContainer decodes a container written by Write. Any structural
+// problem (wrong magic, e.g. a stale-version file; a header that overruns
+// the data; a size that disagrees with the header; non-zero padding; a
+// checksum mismatch) yields an error wrapping ErrContainerFormat and never
+// a panic. The checksum is verified before any section is built.
+//
+// Sections are zero-copy views into data when the host is little-endian
+// and data starts at a 4-byte-aligned address: data must then stay alive
+// and unmodified for as long as the sections are used. Otherwise each
+// section is decoded into its own exact-size slice. Name and Meta are
+// always copies.
+func ParseContainer(data []byte) (*Container, error) {
+	c, _, err := parseContainer(data)
+	return c, err
+}
+
+// parseContainer is ParseContainer; viewed reports whether any section
+// points into data.
+func parseContainer(data []byte) (c *Container, viewed bool, err error) {
+	if len(data) < len(containerMagic) {
+		return nil, false, containerErrf("%d bytes hold no magic", len(data))
 	}
-	if _, err := io.ReadFull(cr, u32[:]); err != nil {
-		return nil, containerErrf("meta length: %v", err)
+	if m := [8]byte(data); m != containerMagic {
+		return nil, false, containerErrf("magic %q is not %q (stale or foreign file)", m[:], containerMagic[:])
 	}
-	metaLen := binary.LittleEndian.Uint32(u32[:])
+	cur := &cursor{data: data, off: len(containerMagic)}
+	c = &Container{}
+	if c.Name, err = cur.string("container name"); err != nil {
+		return nil, false, err
+	}
+	b, err := cur.take(4, "meta length")
+	if err != nil {
+		return nil, false, err
+	}
+	metaLen := binary.LittleEndian.Uint32(b)
 	if metaLen > maxContainerMeta {
-		return nil, containerErrf("meta of %d bytes exceeds limit", metaLen)
+		return nil, false, containerErrf("meta of %d bytes exceeds limit", metaLen)
 	}
-	c.Meta = make([]byte, metaLen)
-	if _, err := io.ReadFull(cr, c.Meta); err != nil {
-		return nil, containerErrf("meta: %v", err)
+	if b, err = cur.take(int(metaLen), "meta"); err != nil {
+		return nil, false, err
 	}
-	if _, err := io.ReadFull(cr, u16[:]); err != nil {
-		return nil, containerErrf("section count: %v", err)
+	c.Meta = append([]byte{}, b...)
+	nSections, err := cur.uint16("section count")
+	if err != nil {
+		return nil, false, err
 	}
-	nSections := int(binary.LittleEndian.Uint16(u16[:]))
 	if nSections > maxContainerSections {
-		return nil, containerErrf("%d sections exceed limit %d", nSections, maxContainerSections)
+		return nil, false, containerErrf("%d sections exceed limit %d", nSections, maxContainerSections)
 	}
 	c.Sections = make([]Section, nSections)
-	counts := make([]uint64, nSections)
+	counts := make([]int, nSections)
 	var total uint64
 	for i := range c.Sections {
 		s := &c.Sections[i]
-		if s.Name, err = readString("section name", 0xFFFF); err != nil {
-			return nil, err
+		if s.Name, err = cur.string("section name"); err != nil {
+			return nil, false, err
 		}
-		if _, err := io.ReadFull(cr, u16[:]); err != nil {
-			return nil, containerErrf("section %s width: %v", s.Name, err)
+		if s.Width, err = cur.uint16("section " + s.Name + " width"); err != nil {
+			return nil, false, err
 		}
-		s.Width = int(binary.LittleEndian.Uint16(u16[:]))
 		if s.Width < 1 || s.Width > maxSectionWidth {
-			return nil, containerErrf("section %s: invalid width %d", s.Name, s.Width)
+			return nil, false, containerErrf("section %s: invalid width %d", s.Name, s.Width)
 		}
-		if _, err := io.ReadFull(cr, u64[:]); err != nil {
-			return nil, containerErrf("section %s count: %v", s.Name, err)
+		if b, err = cur.take(8, "section "+s.Name+" count"); err != nil {
+			return nil, false, err
 		}
-		counts[i] = binary.LittleEndian.Uint64(u64[:])
-		if counts[i] > maxContainerValues || total+counts[i] > maxContainerValues {
-			return nil, containerErrf("section %s: implausible value count %d", s.Name, counts[i])
+		n := binary.LittleEndian.Uint64(b)
+		if n > maxContainerValues || total+n > maxContainerValues {
+			return nil, false, containerErrf("section %s: implausible value count %d", s.Name, n)
 		}
-		total += counts[i]
+		counts[i] = int(n)
+		total += n
 	}
-	if 4*total > uint64(max(size, 0)) {
-		return nil, containerErrf("%d values overrun the %d-byte container", total, size)
+	if b, err = cur.take(valuesPadding(cur.off), "padding"); err != nil {
+		return nil, false, err
 	}
-	buf := make([]byte, blockWords*4)
-	for i := range c.Sections {
-		vals := make([]uint32, counts[i])
-		if err := readUint32Block(cr, vals, buf); err != nil {
-			return nil, containerErrf("section %s values: %v", c.Sections[i].Name, err)
+	for _, p := range b {
+		if p != 0 {
+			return nil, false, containerErrf("non-zero padding byte %#x before the values", p)
 		}
-		c.Sections[i].Values = vals
 	}
-	want := cr.sum.Sum64()
-	if _, err := io.ReadFull(br, u64[:]); err != nil {
-		return nil, containerErrf("checksum: %v", err)
+	start := cur.off
+	if want := uint64(start) + 4*total + 8; want != uint64(len(data)) {
+		return nil, false, containerErrf("header announces %d bytes, container holds %d", want, len(data))
 	}
-	if got := binary.LittleEndian.Uint64(u64[:]); got != want {
-		return nil, containerErrf("checksum mismatch: file %#x, computed %#x", got, want)
+	end := len(data) - 8
+	sum := fnv.New64a()
+	sum.Write(data[len(containerMagic):end])
+	if got, want := binary.LittleEndian.Uint64(data[end:]), sum.Sum64(); got != want {
+		return nil, false, containerErrf("checksum mismatch: file %#x, computed %#x", got, want)
 	}
-	return c, nil
+
+	var all []uint32
+	if total > 0 {
+		all = uint32View(data[start:end])
+	}
+	off := 0
+	for i, n := range counts {
+		if all != nil {
+			c.Sections[i].Values = all[off : off+n : off+n]
+		} else {
+			vals := make([]uint32, n)
+			for j, raw := 0, data[start+4*off:]; j < n; j++ {
+				vals[j] = binary.LittleEndian.Uint32(raw[4*j:])
+			}
+			c.Sections[i].Values = vals
+		}
+		off += n
+	}
+	return c, all != nil, nil
+}
+
+// MapContainer parses the container file f of size bytes. Where it can,
+// it maps the file read-only and returns sections that view the mapping
+// (mapped is true): the mapping is never unmapped, so the sections stay
+// valid for the life of the process, a write through them faults, and
+// unlinking or renaming over the file does not change them. The file must
+// only ever be replaced by rename: a write into it in place changes
+// sections already handed out, and truncating it makes reading the lost
+// pages fault. Where the platform or the file's filesystem cannot map,
+// the first size bytes of f are read from its current offset instead.
+// Then, or when the sections cannot view the bytes in place (a
+// big-endian host), the sections are heap copies and nothing stays
+// mapped. Errors are those of ParseContainer, or of reading f.
+func MapContainer(f *os.File, size int64) (c *Container, mapped bool, err error) {
+	if size < minContainerSize || int64(int(size)) != size {
+		return nil, false, containerErrf("%d-byte file is no container", size)
+	}
+	data, err := mapFile(f, int(size))
+	if err != nil {
+		data = make([]byte, size)
+		if _, err := io.ReadFull(f, data); err != nil {
+			return nil, false, err
+		}
+		c, _, err := parseContainer(data)
+		return c, false, err
+	}
+	c, viewed, err := parseContainer(data)
+	if !viewed {
+		unmapFile(data) // nothing points into the mapping
+	}
+	return c, viewed, err
 }
 
 // SectionByName returns the named section.

@@ -5,8 +5,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/fnv"
+	"os"
+	"path/filepath"
 	"runtime"
-	"strings"
+	"slices"
 	"testing"
 
 	"buspower/internal/stats"
@@ -34,7 +36,7 @@ func randomContainer(seed uint64) *Container {
 	return c
 }
 
-// Round-trip property: Write then ReadContainer reproduces every field for
+// Round-trip property: Write then ParseContainer reproduces every field for
 // a spread of random sizes, including sections straddling the 64 KiB block
 // boundary and empty sections.
 func TestContainerRoundTripProperty(t *testing.T) {
@@ -44,9 +46,9 @@ func TestContainerRoundTripProperty(t *testing.T) {
 		if err := orig.Write(&buf); err != nil {
 			t.Fatalf("seed %d: write: %v", seed, err)
 		}
-		got, err := ReadContainer(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
+		got, err := ParseContainer(buf.Bytes())
 		if err != nil {
-			t.Fatalf("seed %d: read: %v", seed, err)
+			t.Fatalf("seed %d: parse: %v", seed, err)
 		}
 		if got.Name != orig.Name || !bytes.Equal(got.Meta, orig.Meta) {
 			t.Fatalf("seed %d: header mismatch: %+v", seed, got)
@@ -69,10 +71,13 @@ func TestContainerRoundTripProperty(t *testing.T) {
 }
 
 // TestContainerRoundTripBlockBoundary round-trips sections around the
-// block size and at the experiments' full trace length, and requires each
-// decoded section to be exactly as long as its data: decoded traces stay
-// resident in the trace cache, so spare capacity is memory held for
-// nothing.
+// block size and at the experiments' full trace length, through both the
+// zero-copy decoder (a heap buffer, which Go allocates 8-byte aligned, on
+// a little-endian host: its sections alias the bytes) and the copying one
+// (the same bytes one byte into a buffer), and requires each section to be
+// exactly as long as its data: cache traces stay resident, so spare
+// capacity is memory held for nothing, and a view with spare capacity
+// would let an append write into the next section.
 func TestContainerRoundTripBlockBoundary(t *testing.T) {
 	for _, n := range []int{0, 1, blockWords - 1, blockWords, blockWords + 1, 120_000} {
 		vals := make([]uint32, n)
@@ -84,17 +89,33 @@ func TestContainerRoundTripBlockBoundary(t *testing.T) {
 		if err := c.Write(&buf); err != nil {
 			t.Fatal(err)
 		}
-		got, err := ReadContainer(&buf, int64(buf.Len()))
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		dec := got.Sections[0].Values
-		if len(dec) != n || cap(dec) != n {
-			t.Fatalf("n=%d: decoded len %d cap %d, want both %d", n, len(dec), cap(dec), n)
-		}
-		for i, v := range vals {
-			if dec[i] != v {
-				t.Fatalf("n=%d: value %d differs", n, i)
+		for _, aligned := range []bool{true, false} {
+			data := append([]byte{}, buf.Bytes()...)
+			if !aligned {
+				data = append([]byte{0}, data...)[1:]
+			}
+			got, viewed, err := parseContainer(data)
+			if err != nil {
+				t.Fatalf("n=%d aligned=%v: %v", n, aligned, err)
+			}
+			if viewed != (aligned && littleEndian && n > 0) {
+				t.Fatalf("n=%d aligned=%v: viewed %v", n, aligned, viewed)
+			}
+			dec := got.Sections[0].Values
+			if dec == nil || len(dec) != n || cap(dec) != n {
+				t.Fatalf("n=%d aligned=%v: decoded len %d cap %d (nil %v), want both %d", n, aligned, len(dec), cap(dec), dec == nil, n)
+			}
+			if !slices.Equal(dec, vals) {
+				t.Fatalf("n=%d aligned=%v: values differ", n, aligned)
+			}
+			if n == 0 {
+				continue
+			}
+			// Flip the first value's low byte in the buffer: a view sees
+			// it, a copy does not.
+			data[len(data)-8-4*n] ^= 0xFF
+			if changed := dec[0] != vals[0]; changed != viewed {
+				t.Fatalf("n=%d aligned=%v: section changed with the buffer: %v, viewed %v", n, aligned, changed, viewed)
 			}
 		}
 	}
@@ -102,8 +123,8 @@ func TestContainerRoundTripBlockBoundary(t *testing.T) {
 
 // TestContainerLyingCountCostsPresentBytes: a header announcing
 // maxContainerValues values but followed by a single block must fail as a
-// format error before any section is allocated, never costing 4×count
-// bytes: the counts are checked against the container's size.
+// format error before any section is built, never costing 4×count bytes:
+// the counts are checked against the container's size.
 func TestContainerLyingCountCostsPresentBytes(t *testing.T) {
 	var buf bytes.Buffer
 	buf.Write(containerMagic[:])
@@ -126,14 +147,14 @@ func TestContainerLyingCountCostsPresentBytes(t *testing.T) {
 
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, err := ReadContainer(bytes.NewReader(data), int64(len(data)))
+	_, err := ParseContainer(data)
 	runtime.ReadMemStats(&after)
 	if !errors.Is(err, ErrContainerFormat) {
 		t.Fatalf("short section accepted: %v", err)
 	}
-	const readBuffer = 1 << 16
-	if grew := after.TotalAlloc - before.TotalAlloc; grew > 2*readBuffer {
-		t.Fatalf("rejecting the header allocated %d bytes, want at most %d", grew, 2*readBuffer)
+	const headerCost = 1 << 12
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > headerCost {
+		t.Fatalf("rejecting the header allocated %d bytes, want at most %d", grew, headerCost)
 	}
 }
 
@@ -148,7 +169,7 @@ func TestContainerTruncation(t *testing.T) {
 	data := buf.Bytes()
 	step := len(data)/97 + 1 // sample cut points across the whole file
 	for cut := 0; cut < len(data); cut += step {
-		if _, err := ReadContainer(bytes.NewReader(data[:cut]), int64(cut)); !errors.Is(err, ErrContainerFormat) {
+		if _, err := ParseContainer(data[:cut]); !errors.Is(err, ErrContainerFormat) {
 			t.Fatalf("cut at %d/%d: error %v does not wrap ErrContainerFormat", cut, len(data), err)
 		}
 	}
@@ -189,6 +210,29 @@ func bustrc02File() []byte {
 	return binary.LittleEndian.AppendUint64(out, sum.Sum64())
 }
 
+// bustrc03File encodes a well-formed container of the previous format,
+// BUSTRC03: today's layout without the zero padding that aligns the values.
+func bustrc03File() []byte {
+	body := []byte{2, 0, 'l', 'i', 0, 0, 0, 0, 1, 0, 3, 0, 'r', 'e', 'g', 32, 0}
+	body = binary.LittleEndian.AppendUint64(body, 3)
+	for _, v := range []uint32{1, 0xDEADBEEF, 7} {
+		body = binary.LittleEndian.AppendUint32(body, v)
+	}
+	sum := fnv.New64a()
+	sum.Write(body)
+	out := append([]byte("BUSTRC03"), body...)
+	return binary.LittleEndian.AppendUint64(out, sum.Sum64())
+}
+
+// resum rewrites data's trailing checksum to match its body, so a test
+// can plant a structural fault that only the format checks can catch.
+func resum(data []byte) []byte {
+	sum := fnv.New64a()
+	sum.Write(data[len(containerMagic) : len(data)-8])
+	binary.LittleEndian.PutUint64(data[len(data)-8:], sum.Sum64())
+	return data
+}
+
 func TestContainerBadMagicAndStaleVersion(t *testing.T) {
 	c := &Container{Name: "x", Sections: []Section{{Name: "reg", Width: 32, Values: []uint32{1, 2}}}}
 	var buf bytes.Buffer
@@ -200,13 +244,21 @@ func TestContainerBadMagicAndStaleVersion(t *testing.T) {
 	// A previous-version magic (BUSTRC01) must be rejected as stale.
 	stale := append([]byte{}, data...)
 	copy(stale, "BUSTRC01")
-	if _, err := ReadContainer(bytes.NewReader(stale), int64(len(stale))); !errors.Is(err, ErrContainerFormat) {
+	if _, err := ParseContainer(stale); !errors.Is(err, ErrContainerFormat) {
 		t.Errorf("stale-version magic accepted: %v", err)
 	}
-	// A whole, checksum-valid BUSTRC02 file (8-byte values) is stale too.
-	old := bustrc02File()
-	if _, err := ReadContainer(bytes.NewReader(old), int64(len(old))); !errors.Is(err, ErrContainerFormat) {
-		t.Errorf("BUSTRC02 file accepted: %v", err)
+	// Whole, checksum-valid files of the two previous formats (BUSTRC02's
+	// 8-byte values, BUSTRC03's unpadded 4-byte values) are stale too.
+	for name, old := range map[string][]byte{"BUSTRC02": bustrc02File(), "BUSTRC03": bustrc03File()} {
+		if _, err := ParseContainer(old); !errors.Is(err, ErrContainerFormat) {
+			t.Errorf("%s file accepted: %v", name, err)
+		}
+		// Relabelled as the current format, the old layout fails the
+		// size and padding checks.
+		copy(old, containerMagic[:])
+		if _, err := ParseContainer(old); !errors.Is(err, ErrContainerFormat) {
+			t.Errorf("%s layout under the current magic accepted: %v", name, err)
+		}
 	}
 	// Sections wider than 32 bits do not fit 4-byte values.
 	wide := &Container{Name: "x", Sections: []Section{{Name: "reg", Width: 33}}}
@@ -214,8 +266,80 @@ func TestContainerBadMagicAndStaleVersion(t *testing.T) {
 		t.Error("33-bit section written")
 	}
 	// Arbitrary garbage.
-	if _, err := ReadContainer(strings.NewReader("hello world, not a trace"), 24); !errors.Is(err, ErrContainerFormat) {
+	if _, err := ParseContainer([]byte("hello world, not a trace")); !errors.Is(err, ErrContainerFormat) {
 		t.Error("garbage accepted")
+	}
+}
+
+// TestContainerPadding: the values start at a 4-byte-aligned offset
+// behind zero padding. A file whose padding is missing, longer than
+// needed or not zero must be rejected even under a valid checksum.
+func TestContainerPadding(t *testing.T) {
+	// A 1-byte name makes the header 8+2+1+4+2 + 2+3+2+8 = 32 bytes; a
+	// 2-byte name makes it 33, which takes 3 bytes of padding.
+	for _, name := range []string{"x", "xy"} {
+		c := &Container{Name: name, Sections: []Section{{Name: "reg", Width: 32, Values: []uint32{1, 2, 3}}}}
+		var buf bytes.Buffer
+		if err := c.Write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		data := buf.Bytes()
+		hdr := 8 + 2 + len(name) + 4 + 2 + 2 + 3 + 2 + 8
+		pad := valuesPadding(hdr)
+		if want := hdr + pad + 3*4 + 8; len(data) != want {
+			t.Fatalf("name %q: %d bytes, want %d", name, len(data), want)
+		}
+		if (hdr+pad)%4 != 0 {
+			t.Fatalf("name %q: values start at offset %d", name, hdr+pad)
+		}
+		for i, b := range data[hdr : hdr+pad] {
+			if b != 0 {
+				t.Fatalf("name %q: padding byte %d is %#x", name, i, b)
+			}
+		}
+		faults := map[string][]byte{
+			// One word of extra padding.
+			"too long": resum(append(append(append([]byte{}, data[:hdr+pad]...), 0, 0, 0, 0), data[hdr+pad:]...)),
+		}
+		if pad > 0 {
+			// The values moved back over the padding, as in BUSTRC03.
+			faults["missing"] = resum(append(append([]byte{}, data[:hdr]...), data[hdr+pad:]...))
+			nonZero := append([]byte{}, data...)
+			nonZero[hdr+pad-1] = 0x80
+			faults["non-zero"] = resum(nonZero)
+		}
+		for fault, bad := range faults {
+			if _, err := ParseContainer(bad); !errors.Is(err, ErrContainerFormat) {
+				t.Errorf("name %q: %s padding accepted: %v", name, fault, err)
+			}
+		}
+	}
+}
+
+// TestContainerSectionTableOverrunsFile: a section table whose entries
+// run past the end of the data, or whose counts need more bytes than the
+// file holds, is rejected before the checksum is even read.
+func TestContainerSectionTableOverrunsFile(t *testing.T) {
+	c := randomContainer(5)
+	var buf bytes.Buffer
+	if err := c.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	// Announce more sections than the table holds: the parser reads
+	// section headers out of the value bytes until the counts overrun.
+	countAt := 8 + 2 + len(c.Name) + 4 + len(c.Meta)
+	bad := append([]byte{}, data...)
+	binary.LittleEndian.PutUint16(bad[countAt:], maxContainerSections)
+	if _, err := ParseContainer(resum(bad)); !errors.Is(err, ErrContainerFormat) {
+		t.Errorf("overrunning section table accepted: %v", err)
+	}
+	// Grow the first section's count by one value.
+	firstCount := countAt + 2 + 2 + len(c.Sections[0].Name) + 2
+	bad = append([]byte{}, data...)
+	binary.LittleEndian.PutUint64(bad[firstCount:], uint64(len(c.Sections[0].Values)+1))
+	if _, err := ParseContainer(resum(bad)); !errors.Is(err, ErrContainerFormat) {
+		t.Errorf("section count past the data accepted: %v", err)
 	}
 }
 
@@ -228,7 +352,7 @@ func TestContainerChecksumDetectsCorruption(t *testing.T) {
 	data := buf.Bytes()
 	// Flip one payload bit somewhere after the header.
 	data[len(data)/2] ^= 0x10
-	if _, err := ReadContainer(bytes.NewReader(data), int64(len(data))); !errors.Is(err, ErrContainerFormat) {
+	if _, err := ParseContainer(data); !errors.Is(err, ErrContainerFormat) {
 		t.Errorf("bit flip not detected: %v", err)
 	}
 }
@@ -244,7 +368,7 @@ func TestContainerRejectsOversizedFields(t *testing.T) {
 	buf.Write(u32[:]) // meta len 0
 	binary.LittleEndian.PutUint16(u16[:], 0xFFFF)
 	buf.Write(u16[:]) // section count 65535
-	if _, err := ReadContainer(bytes.NewReader(buf.Bytes()), int64(buf.Len())); !errors.Is(err, ErrContainerFormat) {
+	if _, err := ParseContainer(buf.Bytes()); !errors.Is(err, ErrContainerFormat) {
 		t.Errorf("oversized section count accepted: %v", err)
 	}
 }
@@ -292,9 +416,11 @@ func TestTraceWriteBytesUnchangedByBlockIO(t *testing.T) {
 	}
 }
 
-// FuzzReadContainer feeds arbitrary bytes to the decoder: it must always
-// return (possibly an error) without panicking, and anything it accepts
-// must re-encode to a container that round-trips.
+// FuzzReadContainer feeds arbitrary bytes to ParseContainer: it must
+// always return (possibly an error) without panicking, and anything it
+// accepts must re-encode to a container that round-trips. Each input is
+// also parsed with its trailing checksum repaired, so mutations reach the
+// header, padding and size checks behind the checksum.
 func FuzzReadContainer(f *testing.F) {
 	c := &Container{
 		Name: "seed",
@@ -309,22 +435,71 @@ func FuzzReadContainer(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(buf.Bytes())
-	f.Add([]byte("BUSTRC03"))
+	f.Add([]byte("BUSTRC04"))
 	f.Add(bustrc02File())
 	f.Add([]byte("BUSTRC02"))
 	f.Add([]byte("BUSTRC01 old format"))
 	f.Add([]byte{})
+	f.Add(bustrc03File())
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := ReadContainer(bytes.NewReader(data), int64(len(data)))
-		if err != nil {
-			return
+		inputs := [][]byte{data}
+		if len(data) >= minContainerSize {
+			inputs = append(inputs, resum(append([]byte{}, data...)))
 		}
-		var out bytes.Buffer
-		if err := got.Write(&out); err != nil {
-			t.Fatalf("accepted container failed to re-encode: %v", err)
-		}
-		if _, err := ReadContainer(bytes.NewReader(out.Bytes()), int64(out.Len())); err != nil {
-			t.Fatalf("re-encoded container failed to decode: %v", err)
+		for _, in := range inputs {
+			got, err := ParseContainer(in)
+			if err != nil {
+				if !errors.Is(err, ErrContainerFormat) {
+					t.Fatalf("error %v does not wrap ErrContainerFormat", err)
+				}
+				continue
+			}
+			var out bytes.Buffer
+			if err := got.Write(&out); err != nil {
+				t.Fatalf("accepted container failed to re-encode: %v", err)
+			}
+			if !bytes.Equal(out.Bytes(), in) {
+				t.Fatalf("accepted container re-encodes to different bytes")
+			}
+			if _, err := ParseContainer(out.Bytes()); err != nil {
+				t.Fatalf("re-encoded container failed to decode: %v", err)
+			}
 		}
 	})
+}
+
+// TestMapContainerFile: MapContainer reads a written file back exactly,
+// and rejects a zero-length or truncated file as a format error.
+func TestMapContainerFile(t *testing.T) {
+	c := randomContainer(6)
+	var buf bytes.Buffer
+	if err := c.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{buf.Len(), 0, minContainerSize - 1, buf.Len() / 2, buf.Len() - 1} {
+		path := filepath.Join(t.TempDir(), "c.trc")
+		if err := os.WriteFile(path, buf.Bytes()[:n], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := MapContainer(f, int64(n))
+		f.Close()
+		if n < buf.Len() {
+			if !errors.Is(err, ErrContainerFormat) {
+				t.Errorf("%d of %d bytes: error %v does not wrap ErrContainerFormat", n, buf.Len(), err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, s := range c.Sections {
+			if !slices.Equal(got.Sections[i].Values, s.Values) {
+				t.Fatalf("section %d differs", i)
+			}
+		}
+	}
 }

@@ -20,7 +20,7 @@ import (
 
 // The persistent trace cache: trace extraction is deterministic in
 // (program, cpu.Config, RunConfig), so its output is a reusable artifact.
-// Each run's traces are stored as one BUSTRC03 container in a
+// Each run's traces are stored as one BUSTRC04 container in a
 // content-addressed file — the name is a hash of everything the
 // simulation depends on — which makes invalidation automatic: any change
 // to the workload source, the core configuration, the run bounds, or the
@@ -30,6 +30,13 @@ import (
 // container checksum/magic checks and fall back to re-simulation. The
 // key does not hash the simulator's code: a change to internal/cpu that
 // moves a trace must be checked with the disk cache off.
+//
+// A disk hit maps its entry (loadTraces), so its traces live in the page
+// cache, outside the Go heap; a miss keeps the simulator's heap copy. A
+// cache file is only ever replaced by rename. Writing into one in place
+// under a running process is unsupported: it changes the traces already
+// served from the file, and truncating it makes reading the lost pages
+// fault.
 
 // traceCacheKeyVersion pins the key derivation itself. It incorporates the
 // container format version, so a format bump invalidates every entry.
@@ -110,27 +117,30 @@ const busWidthBits = 32
 // loadTraces reads a cached run. A fs.ErrNotExist error means a plain
 // miss; any other error means the file exists but cannot be trusted
 // (stale format, torn write, corruption) and the caller should
-// re-simulate.
-func loadTraces(path, name string) (cpu.BusTraces, error) {
+// re-simulate. mapped reports whether the streams view a read-only
+// mapping of the file rather than heap copies (see trace.MapContainer).
+// Every call maps the file anew and a mapping is never unmapped, since a
+// trace handed out may still point into it: a load repeated after
+// ClearTraceCache holds the file twice.
+func loadTraces(path, name string) (tr cpu.BusTraces, mapped bool, err error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return cpu.BusTraces{}, err
+		return cpu.BusTraces{}, false, err
 	}
 	defer f.Close()
 	st, err := f.Stat()
 	if err != nil {
-		return cpu.BusTraces{}, err
+		return cpu.BusTraces{}, false, err
 	}
-	c, err := trace.ReadContainer(f, st.Size())
+	c, mapped, err := trace.MapContainer(f, st.Size())
 	if err != nil {
-		return cpu.BusTraces{}, err
+		return cpu.BusTraces{}, false, err
 	}
 	if c.Name != name {
-		return cpu.BusTraces{}, fmt.Errorf("workload: cache entry names %q, want %q", c.Name, name)
+		return cpu.BusTraces{}, false, fmt.Errorf("workload: cache entry names %q, want %q", c.Name, name)
 	}
-	var tr cpu.BusTraces
 	if err := json.Unmarshal(c.Meta, &tr); err != nil {
-		return cpu.BusTraces{}, fmt.Errorf("workload: cache summary: %w", err)
+		return cpu.BusTraces{}, false, fmt.Errorf("workload: cache summary: %w", err)
 	}
 	// The streams come from the sections, as the simulator produces them.
 	for _, want := range []struct {
@@ -139,20 +149,21 @@ func loadTraces(path, name string) (cpu.BusTraces, error) {
 	}{{"reg", &tr.RegisterBus}, {"mem", &tr.MemoryBus}, {"addr", &tr.MemoryAddrBus}} {
 		s, ok := c.SectionByName(want.name)
 		if !ok {
-			return cpu.BusTraces{}, fmt.Errorf("workload: cache entry missing %s section", want.name)
+			return cpu.BusTraces{}, false, fmt.Errorf("workload: cache entry missing %s section", want.name)
 		}
 		*want.dst = s.Values
 	}
 	if len(tr.RegisterBus) == 0 {
-		return cpu.BusTraces{}, errors.New("workload: cache entry has empty register trace")
+		return cpu.BusTraces{}, false, errors.New("workload: cache entry has empty register trace")
 	}
-	return tr, nil
+	return tr, mapped, nil
 }
 
 // storeTraces writes a run's traces to their content address atomically:
 // the container goes to a temp file in the same directory and is renamed
 // into place, so concurrent readers and writers (including other
-// processes) only ever observe complete files.
+// processes) only ever observe complete files, and a file another
+// process has mapped keeps its bytes.
 func storeTraces(dir, key, name string, tr cpu.BusTraces) error {
 	// The streams go into the sections; strip them from the JSON summary
 	// blob rather than storing every value twice.

@@ -1,12 +1,19 @@
 package workload
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/fnv"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"sync"
 	"testing"
 
 	"buspower/internal/cpu"
+	"buspower/internal/trace"
 )
 
 // withTraceCacheDir points the disk cache at a temp directory for the
@@ -72,7 +79,7 @@ func TestDiskCacheRoundTrip(t *testing.T) {
 }
 
 // TestContainerRoundTripsSimulatedRun: a full-length simulated run stored
-// as a BUSTRC03 container decodes to exactly the simulator's output —
+// as a BUSTRC04 container decodes to exactly the simulator's output —
 // every 32-bit beat of every bus and every summary statistic.
 func TestContainerRoundTripsSimulatedRun(t *testing.T) {
 	dir := t.TempDir()
@@ -87,12 +94,12 @@ func TestContainerRoundTripsSimulatedRun(t *testing.T) {
 	if err := storeTraces(dir, "k", w.Name, want); err != nil {
 		t.Fatal(err)
 	}
-	got, err := loadTraces(traceCachePath(dir, "k"), w.Name)
+	got, _, err := loadTraces(traceCachePath(dir, "k"), w.Name)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(want, got) {
-		t.Fatal("BUSTRC03 round trip changed the simulated run")
+		t.Fatal("BUSTRC04 round trip changed the simulated run")
 	}
 	info, err := os.Stat(traceCachePath(dir, "k"))
 	if err != nil {
@@ -104,18 +111,116 @@ func TestContainerRoundTripsSimulatedRun(t *testing.T) {
 	}
 }
 
+// replaceFile swaps data in at path the way the cache itself replaces an
+// entry: a fresh file renamed over the old one. Truncating an entry in
+// place under a running process is unsupported (a mapping of it would
+// fault on the lost pages).
+func replaceFile(t *testing.T, path string, data []byte) {
+	t.Helper()
+	tmp := path + ".replacement"
+	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// writeInPlace writes data over the start of the file at path without
+// truncating it, as a stray writer would.
+func writeInPlace(t *testing.T, path string, data []byte) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt(data, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// resum rewrites a container's trailing FNV-1a checksum to match its
+// body, so a planted fault gets past the checksum to the format checks.
+func resum(d []byte) []byte {
+	sum := fnv.New64a()
+	sum.Write(d[8 : len(d)-8])
+	binary.LittleEndian.PutUint64(d[len(d)-8:], sum.Sum64())
+	return d
+}
+
+// headerLayout walks a container's header: countAt is the offset of its
+// section count, and end the end of its section table, where the padding
+// before the values starts.
+func headerLayout(d []byte) (countAt, end int) {
+	le := binary.LittleEndian
+	off := 8
+	off += 2 + int(le.Uint16(d[off:])) // name
+	off += 4 + int(le.Uint32(d[off:])) // meta
+	countAt = off
+	off += 2
+	for i := 0; i < int(le.Uint16(d[countAt:])); i++ {
+		off += 2 + int(le.Uint16(d[off:])) + 2 + 8 // name, width, count
+	}
+	return countAt, off
+}
+
 // TestDiskCacheCorruptFileFallsBack injects faults into a cache file: a
-// flipped payload bit, a torn write cut to half its length, and a
-// zero-length file. Each must be rejected, re-simulated to the same
-// TraceSet, and repaired on disk, never served as a wrong answer.
+// flipped payload bit (once in a replacement file, once written into the
+// file in place), a torn write cut to half its length, a zero-length
+// file, values shifted off their 4-byte alignment, a non-zero padding
+// byte, a stale BUSTRC03 copy of the entry and a section table that
+// overruns the file, the last four under a valid checksum. Each must be
+// rejected as a counted disk error, re-simulated to the same TraceSet,
+// and repaired on disk, never served as a wrong answer.
 func TestDiskCacheCorruptFileFallsBack(t *testing.T) {
+	flip := func(d []byte) []byte { d[len(d)/2] ^= 0x40; return d }
 	for _, c := range []struct {
 		name    string
 		corrupt func([]byte) []byte
+		inPlace bool // write the same-size corrupt bytes over the file
 	}{
-		{"bit flip", func(d []byte) []byte { d[len(d)/2] ^= 0x40; return d }},
-		{"truncated to half", func(d []byte) []byte { return d[:len(d)/2] }},
-		{"zero length", func([]byte) []byte { return nil }},
+		{"bit flip", flip, false},
+		{"bit flip in place", flip, true},
+		{"truncated to half", func(d []byte) []byte { return d[:len(d)/2] }, false},
+		{"zero length", func([]byte) []byte { return nil }, false},
+		{"misaligned values", func(d []byte) []byte {
+			_, h := headerLayout(d)
+			return resum(append(append(d[:h:h], 0), d[h:]...))
+		}, false},
+		{"non-zero padding", func(d []byte) []byte {
+			// Pad the summary with JSON whitespace until the header needs
+			// padding, then set the last padding byte.
+			c, err := trace.ParseContainer(d)
+			if err != nil {
+				panic(err)
+			}
+			for {
+				var buf bytes.Buffer
+				if err := c.Write(&buf); err != nil {
+					panic(err)
+				}
+				out := buf.Bytes()
+				if _, h := headerLayout(out); h%4 != 0 {
+					out[h+(-h&3)-1] = 0x80
+					return resum(out)
+				}
+				c.Meta = append(c.Meta, ' ')
+			}
+		}, false},
+		{"stale BUSTRC03", func(d []byte) []byte {
+			_, h := headerLayout(d)
+			pad := -h & 3
+			copy(d, "BUSTRC03")
+			return resum(append(d[:h:h], d[h+pad:]...))
+		}, false},
+		{"section table overruns", func(d []byte) []byte {
+			countAt, _ := headerLayout(d)
+			binary.LittleEndian.PutUint16(d[countAt:], 64)
+			return resum(d)
+		}, false},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			dir := withTraceCacheDir(t)
@@ -128,8 +233,14 @@ func TestDiskCacheCorruptFileFallsBack(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := os.WriteFile(path, c.corrupt(data), 0o644); err != nil {
-				t.Fatal(err)
+			bad := c.corrupt(data)
+			if _, err := trace.ParseContainer(bad); !errors.Is(err, trace.ErrContainerFormat) {
+				t.Fatalf("planted fault parses with error %v, want ErrContainerFormat", err)
+			}
+			if c.inPlace {
+				writeInPlace(t, path, bad)
+			} else {
+				replaceFile(t, path, bad)
 			}
 
 			// The container checks must reject the file and the runner
@@ -139,7 +250,7 @@ func TestDiskCacheCorruptFileFallsBack(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if s := Stats(); s.DiskErrors == 0 || s.DiskHits != 0 {
+			if s := Stats(); s.DiskErrors != 1 || s.DiskHits != 0 {
 				t.Fatalf("corruption not detected: %+v", s)
 			}
 			if !reflect.DeepEqual(want, got) {
@@ -292,9 +403,9 @@ func TestDiskCacheDisabledByDefault(t *testing.T) {
 	}
 }
 
-// TestStoreTracesPrunesStaleFormats: a store deletes the entries of an
-// older container format (a planted BUSTRC02 file under a key-shaped
-// name) and leaves current entries, temp files and foreign names alone.
+// TestStoreTracesPrunesStaleFormats: a store deletes the entries of older
+// container formats (planted BUSTRC02 and BUSTRC03 files under key-shaped
+// names) and leaves current entries, temp files and foreign names alone.
 func TestStoreTracesPrunesStaleFormats(t *testing.T) {
 	dir := t.TempDir()
 	w, err := ByName("li")
@@ -308,13 +419,15 @@ func TestStoreTracesPrunesStaleFormats(t *testing.T) {
 	const (
 		current = "0123456789abcdef0123456789abcdef"
 		stale   = "fedcba9876543210fedcba9876543210"
+		stale3  = "ffeeddccbbaa99887766554433221100"
 		fresh   = "00112233445566778899aabbccddeeff"
 	)
 	if err := storeTraces(dir, current, w.Name, tr); err != nil {
 		t.Fatal(err)
 	}
 	planted := map[string]string{
-		stale + ".trc":            "BUSTRC02 an entry of the previous format",
+		stale + ".trc":            "BUSTRC02 an entry of an older format",
+		stale3 + ".trc":           "BUSTRC03 an entry of the previous format",
 		"notes.trc":               "BUSTRC02 a foreign name",
 		stale + ".tmp-12345":      "BUSTRC02 a temp file",
 		stale[:31] + "g" + ".trc": "BUSTRC02 not a hex key",
@@ -328,20 +441,66 @@ func TestStoreTracesPrunesStaleFormats(t *testing.T) {
 	if err := storeTraces(dir, fresh, w.Name, tr); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, stale+".trc")); !os.IsNotExist(err) {
-		t.Errorf("stale BUSTRC02 entry survived the store: %v", err)
+	for _, key := range []string{stale, stale3} {
+		if _, err := os.Stat(filepath.Join(dir, key+".trc")); !os.IsNotExist(err) {
+			t.Errorf("stale entry %s survived the store: %v", key, err)
+		}
 	}
 	for _, key := range []string{current, fresh} {
-		if _, err := loadTraces(traceCachePath(dir, key), w.Name); err != nil {
+		if _, _, err := loadTraces(traceCachePath(dir, key), w.Name); err != nil {
 			t.Errorf("current entry %s: %v", key, err)
 		}
 	}
 	for name := range planted {
-		if name == stale+".trc" {
+		if name == stale+".trc" || name == stale3+".trc" {
 			continue
 		}
 		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
 			t.Errorf("%s was removed: %v", name, err)
 		}
+	}
+}
+
+// TestDiskCacheConcurrentLoads loads disk-cached runs from several
+// goroutines while others clear the memory layer, so single-flight
+// leaders of one key can overlap and map the same file at once. Every
+// load must return the simulated streams, and no load may fail or be
+// counted as a disk error.
+func TestDiskCacheConcurrentLoads(t *testing.T) {
+	withTraceCacheDir(t)
+	names := []string{"li", "gcc", "swim"}
+	want := map[string][]uint32{}
+	for _, name := range names {
+		tr, err := Resident(name, diskTestCfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[name] = slices.Clone(tr.RegisterBus)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				if (g+i)%3 == 0 {
+					ClearTraceCache()
+				}
+				name := names[(g+i)%len(names)]
+				tr, err := Resident(name, diskTestCfg)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !slices.Equal(tr.RegisterBus, want[name]) {
+					t.Errorf("%s: loaded streams differ from the simulated ones", name)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if s := Stats(); s.DiskErrors != 0 || s.DiskMisses != 0 {
+		t.Fatalf("concurrent loads: %+v, want every lookup a disk hit", s)
 	}
 }

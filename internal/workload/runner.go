@@ -91,9 +91,10 @@ type cacheKey struct {
 // key simulates and closes ready; everyone else blocks on ready and reads
 // the stored result.
 type cacheEntry struct {
-	ready chan struct{}
-	tr    cpu.BusTraces
-	err   error
+	ready  chan struct{}
+	tr     cpu.BusTraces
+	mapped bool // tr's streams view a disk cache file's mapping
+	err    error
 }
 
 var (
@@ -130,7 +131,7 @@ func Resident(name string, cfg RunConfig) (cpu.BusTraces, error) {
 	traceCache[key] = e
 	cacheMu.Unlock()
 	cacheMisses.Add(1)
-	e.tr, e.err = simulate(name, cfg)
+	e.tr, e.mapped, e.err = simulate(name, cfg)
 	close(e.ready)
 	return e.tr, e.err
 }
@@ -150,22 +151,25 @@ func Traces(name string, cfg RunConfig) (TraceSet, error) {
 // when one is configured. It runs inside the single-flight leader, so for
 // any (workload, config) at most one goroutine touches the disk entry at
 // a time within this process; cross-process safety comes from the cache's
-// atomic rename-on-write.
-func simulate(name string, cfg RunConfig) (cpu.BusTraces, error) {
+// atomic rename-on-write. The traces of a disk hit view the cache file's
+// mapping (mapped is true) where the file can be mapped; a miss returns
+// the simulator's heap copy.
+func simulate(name string, cfg RunConfig) (tr cpu.BusTraces, mapped bool, err error) {
 	w, err := ByName(name)
 	if err != nil {
-		return cpu.BusTraces{}, err
+		return cpu.BusTraces{}, false, err
 	}
 	dir := TraceCacheDir()
 	if dir == "" {
-		return run(w, cfg)
+		tr, err = run(w, cfg)
+		return tr, false, err
 	}
 	key := traceCacheKey(w, cpu.DefaultConfig(), cfg)
 	path := traceCachePath(dir, key)
-	tr, lerr := loadTraces(path, name)
+	tr, mapped, lerr := loadTraces(path, name)
 	if lerr == nil {
 		diskHits.Add(1)
-		return tr, nil
+		return tr, mapped, nil
 	}
 	diskMisses.Add(1)
 	if !notExist(lerr) {
@@ -179,7 +183,7 @@ func simulate(name string, cfg RunConfig) (cpu.BusTraces, error) {
 			diskErrors.Add(1)
 		}
 	}
-	return tr, err
+	return tr, false, err
 }
 
 // TraceCacheStats reports the in-memory cache's counters: hits counts
@@ -204,8 +208,10 @@ type CacheStats struct {
 	// event fell back to re-simulation, never to a wrong answer.
 	DiskErrors uint64
 	// ResidentBytes is the size of the value streams the memory layer
-	// holds (4 bytes per beat), over its completed entries.
-	ResidentBytes uint64
+	// holds (4 bytes per beat), over its completed entries. MappedBytes
+	// is the part of it that views read-only mappings of disk cache
+	// files; the rest is on the Go heap.
+	ResidentBytes, MappedBytes uint64
 }
 
 // Stats reports both cache layers' counters.
@@ -222,8 +228,11 @@ func Stats() CacheStats {
 	for _, e := range traceCache {
 		select {
 		case <-e.ready:
-			n := len(e.tr.RegisterBus) + len(e.tr.MemoryBus) + len(e.tr.MemoryAddrBus)
-			s.ResidentBytes += 4 * uint64(n)
+			n := 4 * uint64(len(e.tr.RegisterBus)+len(e.tr.MemoryBus)+len(e.tr.MemoryAddrBus))
+			s.ResidentBytes += n
+			if e.mapped {
+				s.MappedBytes += n
+			}
 		default: // still simulating
 		}
 	}
@@ -233,8 +242,9 @@ func Stats() CacheStats {
 // ClearTraceCache drops all memoized traces and resets every counter,
 // including the disk layer's (for tests and tools that sweep many
 // configurations). On-disk cache files are kept — they are content
-// addressed, so they stay valid across runs. In-flight simulations
-// complete and are delivered to their waiters, but their results are no
+// addressed, so they stay valid across runs — and so are the mappings
+// of the entries already loaded, which traces handed out may still view.
+// In-flight simulations complete and are delivered to their waiters, but their results are no
 // longer cached for later callers.
 func ClearTraceCache() {
 	cacheMu.Lock()

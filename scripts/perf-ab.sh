@@ -10,8 +10,10 @@
 # Pair i runs seed i on both sides and alternates which side goes first,
 # so drift on a shared host lands on both sides alike. Each run is
 #   bash perfbench/run.sh --workload W --seed i --seconds <run_seconds> --trace 0
-# and its last stdout line is the result JSON. Per workload and metric
-# the script prints both sides' median and IQR, the change of the
+# and its last stdout line is the result JSON. The script first prints
+# one line per workload, seed and side with that run's end-to-end
+# metrics, so a claim can be re-checked from the log alone; then, per
+# workload and metric, both sides' median and IQR, the change of the
 # medians and how many pairs this checkout won. It exits non-zero when a
 # run fails or reports incorrect output, or when a metric is worse than
 # REV by more than its bound on a majority of pairs. BENCHMARK.json and
@@ -91,6 +93,14 @@ def worse_by(base, head, better):
     return rel if better == "lower" else -rel
 
 failed = False
+for wl in workloads:
+    for seed in range(1, pairs + 1):
+        for side in ("base", "head"):
+            r = load(wl, side, seed)
+            vals = " ".join(f"{m['name']}={r['metrics'][m['name']]['value']:.6g}" for m in metrics)
+            flag = "" if r.get("correct") else "  (incorrect output)"
+            print(f"run {wl:<11} seed {seed:<3} {side}  {vals}{flag}")
+print()
 print(f"{'workload':<11} {'metric':<13} {'base median (IQR)':<22} {'head median (IQR)':<22} {'change':>8} "
       f"{'head wins':>10} {'past bound':>10}  verdict")
 for wl in workloads:
