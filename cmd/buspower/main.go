@@ -13,7 +13,6 @@
 //	buspower serve -addr :8080 -workers 8
 //	buspower eval -server http://localhost:8080 -scheme gray -random 10000
 //	buspower job -server http://localhost:8080 -suite table3,fig15 -watch
-//	buspower loadtest -servers http://h0:8080,http://h1:8081 -c 64 -duration 15s
 //
 // Experiments run concurrently on a bounded worker pool (-jobs, default
 // GOMAXPROCS) with deterministic output: the printed TSVs are
@@ -59,9 +58,8 @@
 // The eval and job subcommands are remote clients for a running server,
 // built on the typed SDK (pkg/buspowersdk): eval runs one synchronous
 // evaluation; job submits, lists, watches (SSE) and cancels async jobs.
-// The loadtest subcommand measures closed-loop warm-path throughput
-// against one server or a set of replicas and writes a JSON report
-// that records the machine context next to the numbers.
+// Serving throughput is measured outside the binary, by perfbench's
+// serve-miss and serve-hit workloads.
 package main
 
 import (
@@ -86,10 +84,9 @@ import (
 // subcommands maps each subcommand to its entry point; a command line
 // that does not start with one runs experiments.
 var subcommands = map[string]func([]string) error{
-	"serve":    runServe,
-	"eval":     runEval,
-	"job":      runJob,
-	"loadtest": runLoadtest,
+	"serve": runServe,
+	"eval":  runEval,
+	"job":   runJob,
 }
 
 func main() {

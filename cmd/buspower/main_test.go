@@ -17,7 +17,7 @@ func TestCheckNoArgs(t *testing.T) {
 			t.Fatalf("%q: accepted", args)
 		}
 		msg := err.Error()
-		for _, want := range []string{`"` + args[0] + `"`, "eval", "job", "loadtest", "serve"} {
+		for _, want := range []string{`"` + args[0] + `"`, "eval", "job", "serve"} {
 			if !strings.Contains(msg, want) {
 				t.Errorf("%q: error %q does not mention %s", args, msg, want)
 			}

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Independent-replica smoke test: starts three plain buspower servers
 # (no coordination between them, as deploy/docker-compose.yml runs
-# them), sends one request set to each and compares every response body
+# them), sends one request set to each as concurrent `buspower eval`
+# clients (the typed SDK, pkg/buspowersdk) and compares every answer
 # byte for byte across replicas. Then it kills one replica and checks
 # that the two survivors still answer with the same bytes. Exits
 # non-zero on any divergence or failed request.
@@ -11,6 +12,7 @@ set -euo pipefail
 
 BIN=${1:-/tmp/buspower}
 BASE_PORT=${BASE_PORT:-8461}
+CONC=8 # clients in flight against one replica
 WORK=$(mktemp -d)
 PIDS=()
 cleanup() {
@@ -35,22 +37,44 @@ for i in 0 1 2; do
   curl -sf "$(url "$i")/healthz" | grep -q '"ok"'
 done
 
-# add_bodies SEED: twelve random-trace lengths, each under two schemes.
+# add_bodies SEED: twelve random-trace lengths, each under two schemes,
+# as "LENGTH SCHEME" pairs.
 bodies=()
 add_bodies() {
   for n in $(seq 1 12); do
-    bodies+=("{\"random\":$((n * 500 + $1)),\"scheme\":\"gray\"}")
-    bodies+=("{\"random\":$((n * 500 + $1)),\"scheme\":\"businvert\"}")
+    bodies+=("$((n * 500 + $1)) gray" "$((n * 500 + $1)) businvert")
   done
 }
 
-# send REPLICA...: POST every body to each replica and cmp the response
+# reap REPLICA: wait for one client against REPLICA; fail with every
+# client error printed if it failed.
+reap() {
+  wait -n && return
+  echo "FAIL: an eval against replica $1 failed:" >&2
+  cat "$WORK"/err."$1".* >&2
+  exit 1
+}
+
+# send REPLICA...: evaluate every body on each replica through
+# concurrent SDK clients, at most CONC in flight, then cmp each answer
 # against the first answer any replica gave for that body.
 send() {
+  local i k n scheme running
   for i in "$@"; do
+    running=0
+    for k in "${!bodies[@]}"; do
+      read -r n scheme <<<"${bodies[$k]}"
+      "$BIN" eval -server "$(url "$i")" -random "$n" -scheme "$scheme" \
+        >"$WORK/resp.$i.$k" 2>"$WORK/err.$i.$k" &
+      running=$((running + 1))
+      if [ "$running" -ge "$CONC" ]; then
+        reap "$i"
+        running=$((running - 1))
+      fi
+    done
+    for _ in $(seq 1 "$running"); do reap "$i"; done
     for k in "${!bodies[@]}"; do
       out="$WORK/resp.$i.$k"
-      curl -sf -X POST "$(url "$i")/v1/eval" -d "${bodies[$k]}" -o "$out"
       [ -e "$WORK/ref.$k" ] || cp "$out" "$WORK/ref.$k"
       cmp -s "$WORK/ref.$k" "$out" || {
         echo "FAIL: replica $i diverged on ${bodies[$k]}" >&2

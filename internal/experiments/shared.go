@@ -107,14 +107,17 @@ var resultMemo = newSFMemo[resultKey, coding.Result](2048)
 
 // Stride cells replay a coding.StrideTape, which depends only on
 // (trace identity, width), content-addressed exactly like the trace
-// cache: a tape of depth D serves every bank of depth ≤ D. Each entry
-// holds the deepest tape built so far for its trace; a request deeper
-// than that deepens it to max(k, 2·depth) (Deepen caps the depth), so
-// banks arriving in random depth order deepen O(log K) times per trace,
-// and each deepening probes the new strides only on the cycles still
-// raw. The slot's lock makes concurrent requests for one trace wait for
-// a single build. An entry is one byte per cycle (≈0.1 MB for a
-// 120k-cycle trace).
+// cache: a tape of depth D serves every bank of depth ≤ D. The memo
+// serves lone evaluations (evalResultKeyed: serve and job requests,
+// single experiment points), whose stride banks arrive one at a time and
+// repeat on a trace; sweep families build their own tape per grid
+// (evalGridPoints). Each entry holds the deepest tape built so far for
+// its trace; a request deeper than that deepens it to max(k, 2·depth)
+// (Deepen caps the depth), so banks arriving in random depth order
+// deepen O(log K) times per trace, and each deepening probes the new
+// strides only on the cycles still raw. The slot's lock makes concurrent
+// requests for one trace wait for a single build. An entry is one byte
+// per cycle (≈0.1 MB for a 120k-cycle trace).
 type derivedKey struct {
 	trace traceID
 	width int
@@ -127,10 +130,10 @@ type tapeSlot struct {
 
 var tapeMemo = newSFMemo[derivedKey, *tapeSlot](64)
 
-// gridOptionsFor plugs the stride-tape memo into a grid evaluation of
-// one trace. Inline request traces do not get it: caching their tapes
-// would keep one per submitted trace alive, where named and random
-// traces are a small, already-cached set.
+// gridOptionsFor plugs the stride-tape memo into a one-cell grid
+// evaluation of one trace. Inline request traces do not get it: caching
+// their tapes would keep one per submitted trace alive, where named and
+// random traces are a small, already-cached set.
 func gridOptionsFor[T bus.Value](id traceID, tr []T) coding.GridOptions {
 	if strings.HasPrefix(id.source, inlineSourcePrefix) {
 		return coding.GridOptions{}
@@ -181,10 +184,13 @@ func TapeMemoStats() (MemoStats, uint64) {
 // because the benchmark harness still reads it.
 func SlicedCacheStats() MemoStats { return MemoStats{} }
 
-// ClearEvalMemo returns the evaluation-result memo and the stride-tape
-// memo to their cold state (tests and perfbench's passes; raw-meter and
-// trace caches are governed separately).
+// ClearEvalMemo returns every memo of this package (raw meters, random
+// traces, evaluation results and stride tapes) to its cold state, for
+// tests and benchmark passes that must start cold; the trace caches are
+// governed separately (workload.ClearTraceCache).
 func ClearEvalMemo() {
+	rawMeterMemo.Reset()
+	randomMemo.Reset()
 	resultMemo.Reset()
 	tapeMemo.Reset()
 }
@@ -233,8 +239,11 @@ type gridPoint struct {
 // preserving the per-point result-memo contract of evalResult: memoized
 // points are served from the cache (Peek — a hit), and every miss is
 // batched into a single coding.EvaluateGrid pass over the trace, which
-// fans equal-config points out from one encode and bit-slices the
-// stateless coders. Each grid result is then published through the memo
+// fans equal-config points out from one encode and replays one stride
+// tape, as deep as the family's deepest bank, for every bank. The tape
+// is dropped with the grid, not kept in the tape memo: a family's banks
+// all arrive in this one call, so a kept tape would never be read again
+// in a regen pass. Each grid result is then published through the memo
 // under its own key (recording the miss), so scalar and grid callers
 // share one cache and identical hit/miss accounting. Results are
 // bit-identical to per-point evalResult calls — the grid engine is
@@ -260,7 +269,7 @@ func evalGridPoints(points []gridPoint, id traceID, tr []uint32, raw *bus.Meter,
 	if len(missIdx) == 0 {
 		return out, nil
 	}
-	results, err := coding.EvaluateGrid(cells, tr, raw, cfg.Verify, gridOptionsFor(id, tr))
+	results, err := coding.EvaluateGrid(cells, tr, raw, cfg.Verify, coding.GridOptions{})
 	if err != nil {
 		return nil, err
 	}

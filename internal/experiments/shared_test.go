@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -356,5 +358,114 @@ func TestTapeMemoGrowsGeometrically(t *testing.T) {
 	inline := traceID{source: inlineSourcePrefix + "abc/w32", n: len(tr)}
 	if opts := gridOptionsFor(inline, tr); opts.Tapes != nil {
 		t.Error("inline traces must not populate the stride-tape memo")
+	}
+}
+
+// TestFamilyGridKeepsNoTape: a sweep family evaluated through
+// evalGridPoints replays a tape its grid builds and drops, so the tape
+// memo stays empty. Lone stride requests for the same banks through
+// EvaluateRequest then share one memoized tape, deepening it as deeper
+// banks arrive, and answer exactly as the family grid did.
+func TestFamilyGridKeepsNoTape(t *testing.T) {
+	ClearEvalMemo()
+	t.Cleanup(ClearEvalMemo)
+	const n = 3000
+	depths := []int{1, 2, 3, 4, 5, 6, 8, 10, 12, 14, 16}
+	policy, err := coding.ParseVerifyPolicy("sampled")
+	if err != nil {
+		t.Fatal(err)
+	}
+	points := make([]gridPoint, len(depths))
+	for i, k := range depths {
+		tc, err := coding.NewStride(busWidth, k, evalLambda)
+		if err != nil {
+			t.Fatal(err)
+		}
+		points[i] = gridPoint{tc: tc, lambda: evalLambda}
+	}
+	family, err := evalGridPoints(points, randomTraceID(n), randomTraceFor(n), randomRawMeter(n), Config{Verify: policy})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, bytes := TapeMemoStats(); st.Hits != 0 || st.Misses != 0 || st.Size != 0 || bytes != 0 {
+		t.Fatalf("family grid left the tape memo at %+v, %d bytes; want it untouched", st, bytes)
+	}
+
+	// The result memo now holds every bank; clear it so each lone
+	// request evaluates.
+	ClearEvalMemo()
+	tapeDepth := func() int {
+		slots := tapeMemo.values()
+		if len(slots) != 1 {
+			t.Fatalf("tape memo holds %d slots, want 1", len(slots))
+		}
+		return slots[0].tape.Depth()
+	}
+	for i, k := range depths {
+		resp, err := EvaluateRequest(context.Background(), EvalRequest{
+			Random: n, Scheme: fmt.Sprintf("stride:strides=%d", k), Lambda: evalLambda, Verify: "sampled"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := family[i]
+		if resp.Raw != busStats(want.Raw, evalLambda) || resp.Coded != busStats(want.Coded, evalLambda) ||
+			resp.Ops != want.Ops || resp.EnergyRemovedPct != 100*want.EnergyRemoved() {
+			t.Errorf("stride %d: lone request %+v differs from the family grid's %+v", k, resp, want)
+		}
+		if i == 0 && tapeDepth() != 1 {
+			t.Fatalf("first lone request built a depth-%d tape, want 1", tapeDepth())
+		}
+	}
+	st, bytes := TapeMemoStats()
+	if st.Misses != 1 || st.Hits != uint64(len(depths)-1) || st.Size != 1 || bytes < n {
+		t.Errorf("lone requests left the tape memo at %+v, %d bytes; want 1 miss, %d hits, one tape", st, bytes, len(depths)-1)
+	}
+	if d := tapeDepth(); d < depths[len(depths)-1] {
+		t.Errorf("memoized tape is %d strides deep, want at least %d", d, depths[len(depths)-1])
+	}
+}
+
+// TestClearEvalMemoResetsAll: ClearEvalMemo returns every memo of the
+// package to its cold state, and a repeat evaluation recomputes.
+func TestClearEvalMemoResetsAll(t *testing.T) {
+	ClearEvalMemo()
+	t.Cleanup(ClearEvalMemo)
+	reqs := []EvalRequest{
+		{Random: 2000, Scheme: "stride:strides=4"},        // random, result and tape memos
+		{Values: []uint64{1, 2, 3, 5, 8}, Scheme: "gray"}, // raw-meter memo
+	}
+	eval := func() {
+		for _, req := range reqs {
+			if _, err := EvaluateRequest(context.Background(), req); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	memos := map[string]func() MemoStats{
+		"raw meter": rawMeterMemo.Stats,
+		"random":    randomMemo.Stats,
+		"result":    resultMemo.Stats,
+		"tape":      tapeMemo.Stats,
+	}
+	eval()
+	for name, stats := range memos {
+		if st := stats(); st.Size == 0 {
+			t.Fatalf("%s memo empty after evaluating; the test no longer reaches it", name)
+		}
+	}
+	ClearEvalMemo()
+	for name, stats := range memos {
+		if st := stats(); st != (MemoStats{}) {
+			t.Errorf("%s memo after ClearEvalMemo: %+v, want zero", name, st)
+		}
+	}
+	if _, bytes := TapeMemoStats(); bytes != 0 {
+		t.Errorf("tape memo holds %d bytes after ClearEvalMemo", bytes)
+	}
+	eval()
+	for name, stats := range memos {
+		if st := stats(); st.Misses == 0 || st.Hits != 0 {
+			t.Errorf("%s memo after a repeat evaluation: %+v, want it recomputed", name, st)
+		}
 	}
 }
