@@ -54,7 +54,7 @@ func runServe(args []string) error {
 		jobWork  = fs.Int("job-workers", 0, "dedicated async job worker pool size (0 = half of GOMAXPROCS)")
 		jobQueue = fs.Int("job-queue", 0, "max queued job items before submissions are shed with 429 (0 = 4x the per-job item cap)")
 
-		respCache = fs.Int("resp-cache", 0, "marshalled-response LRU entries (0 = 4096)")
+		respCache = fs.Int("resp-cache", 0, "marshalled-response LRU entries, in answers (0 = 2048)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err

@@ -72,6 +72,11 @@ type BusTraces struct {
 	// address-bus coders (workzone, sector) target.
 	MemoryAddrBus []uint32
 
+	RunStats
+}
+
+// RunStats summarizes a simulation run.
+type RunStats struct {
 	Instructions   uint64
 	Cycles         uint64
 	IPC            float64
@@ -601,14 +606,16 @@ func (s *Simulator) Run(maxInstrs uint64, maxBusValues int) BusTraces {
 		}
 	}
 	t := BusTraces{
-		RegisterBus:    reg.finish(),
-		MemoryBus:      mem.finish(),
-		MemoryAddrBus:  addr.finish(),
-		Instructions:   executed,
-		Cycles:         s.lastCycle,
-		L1DMissRate:    s.l1d.MissRate(),
-		L2MissRate:     s.l2.MissRate(),
-		BranchAccuracy: s.pred.Accuracy(),
+		RegisterBus:   reg.finish(),
+		MemoryBus:     mem.finish(),
+		MemoryAddrBus: addr.finish(),
+		RunStats: RunStats{
+			Instructions:   executed,
+			Cycles:         s.lastCycle,
+			L1DMissRate:    s.l1d.MissRate(),
+			L2MissRate:     s.l2.MissRate(),
+			BranchAccuracy: s.pred.Accuracy(),
+		},
 	}
 	if t.Cycles > 0 {
 		t.IPC = float64(t.Instructions) / float64(t.Cycles)

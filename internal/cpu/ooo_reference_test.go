@@ -355,14 +355,16 @@ func (s *ReferenceSimulator) collect(executed uint64, maxBusValues int) BusTrace
 		return out
 	}
 	t := BusTraces{
-		RegisterBus:    sortEvents(s.regEvents),
-		MemoryBus:      sortEvents(s.memEvents),
-		MemoryAddrBus:  sortEvents(s.addrEvents),
-		Instructions:   executed,
-		Cycles:         s.lastCycle,
-		L1DMissRate:    s.l1d.MissRate(),
-		L2MissRate:     s.l2.MissRate(),
-		BranchAccuracy: s.pred.Accuracy(),
+		RegisterBus:   sortEvents(s.regEvents),
+		MemoryBus:     sortEvents(s.memEvents),
+		MemoryAddrBus: sortEvents(s.addrEvents),
+		RunStats: RunStats{
+			Instructions:   executed,
+			Cycles:         s.lastCycle,
+			L1DMissRate:    s.l1d.MissRate(),
+			L2MissRate:     s.l2.MissRate(),
+			BranchAccuracy: s.pred.Accuracy(),
+		},
 	}
 	if t.Cycles > 0 {
 		t.IPC = float64(t.Instructions) / float64(t.Cycles)

@@ -63,10 +63,7 @@ func sweepRows(t *Table, busName string, cfg Config, params []int, includeRandom
 			if err != nil {
 				return err
 			}
-			raw, err = rawMeterFor(src, busName, cfg)
-			if err != nil {
-				return err
-			}
+			raw = rawMeterFor(src, busName, cfg, tr)
 			id = workloadTraceID(src, busName, cfg)
 		}
 		points := make([]gridPoint, len(params))
@@ -164,10 +161,7 @@ func runFig24(cfg Config) (*Table, error) {
 		if err != nil {
 			return err
 		}
-		raw, err := rawMeterFor(name, "reg", cfg)
-		if err != nil {
-			return err
-		}
+		raw := rawMeterFor(name, "reg", cfg, tr)
 		var points []gridPoint
 		for _, tbl := range []int{16, 64} {
 			for _, sr := range srSizes {
@@ -213,10 +207,7 @@ func runFig25(cfg Config) (*Table, error) {
 		if err != nil {
 			return err
 		}
-		raw, err := rawMeterFor(name, "reg", cfg)
-		if err != nil {
-			return err
-		}
+		raw := rawMeterFor(name, "reg", cfg, tr)
 		var points []gridPoint
 		for _, tbl := range []int{16, 64} {
 			for _, period := range periods {
@@ -286,10 +277,7 @@ func runFig15(cfg Config) (*Table, error) {
 				if err != nil {
 					return err
 				}
-				raw, err := rawMeterFor(b, src.bus, cfg)
-				if err != nil {
-					return err
-				}
+				raw := rawMeterFor(b, src.bus, cfg, tr)
 				traces = append(traces, tr)
 				raws = append(raws, raw)
 				ids = append(ids, workloadTraceID(b, src.bus, cfg))

@@ -38,10 +38,7 @@ func windowResultFor(name, busName string, entries int, cfg Config) (coding.Resu
 			if err != nil {
 				return nil, nil, err
 			}
-			raw, err := rawMeterFor(name, busName, cfg)
-			if err != nil {
-				return nil, nil, err
-			}
+			raw := rawMeterFor(name, busName, cfg, tr)
 			return tr, raw, nil
 		})
 }
@@ -74,10 +71,7 @@ func runFig26(cfg Config) (*Table, error) {
 			if err != nil {
 				return 0, err
 			}
-			raw, err := rawMeterFor(name, "reg", cfg)
-			if err != nil {
-				return 0, err
-			}
+			raw := rawMeterFor(name, "reg", cfg, tr)
 			res, err := evalResult(tc, workloadTraceID(name, "reg", cfg), tr, evalLambda, raw, cfg)
 			if err != nil {
 				return 0, err
@@ -187,7 +181,7 @@ func analysisFor(tech wire.Technology, name, bus string, entries int, cfg Config
 		if err != nil {
 			return energy.Analysis{}, err
 		}
-		a = a.WithDutyCycle(uint64(len(tr.MemoryBus)), tr.Cycles)
+		a = a.WithDutyCycle(uint64(len(tr.Mem)), tr.Cycles)
 	}
 	return a, nil
 }

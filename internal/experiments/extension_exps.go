@@ -98,10 +98,7 @@ func runExtCtx(cfg Config) (*Table, error) {
 			if err != nil {
 				return err
 			}
-			raw, err := rawMeterFor(name, "reg", cfg)
-			if err != nil {
-				return err
-			}
+			raw := rawMeterFor(name, "reg", cfg, tr)
 			// The same (transcoder, trace, Λ) evaluation repeats across the
 			// technology axis; the memo collapses those to one computation.
 			res, err := evalResult(tc, workloadTraceID(name, "reg", cfg), tr, evalLambda, raw, cfg)
@@ -186,10 +183,7 @@ func runExtVLC(cfg Config) (*Table, error) {
 		if err != nil {
 			return err
 		}
-		raw, err := rawMeterFor(name, "reg", cfg)
-		if err != nil {
-			return err
-		}
+		raw := rawMeterFor(name, "reg", cfg, tr)
 		vlcCfg := coding.VLCConfig{Width: busWidth, Entries: 14}
 		vlc, err := coding.EvaluateVLC(vlcCfg, tr, evalLambda, raw)
 		if err != nil {
@@ -234,10 +228,7 @@ func runExtAddr(cfg Config) (*Table, error) {
 		if len(tr) < 100 {
 			return nil
 		}
-		raw, err := rawMeterFor(name, "addr", cfg)
-		if err != nil {
-			return err
-		}
+		raw := rawMeterFor(name, "addr", cfg, tr)
 		points := make([]gridPoint, len(builders))
 		for k, build := range builders {
 			tc, err := build()

@@ -99,10 +99,7 @@ func runExtOpt(cfg Config) (*Table, error) {
 		if err != nil {
 			return err
 		}
-		raw, err := rawMeterFor(name, "reg", cfg)
-		if err != nil {
-			return err
-		}
+		raw := rawMeterFor(name, "reg", cfg, tr)
 		points := make([]gridPoint, len(specs))
 		widths := make([]int, len(specs))
 		for k, spec := range specs {
@@ -170,10 +167,7 @@ func runExtXover(cfg Config) (*Table, error) {
 			if err != nil {
 				return err
 			}
-			raw, err := rawMeterFor(name, "reg", cfg)
-			if err != nil {
-				return err
-			}
+			raw := rawMeterFor(name, "reg", cfg, tr)
 			// The evaluation memo collapses the technology axis: the same
 			// (transcoder, trace, Λ) measurement serves all three nodes.
 			res, err := evalResult(tc, workloadTraceID(name, "reg", cfg), tr, evalLambda, raw, cfg)
@@ -234,10 +228,7 @@ func runExtDvs(cfg Config) (*Table, error) {
 			if err != nil {
 				return err
 			}
-			raw, err := rawMeterFor(name, "reg", cfg)
-			if err != nil {
-				return err
-			}
+			raw := rawMeterFor(name, "reg", cfg, tr)
 			res, err := evalResult(tc, workloadTraceID(name, "reg", cfg), tr, evalLambda, raw, cfg)
 			if err != nil {
 				return err

@@ -373,8 +373,7 @@ func fetchRequestTrace(ctx context.Context, req EvalRequest, width int, cfg Conf
 			// 32-bit buses; other widths measure inline.
 			return tr, nil, nil
 		}
-		raw, err := rawMeterFor(req.Workload, req.Bus, cfg)
-		return tr, raw, err
+		return tr, rawMeterFor(req.Workload, req.Bus, cfg, tr), nil
 	default:
 		b := randomBundleFor(req.Random)
 		if width != busWidth {

@@ -35,15 +35,13 @@ func randomTraceID(n int) traceID {
 var rawMeterMemo = newSFMemo[traceID, *bus.Meter](128)
 
 // rawMeterFor returns the shared raw-bus meter of one workload bus at the
-// experiments' data width.
-func rawMeterFor(name, busName string, cfg Config) (*bus.Meter, error) {
-	return rawMeterMemo.Do(workloadTraceID(name, busName, cfg), func() (*bus.Meter, error) {
-		tr, err := busTrace(name, busName, cfg)
-		if err != nil {
-			return nil, err
-		}
+// experiments' data width, measuring tr (that bus's trace, which every
+// caller has already fetched) on a miss.
+func rawMeterFor(name, busName string, cfg Config, tr []uint32) *bus.Meter {
+	m, _ := rawMeterMemo.Do(workloadTraceID(name, busName, cfg), func() (*bus.Meter, error) {
 		return coding.MeasureRaw(busWidth, tr), nil
 	})
+	return m
 }
 
 // randomBundle pairs the n-value random comparison trace with its raw-bus

@@ -23,8 +23,9 @@ func init() {
 	})
 }
 
-// busTrace fetches one bus of a workload's traffic: the trace cache's
-// resident 32-bit stream, shared and read-only.
+// busTrace fetches one bus of a workload's traffic: for the data buses,
+// the trace cache's resident 32-bit stream, shared and read-only; for the
+// address bus, which the cache keeps packed, a fresh decoded copy.
 func busTrace(name, bus string, cfg Config) ([]uint32, error) {
 	tr, err := workload.Resident(name, cfg.Run)
 	if err != nil {
@@ -32,11 +33,11 @@ func busTrace(name, bus string, cfg Config) ([]uint32, error) {
 	}
 	switch bus {
 	case "reg":
-		return tr.RegisterBus, nil
+		return tr.Reg, nil
 	case "mem":
-		return tr.MemoryBus, nil
+		return tr.Mem, nil
 	case "addr":
-		return tr.MemoryAddrBus, nil
+		return tr.Addr()
 	default:
 		return nil, fmt.Errorf("unknown bus %q", bus)
 	}

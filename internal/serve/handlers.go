@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"io"
@@ -31,12 +32,12 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 	}
 	// Raw-body fast path: a repeated byte-identical request skips
 	// parsing, validation and canonicalization entirely. Only successful
-	// responses are ever cached, under either key (an error describes
-	// this request's admission or deadline, not the key's value), so the
-	// shortcut can never change an answer — at worst it misses and the
-	// full pipeline runs.
-	bodyKey := bodyCacheKey(body)
-	if data, ok := s.respCache.get(bodyKey); ok {
+	// responses are ever cached (an error describes this request's
+	// admission or deadline, not the key's value), so the shortcut can
+	// never change an answer — at worst it misses and the full pipeline
+	// runs.
+	digest := sha256.Sum256(body)
+	if data, ok := s.respCache.getBody(digest); ok {
 		writeJSONBytes(w, http.StatusOK, data)
 		return
 	}
@@ -57,9 +58,7 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	evalKey := evalCacheKey(key)
-	if data, ok := s.respCache.get(evalKey); ok {
-		s.respCache.put(bodyKey, data)
+	if data, ok := s.respCache.get(key, digest); ok {
 		writeJSONBytes(w, http.StatusOK, data)
 		return
 	}
@@ -104,8 +103,7 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	data = append(data, '\n') // exact writeJSON framing, so all paths are byte-identical
-	s.respCache.put(evalKey, data)
-	s.respCache.put(bodyKey, data)
+	s.respCache.put(key, digest, data)
 	writeJSONBytes(w, http.StatusOK, data)
 }
 

@@ -15,7 +15,9 @@ import (
 	"testing"
 	"time"
 
+	"buspower/internal/coding"
 	"buspower/internal/experiments"
+	"buspower/internal/workload"
 )
 
 func testServer(t *testing.T, opts Options) *Server {
@@ -430,8 +432,9 @@ func evalMemoLookups() uint64 {
 
 // TestResponseCacheReplay: a byte-identical replay is served from the
 // raw-body alias, and a re-spaced body of the same request misses the
-// alias but hits the canonical key; neither reaches the evaluation
-// engine, and both return the first answer's exact bytes.
+// alias but hits the canonical key, which moves the answer's one alias to
+// the re-spaced body; none reaches the evaluation engine, all return the
+// first answer's exact bytes, and the cache holds one answer throughout.
 func TestResponseCacheReplay(t *testing.T) {
 	srv := testServer(t, Options{RequestTimeout: 10 * time.Second})
 	defer srv.Close()
@@ -443,8 +446,8 @@ func TestResponseCacheReplay(t *testing.T) {
 	}
 	want := first.Body.Bytes()
 	hits, misses, _, entries := srv.respCache.stats()
-	if hits != 0 || misses != 2 || entries != 2 {
-		t.Fatalf("after first eval: hits %d misses %d entries %d, want 0/2/2 (body alias and canonical key)", hits, misses, entries)
+	if hits != 0 || misses != 2 || entries != 1 {
+		t.Fatalf("after first eval: hits %d misses %d entries %d, want 0/2/1 (one answer for both keys)", hits, misses, entries)
 	}
 	lookups := evalMemoLookups()
 
@@ -465,8 +468,16 @@ func TestResponseCacheReplay(t *testing.T) {
 		t.Fatalf("re-spaced: code %d, body %s", canon.Code, canon.Body.String())
 	}
 	hits, misses, _, entries = srv.respCache.stats()
-	if hits != 2 || misses != 3 || entries != 3 {
-		t.Fatalf("re-spaced: hits %d misses %d entries %d, want 2/3/3 (alias miss, canonical hit, new alias)", hits, misses, entries)
+	if hits != 2 || misses != 3 || entries != 1 {
+		t.Fatalf("re-spaced: hits %d misses %d entries %d, want 2/3/1 (alias miss, canonical hit, alias moved)", hits, misses, entries)
+	}
+	// The alias now names the re-spaced body, so the first body misses it
+	// and hits the canonical key again.
+	if again := postEval(h, body); again.Code != http.StatusOK || !bytes.Equal(again.Body.Bytes(), want) {
+		t.Fatalf("first body again: code %d, body %s", again.Code, again.Body.String())
+	}
+	if hits, misses, _, entries := srv.respCache.stats(); hits != 3 || misses != 4 || entries != 1 {
+		t.Fatalf("first body again: hits %d misses %d entries %d, want 3/4/1", hits, misses, entries)
 	}
 	if got := evalMemoLookups(); got != lookups {
 		t.Fatalf("cached replays reached the eval memo: %d lookups, want %d", got, lookups)
@@ -500,8 +511,8 @@ func TestResponseCacheSkipsErrors(t *testing.T) {
 	if rec := postEval(h, body); rec.Code != http.StatusOK {
 		t.Fatalf("after release: code %d, want 200: %s", rec.Code, rec.Body.String())
 	}
-	if _, _, _, entries := srv.respCache.stats(); entries != 2 {
-		t.Fatalf("success left %d cache entries, want 2", entries)
+	if _, _, _, entries := srv.respCache.stats(); entries != 1 {
+		t.Fatalf("success left %d cache entries, want 1", entries)
 	}
 
 	timeout := testServer(t, Options{RequestTimeout: time.Nanosecond})
@@ -515,15 +526,15 @@ func TestResponseCacheSkipsErrors(t *testing.T) {
 }
 
 // TestResponseCacheMetricsExposition: the response cache's counters
-// surface on /metrics. A one-entry cache makes every figure exact: the
-// first eval misses both keys and its alias evicts the canonical entry,
-// and the replay hits the alias.
+// surface on /metrics. A one-answer cache makes every figure exact: the
+// first eval misses both keys, the replay hits the alias, and a second
+// request misses both keys and evicts the first answer.
 func TestResponseCacheMetricsExposition(t *testing.T) {
 	srv := testServer(t, Options{ResponseCacheEntries: 1, RequestTimeout: 10 * time.Second})
 	defer srv.Close()
 	h := srv.Handler()
-	for i := 0; i < 2; i++ {
-		if rec := postEval(h, evalBody("gray")); rec.Code != http.StatusOK {
+	for i, body := range []string{evalBody("gray"), evalBody("gray"), evalBody("window:entries=4")} {
+		if rec := postEval(h, body); rec.Code != http.StatusOK {
 			t.Fatalf("eval %d: code %d", i, rec.Code)
 		}
 	}
@@ -531,12 +542,116 @@ func TestResponseCacheMetricsExposition(t *testing.T) {
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
 	for _, want := range []string{
 		"buspower_response_cache_hits 1\n",
-		"buspower_response_cache_misses 2\n",
+		"buspower_response_cache_misses 4\n",
 		"buspower_response_cache_evictions 1\n",
 		"buspower_response_cache_entries 1\n",
 	} {
 		if !strings.Contains(rec.Body.String(), want) {
 			t.Errorf("metrics missing %q", want)
 		}
+	}
+}
+
+// TestResponseCacheOneSlotPerAnswer: N distinct requests, N at most the
+// cache's limit, keep N answers with no eviction, and each replay hits its
+// alias. One more request evicts the least recently used answer together
+// with its alias, so replaying that body misses both keys and evaluates.
+func TestResponseCacheOneSlotPerAnswer(t *testing.T) {
+	const limit = 8
+	srv := testServer(t, Options{ResponseCacheEntries: limit, RequestTimeout: 10 * time.Second})
+	defer srv.Close()
+	h := srv.Handler()
+	body := func(i int) string { return fmt.Sprintf(`{"values":[1,2,3,%d],"scheme":"gray"}`, i) }
+	for i := 0; i < limit; i++ {
+		if rec := postEval(h, body(i)); rec.Code != http.StatusOK {
+			t.Fatalf("request %d: code %d", i, rec.Code)
+		}
+	}
+	if hits, misses, evictions, entries := srv.respCache.stats(); hits != 0 || misses != 2*limit || evictions != 0 || entries != limit {
+		t.Fatalf("%d distinct requests: hits %d misses %d evictions %d entries %d, want 0/%d/0/%d", limit, hits, misses, evictions, entries, 2*limit, limit)
+	}
+	for i := 1; i < limit; i++ { // replay all but the first, leaving it least recently used
+		if rec := postEval(h, body(i)); rec.Code != http.StatusOK {
+			t.Fatalf("replay %d: code %d", i, rec.Code)
+		}
+	}
+	if hits, misses, _, _ := srv.respCache.stats(); hits != limit-1 || misses != 2*limit {
+		t.Fatalf("replays: hits %d misses %d, want every replay an alias hit", hits, misses)
+	}
+	if rec := postEval(h, body(limit)); rec.Code != http.StatusOK {
+		t.Fatalf("request %d: code %d", limit, rec.Code)
+	}
+	if _, _, evictions, entries := srv.respCache.stats(); evictions != 1 || entries != limit {
+		t.Fatalf("one more answer: evictions %d entries %d, want 1/%d", evictions, entries, limit)
+	}
+	srv.respCache.mu.Lock()
+	aliases := len(srv.respCache.aliases)
+	srv.respCache.mu.Unlock()
+	if aliases != limit {
+		t.Fatalf("%d aliases for %d answers", aliases, limit)
+	}
+	lookups := evalMemoLookups()
+	if rec := postEval(h, body(0)); rec.Code != http.StatusOK {
+		t.Fatalf("evicted body: code %d", rec.Code)
+	}
+	if hits, misses, _, _ := srv.respCache.stats(); hits != limit-1 || misses != 2*limit+4 {
+		t.Fatalf("evicted body: hits %d misses %d, want its alias and key to miss", hits, misses)
+	}
+	if evalMemoLookups() == lookups {
+		t.Fatal("the evicted answer was served without an evaluation")
+	}
+}
+
+// TestEvalAddressBusMatchesUncachedRun: a /v1/eval request on the memory
+// address bus, which the trace cache keeps packed, answers exactly what
+// coding.Evaluate computes on the same stream from a plain simulation
+// that bypasses the cache.
+func TestEvalAddressBusMatchesUncachedRun(t *testing.T) {
+	srv := testServer(t, Options{RequestTimeout: 30 * time.Second})
+	defer srv.Close()
+	const scheme = "window:entries=8"
+	rec := postEval(srv.Handler(), fmt.Sprintf(`{"workload":"li","bus":"addr","quick":true,"scheme":%q}`, scheme))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("code %d: %s", rec.Code, rec.Body.String())
+	}
+	var got experiments.EvalResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
+		t.Fatal(err)
+	}
+
+	w, err := workload.ByName("li")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts, err := workload.Run(w, experiments.QuickConfig().Run)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := make([]uint32, len(ts.Addr))
+	for i, v := range ts.Addr {
+		addr[i] = uint32(v)
+	}
+	tc, err := coding.BuildScheme(scheme)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := coding.Evaluate(tc, addr, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Source != "workload:li/addr" {
+		t.Errorf("source %q", got.Source)
+	}
+	if got.Raw.Transitions != want.Raw.Transitions() || got.Raw.Couplings != want.Raw.Couplings() {
+		t.Errorf("raw stats %+v, want %d/%d", got.Raw, want.Raw.Transitions(), want.Raw.Couplings())
+	}
+	if got.Coded.Transitions != want.Coded.Transitions() || got.Coded.Couplings != want.Coded.Couplings() {
+		t.Errorf("coded stats %+v, want %d/%d", got.Coded, want.Coded.Transitions(), want.Coded.Couplings())
+	}
+	if got.Ops != want.Ops {
+		t.Errorf("ops %+v, want %+v", got.Ops, want.Ops)
+	}
+	if pct := 100 * want.EnergyRemoved(); got.EnergyRemovedPct != pct {
+		t.Errorf("energy removed %v%%, want %v%%", got.EnergyRemovedPct, pct)
 	}
 }

@@ -55,8 +55,8 @@ type Options struct {
 	// with 429 (<= 0 means 4× the per-job item cap).
 	JobQueueDepth int
 
-	// ResponseCacheEntries bounds the marshalled-response LRU
-	// (<= 0 means 4096).
+	// ResponseCacheEntries bounds the marshalled-response LRU in answers
+	// (<= 0 means 2048).
 	ResponseCacheEntries int
 }
 

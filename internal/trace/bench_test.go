@@ -20,6 +20,8 @@ func BenchmarkKernels(b *testing.B) {
 	b.Run("Trace.Read/120k", benchTraceRead)
 	b.Run("Container.Write/3x120k", benchContainerWrite)
 	b.Run("Container.Parse/3x120k", benchContainerParse)
+	b.Run("Deltas.Pack/120k", benchDeltasPack)
+	b.Run("Deltas.Decode/120k", benchDeltasDecode)
 }
 
 func benchTraceValues(n int) []uint64 {
@@ -69,23 +71,41 @@ func benchTraceRead(b *testing.B) {
 	}
 }
 
+// benchAddrs is an address-bus-like stream: mostly small steps from the
+// previous address, with an occasional jump.
+func benchAddrs(n int) []uint32 {
+	rng := stats.NewRNG(11)
+	out := make([]uint32, n)
+	a := uint32(0x10000)
+	for i := range out {
+		if r := rng.Uint32(); r%8 == 0 {
+			a = r &^ 3
+		} else {
+			a += (r>>8)%128 - 64
+		}
+		out[i] = a
+	}
+	return out
+}
+
 // benchContainer mirrors one disk-cache entry: three bus sections at the
-// full default trace length.
+// full default trace length, the address bus packed.
 func benchContainer() *Container {
+	addrs := PackDeltas(benchAddrs(benchTraceSize))
 	return &Container{
 		Name: "bench",
 		Meta: []byte(`{"instructions":1500000,"cycles":2000000}`),
 		Sections: []Section{
 			{Name: "reg", Width: 32, Values: benchBeats(benchTraceSize)},
 			{Name: "mem", Width: 32, Values: benchBeats(benchTraceSize)},
-			{Name: "addr", Width: 32, Values: benchBeats(benchTraceSize)},
+			{Name: "addr", Width: 32, Packed: &addrs},
 		},
 	}
 }
 
 func benchContainerWrite(b *testing.B) {
 	c := benchContainer()
-	b.SetBytes(3 * benchTraceSize * 4)
+	b.SetBytes(int64(2*benchTraceSize*4 + len(c.Sections[2].Packed.Data)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -107,6 +127,32 @@ func benchContainerParse(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := ParseContainer(data); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// deltasSink keeps the packing benchmark's result alive.
+var deltasSink Deltas
+
+func benchDeltasPack(b *testing.B) {
+	vals := benchAddrs(benchTraceSize)
+	b.SetBytes(4 * benchTraceSize)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		deltasSink = PackDeltas(vals)
+	}
+}
+
+func benchDeltasDecode(b *testing.B) {
+	d := PackDeltas(benchAddrs(benchTraceSize))
+	dst := make([]uint32, d.Len)
+	b.SetBytes(4 * benchTraceSize)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := d.Decode(dst); err != nil {
 			b.Fatal(err)
 		}
 	}

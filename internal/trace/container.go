@@ -10,37 +10,49 @@ import (
 	"os"
 )
 
-// BUSTRC04 is the bulk-I/O container format behind the persistent trace
+// BUSTRC05 is the bulk-I/O container format behind the persistent trace
 // cache: one file holds every bus stream of a workload run plus an opaque
 // metadata blob (the run's summary statistics), so a cache hit restores a
-// whole run from one file. Every bus of the simulated machine is 32 bits
-// wide, so a value takes 4 bytes on disk and in memory, and the values
-// start at a 4-byte-aligned file offset: a reader can map the file and
-// use its sections in place.
+// whole run from one file. A section is either plain or packed. A plain
+// section holds 4 bytes per value (every bus of the simulated machine is
+// 32 bits wide); a packed section holds its values delta-coded (Deltas).
+// Every section starts at a 4-byte-aligned file offset, so a reader can
+// map the file and use plain sections in place as []uint32 and packed
+// ones as bytes.
 //
 // Layout (all integers little-endian):
 //
-//	magic[8] "BUSTRC04"
+//	magic[8] "BUSTRC05"
 //	nameLen u16 | name bytes
 //	metaLen u32 | meta bytes (opaque to this package)
 //	sectionCount u16
-//	per section: nameLen u16 | name | width u16 (1..32) | count u64
+//	per section: nameLen u16 | name | width u16 (1..32) | coding u16
+//	             | count u64 | size u64
 //	zero bytes up to the next 4-byte-aligned file offset
-//	per section: count * 4 bytes of values
+//	per section: size bytes of values, then zero bytes up to the next
+//	             4-byte-aligned file offset
 //	checksum u64 (FNV-1a over everything after the magic, padding included)
 //
-// The trailing checksum makes torn or bit-rotted cache files detectable:
-// the parser verifies it before any section is used, and the cache layer
-// falls back to re-simulation on any error.
+// coding is 0 for a plain section (size = 4 * count) and 1 for a packed
+// one (count <= size <= 5 * count). The trailing checksum makes torn or
+// bit-rotted cache files detectable: the parser verifies it, and walks
+// every packed section once, before any section is used, and the cache
+// layer falls back to re-simulation on any error.
 
 // containerMagic identifies the container format and its version; bumping
 // the version changes the magic, so stale files fail the magic check.
-var containerMagic = [8]byte{'B', 'U', 'S', 'T', 'R', 'C', '0', '4'}
+var containerMagic = [8]byte{'B', 'U', 'S', 'T', 'R', 'C', '0', '5'}
 
 // ContainerVersion names the on-disk format for cache-key derivation:
 // changing the layout must change this string (and the magic), which
 // invalidates every previously written cache entry.
-const ContainerVersion = "BUSTRC04"
+const ContainerVersion = "BUSTRC05"
+
+// Section codings.
+const (
+	codingPlain  = 0
+	codingDeltas = 1
+)
 
 // Limits keep a corrupted header from driving huge allocations.
 const (
@@ -55,8 +67,11 @@ type Section struct {
 	Name string
 	// Width is the bus width in bits (1..32).
 	Width int
-	// Values is the per-beat value stream.
+	// Values is the per-beat value stream of a plain section.
 	Values []uint32
+	// Packed, when non-nil, makes the section a packed one: its stream
+	// is held delta-coded, and Values is nil.
+	Packed *Deltas
 }
 
 // Container is a named bundle of bus streams with an opaque metadata blob.
@@ -148,6 +163,7 @@ func (c *Container) Write(w io.Writer) error {
 	hdr = append(le.AppendUint16(hdr, uint16(len(c.Name))), c.Name...)
 	hdr = append(le.AppendUint32(hdr, uint32(len(c.Meta))), c.Meta...)
 	hdr = le.AppendUint16(hdr, uint16(len(c.Sections)))
+	total := 0
 	for _, s := range c.Sections {
 		if len(s.Name) > 0xFFFF {
 			return errors.New("trace: section name too long")
@@ -155,12 +171,24 @@ func (c *Container) Write(w io.Writer) error {
 		if s.Width < 1 || s.Width > maxSectionWidth {
 			return fmt.Errorf("trace: section %s: invalid width %d", s.Name, s.Width)
 		}
-		if len(s.Values) > maxContainerValues {
-			return fmt.Errorf("trace: section %s: %d values exceed limit", s.Name, len(s.Values))
+		coding, n, size := codingPlain, len(s.Values), 4*len(s.Values)
+		if s.Packed != nil {
+			if s.Values != nil {
+				return fmt.Errorf("trace: section %s holds both plain and packed values", s.Name)
+			}
+			if err := walkDeltas(s.Packed.Data, s.Packed.Len, nil); err != nil {
+				return fmt.Errorf("trace: section %s: %w", s.Name, err)
+			}
+			coding, n, size = codingDeltas, s.Packed.Len, len(s.Packed.Data)
+		}
+		if total += n; n > maxContainerValues || total > maxContainerValues {
+			return fmt.Errorf("trace: section %s: %d values exceed limit", s.Name, n)
 		}
 		hdr = append(le.AppendUint16(hdr, uint16(len(s.Name))), s.Name...)
 		hdr = le.AppendUint16(hdr, uint16(s.Width))
-		hdr = le.AppendUint64(hdr, uint64(len(s.Values)))
+		hdr = le.AppendUint16(hdr, uint16(coding))
+		hdr = le.AppendUint64(hdr, uint64(n))
+		hdr = le.AppendUint64(hdr, uint64(size))
 	}
 	hdr = append(hdr, make([]byte, valuesPadding(len(hdr)))...)
 
@@ -172,8 +200,18 @@ func (c *Container) Write(w io.Writer) error {
 	}
 	hw := io.MultiWriter(bw, sum)
 	buf := make([]byte, blockWords*4)
+	var zeros [3]byte
 	for _, s := range c.Sections {
-		if err := writeUint32Block(hw, s.Values, buf); err != nil {
+		if s.Packed == nil {
+			if err := writeUint32Block(hw, s.Values, buf); err != nil {
+				return err
+			}
+			continue
+		}
+		if _, err := hw.Write(s.Packed.Data); err != nil {
+			return err
+		}
+		if _, err := hw.Write(zeros[:valuesPadding(len(s.Packed.Data))]); err != nil {
 			return err
 		}
 	}
@@ -183,12 +221,14 @@ func (c *Container) Write(w io.Writer) error {
 	return bw.Flush()
 }
 
-// valuesPadding is the number of zero bytes that take a header of n bytes
-// to the 4-byte-aligned offset where the values start.
+// valuesPadding is the number of zero bytes that take n bytes (of header,
+// or of a section's values) to the next 4-byte-aligned offset, where the
+// next section's values start.
 func valuesPadding(n int) int { return -n & 3 }
 
 // ErrContainerFormat wraps every structural decode failure: bad magic,
-// implausible header fields, truncation, bad padding, checksum mismatch.
+// implausible header fields, truncation, bad padding, checksum mismatch,
+// a malformed packed section.
 // Callers (the disk cache) treat any such error as "re-simulate".
 var ErrContainerFormat = errors.New("trace: bad container")
 
@@ -241,14 +281,16 @@ func (c *cursor) string(what string) (string, error) {
 // ParseContainer decodes a container written by Write. Any structural
 // problem (wrong magic, e.g. a stale-version file; a header that overruns
 // the data; a size that disagrees with the header; non-zero padding; a
-// checksum mismatch) yields an error wrapping ErrContainerFormat and never
-// a panic. The checksum is verified before any section is built.
+// checksum mismatch; a packed section that is not the exact encoding of
+// its values) yields an error wrapping ErrContainerFormat and never a
+// panic. The checksum is verified, and every packed section decoded once,
+// before any section is built.
 //
 // Sections are zero-copy views into data when the host is little-endian
 // and data starts at a 4-byte-aligned address: data must then stay alive
 // and unmodified for as long as the sections are used. Otherwise each
-// section is decoded into its own exact-size slice. Name and Meta are
-// always copies.
+// section is decoded (a plain one) or copied (a packed one) into its own
+// exact-size slice. Name and Meta are always copies.
 func ParseContainer(data []byte) (*Container, error) {
 	c, _, err := parseContainer(data)
 	return c, err
@@ -288,8 +330,10 @@ func parseContainer(data []byte) (c *Container, viewed bool, err error) {
 		return nil, false, containerErrf("%d sections exceed limit %d", nSections, maxContainerSections)
 	}
 	c.Sections = make([]Section, nSections)
-	counts := make([]int, nSections)
-	var total uint64
+	// layout is where a section's values lie in data, and how they are coded.
+	type layout struct{ coding, n, off, size int }
+	lay := make([]layout, nSections)
+	var total, dataSize uint64
 	for i := range c.Sections {
 		s := &c.Sections[i]
 		if s.Name, err = cur.string("section name"); err != nil {
@@ -301,26 +345,40 @@ func parseContainer(data []byte) (c *Container, viewed bool, err error) {
 		if s.Width < 1 || s.Width > maxSectionWidth {
 			return nil, false, containerErrf("section %s: invalid width %d", s.Name, s.Width)
 		}
-		if b, err = cur.take(8, "section "+s.Name+" count"); err != nil {
+		if lay[i].coding, err = cur.uint16("section " + s.Name + " coding"); err != nil {
 			return nil, false, err
 		}
-		n := binary.LittleEndian.Uint64(b)
+		if b, err = cur.take(16, "section "+s.Name+" count and size"); err != nil {
+			return nil, false, err
+		}
+		n, size := binary.LittleEndian.Uint64(b), binary.LittleEndian.Uint64(b[8:])
 		if n > maxContainerValues || total+n > maxContainerValues {
 			return nil, false, containerErrf("section %s: implausible value count %d", s.Name, n)
 		}
-		counts[i] = int(n)
+		switch lay[i].coding {
+		case codingPlain:
+			if size != 4*n {
+				return nil, false, containerErrf("section %s: %d bytes hold no %d plain values", s.Name, size, n)
+			}
+		case codingDeltas:
+			if size < n || size > maxDeltaBytes*n {
+				return nil, false, containerErrf("section %s: %d bytes hold no %d packed values", s.Name, size, n)
+			}
+		default:
+			return nil, false, containerErrf("section %s: unknown coding %d", s.Name, lay[i].coding)
+		}
+		lay[i].n, lay[i].size = int(n), int(size)
 		total += n
+		dataSize += size + uint64(valuesPadding(int(size)))
 	}
 	if b, err = cur.take(valuesPadding(cur.off), "padding"); err != nil {
 		return nil, false, err
 	}
-	for _, p := range b {
-		if p != 0 {
-			return nil, false, containerErrf("non-zero padding byte %#x before the values", p)
-		}
+	if err := checkZero(b, "before the values"); err != nil {
+		return nil, false, err
 	}
 	start := cur.off
-	if want := uint64(start) + 4*total + 8; want != uint64(len(data)) {
+	if want := uint64(start) + dataSize + 8; want != uint64(len(data)) {
 		return nil, false, containerErrf("header announces %d bytes, container holds %d", want, len(data))
 	}
 	end := len(data) - 8
@@ -330,24 +388,56 @@ func parseContainer(data []byte) (c *Container, viewed bool, err error) {
 		return nil, false, containerErrf("checksum mismatch: file %#x, computed %#x", got, want)
 	}
 
-	var all []uint32
-	if total > 0 {
-		all = uint32View(data[start:end])
+	// Check every section's padding and packed values before building any.
+	for i, off := 0, start; i < len(lay); i++ {
+		l := &lay[i]
+		l.off = off
+		off += l.size
+		if l.coding == codingDeltas {
+			if err := walkDeltas(data[l.off:off], l.n, nil); err != nil {
+				return nil, false, containerErrf("section %s: %v", c.Sections[i].Name, err)
+			}
+		}
+		if err := checkZero(data[off:off+valuesPadding(l.size)], "after section "+c.Sections[i].Name); err != nil {
+			return nil, false, err
+		}
+		off += valuesPadding(l.size)
 	}
-	off := 0
-	for i, n := range counts {
-		if all != nil {
-			c.Sections[i].Values = all[off : off+n : off+n]
-		} else {
-			vals := make([]uint32, n)
-			for j, raw := 0, data[start+4*off:]; j < n; j++ {
+	// Sections view data when plain values can be read in place there
+	// (a little-endian host and data 4-byte aligned, hence every section
+	// start), so that a container is either all views or all copies.
+	inPlace := uint32View(data[:4]) != nil
+	for i, l := range lay {
+		raw := data[l.off : l.off+l.size : l.off+l.size]
+		viewed = viewed || (inPlace && l.n > 0)
+		switch {
+		case l.coding == codingDeltas && inPlace:
+			c.Sections[i].Packed = &Deltas{Len: l.n, Data: raw}
+		case l.coding == codingDeltas:
+			packed := make([]byte, len(raw))
+			copy(packed, raw)
+			c.Sections[i].Packed = &Deltas{Len: l.n, Data: packed}
+		case inPlace && l.n > 0:
+			c.Sections[i].Values = uint32View(raw)
+		default:
+			vals := make([]uint32, l.n)
+			for j := range vals {
 				vals[j] = binary.LittleEndian.Uint32(raw[4*j:])
 			}
 			c.Sections[i].Values = vals
 		}
-		off += n
 	}
-	return c, all != nil, nil
+	return c, viewed, nil
+}
+
+// checkZero fails unless every padding byte in b is zero.
+func checkZero(b []byte, where string) error {
+	for _, p := range b {
+		if p != 0 {
+			return containerErrf("non-zero padding byte %#x %s", p, where)
+		}
+	}
+	return nil
 }
 
 // MapContainer parses the container file f of size bytes. Where it can,

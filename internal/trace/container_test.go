@@ -27,20 +27,48 @@ func randomContainer(seed uint64) *Container {
 		for i := range vals {
 			vals[i] = rng.Uint32()
 		}
-		c.Sections = append(c.Sections, Section{
+		sec := Section{
 			Name:   []string{"reg", "mem", "addr", "extra"}[s],
 			Width:  1 + int(rng.Uint32()%maxSectionWidth),
 			Values: vals,
-		})
+		}
+		if sec.Name == "addr" {
+			// An address-like walk, packed as the trace cache packs it.
+			for i := 1; i < n; i++ {
+				vals[i] = vals[i-1] + vals[i]%256 - 128
+			}
+			packed := PackDeltas(vals)
+			sec.Values, sec.Packed = nil, &packed
+		}
+		c.Sections = append(c.Sections, sec)
 	}
 	return c
 }
 
+// sectionsEqual reports whether two containers hold the same name, meta
+// and sections, packed sections byte for byte.
+func sectionsEqual(a, b *Container) bool {
+	if a.Name != b.Name || !bytes.Equal(a.Meta, b.Meta) || len(a.Sections) != len(b.Sections) {
+		return false
+	}
+	for i := range a.Sections {
+		x, y := a.Sections[i], b.Sections[i]
+		if x.Name != y.Name || x.Width != y.Width || !slices.Equal(x.Values, y.Values) || (x.Packed == nil) != (y.Packed == nil) {
+			return false
+		}
+		if x.Packed != nil && (x.Packed.Len != y.Packed.Len || !bytes.Equal(x.Packed.Data, y.Packed.Data)) {
+			return false
+		}
+	}
+	return true
+}
+
 // Round-trip property: Write then ParseContainer reproduces every field for
 // a spread of random sizes, including sections straddling the 64 KiB block
-// boundary and empty sections.
+// boundary, empty sections and packed sections of every length mod 4.
 func TestContainerRoundTripProperty(t *testing.T) {
-	for seed := uint64(1); seed <= 25; seed++ {
+	packedLens := map[int]bool{}
+	for seed := uint64(1); seed <= 40; seed++ {
 		orig := randomContainer(seed)
 		var buf bytes.Buffer
 		if err := orig.Write(&buf); err != nil {
@@ -50,23 +78,15 @@ func TestContainerRoundTripProperty(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: parse: %v", seed, err)
 		}
-		if got.Name != orig.Name || !bytes.Equal(got.Meta, orig.Meta) {
-			t.Fatalf("seed %d: header mismatch: %+v", seed, got)
+		if !sectionsEqual(got, orig) {
+			t.Fatalf("seed %d: parsed container differs", seed)
 		}
-		if len(got.Sections) != len(orig.Sections) {
-			t.Fatalf("seed %d: %d sections, want %d", seed, len(got.Sections), len(orig.Sections))
+		if s, ok := orig.SectionByName("addr"); ok {
+			packedLens[len(s.Packed.Data)%4] = true
 		}
-		for i, s := range orig.Sections {
-			g := got.Sections[i]
-			if g.Name != s.Name || g.Width != s.Width || len(g.Values) != len(s.Values) {
-				t.Fatalf("seed %d section %d: shape mismatch", seed, i)
-			}
-			for j := range s.Values {
-				if g.Values[j] != s.Values[j] {
-					t.Fatalf("seed %d section %d value %d differs", seed, i, j)
-				}
-			}
-		}
+	}
+	if len(packedLens) != 4 {
+		t.Fatalf("packed sections cover lengths %v mod 4, want all four paddings", packedLens)
 	}
 }
 
@@ -140,7 +160,11 @@ func TestContainerLyingCountCostsPresentBytes(t *testing.T) {
 	buf.WriteString("reg")
 	binary.LittleEndian.PutUint16(u16[:], 32)
 	buf.Write(u16[:])
+	binary.LittleEndian.PutUint16(u16[:], codingPlain)
+	buf.Write(u16[:])
 	binary.LittleEndian.PutUint64(u64[:], maxContainerValues)
+	buf.Write(u64[:])
+	binary.LittleEndian.PutUint64(u64[:], 4*maxContainerValues)
 	buf.Write(u64[:])
 	buf.Write(make([]byte, blockWords*4)) // one block of values, then EOF
 	data := buf.Bytes()
@@ -224,6 +248,22 @@ func bustrc03File() []byte {
 	return binary.LittleEndian.AppendUint64(out, sum.Sum64())
 }
 
+// bustrc04File encodes a well-formed container of the previous format,
+// BUSTRC04: 4-byte values behind the aligning padding, and no per-section
+// coding or size fields.
+func bustrc04File() []byte {
+	body := []byte{2, 0, 'l', 'i', 0, 0, 0, 0, 1, 0, 3, 0, 'r', 'e', 'g', 32, 0}
+	body = binary.LittleEndian.AppendUint64(body, 3)
+	body = append(body, make([]byte, valuesPadding(8+len(body)))...)
+	for _, v := range []uint32{1, 0xDEADBEEF, 7} {
+		body = binary.LittleEndian.AppendUint32(body, v)
+	}
+	sum := fnv.New64a()
+	sum.Write(body)
+	out := append([]byte("BUSTRC04"), body...)
+	return binary.LittleEndian.AppendUint64(out, sum.Sum64())
+}
+
 // resum rewrites data's trailing checksum to match its body, so a test
 // can plant a structural fault that only the format checks can catch.
 func resum(data []byte) []byte {
@@ -247,9 +287,10 @@ func TestContainerBadMagicAndStaleVersion(t *testing.T) {
 	if _, err := ParseContainer(stale); !errors.Is(err, ErrContainerFormat) {
 		t.Errorf("stale-version magic accepted: %v", err)
 	}
-	// Whole, checksum-valid files of the two previous formats (BUSTRC02's
-	// 8-byte values, BUSTRC03's unpadded 4-byte values) are stale too.
-	for name, old := range map[string][]byte{"BUSTRC02": bustrc02File(), "BUSTRC03": bustrc03File()} {
+	// Whole, checksum-valid files of the three previous formats (BUSTRC02's
+	// 8-byte values, BUSTRC03's unpadded 4-byte values, BUSTRC04's
+	// sections without a coding or size) are stale too.
+	for name, old := range map[string][]byte{"BUSTRC02": bustrc02File(), "BUSTRC03": bustrc03File(), "BUSTRC04": bustrc04File()} {
 		if _, err := ParseContainer(old); !errors.Is(err, ErrContainerFormat) {
 			t.Errorf("%s file accepted: %v", name, err)
 		}
@@ -275,16 +316,16 @@ func TestContainerBadMagicAndStaleVersion(t *testing.T) {
 // behind zero padding. A file whose padding is missing, longer than
 // needed or not zero must be rejected even under a valid checksum.
 func TestContainerPadding(t *testing.T) {
-	// A 1-byte name makes the header 8+2+1+4+2 + 2+3+2+8 = 32 bytes; a
-	// 2-byte name makes it 33, which takes 3 bytes of padding.
-	for _, name := range []string{"x", "xy"} {
+	// A 3-byte name makes the header 8+2+3+4+2 + 2+3+2+2+8+8 = 44 bytes; a
+	// 2-byte name makes it 43, which takes 1 byte of padding.
+	for _, name := range []string{"xyz", "xy"} {
 		c := &Container{Name: name, Sections: []Section{{Name: "reg", Width: 32, Values: []uint32{1, 2, 3}}}}
 		var buf bytes.Buffer
 		if err := c.Write(&buf); err != nil {
 			t.Fatal(err)
 		}
 		data := buf.Bytes()
-		hdr := 8 + 2 + len(name) + 4 + 2 + 2 + 3 + 2 + 8
+		hdr := 8 + 2 + len(name) + 4 + 2 + 2 + 3 + 2 + 2 + 8 + 8
 		pad := valuesPadding(hdr)
 		if want := hdr + pad + 3*4 + 8; len(data) != want {
 			t.Fatalf("name %q: %d bytes, want %d", name, len(data), want)
@@ -334,10 +375,11 @@ func TestContainerSectionTableOverrunsFile(t *testing.T) {
 	if _, err := ParseContainer(resum(bad)); !errors.Is(err, ErrContainerFormat) {
 		t.Errorf("overrunning section table accepted: %v", err)
 	}
-	// Grow the first section's count by one value.
-	firstCount := countAt + 2 + 2 + len(c.Sections[0].Name) + 2
+	// Grow the first section's count and size by one value.
+	firstCount := countAt + 2 + 2 + len(c.Sections[0].Name) + 2 + 2
 	bad = append([]byte{}, data...)
 	binary.LittleEndian.PutUint64(bad[firstCount:], uint64(len(c.Sections[0].Values)+1))
+	binary.LittleEndian.PutUint64(bad[firstCount+8:], uint64(4*len(c.Sections[0].Values)+4))
 	if _, err := ParseContainer(resum(bad)); !errors.Is(err, ErrContainerFormat) {
 		t.Errorf("section count past the data accepted: %v", err)
 	}
@@ -441,6 +483,14 @@ func FuzzReadContainer(f *testing.F) {
 	f.Add([]byte("BUSTRC01 old format"))
 	f.Add([]byte{})
 	f.Add(bustrc03File())
+	packed := PackDeltas([]uint32{0x1000, 0x1004, 0x0FFC, 0xFFFFFFFF, 0, 0x80000000})
+	c.Sections = append(c.Sections, Section{Name: "addr", Width: 32, Packed: &packed})
+	buf.Reset()
+	if err := c.Write(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add(bustrc04File())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		inputs := [][]byte{data}
 		if len(data) >= minContainerSize {
@@ -463,6 +513,19 @@ func FuzzReadContainer(f *testing.F) {
 			}
 			if _, err := ParseContainer(out.Bytes()); err != nil {
 				t.Fatalf("re-encoded container failed to decode: %v", err)
+			}
+			// An accepted packed section is the one encoding of its values.
+			for _, s := range got.Sections {
+				if s.Packed == nil {
+					continue
+				}
+				vals := make([]uint32, s.Packed.Len)
+				if err := s.Packed.Decode(vals); err != nil {
+					t.Fatalf("accepted packed section %s fails to decode: %v", s.Name, err)
+				}
+				if !bytes.Equal(PackDeltas(vals).Data, s.Packed.Data) {
+					t.Fatalf("accepted packed section %s is not its values' encoding", s.Name)
+				}
 			}
 		}
 	})
@@ -496,10 +559,8 @@ func TestMapContainerFile(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, s := range c.Sections {
-			if !slices.Equal(got.Sections[i].Values, s.Values) {
-				t.Fatalf("section %d differs", i)
-			}
+		if !sectionsEqual(got, c) {
+			t.Fatal("mapped container differs")
 		}
 	}
 }

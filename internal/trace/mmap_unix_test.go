@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime/debug"
-	"slices"
 	"testing"
 )
 
@@ -45,19 +44,6 @@ func mapContainerFile(t *testing.T, path string) *Container {
 		t.Fatalf("mapped %v on a host with littleEndian %v", mapped, littleEndian)
 	}
 	return c
-}
-
-func sectionsEqual(a, b *Container) bool {
-	if a.Name != b.Name || !bytes.Equal(a.Meta, b.Meta) || len(a.Sections) != len(b.Sections) {
-		return false
-	}
-	for i := range a.Sections {
-		x, y := a.Sections[i], b.Sections[i]
-		if x.Name != y.Name || x.Width != y.Width || !slices.Equal(x.Values, y.Values) {
-			return false
-		}
-	}
-	return true
 }
 
 // TestMapContainerWriteFaults: mapped sections are read-only, so a write

@@ -20,7 +20,7 @@ import (
 
 // The persistent trace cache: trace extraction is deterministic in
 // (program, cpu.Config, RunConfig), so its output is a reusable artifact.
-// Each run's traces are stored as one BUSTRC04 container in a
+// Each run's traces are stored as one BUSTRC05 container in a
 // content-addressed file — the name is a hash of everything the
 // simulation depends on — which makes invalidation automatic: any change
 // to the workload source, the core configuration, the run bounds, or the
@@ -31,8 +31,10 @@ import (
 // key does not hash the simulator's code: a change to internal/cpu that
 // moves a trace must be checked with the disk cache off.
 //
-// A disk hit maps its entry (loadTraces), so its traces live in the page
-// cache, outside the Go heap; a miss keeps the simulator's heap copy. A
+// The container holds the run as the memory layer does: the data buses
+// as plain 32-bit sections, the address bus as a packed one. A disk hit
+// maps its entry (loadTraces), so its traces live in the page cache,
+// outside the Go heap; a miss keeps the simulator's heap copy. A
 // cache file is only ever replaced by rename. Writing into one in place
 // under a running process is unsupported: it changes the traces already
 // served from the file, and truncating it makes reading the lost pages
@@ -122,39 +124,45 @@ const busWidthBits = 32
 // Every call maps the file anew and a mapping is never unmapped, since a
 // trace handed out may still point into it: a load repeated after
 // ClearTraceCache holds the file twice.
-func loadTraces(path, name string) (tr cpu.BusTraces, mapped bool, err error) {
+func loadTraces(path, name string) (tr ResidentTraces, mapped bool, err error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return cpu.BusTraces{}, false, err
+		return ResidentTraces{}, false, err
 	}
 	defer f.Close()
 	st, err := f.Stat()
 	if err != nil {
-		return cpu.BusTraces{}, false, err
+		return ResidentTraces{}, false, err
 	}
 	c, mapped, err := trace.MapContainer(f, st.Size())
 	if err != nil {
-		return cpu.BusTraces{}, false, err
+		return ResidentTraces{}, false, err
 	}
 	if c.Name != name {
-		return cpu.BusTraces{}, false, fmt.Errorf("workload: cache entry names %q, want %q", c.Name, name)
+		return ResidentTraces{}, false, fmt.Errorf("workload: cache entry names %q, want %q", c.Name, name)
 	}
-	if err := json.Unmarshal(c.Meta, &tr); err != nil {
-		return cpu.BusTraces{}, false, fmt.Errorf("workload: cache summary: %w", err)
+	if err := json.Unmarshal(c.Meta, &tr.RunStats); err != nil {
+		return ResidentTraces{}, false, fmt.Errorf("workload: cache summary: %w", err)
 	}
-	// The streams come from the sections, as the simulator produces them.
+	// The streams come from the sections, in the form the trace cache
+	// keeps them: the data buses plain, the address bus packed.
 	for _, want := range []struct {
 		name string
 		dst  *[]uint32
-	}{{"reg", &tr.RegisterBus}, {"mem", &tr.MemoryBus}, {"addr", &tr.MemoryAddrBus}} {
+	}{{"reg", &tr.Reg}, {"mem", &tr.Mem}} {
 		s, ok := c.SectionByName(want.name)
-		if !ok {
-			return cpu.BusTraces{}, false, fmt.Errorf("workload: cache entry missing %s section", want.name)
+		if !ok || s.Packed != nil {
+			return ResidentTraces{}, false, fmt.Errorf("workload: cache entry has no plain %s section", want.name)
 		}
 		*want.dst = s.Values
 	}
-	if len(tr.RegisterBus) == 0 {
-		return cpu.BusTraces{}, false, errors.New("workload: cache entry has empty register trace")
+	s, ok := c.SectionByName("addr")
+	if !ok || s.Packed == nil {
+		return ResidentTraces{}, false, errors.New("workload: cache entry has no packed addr section")
+	}
+	tr.addr = *s.Packed
+	if len(tr.Reg) == 0 {
+		return ResidentTraces{}, false, errors.New("workload: cache entry has empty register trace")
 	}
 	return tr, mapped, nil
 }
@@ -164,14 +172,10 @@ func loadTraces(path, name string) (tr cpu.BusTraces, mapped bool, err error) {
 // into place, so concurrent readers and writers (including other
 // processes) only ever observe complete files, and a file another
 // process has mapped keeps its bytes.
-func storeTraces(dir, key, name string, tr cpu.BusTraces) error {
-	// The streams go into the sections; strip them from the JSON summary
-	// blob rather than storing every value twice.
-	summary := tr
-	summary.RegisterBus = nil
-	summary.MemoryBus = nil
-	summary.MemoryAddrBus = nil
-	meta, err := json.Marshal(summary)
+func storeTraces(dir, key, name string, tr ResidentTraces) error {
+	// The streams go into the sections; the JSON summary blob holds the
+	// run statistics only.
+	meta, err := json.Marshal(tr.RunStats)
 	if err != nil {
 		return err
 	}
@@ -179,9 +183,9 @@ func storeTraces(dir, key, name string, tr cpu.BusTraces) error {
 		Name: name,
 		Meta: meta,
 		Sections: []trace.Section{
-			{Name: "reg", Width: busWidthBits, Values: tr.RegisterBus},
-			{Name: "mem", Width: busWidthBits, Values: tr.MemoryBus},
-			{Name: "addr", Width: busWidthBits, Values: tr.MemoryAddrBus},
+			{Name: "reg", Width: busWidthBits, Values: tr.Reg},
+			{Name: "mem", Width: busWidthBits, Values: tr.Mem},
+			{Name: "addr", Width: busWidthBits, Packed: &tr.addr},
 		},
 	}
 	tmp, err := os.CreateTemp(dir, key+".tmp-*")

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -79,8 +80,10 @@ func TestDiskCacheRoundTrip(t *testing.T) {
 }
 
 // TestContainerRoundTripsSimulatedRun: a full-length simulated run stored
-// as a BUSTRC04 container decodes to exactly the simulator's output —
-// every 32-bit beat of every bus and every summary statistic.
+// as a BUSTRC05 container decodes to exactly the simulator's output —
+// every 32-bit beat of the data buses, the packed address bus byte for
+// byte, and every summary statistic — and the file holds 4 bytes per data
+// beat plus the packed address bytes.
 func TestContainerRoundTripsSimulatedRun(t *testing.T) {
 	dir := t.TempDir()
 	w, err := ByName("gcc")
@@ -99,15 +102,14 @@ func TestContainerRoundTripsSimulatedRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(want, got) {
-		t.Fatal("BUSTRC04 round trip changed the simulated run")
+		t.Fatal("BUSTRC05 round trip changed the simulated run")
 	}
 	info, err := os.Stat(traceCachePath(dir, "k"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	values := len(want.RegisterBus) + len(want.MemoryBus) + len(want.MemoryAddrBus)
-	if info.Size() < 4*int64(values) || info.Size() > 4*int64(values)+4096 {
-		t.Errorf("container of %d values is %d bytes, want 4 bytes per value plus a header", values, info.Size())
+	if n := int64(want.bytes()); info.Size() < n || info.Size() > n+4096 {
+		t.Errorf("container of %d stream bytes is %d bytes, want the streams plus a header", n, info.Size())
 	}
 }
 
@@ -155,25 +157,56 @@ func resum(d []byte) []byte {
 // section count, and end the end of its section table, where the padding
 // before the values starts.
 func headerLayout(d []byte) (countAt, end int) {
+	countAt, end, _ = sectionLayout(d, "")
+	return countAt, end
+}
+
+// sectionLayout is headerLayout that also locates the named section: the
+// offset of its count field (its size field follows) and of its values.
+func sectionLayout(d []byte, name string) (countAt, end int, sec struct{ countAt, dataAt, size int }) {
 	le := binary.LittleEndian
 	off := 8
 	off += 2 + int(le.Uint16(d[off:])) // name
 	off += 4 + int(le.Uint32(d[off:])) // meta
 	countAt = off
 	off += 2
+	data := 0 // the named section's values, from the start of the values
 	for i := 0; i < int(le.Uint16(d[countAt:])); i++ {
-		off += 2 + int(le.Uint16(d[off:])) + 2 + 8 // name, width, count
+		n := int(le.Uint16(d[off:]))
+		secName := string(d[off+2 : off+2+n])
+		off += 2 + n + 2 + 2 // name, width, coding
+		size := int(le.Uint64(d[off+8:]))
+		if secName == name {
+			sec.countAt, sec.dataAt, sec.size = off, data, size
+		}
+		data += size + (-size & 3)
+		off += 8 + 8 // count, size
 	}
-	return countAt, off
+	sec.dataAt += off + (-off & 3)
+	return countAt, off, sec
+}
+
+// packedAddrFault plants a fault in the packed addr section of a cache
+// file under a valid checksum: edit gets the section's values and count.
+func packedAddrFault(edit func(vals []byte, count *uint64)) func([]byte) []byte {
+	return func(d []byte) []byte {
+		_, _, sec := sectionLayout(d, "addr")
+		count := binary.LittleEndian.Uint64(d[sec.countAt:])
+		edit(d[sec.dataAt:sec.dataAt+sec.size], &count)
+		binary.LittleEndian.PutUint64(d[sec.countAt:], count)
+		return resum(d)
+	}
 }
 
 // TestDiskCacheCorruptFileFallsBack injects faults into a cache file: a
 // flipped payload bit (once in a replacement file, once written into the
 // file in place), a torn write cut to half its length, a zero-length
 // file, values shifted off their 4-byte alignment, a non-zero padding
-// byte, a stale BUSTRC03 copy of the entry and a section table that
-// overruns the file, the last four under a valid checksum. Each must be
-// rejected as a counted disk error, re-simulated to the same TraceSet,
+// byte, a stale BUSTRC03 copy of the entry, a section table that overruns
+// the file, and four malformed packed address sections (a truncated last
+// varint, a varint over 5 bytes, bytes after the declared count, fewer
+// values than declared), the last eight under a valid checksum. Each must
+// be rejected as a counted disk error, re-simulated to the same TraceSet,
 // and repaired on disk, never served as a wrong answer.
 func TestDiskCacheCorruptFileFallsBack(t *testing.T) {
 	flip := func(d []byte) []byte { d[len(d)/2] ^= 0x40; return d }
@@ -221,6 +254,16 @@ func TestDiskCacheCorruptFileFallsBack(t *testing.T) {
 			binary.LittleEndian.PutUint16(d[countAt:], 64)
 			return resum(d)
 		}, false},
+		{"packed truncated last varint", packedAddrFault(func(vals []byte, _ *uint64) {
+			vals[len(vals)-1] |= 0x80
+		}), false},
+		{"packed varint over 5 bytes", packedAddrFault(func(vals []byte, _ *uint64) {
+			for i := range vals[:5] {
+				vals[i] |= 0x80
+			}
+		}), false},
+		{"packed trailing bytes", packedAddrFault(func(_ []byte, count *uint64) { *count-- }), false},
+		{"packed fewer values", packedAddrFault(func(_ []byte, count *uint64) { *count++ }), false},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			dir := withTraceCacheDir(t)
@@ -234,8 +277,12 @@ func TestDiskCacheCorruptFileFallsBack(t *testing.T) {
 				t.Fatal(err)
 			}
 			bad := c.corrupt(data)
-			if _, err := trace.ParseContainer(bad); !errors.Is(err, trace.ErrContainerFormat) {
+			_, err = trace.ParseContainer(bad)
+			if !errors.Is(err, trace.ErrContainerFormat) {
 				t.Fatalf("planted fault parses with error %v, want ErrContainerFormat", err)
+			}
+			if strings.HasPrefix(c.name, "packed") && !strings.Contains(err.Error(), "section addr: trace: ") {
+				t.Fatalf("planted fault fails outside the packed section's decode walk: %v", err)
 			}
 			if c.inPlace {
 				writeInPlace(t, path, bad)
@@ -404,8 +451,8 @@ func TestDiskCacheDisabledByDefault(t *testing.T) {
 }
 
 // TestStoreTracesPrunesStaleFormats: a store deletes the entries of older
-// container formats (planted BUSTRC02 and BUSTRC03 files under key-shaped
-// names) and leaves current entries, temp files and foreign names alone.
+// container formats (planted BUSTRC02, BUSTRC03 and BUSTRC04 files under
+// key-shaped names) and leaves current entries, temp files and foreign names alone.
 func TestStoreTracesPrunesStaleFormats(t *testing.T) {
 	dir := t.TempDir()
 	w, err := ByName("li")
@@ -420,6 +467,7 @@ func TestStoreTracesPrunesStaleFormats(t *testing.T) {
 		current = "0123456789abcdef0123456789abcdef"
 		stale   = "fedcba9876543210fedcba9876543210"
 		stale3  = "ffeeddccbbaa99887766554433221100"
+		stale4  = "0f1e2d3c4b5a69788796a5b4c3d2e1f0"
 		fresh   = "00112233445566778899aabbccddeeff"
 	)
 	if err := storeTraces(dir, current, w.Name, tr); err != nil {
@@ -427,7 +475,8 @@ func TestStoreTracesPrunesStaleFormats(t *testing.T) {
 	}
 	planted := map[string]string{
 		stale + ".trc":            "BUSTRC02 an entry of an older format",
-		stale3 + ".trc":           "BUSTRC03 an entry of the previous format",
+		stale3 + ".trc":           "BUSTRC03 an entry of an older format",
+		stale4 + ".trc":           "BUSTRC04 an entry of the previous format",
 		"notes.trc":               "BUSTRC02 a foreign name",
 		stale + ".tmp-12345":      "BUSTRC02 a temp file",
 		stale[:31] + "g" + ".trc": "BUSTRC02 not a hex key",
@@ -441,7 +490,7 @@ func TestStoreTracesPrunesStaleFormats(t *testing.T) {
 	if err := storeTraces(dir, fresh, w.Name, tr); err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{stale, stale3} {
+	for _, key := range []string{stale, stale3, stale4} {
 		if _, err := os.Stat(filepath.Join(dir, key+".trc")); !os.IsNotExist(err) {
 			t.Errorf("stale entry %s survived the store: %v", key, err)
 		}
@@ -452,7 +501,7 @@ func TestStoreTracesPrunesStaleFormats(t *testing.T) {
 		}
 	}
 	for name := range planted {
-		if name == stale+".trc" || name == stale3+".trc" {
+		if name == stale+".trc" || name == stale3+".trc" || name == stale4+".trc" {
 			continue
 		}
 		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
@@ -475,7 +524,7 @@ func TestDiskCacheConcurrentLoads(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[name] = slices.Clone(tr.RegisterBus)
+		want[name] = slices.Clone(tr.Reg)
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -492,7 +541,7 @@ func TestDiskCacheConcurrentLoads(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if !slices.Equal(tr.RegisterBus, want[name]) {
+				if !slices.Equal(tr.Reg, want[name]) {
 					t.Errorf("%s: loaded streams differ from the simulated ones", name)
 					return
 				}

@@ -8,8 +8,6 @@ import (
 	"runtime/debug"
 	"slices"
 	"testing"
-
-	"buspower/internal/cpu"
 )
 
 // TestDiskCacheServesMappings: with the disk layer on, a miss hands out
@@ -24,7 +22,7 @@ func TestDiskCacheServesMappings(t *testing.T) {
 		t.Skip("a big-endian host decodes cache files into heap copies")
 	}
 	dir := withTraceCacheDir(t)
-	check := func(pass string, wantHits uint64, wantMapped bool) cpu.BusTraces {
+	check := func(pass string, wantHits uint64, wantMapped bool) ResidentTraces {
 		t.Helper()
 		tr, err := Resident("li", diskTestCfg)
 		if err != nil {
@@ -42,12 +40,12 @@ func TestDiskCacheServesMappings(t *testing.T) {
 		}
 		return tr
 	}
-	want := slices.Clone(check("miss", 0, false).RegisterBus)
+	want := slices.Clone(check("miss", 0, false).Reg)
 
 	ClearTraceCache()
 	first := check("hit", 1, true)
 	ClearTraceCache()
-	if again := check("hit again", 1, true); &again.RegisterBus[0] == &first.RegisterBus[0] || !slices.Equal(again.RegisterBus, want) {
+	if again := check("hit again", 1, true); &again.Reg[0] == &first.Reg[0] || !slices.Equal(again.Reg, want) {
 		t.Fatal("loading the entry again did not map the file anew")
 	}
 
@@ -58,20 +56,20 @@ func TestDiskCacheServesMappings(t *testing.T) {
 	}
 	replaceFile(t, path, data)
 	ClearTraceCache()
-	if renewed := check("hit after rename", 1, true); !slices.Equal(renewed.RegisterBus, want) {
+	if renewed := check("hit after rename", 1, true); !slices.Equal(renewed.Reg, want) {
 		t.Fatal("the file replaced by rename loads other streams")
 	}
 	if err := os.Remove(path); err != nil {
 		t.Fatal(err)
 	}
-	if !slices.Equal(first.RegisterBus, want) {
+	if !slices.Equal(first.Reg, want) {
 		t.Fatal("replacing and unlinking the file changed the old mapped stream")
 	}
 
 	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
 	faulted := func() (faulted bool) {
 		defer func() { faulted = recover() != nil }()
-		first.RegisterBus[0] ^= 1
+		first.Reg[0] ^= 1
 		return false
 	}()
 	if !faulted {

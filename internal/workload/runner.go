@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"buspower/internal/cpu"
+	"buspower/internal/trace"
 )
 
 // TraceSet is the bus traffic extracted from one workload run, with each
@@ -22,22 +23,52 @@ type TraceSet struct {
 	Mem []uint64
 	// Addr is the memory address bus stream (one address per Mem beat).
 	Addr []uint64
-	// Summary carries the timing model's run statistics. Its streams are
-	// the 32-bit originals, shared with the trace cache: read-only.
-	Summary cpu.BusTraces
+	// Summary carries the timing model's run statistics.
+	Summary cpu.RunStats
 }
 
-// widen returns the TraceSet view of one run: fresh 64-bit copies of its
-// streams.
-func widen(name string, tr cpu.BusTraces) TraceSet {
-	w := func(vals []uint32) []uint64 {
-		out := make([]uint64, len(vals))
-		for i, v := range vals {
-			out[i] = uint64(v)
-		}
-		return out
+// ResidentTraces is one workload run as the trace cache holds it: the
+// register and memory data buses as the simulator's 32-bit streams, the
+// memory address bus delta-coded (trace.Deltas, about a third of its
+// 4 bytes per beat), and the run's statistics. The streams are shared
+// with the cache and, after a disk hit, view a read-only file mapping:
+// they must be treated as read-only.
+type ResidentTraces struct {
+	// Reg is the integer register-file output port value stream.
+	Reg []uint32
+	// Mem is the memory data bus value stream.
+	Mem []uint32
+	// addr is the memory address bus stream, one address per Mem beat;
+	// Addr decodes it.
+	addr trace.Deltas
+	cpu.RunStats
+}
+
+// Addr decodes the memory address bus stream into a fresh, caller-owned
+// slice, one address per Mem beat. Every packed stream is checked when it
+// is made or loaded, so an error means the cache file under a mapping was
+// written in place.
+func (r ResidentTraces) Addr() ([]uint32, error) {
+	out := make([]uint32, r.addr.Len)
+	if err := r.addr.Decode(out); err != nil {
+		return nil, fmt.Errorf("workload: resident address stream: %w", err)
 	}
-	return TraceSet{Workload: name, Reg: w(tr.RegisterBus), Mem: w(tr.MemoryBus), Addr: w(tr.MemoryAddrBus), Summary: tr}
+	return out, nil
+}
+
+// bytes is the size of the streams: 4 bytes per data beat plus the
+// packed address bytes.
+func (r ResidentTraces) bytes() uint64 {
+	return 4*uint64(len(r.Reg)+len(r.Mem)) + uint64(len(r.addr.Data))
+}
+
+// widen returns a fresh 64-bit copy of vals.
+func widen(vals []uint32) []uint64 {
+	out := make([]uint64, len(vals))
+	for i, v := range vals {
+		out[i] = uint64(v)
+	}
+	return out
 }
 
 // RunConfig bounds a trace-collection run.
@@ -55,18 +86,28 @@ func DefaultRunConfig() RunConfig {
 }
 
 // Run executes the workload under the out-of-order timing model and
-// captures its bus traffic, bypassing the trace cache.
+// captures its bus traffic, bypassing the trace cache and its packing:
+// every stream is widened straight from the simulator's output.
 func Run(w Workload, cfg RunConfig) (TraceSet, error) {
-	tr, err := run(w, cfg)
+	tr, err := simulateRun(w, cfg)
 	if err != nil {
 		return TraceSet{}, err
 	}
-	return widen(w.Name, tr), nil
+	return TraceSet{Workload: w.Name, Reg: widen(tr.RegisterBus), Mem: widen(tr.MemoryBus), Addr: widen(tr.MemoryAddrBus), Summary: tr.RunStats}, nil
 }
 
-// run is Run without the widening: the simulator's 32-bit streams, as the
-// trace cache keeps them.
-func run(w Workload, cfg RunConfig) (cpu.BusTraces, error) {
+// run is a simulation in the form the trace cache keeps: the address bus
+// is packed as soon as the run finishes, and its plain slice dropped.
+func run(w Workload, cfg RunConfig) (ResidentTraces, error) {
+	tr, err := simulateRun(w, cfg)
+	if err != nil {
+		return ResidentTraces{}, err
+	}
+	return ResidentTraces{Reg: tr.RegisterBus, Mem: tr.MemoryBus, addr: trace.PackDeltas(tr.MemoryAddrBus), RunStats: tr.RunStats}, nil
+}
+
+// simulateRun runs the simulator on the workload.
+func simulateRun(w Workload, cfg RunConfig) (cpu.BusTraces, error) {
 	p, err := w.Program()
 	if err != nil {
 		return cpu.BusTraces{}, err
@@ -92,7 +133,7 @@ type cacheKey struct {
 // the stored result.
 type cacheEntry struct {
 	ready  chan struct{}
-	tr     cpu.BusTraces
+	tr     ResidentTraces
 	mapped bool // tr's streams view a disk cache file's mapping
 	err    error
 }
@@ -108,16 +149,18 @@ var (
 )
 
 // Resident returns the workload's bus traces as the trace cache holds
-// them — the simulator's 32-bit streams, 4 bytes per beat — memoized per
-// (workload, config) so the many figure sweeps sharing a trace do not
-// re-simulate. It is the evaluation path's accessor and copies nothing.
+// them — the data buses as 32-bit streams, the address bus packed —
+// memoized per (workload, config) so the many figure sweeps sharing a
+// trace do not re-simulate. It is the evaluation path's accessor and
+// copies nothing; ResidentTraces.Addr decodes the address stream into a
+// fresh slice on each call.
 //
 // The cache is single-flight and safe for concurrent use: when N callers
 // ask for the same (workload, config) at once, exactly one runs the
 // simulation while the rest block until its result (or error — errors are
 // deterministic here, so they are cached too) is ready. All callers share
 // the same backing arrays; traces must be treated as read-only.
-func Resident(name string, cfg RunConfig) (cpu.BusTraces, error) {
+func Resident(name string, cfg RunConfig) (ResidentTraces, error) {
 	key := cacheKey{name, cfg}
 	cacheMu.Lock()
 	e, ok := traceCache[key]
@@ -144,7 +187,11 @@ func Traces(name string, cfg RunConfig) (TraceSet, error) {
 	if err != nil {
 		return TraceSet{}, err
 	}
-	return widen(name, tr), nil
+	addr, err := tr.Addr()
+	if err != nil {
+		return TraceSet{}, err
+	}
+	return TraceSet{Workload: name, Reg: widen(tr.Reg), Mem: widen(tr.Mem), Addr: widen(addr), Summary: tr.RunStats}, nil
 }
 
 // simulate produces a run's traces, consulting the persistent disk cache
@@ -154,10 +201,10 @@ func Traces(name string, cfg RunConfig) (TraceSet, error) {
 // atomic rename-on-write. The traces of a disk hit view the cache file's
 // mapping (mapped is true) where the file can be mapped; a miss returns
 // the simulator's heap copy.
-func simulate(name string, cfg RunConfig) (tr cpu.BusTraces, mapped bool, err error) {
+func simulate(name string, cfg RunConfig) (tr ResidentTraces, mapped bool, err error) {
 	w, err := ByName(name)
 	if err != nil {
-		return cpu.BusTraces{}, false, err
+		return ResidentTraces{}, false, err
 	}
 	dir := TraceCacheDir()
 	if dir == "" {
@@ -208,9 +255,10 @@ type CacheStats struct {
 	// event fell back to re-simulation, never to a wrong answer.
 	DiskErrors uint64
 	// ResidentBytes is the size of the value streams the memory layer
-	// holds (4 bytes per beat), over its completed entries. MappedBytes
-	// is the part of it that views read-only mappings of disk cache
-	// files; the rest is on the Go heap.
+	// holds (4 bytes per data bus beat plus the packed address bytes),
+	// over its completed entries. MappedBytes is the part of it that
+	// views read-only mappings of disk cache files; the rest is on the
+	// Go heap.
 	ResidentBytes, MappedBytes uint64
 }
 
@@ -228,7 +276,7 @@ func Stats() CacheStats {
 	for _, e := range traceCache {
 		select {
 		case <-e.ready:
-			n := 4 * uint64(len(e.tr.RegisterBus)+len(e.tr.MemoryBus)+len(e.tr.MemoryAddrBus))
+			n := e.tr.bytes()
 			s.ResidentBytes += n
 			if e.mapped {
 				s.MappedBytes += n

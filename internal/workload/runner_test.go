@@ -3,8 +3,6 @@ package workload
 import (
 	"sync"
 	"testing"
-
-	"buspower/internal/cpu"
 )
 
 // Single-flight contract: 16 goroutines racing on the same (workload,
@@ -16,7 +14,7 @@ func TestTracesSingleFlight(t *testing.T) {
 	defer ClearTraceCache()
 	cfg := RunConfig{MaxInstructions: 50_000, MaxBusValues: 5_000}
 	const callers = 16
-	results := make([]cpu.BusTraces, callers)
+	results := make([]ResidentTraces, callers)
 	errs := make([]error, callers)
 	var start, done sync.WaitGroup
 	start.Add(1)
@@ -34,7 +32,7 @@ func TestTracesSingleFlight(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatalf("caller %d: %v", i, errs[i])
 		}
-		if &results[i].RegisterBus[0] != &results[0].RegisterBus[0] {
+		if &results[i].Reg[0] != &results[0].Reg[0] {
 			t.Errorf("caller %d got a different backing array — duplicate simulation", i)
 		}
 	}

@@ -116,7 +116,7 @@ func TestTraceCaching(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if &a.RegisterBus[0] != &b.RegisterBus[0] {
+	if &a.Reg[0] != &b.Reg[0] || &a.addr.Data[0] != &b.addr.Data[0] {
 		t.Error("second lookup should hit the cache (same backing array)")
 	}
 	if hits, misses := TraceCacheStats(); hits != 1 || misses != 1 {
@@ -133,11 +133,15 @@ func TestTraceCaching(t *testing.T) {
 	if &x.Reg[0] == &y.Reg[0] {
 		t.Error("Traces returned a shared array, want a per-call copy")
 	}
+	addr, err := a.Addr()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, s := range []struct {
 		name string
 		wide []uint64
 		res  []uint32
-	}{{"reg", x.Reg, a.RegisterBus}, {"mem", x.Mem, a.MemoryBus}, {"addr", x.Addr, a.MemoryAddrBus}} {
+	}{{"reg", x.Reg, a.Reg}, {"mem", x.Mem, a.Mem}, {"addr", x.Addr, addr}} {
 		if len(s.wide) != len(s.res) {
 			t.Fatalf("%s: %d widened values, %d resident", s.name, len(s.wide), len(s.res))
 		}
@@ -154,8 +158,8 @@ func TestTraceCaching(t *testing.T) {
 
 // TestResidentStreamsExactSize is TestTraceSetExactSize for the form the
 // trace cache keeps: every resident stream, simulated or decoded from the
-// disk cache, has cap == len, and the cache accounts it at 4 bytes per
-// value.
+// disk cache, has cap == len (the packed address bytes too), and the cache
+// accounts 4 bytes per data bus beat plus the packed address bytes.
 func TestResidentStreamsExactSize(t *testing.T) {
 	withTraceCacheDir(t)
 	cfg := DefaultRunConfig()
@@ -168,21 +172,26 @@ func TestResidentStreamsExactSize(t *testing.T) {
 		if s := Stats(); (pass == "disk-loaded") != (s.DiskHits == 1) {
 			t.Fatalf("%s pass: %+v", pass, s)
 		}
-		total := 0
 		for _, b := range []struct {
 			name string
 			vals []uint32
-		}{{"reg", tr.RegisterBus}, {"mem", tr.MemoryBus}, {"addr", tr.MemoryAddrBus}} {
+		}{{"reg", tr.Reg}, {"mem", tr.Mem}} {
 			if len(b.vals) == 0 || len(b.vals) > cfg.MaxBusValues {
 				t.Errorf("%s %s: %d values, want 1..%d", pass, b.name, len(b.vals), cfg.MaxBusValues)
 			}
 			if cap(b.vals) != len(b.vals) {
 				t.Errorf("%s %s: len %d cap %d, want cap == len", pass, b.name, len(b.vals), cap(b.vals))
 			}
-			total += cap(b.vals)
 		}
-		if got := Stats().ResidentBytes; got != 4*uint64(total) {
-			t.Errorf("%s: ResidentBytes %d, want 4 × %d values", pass, got, total)
+		if tr.addr.Len != len(tr.Mem) {
+			t.Errorf("%s: %d addresses for %d memory beats", pass, tr.addr.Len, len(tr.Mem))
+		}
+		if packed := tr.addr.Data; len(packed) == 0 || cap(packed) != len(packed) || len(packed) >= 4*tr.addr.Len {
+			t.Errorf("%s addr: %d values packed in len %d cap %d, want 1..4 bytes each and cap == len", pass, tr.addr.Len, len(packed), cap(packed))
+		}
+		want := 4*uint64(len(tr.Reg)+len(tr.Mem)) + uint64(len(tr.addr.Data))
+		if got := Stats().ResidentBytes; got != want {
+			t.Errorf("%s: ResidentBytes %d, want 4 × (%d + %d) + %d packed", pass, got, len(tr.Reg), len(tr.Mem), len(tr.addr.Data))
 		}
 	}
 }
