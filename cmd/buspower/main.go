@@ -12,7 +12,6 @@
 //	buspower -exp all -cpuprofile cpu.pprof -o /tmp/tsv
 //	buspower serve -addr :8080 -workers 8
 //	buspower eval -server http://localhost:8080 -scheme gray -random 10000
-//	buspower job -server http://localhost:8080 -suite table3,fig15 -watch
 //
 // Experiments run concurrently on a bounded worker pool (-jobs, default
 // GOMAXPROCS) with deterministic output: the printed TSVs are
@@ -47,17 +46,12 @@
 // /healthz and Prometheus-format /metrics); see "Serving" in README.md.
 // Every answer is a pure function of the canonical request, so
 // independent replicas behind any load balancer return identical bytes
-// without coordinating (see "Scaling out" in README.md).
-// Batches and whole experiment suites run asynchronously behind
-// POST /v1/jobs: jobs are content-addressed, drained by a dedicated
-// worker pool, observable via GET /v1/jobs/{id} (or the SSE stream at
-// /v1/jobs/{id}/events), cancellable via DELETE, and journaled under
-// -jobs-dir so completed results survive restarts; see "Jobs API" in
-// README.md.
+// without coordinating (see "Scaling out" in README.md). A batch of
+// requests is a set of concurrent /v1/eval calls; a whole suite is
+// buspower -exp.
 //
-// The eval and job subcommands are remote clients for a running server,
-// built on the typed SDK (pkg/buspowersdk): eval runs one synchronous
-// evaluation; job submits, lists, watches (SSE) and cancels async jobs.
+// The eval subcommand is a remote client for a running server, built on
+// the typed SDK (pkg/buspowersdk): it runs one synchronous evaluation.
 // Serving throughput is measured outside the binary, by perfbench's
 // serve-miss and serve-hit workloads.
 package main
@@ -86,7 +80,6 @@ import (
 var subcommands = map[string]func([]string) error{
 	"serve": runServe,
 	"eval":  runEval,
-	"job":   runJob,
 }
 
 func main() {

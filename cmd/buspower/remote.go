@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"os/signal"
 	"strconv"
@@ -14,13 +13,11 @@ import (
 	"buspower/pkg/buspowersdk"
 )
 
-// The remote subcommands: `buspower eval` and `buspower job` drive a
-// running server through the typed SDK — the same client external
-// tooling uses, so the CLI exercises the supported path, not a private
-// one.
+// The remote subcommand: `buspower eval` drives a running server
+// through the typed SDK — the same client external tooling uses, so the
+// CLI exercises the supported path, not a private one.
 
-// newRemoteClient builds the SDK client shared by the remote
-// subcommands.
+// newRemoteClient builds the SDK client for the remote subcommand.
 func newRemoteClient(server string, retries int) (*buspowersdk.Client, error) {
 	return buspowersdk.New(server, buspowersdk.WithRetries(retries))
 }
@@ -100,104 +97,4 @@ func runEval(args []string) error {
 		return err
 	}
 	return printJSON(resp)
-}
-
-// runJob implements `buspower job`: submit, inspect, watch and cancel
-// async batch jobs.
-func runJob(args []string) error {
-	fs := flag.NewFlagSet("job", flag.ContinueOnError)
-	var (
-		server   = fs.String("server", "http://localhost:8080", "buspower server base URL")
-		suite    = fs.String("suite", "", "submit: run these experiment ids (comma-separated; 'all' = every one)")
-		quick    = fs.Bool("quick", false, "submit: reduced simulation bounds for -suite")
-		reqsFile = fs.String("requests", "", "submit: JSON file holding an array of eval requests ('-' = stdin)")
-		get      = fs.String("get", "", "fetch one job by id")
-		cancel   = fs.String("cancel", "", "cancel one job by id")
-		list     = fs.Bool("list", false, "list resident jobs")
-		watch    = fs.Bool("watch", false, "after submit (or with -get): stream events until the job finishes")
-		retries  = fs.Int("retries", 3, "transient-failure retries")
-	)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	c, err := newRemoteClient(*server, *retries)
-	if err != nil {
-		return err
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-
-	watchTo := func(id string) error {
-		final, err := c.WatchJob(ctx, id, func(ev buspowersdk.Event) {
-			switch ev.Type {
-			case "item":
-				fmt.Fprintf(os.Stderr, "job %s: item %d %s (%d/%d done)\n", ev.JobID, ev.Index, ev.Item.Status, ev.Progress.Done, ev.Progress.Total)
-			default:
-				fmt.Fprintf(os.Stderr, "job %s: %s\n", ev.JobID, ev.State)
-			}
-		})
-		if err != nil {
-			return err
-		}
-		return printJSON(final)
-	}
-
-	switch {
-	case *list:
-		jobs, err := c.Jobs(ctx)
-		if err != nil {
-			return err
-		}
-		return printJSON(jobs)
-	case *get != "":
-		if *watch {
-			return watchTo(*get)
-		}
-		j, err := c.Job(ctx, *get)
-		if err != nil {
-			return err
-		}
-		return printJSON(j)
-	case *cancel != "":
-		j, err := c.CancelJob(ctx, *cancel)
-		if err != nil {
-			return err
-		}
-		return printJSON(j)
-	case *suite != "" || *reqsFile != "":
-		var spec buspowersdk.JobSpec
-		if *suite != "" {
-			spec.Suite = &buspowersdk.SuiteSpec{Experiments: *suite, Quick: *quick}
-		}
-		if *reqsFile != "" {
-			var data []byte
-			var err error
-			if *reqsFile == "-" {
-				data, err = io.ReadAll(os.Stdin)
-			} else {
-				data, err = os.ReadFile(*reqsFile)
-			}
-			if err != nil {
-				return err
-			}
-			if err := json.Unmarshal(data, &spec.Requests); err != nil {
-				return fmt.Errorf("parsing %s: %v", *reqsFile, err)
-			}
-		}
-		j, created, err := c.SubmitJob(ctx, spec)
-		if err != nil {
-			return err
-		}
-		if created {
-			fmt.Fprintf(os.Stderr, "job %s accepted (%d items)\n", j.ID, j.Progress.Total)
-		} else {
-			fmt.Fprintf(os.Stderr, "job %s already known (state %s)\n", j.ID, j.State)
-		}
-		if *watch {
-			return watchTo(j.ID)
-		}
-		return printJSON(j)
-	default:
-		return fmt.Errorf("nothing to do: use -suite/-requests to submit, or -get/-list/-cancel")
-	}
 }

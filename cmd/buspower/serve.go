@@ -50,9 +50,6 @@ func runServe(args []string) error {
 		verbose  = fs.Bool("v", false, "log at debug level")
 		cacheDir = fs.String("trace-cache", "", "persistent trace cache directory (default: the per-user cache dir)")
 		noDisk   = fs.Bool("no-disk-cache", false, "disable the persistent trace cache")
-		jobsDir  = fs.String("jobs-dir", "", "async job journal directory; completed job results survive restarts there (empty = memory-only)")
-		jobWork  = fs.Int("job-workers", 0, "dedicated async job worker pool size (0 = half of GOMAXPROCS)")
-		jobQueue = fs.Int("job-queue", 0, "max queued job items before submissions are shed with 429 (0 = 4x the per-job item cap)")
 
 		respCache = fs.Int("resp-cache", 0, "marshalled-response LRU entries, in answers (0 = 2048)")
 	)
@@ -80,9 +77,6 @@ func runServe(args []string) error {
 		EnablePprof:    *pprofOn,
 		QuietAccessLog: *quietLog,
 		Logger:         logger,
-		JobsDir:        *jobsDir,
-		JobWorkers:     *jobWork,
-		JobQueueDepth:  *jobQueue,
 
 		ResponseCacheEntries: *respCache,
 	})

@@ -24,9 +24,9 @@ import (
 // coders, Window, Context, inversion and partial bus-invert — runs
 // through the scalar Evaluator, still profiting from the ConfigKey
 // dedupe. A one-cell grid is the single-point evaluation path too: the
-// experiments layer evaluates every result-memo miss, serve and job
-// requests included, as a grid, so a lone stride request replays a tape
-// like a sweep does. Results are bit-identical to evaluating each cell
+// experiments layer evaluates every result-memo miss, serve requests
+// included, as a grid, so a lone stride request replays a tape like a
+// sweep does. Results are bit-identical to evaluating each cell
 // individually (differential-tested by grid_test.go).
 
 // GridCell is one evaluation request: a transcoder read at coupling

@@ -29,13 +29,6 @@ type Config struct {
 	// tests get the strictest checking by default; cmd/buspower relaxes
 	// it to sampled via -verify. Results are bit-identical either way.
 	Verify coding.VerifyPolicy
-	// Parallel bounds the goroutine fan-out of a single experiment's
-	// inner sweeps when it runs outside RunAll (which brings its own
-	// pool): the async job engine sets it to its per-item CPU share so a
-	// lone batch item can still shard its grid across spare cores.
-	// Values <= 1 keep the serial path; it is ignored when RunAll has
-	// already attached an engine.
-	Parallel int
 
 	// ctx and eng are set by RunAll: ctx carries cancellation into runner
 	// inner loops, eng bounds their goroutine fan-out. Both nil under the
@@ -154,29 +147,11 @@ func Run(id string, cfg Config) (*Table, error) {
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown experiment %q (see IDs())", id)
 	}
-	if cfg.eng == nil && cfg.Parallel > 1 {
-		// Standalone run with an explicit parallelism budget: give the
-		// runner's inner parFor loops a pool of its own. Row assembly is
-		// index-slotted, so the table stays byte-identical to serial.
-		cfg.eng = newEngine(cfg.Parallel, nil)
-	}
 	t, err := r.Run(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %s: %w", id, err)
 	}
 	return t, nil
-}
-
-// RunContext executes the experiment with the given id, carrying ctx
-// into the runner's inner sweep loops so a long full-mode experiment can
-// be cancelled cooperatively between evaluation points. It is the async
-// job engine's per-item entry point; Run is the plain uncancellable
-// path and produces byte-identical tables.
-func RunContext(ctx context.Context, id string, cfg Config) (*Table, error) {
-	if ctx != nil {
-		cfg.ctx = ctx
-	}
-	return Run(id, cfg)
 }
 
 // IDs lists all experiment identifiers in a stable order: tables first,

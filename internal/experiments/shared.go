@@ -106,8 +106,8 @@ var resultMemo = newSFMemo[resultKey, coding.Result](2048)
 // Stride cells replay a coding.StrideTape, which depends only on
 // (trace identity, width), content-addressed exactly like the trace
 // cache: a tape of depth D serves every bank of depth ≤ D. The memo
-// serves lone evaluations (evalResultKeyed: serve and job requests,
-// single experiment points), whose stride banks arrive one at a time and
+// serves lone evaluations (evalResultKeyed: serve requests, single
+// experiment points), whose stride banks arrive one at a time and
 // repeat on a trace; sweep families build their own tape per grid
 // (evalGridPoints). Each entry holds the deepest tape built so far for
 // its trace; a request deeper than that deepens it to max(k, 2·depth)

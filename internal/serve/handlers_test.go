@@ -206,7 +206,6 @@ func TestHealthzAndDrainingFlag(t *testing.T) {
 // disabling every level, so access-log lines are never formatted.
 func TestNilLoggerDisabled(t *testing.T) {
 	srv := testServer(t, Options{})
-	defer srv.Close()
 	if srv.log.Enabled(context.Background(), slog.LevelError) {
 		t.Fatal("nil-Logger server's logger is enabled at error level")
 	}
@@ -277,6 +276,79 @@ func TestMetricsEndpoint(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics exposition missing %q", want)
 		}
+	}
+}
+
+// TestPublicSurface pins the routes the server answers: the eval,
+// discovery and operational endpoints, and nothing under /v1/jobs —
+// a batch is concurrent /v1/eval calls, a suite is buspower -exp.
+func TestPublicSurface(t *testing.T) {
+	h := testServer(t, Options{RequestTimeout: 10 * time.Second}).Handler()
+	do := func(method, path, body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
+		return rec
+	}
+	for _, c := range []struct{ method, path, body string }{
+		{http.MethodPost, "/v1/eval", evalBody("gray")},
+		{http.MethodGet, "/v1/schemes", ""},
+		{http.MethodGet, "/v1/workloads", ""},
+		{http.MethodGet, "/healthz", ""},
+		{http.MethodGet, "/metrics", ""},
+	} {
+		if rec := do(c.method, c.path, c.body); rec.Code != http.StatusOK {
+			t.Errorf("%s %s: %d %s", c.method, c.path, rec.Code, rec.Body.String())
+		}
+	}
+	for _, c := range []struct{ method, path, body string }{
+		{http.MethodPost, "/v1/jobs", `{"requests":[{"values":[1,2],"scheme":"gray"}]}`},
+		{http.MethodGet, "/v1/jobs/x", ""},
+	} {
+		if rec := do(c.method, c.path, c.body); rec.Code != http.StatusNotFound {
+			t.Errorf("%s %s: %d, want 404", c.method, c.path, rec.Code)
+		}
+	}
+	if body := do(http.MethodGet, "/metrics", "").Body.String(); strings.Contains(body, "buspower_jobs") {
+		t.Errorf("metrics still expose a buspower_jobs series")
+	}
+}
+
+// TestJobsValidation sends every request shape the retired /v1/jobs API
+// used to validate and checks that none reaches a handler: each gets the
+// mux's own 404, whatever the method, path depth or body, and never the
+// validation message the old handler answered with.
+func TestJobsValidation(t *testing.T) {
+	h := testServer(t, Options{}).Handler()
+	cases := []struct {
+		name   string
+		method string
+		path   string
+		body   string
+		oldMsg string
+	}{
+		{"empty spec", http.MethodPost, "/v1/jobs", `{}`, "exactly one"},
+		{"both sources", http.MethodPost, "/v1/jobs", `{"requests":[{"values":[1],"scheme":"raw"}],"suite":{"experiments":"all"}}`, "exactly one"},
+		{"unknown field", http.MethodPost, "/v1/jobs", `{"turbo":true}`, "unknown field"},
+		{"bad request in batch", http.MethodPost, "/v1/jobs", `{"requests":[{"values":[1],"scheme":"quantum"}]}`, "request 0"},
+		{"unbuildable scheme", http.MethodPost, "/v1/jobs", `{"requests":[{"values":[1],"scheme":"spatial"}]}`, "request 0"},
+		{"bad suite id", http.MethodPost, "/v1/jobs", `{"suite":{"experiments":"figXX"}}`, "unknown experiment"},
+		{"trailing data", http.MethodPost, "/v1/jobs", `{"suite":{"experiments":"all"}}{"x":1}`, "trailing"},
+		{"get unknown", http.MethodGet, "/v1/jobs/deadbeef", "", "no such job"},
+		{"cancel unknown", http.MethodDelete, "/v1/jobs/deadbeef", "", "no such job"},
+		{"events unknown", http.MethodGet, "/v1/jobs/deadbeef/events", "", "no such job"},
+		{"bad method", http.MethodPut, "/v1/jobs", "", "method"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(tc.method, tc.path, strings.NewReader(tc.body)))
+			if rec.Code != http.StatusNotFound {
+				t.Fatalf("code = %d, want 404 (%s)", rec.Code, rec.Body.String())
+			}
+			if body := rec.Body.String(); strings.Contains(body, tc.oldMsg) {
+				t.Fatalf("body %q still carries the jobs handler's %q", body, tc.oldMsg)
+			}
+		})
 	}
 }
 
@@ -437,7 +509,6 @@ func evalMemoLookups() uint64 {
 // first answer's exact bytes, and the cache holds one answer throughout.
 func TestResponseCacheReplay(t *testing.T) {
 	srv := testServer(t, Options{RequestTimeout: 10 * time.Second})
-	defer srv.Close()
 	h := srv.Handler()
 	body := evalBody("window:entries=8")
 	first := postEval(h, body)
@@ -489,7 +560,6 @@ func TestResponseCacheReplay(t *testing.T) {
 // the body alias nor the canonical key may hold it.
 func TestResponseCacheSkipsErrors(t *testing.T) {
 	srv := testServer(t, Options{Workers: 1, QueueDepth: -1, RequestTimeout: 10 * time.Second})
-	defer srv.Close()
 	h := srv.Handler()
 	for _, bad := range []string{evalBody("quantum"), evalBody("spatial"), `{"values":[1,2`} {
 		if rec := postEval(h, bad); rec.Code != http.StatusBadRequest {
@@ -516,7 +586,6 @@ func TestResponseCacheSkipsErrors(t *testing.T) {
 	}
 
 	timeout := testServer(t, Options{RequestTimeout: time.Nanosecond})
-	defer timeout.Close()
 	if rec := postEval(timeout.Handler(), evalBody("window:entries=4")); rec.Code != http.StatusGatewayTimeout {
 		t.Fatalf("timeout: code %d, want 504", rec.Code)
 	}
@@ -531,7 +600,6 @@ func TestResponseCacheSkipsErrors(t *testing.T) {
 // request misses both keys and evicts the first answer.
 func TestResponseCacheMetricsExposition(t *testing.T) {
 	srv := testServer(t, Options{ResponseCacheEntries: 1, RequestTimeout: 10 * time.Second})
-	defer srv.Close()
 	h := srv.Handler()
 	for i, body := range []string{evalBody("gray"), evalBody("gray"), evalBody("window:entries=4")} {
 		if rec := postEval(h, body); rec.Code != http.StatusOK {
@@ -559,7 +627,6 @@ func TestResponseCacheMetricsExposition(t *testing.T) {
 func TestResponseCacheOneSlotPerAnswer(t *testing.T) {
 	const limit = 8
 	srv := testServer(t, Options{ResponseCacheEntries: limit, RequestTimeout: 10 * time.Second})
-	defer srv.Close()
 	h := srv.Handler()
 	body := func(i int) string { return fmt.Sprintf(`{"values":[1,2,3,%d],"scheme":"gray"}`, i) }
 	for i := 0; i < limit; i++ {
@@ -608,7 +675,6 @@ func TestResponseCacheOneSlotPerAnswer(t *testing.T) {
 // that bypasses the cache.
 func TestEvalAddressBusMatchesUncachedRun(t *testing.T) {
 	srv := testServer(t, Options{RequestTimeout: 30 * time.Second})
-	defer srv.Close()
 	const scheme = "window:entries=8"
 	rec := postEval(srv.Handler(), fmt.Sprintf(`{"workload":"li","bus":"addr","quick":true,"scheme":%q}`, scheme))
 	if rec.Code != http.StatusOK {

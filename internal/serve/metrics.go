@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"buspower/internal/experiments"
-	"buspower/internal/jobs"
 	"buspower/internal/workload"
 )
 
@@ -109,10 +108,9 @@ func (m *metrics) record(handler string, code int, elapsed time.Duration) {
 	}
 }
 
-// render writes the whole exposition; s supplies the pool, job-engine
-// and response-cache gauges.
+// render writes the whole exposition; s supplies the pool and
+// response-cache gauges.
 func (m *metrics) render(w http.ResponseWriter, s *Server) {
-	p, e := s.pool, s.jobs
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	var b strings.Builder
 
@@ -149,7 +147,7 @@ func (m *metrics) render(w http.ResponseWriter, s *Server) {
 	}
 
 	// Pool gauges: current saturation state plus cumulative sheds.
-	inflight, waiting, rejected := p.stats()
+	inflight, waiting, rejected := s.pool.stats()
 	gauge := func(name, help string, v interface{}) {
 		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n%s %v\n", name, help, name, name, v)
 	}
@@ -185,24 +183,6 @@ func (m *metrics) render(w http.ResponseWriter, s *Server) {
 	rs := experiments.RawMeterMemoStats()
 	gauge("buspower_raw_meter_memo_hits", "Shared raw-bus meter memo hits.", rs.Hits)
 	gauge("buspower_raw_meter_memo_misses", "Shared raw-bus meter memo misses.", rs.Misses)
-
-	// Async job engine: lifecycle census, worker-pool saturation and
-	// journal health. Items-completed is the throughput counter — its
-	// rate() is items/s.
-	if e != nil {
-		es := e.Stats()
-		ss := e.StoreStats()
-		b.WriteString("# HELP buspower_jobs Jobs resident in the store, by lifecycle state.\n# TYPE buspower_jobs gauge\n")
-		for _, st := range []jobs.State{jobs.StatePending, jobs.StateRunning, jobs.StateDone, jobs.StateFailed, jobs.StateCancelled} {
-			fmt.Fprintf(&b, "buspower_jobs{state=%q} %d\n", string(st), ss.JobsByState[st])
-		}
-		gauge("buspower_jobs_queue_depth", "Job items waiting for a job worker.", es.QueueDepth)
-		gauge("buspower_jobs_workers", "Dedicated job worker pool size.", es.Workers)
-		fmt.Fprintf(&b, "# HELP buspower_jobs_items_completed_total Job items finished since start (done, failed or cancelled).\n# TYPE buspower_jobs_items_completed_total counter\nbuspower_jobs_items_completed_total %d\n", es.ItemsCompleted)
-		gauge("buspower_jobs_journal_bytes", "Current job journal size in bytes.", ss.JournalBytes)
-		fmt.Fprintf(&b, "# HELP buspower_jobs_journal_compactions_total Journal snapshot compactions performed.\n# TYPE buspower_jobs_journal_compactions_total counter\nbuspower_jobs_journal_compactions_total %d\n", ss.Compactions)
-		gauge("buspower_jobs_journal_recovered_bytes", "Journal bytes discarded by corruption recovery at startup.", ss.RecoveredBytes)
-	}
 
 	gauge("buspower_uptime_seconds", "Seconds since the server started.", int64(time.Since(m.started).Seconds()))
 

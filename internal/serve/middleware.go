@@ -43,10 +43,6 @@ func (r *statusRecorder) WriteHeader(code int) {
 	r.ResponseWriter.WriteHeader(code)
 }
 
-// Unwrap lets http.ResponseController reach the underlying writer's
-// Flusher (the SSE endpoint streams through the instrument wrapper).
-func (r *statusRecorder) Unwrap() http.ResponseWriter { return r.ResponseWriter }
-
 // instrument wraps a handler with the full request middleware stack:
 // request-id assignment (echoed in X-Request-Id), panic recovery (500,
 // with stack logged, never a torn connection taking the server down),

@@ -5,11 +5,8 @@ import (
 	"time"
 )
 
-// Retry-After estimation. The sync eval pool and the async job queue
-// shed load through different bottlenecks — a handful of workers
-// draining sub-second cache hits versus a deep queue of multi-second
-// batch items — so each computes its own hint from its own observed
-// state instead of both parroting the configured request timeout.
+// Retry-After estimation. The eval pool computes its hint from its own
+// observed state instead of parroting the configured request timeout.
 
 // maxRetryAfterSeconds caps the 429 back-off hint: a server run with a
 // long full-mode -timeout (minutes) is telling clients how long one
@@ -55,19 +52,6 @@ func evalRetryAfter(meanSeconds float64, waiting, workers int64, timeout time.Du
 	return clampRetrySeconds(float64(waiting+1) / float64(workers) * meanSeconds)
 }
 
-// jobsRetryAfter estimates the job queue's drain time when a submission
-// is shed: the current backlog divided by the observed item completion
-// rate.
-func jobsRetryAfter(queueDepth int, itemsPerSecond float64, timeout time.Duration) int {
-	if itemsPerSecond <= 0 {
-		return nominalRetrySeconds(timeout)
-	}
-	if queueDepth < 0 {
-		queueDepth = 0
-	}
-	return clampRetrySeconds(float64(queueDepth) / itemsPerSecond)
-}
-
 // evalRetryAfterSeconds feeds evalRetryAfter from the live server: mean
 // /v1/eval latency from the metrics histogram, queue length from the
 // pool.
@@ -78,15 +62,4 @@ func (s *Server) evalRetryAfterSeconds() int {
 	}
 	_, waiting, _ := s.pool.stats()
 	return evalRetryAfter(mean, waiting, int64(s.opts.Workers), s.opts.RequestTimeout)
-}
-
-// jobsRetryAfterSeconds feeds jobsRetryAfter from the live engine:
-// backlog depth and the process-lifetime item completion rate.
-func (s *Server) jobsRetryAfterSeconds() int {
-	es := s.jobs.Stats()
-	var rate float64
-	if elapsed := time.Since(s.metrics.started).Seconds(); elapsed > 0 {
-		rate = float64(es.ItemsCompleted) / elapsed
-	}
-	return jobsRetryAfter(es.QueueDepth, rate, s.opts.RequestTimeout)
 }

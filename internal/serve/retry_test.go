@@ -36,51 +36,6 @@ func TestEvalRetryAfter(t *testing.T) {
 	}
 }
 
-func TestJobsRetryAfter(t *testing.T) {
-	cases := []struct {
-		name    string
-		depth   int
-		rate    float64
-		timeout time.Duration
-		want    int
-	}{
-		{"cold fallback", 100, 0, 10 * time.Second, 10},
-		{"backlog drains fast", 10, 20, 10 * time.Second, 1},  // 0.5s → floor
-		{"backlog drains slow", 100, 8, 10 * time.Second, 13}, // ceil(12.5)
-		{"deep backlog capped", 4096, 2, 10 * time.Second, maxRetryAfterSeconds},
-		{"empty queue", 0, 5, 10 * time.Second, 1},
-		{"negative depth", -3, 5, 10 * time.Second, 1},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			if got := jobsRetryAfter(c.depth, c.rate, c.timeout); got != c.want {
-				t.Fatalf("jobsRetryAfter(%d, %v, %v) = %d, want %d",
-					c.depth, c.rate, c.timeout, got, c.want)
-			}
-		})
-	}
-}
-
-// TestRetryAfterDistinct is the satellite's core claim: under the same
-// configured timeout, the two pools quote different, state-derived
-// hints instead of both parroting the timeout.
-func TestRetryAfterDistinct(t *testing.T) {
-	timeout := 25 * time.Second
-	// Sync pool: warm (0.8ms mean), short queue → floor.
-	evalHint := evalRetryAfter(0.0008, 8, 4, timeout)
-	// Job queue: 200 batch items backed up, draining 10/s → 20s.
-	jobsHint := jobsRetryAfter(200, 10, timeout)
-	if evalHint != 1 {
-		t.Fatalf("evalHint = %d, want 1", evalHint)
-	}
-	if jobsHint != 20 {
-		t.Fatalf("jobsHint = %d, want 20", jobsHint)
-	}
-	if evalHint == jobsHint {
-		t.Fatal("pools quoted identical hints")
-	}
-}
-
 func TestClampRetrySeconds(t *testing.T) {
 	for _, c := range []struct {
 		in   float64

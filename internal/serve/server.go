@@ -12,8 +12,6 @@ import (
 	"runtime"
 	"sync/atomic"
 	"time"
-
-	"buspower/internal/jobs"
 )
 
 // Options configures a Server. The zero value is not usable; call
@@ -43,18 +41,6 @@ type Options struct {
 	// them.
 	Logger *slog.Logger
 
-	// JobsDir roots the async job journal; completed job results survive
-	// restarts there. Empty keeps the job engine memory-only (jobs work,
-	// but nothing survives the process).
-	JobsDir string
-	// JobWorkers bounds the dedicated job worker pool (<= 0 means half of
-	// GOMAXPROCS) — deliberately separate from Workers so batch backlogs
-	// and interactive /v1/eval traffic cannot starve each other.
-	JobWorkers int
-	// JobQueueDepth bounds queued job items before submissions are shed
-	// with 429 (<= 0 means 4× the per-job item cap).
-	JobQueueDepth int
-
 	// ResponseCacheEntries bounds the marshalled-response LRU in answers
 	// (<= 0 means 2048).
 	ResponseCacheEntries int
@@ -76,15 +62,11 @@ func DefaultOptions() Options {
 type Server struct {
 	opts      Options
 	pool      *pool
-	jobs      *jobs.Engine
 	metrics   *metrics
 	respCache *respCache
 	log       *slog.Logger
 	mux       *http.ServeMux
 	draining  atomic.Bool
-	// drainCh closes when shutdown begins, ending long-lived SSE streams
-	// so they cannot hold the HTTP drain open for their whole job.
-	drainCh chan struct{}
 }
 
 // NewServer builds a Server; fields of opts left zero fall back to
@@ -112,34 +94,17 @@ func NewServer(opts Options) *Server {
 		// rather than rendering each access-log line into io.Discard.
 		log = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.Level(math.MaxInt)}))
 	}
-	// The job store follows the trace-cache discipline for an unusable
-	// directory: degrade to memory-only with a warning instead of failing
-	// the whole server (corrupt journal tails are already recovered
-	// inside Open and never reach this path).
-	store, err := jobs.Open(opts.JobsDir)
-	if err != nil {
-		log.Error("job journal disabled, jobs will not survive restarts", "dir", opts.JobsDir, "err", err)
-		store, _ = jobs.Open("")
-	}
 	s := &Server{
 		opts:      opts,
 		pool:      newPool(opts.Workers, opts.QueueDepth),
-		jobs:      jobs.NewEngine(store, opts.JobWorkers, opts.JobQueueDepth),
-		metrics:   newMetrics([]string{"eval", "schemes", "workloads", "healthz", "metrics", "jobs", "job", "job_events"}),
+		metrics:   newMetrics([]string{"eval", "schemes", "workloads", "healthz", "metrics"}),
 		respCache: newRespCache(opts.ResponseCacheEntries),
 		log:       log,
 		mux:       http.NewServeMux(),
-		drainCh:   make(chan struct{}),
 	}
-	s.jobs.Start()
 	s.mux.Handle("/v1/eval", s.instrument("eval", s.handleEval))
 	s.mux.Handle("/v1/schemes", s.instrument("schemes", s.handleSchemes))
 	s.mux.Handle("/v1/workloads", s.instrument("workloads", s.handleWorkloads))
-	s.mux.Handle("POST /v1/jobs", s.instrument("jobs", s.handleJobSubmit))
-	s.mux.Handle("GET /v1/jobs", s.instrument("jobs", s.handleJobList))
-	s.mux.Handle("GET /v1/jobs/{id}", s.instrument("job", s.handleJobGet))
-	s.mux.Handle("DELETE /v1/jobs/{id}", s.instrument("job", s.handleJobCancel))
-	s.mux.Handle("GET /v1/jobs/{id}/events", s.instrument("job_events", s.handleJobEvents))
 	s.mux.Handle("/healthz", s.instrument("healthz", s.handleHealthz))
 	s.mux.Handle("/metrics", s.instrument("metrics", s.handleMetrics))
 	if opts.EnablePprof {
@@ -185,47 +150,17 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	case <-ctx.Done():
 	}
 	s.draining.Store(true)
-	close(s.drainCh) // end SSE streams so they can't hold the drain open
 	s.log.Info("draining", "timeout", s.opts.DrainTimeout.String())
 	drainCtx, cancel := context.WithTimeout(context.Background(), s.opts.DrainTimeout)
 	defer cancel()
 	if err := hs.Shutdown(drainCtx); err != nil {
-		// The drain window expired with requests still running; cut them,
-		// but still checkpoint the job engine — its journal is what lets
-		// the next process resume the interrupted work.
+		// The drain window expired with requests still running; cut them.
 		hs.Close()
-		s.drainJobs(drainCtx)
 		return err
 	}
 	if err := <-errc; !errors.Is(err, http.ErrServerClosed) {
-		s.drainJobs(drainCtx)
-		return err
-	}
-	if err := s.drainJobs(drainCtx); err != nil {
 		return err
 	}
 	s.log.Info("drained")
 	return nil
-}
-
-// drainJobs stops the job engine within what remains of the drain
-// budget: running items finish (or are cancelled at the deadline and
-// resume after restart), then the journal compacts and closes.
-func (s *Server) drainJobs(ctx context.Context) error {
-	err := s.jobs.Drain(ctx)
-	if err != nil {
-		s.log.Error("job engine drain", "err", err)
-		return err
-	}
-	s.log.Info("job engine drained")
-	return nil
-}
-
-// Close releases the server's background resources (the job worker pool
-// and its journal) without serving; for embedding and tests that drive
-// the Handler directly.
-func (s *Server) Close() error {
-	ctx, cancel := context.WithTimeout(context.Background(), s.opts.DrainTimeout)
-	defer cancel()
-	return s.jobs.Drain(ctx)
 }

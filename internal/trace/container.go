@@ -176,7 +176,7 @@ func (c *Container) Write(w io.Writer) error {
 			if s.Values != nil {
 				return fmt.Errorf("trace: section %s holds both plain and packed values", s.Name)
 			}
-			if err := walkDeltas(s.Packed.Data, s.Packed.Len, nil); err != nil {
+			if err := walkDeltas[uint32](s.Packed.Data, s.Packed.Len, nil); err != nil {
 				return fmt.Errorf("trace: section %s: %w", s.Name, err)
 			}
 			coding, n, size = codingDeltas, s.Packed.Len, len(s.Packed.Data)
@@ -394,7 +394,7 @@ func parseContainer(data []byte) (c *Container, viewed bool, err error) {
 		l.off = off
 		off += l.size
 		if l.coding == codingDeltas {
-			if err := walkDeltas(data[l.off:off], l.n, nil); err != nil {
+			if err := walkDeltas[uint32](data[l.off:off], l.n, nil); err != nil {
 				return nil, false, containerErrf("section %s: %v", c.Sections[i].Name, err)
 			}
 		}

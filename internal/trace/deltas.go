@@ -47,7 +47,13 @@ func PackDeltas(vals []uint32) Deltas {
 // Decode writes the stream's values into dst, which must hold exactly
 // d.Len values. It fails, leaving dst partly written, when Data is not
 // the encoding of d.Len values.
-func (d Deltas) Decode(dst []uint32) error {
+func (d Deltas) Decode(dst []uint32) error { return decodeDeltas(d, dst) }
+
+// Decode64 is Decode into 64-bit slots, for callers that widen the
+// stream anyway: it accepts and rejects exactly what Decode does.
+func (d Deltas) Decode64(dst []uint64) error { return decodeDeltas(d, dst) }
+
+func decodeDeltas[T uint32 | uint64](d Deltas, dst []T) error {
 	if len(dst) != d.Len {
 		return fmt.Errorf("trace: decoding %d packed values into %d", d.Len, len(dst))
 	}
@@ -56,8 +62,9 @@ func (d Deltas) Decode(dst []uint32) error {
 
 // walkDeltas decodes n values from src into dst, or only checks src when
 // dst is nil. src must hold exactly n canonical varints, each of a value
-// that fits 32 bits.
-func walkDeltas(src []byte, n int, dst []uint32) error {
+// that fits 32 bits. The running sum wraps at 32 bits whatever the width
+// of dst.
+func walkDeltas[T uint32 | uint64](src []byte, n int, dst []T) error {
 	var prev uint32
 	i := 0
 	for k := 0; k < n; k++ {
@@ -89,7 +96,7 @@ func walkDeltas(src []byte, n int, dst []uint32) error {
 		}
 		prev += u>>1 ^ -(u & 1) // undo the zigzag and add the difference
 		if dst != nil {
-			dst[k] = prev
+			dst[k] = T(prev)
 		}
 	}
 	if i != len(src) {

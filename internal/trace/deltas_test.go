@@ -29,6 +29,25 @@ func refDecode(t *testing.T, d Deltas) []uint32 {
 	return out
 }
 
+// decodeBoth decodes d at both widths and fails the test unless the two
+// agree: both accept with the same values, or both reject.
+func decodeBoth(t *testing.T, d Deltas, n int) ([]uint32, error) {
+	t.Helper()
+	narrow, wide := make([]uint32, n), make([]uint64, n)
+	err, err64 := d.Decode(narrow), d.Decode64(wide)
+	if (err == nil) != (err64 == nil) {
+		t.Fatalf("Decode error %v, Decode64 error %v", err, err64)
+	}
+	if err == nil {
+		for i, v := range narrow {
+			if wide[i] != uint64(v) {
+				t.Fatalf("value %d: Decode %#x, Decode64 %#x", i, v, wide[i])
+			}
+		}
+	}
+	return narrow, err
+}
+
 // deltaStreams is a spread of streams the codec must round-trip: empty
 // and one-value streams, wrap-around steps between 0xFFFFFFFF and 0, the
 // largest jumps either way, and random walks and uniform noise.
@@ -57,7 +76,8 @@ func deltaStreams() map[string][]uint32 {
 }
 
 // TestDeltasRoundTrip: every stream packs to exactly-sized bytes that the
-// decoder and an independent stdlib decoder both read back unchanged.
+// decoder, at both widths, and an independent stdlib decoder all read
+// back unchanged.
 func TestDeltasRoundTrip(t *testing.T) {
 	for name, vals := range deltaStreams() {
 		d := PackDeltas(vals)
@@ -67,8 +87,8 @@ func TestDeltasRoundTrip(t *testing.T) {
 		if len(d.Data) < len(vals) || len(d.Data) > maxDeltaBytes*len(vals) {
 			t.Fatalf("%s: %d bytes for %d values", name, len(d.Data), len(vals))
 		}
-		got := make([]uint32, len(vals))
-		if err := d.Decode(got); err != nil {
+		got, err := decodeBoth(t, d, len(vals))
+		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if !slices.Equal(got, vals) {
@@ -84,8 +104,8 @@ func TestDeltasRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDeltasDecodeRejects: the decoder accepts only the exact encoding of
-// Len values.
+// TestDeltasDecodeRejects: the decoder, at both widths, accepts only the
+// exact encoding of Len values.
 func TestDeltasDecodeRejects(t *testing.T) {
 	good := PackDeltas([]uint32{5, 300, 0xFFFFFFFF}) // 1-, 2- and 2-byte steps
 	cases := map[string]Deltas{
@@ -98,12 +118,15 @@ func TestDeltasDecodeRejects(t *testing.T) {
 		"empty with a value":         {Len: 1, Data: nil},
 	}
 	for name, d := range cases {
-		if err := d.Decode(make([]uint32, d.Len)); err == nil {
+		if _, err := decodeBoth(t, d, d.Len); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
 	if err := good.Decode(make([]uint32, 2)); err == nil {
 		t.Error("decoded 3 values into a 2-value slice")
+	}
+	if err := good.Decode64(make([]uint64, 4)); err == nil {
+		t.Error("decoded 3 values into a 4-value 64-bit slice")
 	}
 }
 
@@ -214,7 +237,8 @@ func TestContainerPackedSectionViews(t *testing.T) {
 
 // FuzzDeltas round-trips arbitrary streams through the codec, and feeds
 // the raw input to the decoder as a packed stream: whatever it accepts
-// must be the encoding of the values it decodes to.
+// must be the encoding of the values it decodes to, and both widths
+// must accept and reject the same inputs with the same values.
 func FuzzDeltas(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF})
@@ -229,8 +253,7 @@ func FuzzDeltas(f *testing.F) {
 		if cap(d.Data) != len(d.Data) {
 			t.Fatalf("Data len %d cap %d", len(d.Data), cap(d.Data))
 		}
-		got := make([]uint32, len(vals))
-		if err := d.Decode(got); err != nil || !slices.Equal(got, vals) {
+		if got, err := decodeBoth(t, d, len(vals)); err != nil || !slices.Equal(got, vals) {
 			t.Fatalf("round trip: %v", err)
 		}
 
@@ -240,8 +263,8 @@ func FuzzDeltas(f *testing.F) {
 				n++
 			}
 		}
-		dec := make([]uint32, n)
-		if err := (Deltas{Len: n, Data: raw}).Decode(dec); err == nil && !bytes.Equal(PackDeltas(dec).Data, raw) {
+		dec, err := decodeBoth(t, Deltas{Len: n, Data: raw}, n)
+		if err == nil && !bytes.Equal(PackDeltas(dec).Data, raw) {
 			t.Fatalf("accepted %x, which is not the encoding of %v", raw, dec)
 		}
 	})

@@ -187,11 +187,11 @@ func Traces(name string, cfg RunConfig) (TraceSet, error) {
 	if err != nil {
 		return TraceSet{}, err
 	}
-	addr, err := tr.Addr()
-	if err != nil {
-		return TraceSet{}, err
+	addr := make([]uint64, tr.addr.Len)
+	if err := tr.addr.Decode64(addr); err != nil {
+		return TraceSet{}, fmt.Errorf("workload: resident address stream: %w", err)
 	}
-	return TraceSet{Workload: name, Reg: widen(tr.Reg), Mem: widen(tr.Mem), Addr: widen(addr), Summary: tr.RunStats}, nil
+	return TraceSet{Workload: name, Reg: widen(tr.Reg), Mem: widen(tr.Mem), Addr: addr, Summary: tr.RunStats}, nil
 }
 
 // simulate produces a run's traces, consulting the persistent disk cache

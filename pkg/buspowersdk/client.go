@@ -1,11 +1,11 @@
 // Package buspowersdk is the typed Go client for the buspower
-// evaluation service: synchronous evaluation (/v1/eval), async batch
-// jobs with Server-Sent-Events streaming (/v1/jobs), the discovery
+// evaluation service: synchronous evaluation (/v1/eval), the discovery
 // endpoints (/v1/schemes, /v1/workloads) and the operational surface
-// (/healthz, /metrics). Transient failures — connection errors, 429
-// shedding, 502/503 — are retried with exponential backoff, honoring
-// the server's Retry-After hint; everything else surfaces as a typed
-// *APIError.
+// (/healthz, /metrics). A batch is a set of concurrent Eval calls on
+// one Client, which is safe for concurrent use. Transient failures —
+// connection errors, 429 shedding, 502/503 — are retried with
+// exponential backoff, honoring the server's Retry-After hint;
+// everything else surfaces as a typed *APIError.
 package buspowersdk
 
 import (
@@ -155,31 +155,37 @@ func errorFromResponse(resp *http.Response) *APIError {
 	return e
 }
 
-// doJSON performs one API call with the retry policy and decodes a 2xx
-// JSON body into out (skipped when out is nil). body is re-sent
-// verbatim on every retry.
-func (c *Client) doJSON(ctx context.Context, method, path string, body []byte, out interface{}) (*http.Response, error) {
-	resp, err := c.do(ctx, method, path, body, "application/json")
+// call performs one API call with the retry policy and returns the 2xx
+// response body. body (JSON, or nil) is re-sent verbatim on every retry.
+func (c *Client) call(ctx context.Context, method, path string, body []byte) ([]byte, error) {
+	resp, err := c.do(ctx, method, path, body)
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	if out != nil {
-		data, err := io.ReadAll(resp.Body)
-		if err != nil {
-			return nil, fmt.Errorf("buspowersdk: reading %s %s response: %w", method, path, err)
-		}
-		if err := json.Unmarshal(data, out); err != nil {
-			return nil, fmt.Errorf("buspowersdk: decoding %s %s response: %w", method, path, err)
-		}
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return nil, fmt.Errorf("buspowersdk: reading %s %s response: %w", method, path, err)
 	}
-	return resp, nil
+	return data, nil
+}
+
+// doJSON is call that decodes the 2xx JSON body into out.
+func (c *Client) doJSON(ctx context.Context, method, path string, body []byte, out interface{}) error {
+	data, err := c.call(ctx, method, path, body)
+	if err != nil {
+		return err
+	}
+	if err := json.Unmarshal(data, out); err != nil {
+		return fmt.Errorf("buspowersdk: decoding %s %s response: %w", method, path, err)
+	}
+	return nil
 }
 
 // do runs the request with retries and returns the first 2xx response,
 // body unread. Non-2xx becomes *APIError; temporary ones are retried
 // per the backoff policy before surfacing.
-func (c *Client) do(ctx context.Context, method, path string, body []byte, contentType string) (*http.Response, error) {
+func (c *Client) do(ctx context.Context, method, path string, body []byte) (*http.Response, error) {
 	var lastErr error
 	for attempt := 0; ; attempt++ {
 		var rd io.Reader
@@ -191,7 +197,7 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, conte
 			return nil, err
 		}
 		if body != nil {
-			req.Header.Set("Content-Type", contentType)
+			req.Header.Set("Content-Type", "application/json")
 		}
 		resp, err := c.httpc.Do(req)
 		switch {
@@ -240,7 +246,7 @@ func (c *Client) Eval(ctx context.Context, req EvalRequest) (*EvalResponse, erro
 		return nil, err
 	}
 	var out EvalResponse
-	if _, err := c.doJSON(ctx, http.MethodPost, "/v1/eval", body, &out); err != nil {
+	if err := c.doJSON(ctx, http.MethodPost, "/v1/eval", body, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -251,22 +257,13 @@ func (c *Client) Eval(ctx context.Context, req EvalRequest) (*EvalResponse, erro
 // callers that re-send a fixed request set (load generators, proxies)
 // and don't want per-call marshal/unmarshal costs in the way.
 func (c *Client) EvalRaw(ctx context.Context, body []byte) ([]byte, error) {
-	resp, err := c.do(ctx, http.MethodPost, "/v1/eval", body, "application/json")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, fmt.Errorf("buspowersdk: reading POST /v1/eval response: %w", err)
-	}
-	return data, nil
+	return c.call(ctx, http.MethodPost, "/v1/eval", body)
 }
 
 // Schemes lists the accepted coding-scheme grammar.
 func (c *Client) Schemes(ctx context.Context) (*SchemesResponse, error) {
 	var out SchemesResponse
-	if _, err := c.doJSON(ctx, http.MethodGet, "/v1/schemes", nil, &out); err != nil {
+	if err := c.doJSON(ctx, http.MethodGet, "/v1/schemes", nil, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -277,7 +274,7 @@ func (c *Client) Workloads(ctx context.Context) ([]WorkloadInfo, error) {
 	var out struct {
 		Workloads []WorkloadInfo `json:"workloads"`
 	}
-	if _, err := c.doJSON(ctx, http.MethodGet, "/v1/workloads", nil, &out); err != nil {
+	if err := c.doJSON(ctx, http.MethodGet, "/v1/workloads", nil, &out); err != nil {
 		return nil, err
 	}
 	return out.Workloads, nil
@@ -287,7 +284,7 @@ func (c *Client) Workloads(ctx context.Context) ([]WorkloadInfo, error) {
 // a 503 *APIError during shutdown).
 func (c *Client) Health(ctx context.Context) (*Health, error) {
 	var out Health
-	if _, err := c.doJSON(ctx, http.MethodGet, "/healthz", nil, &out); err != nil {
+	if err := c.doJSON(ctx, http.MethodGet, "/healthz", nil, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -295,14 +292,6 @@ func (c *Client) Health(ctx context.Context) (*Health, error) {
 
 // Metrics fetches the raw Prometheus text exposition.
 func (c *Client) Metrics(ctx context.Context) (string, error) {
-	resp, err := c.do(ctx, http.MethodGet, "/metrics", nil, "")
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return "", err
-	}
-	return string(data), nil
+	data, err := c.call(ctx, http.MethodGet, "/metrics", nil)
+	return string(data), err
 }

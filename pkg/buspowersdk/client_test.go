@@ -164,88 +164,3 @@ func TestConnectionErrorRetries(t *testing.T) {
 		t.Fatalf("backoff not exponential: %v", *slept)
 	}
 }
-
-// TestWatchJobResumesMidStreamDisconnect: the first SSE connection dies
-// abruptly mid-stream; WatchJob reconnects, replays the fresh snapshot,
-// and completes with the final job.
-func TestWatchJobResumesMidStreamDisconnect(t *testing.T) {
-	var conns atomic.Int64
-	jobJSON := func(state string) string {
-		return fmt.Sprintf(`{"id":"j1","state":%q,"created_at":"2026-08-07T00:00:00Z","items":[],"results":[],"progress":{"total":1,"done":1}}`, state)
-	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /v1/jobs/j1/events", func(w http.ResponseWriter, r *http.Request) {
-		n := conns.Add(1)
-		w.Header().Set("Content-Type", "text/event-stream")
-		w.WriteHeader(http.StatusOK)
-		rc := http.NewResponseController(w)
-		fmt.Fprint(w, "event: state\ndata: {\"type\":\"state\",\"job_id\":\"j1\",\"state\":\"running\",\"progress\":{\"total\":1}}\n\n")
-		rc.Flush()
-		if n == 1 {
-			// Kill the connection without a terminal event.
-			panic(http.ErrAbortHandler)
-		}
-		fmt.Fprint(w, "event: item\ndata: {\"type\":\"item\",\"job_id\":\"j1\",\"state\":\"running\",\"item\":{\"status\":\"done\"},\"progress\":{\"total\":1,\"done\":1}}\n\n")
-		fmt.Fprint(w, "event: state\ndata: {\"type\":\"state\",\"job_id\":\"j1\",\"state\":\"done\",\"progress\":{\"total\":1,\"done\":1}}\n\n")
-		rc.Flush()
-	})
-	mux.HandleFunc("GET /v1/jobs/j1", func(w http.ResponseWriter, r *http.Request) {
-		state := "running"
-		if conns.Load() >= 2 {
-			state = "done"
-		}
-		fmt.Fprint(w, jobJSON(state))
-	})
-	srv := httptest.NewServer(mux)
-	defer srv.Close()
-
-	c, _ := fastClient(t, srv.URL)
-	var events []Event
-	j, err := c.WatchJob(context.Background(), "j1", func(ev Event) { events = append(events, ev) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if j.State != JobDone {
-		t.Fatalf("final state %q", j.State)
-	}
-	if conns.Load() != 2 {
-		t.Fatalf("connections = %d, want 2 (one dropped, one resumed)", conns.Load())
-	}
-	// Both connections' snapshots plus the item and terminal events.
-	var kinds []string
-	for _, ev := range events {
-		kinds = append(kinds, ev.Type+":"+string(ev.State))
-	}
-	want := []string{"state:running", "state:running", "item:running", "state:done"}
-	if len(kinds) != len(want) {
-		t.Fatalf("events %v, want %v", kinds, want)
-	}
-	for i := range want {
-		if kinds[i] != want[i] {
-			t.Fatalf("events %v, want %v", kinds, want)
-		}
-	}
-}
-
-// TestEventStreamFinalPartialEvent: a feed ending right after a data
-// line (no trailing blank line) still delivers the final event before
-// reporting closure.
-func TestEventStreamFinalPartialEvent(t *testing.T) {
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprint(w, "event: state\ndata: {\"type\":\"state\",\"job_id\":\"x\",\"state\":\"done\",\"progress\":{}}")
-	}))
-	defer srv.Close()
-	c, _ := fastClient(t, srv.URL)
-	stream, err := c.JobEvents(context.Background(), "x")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stream.Close()
-	ev, err := stream.Next()
-	if err != nil || ev.State != JobDone {
-		t.Fatalf("ev %+v, err %v", ev, err)
-	}
-	if _, err := stream.Next(); !errors.Is(err, ErrStreamClosed) {
-		t.Fatalf("err = %v, want ErrStreamClosed", err)
-	}
-}

@@ -19,7 +19,7 @@ func startRealServer(t *testing.T) *Client {
 	t.Helper()
 	s := serve.NewServer(serve.Options{Workers: 2, QueueDepth: 16, RequestTimeout: 30 * time.Second})
 	hs := httptest.NewServer(s.Handler())
-	t.Cleanup(func() { hs.Close(); s.Close() })
+	t.Cleanup(hs.Close)
 	c, err := New(hs.URL)
 	if err != nil {
 		t.Fatal(err)
@@ -91,63 +91,5 @@ func TestSDKDiscoveryAndHealth(t *testing.T) {
 	metrics, err := c.Metrics(ctx)
 	if err != nil || !strings.Contains(metrics, "buspower_requests_total") {
 		t.Fatalf("metrics err %v", err)
-	}
-}
-
-func TestSDKJobLifecycle(t *testing.T) {
-	c := startRealServer(t)
-	ctx := context.Background()
-	spec := JobSpec{Requests: []EvalRequest{
-		{Values: []uint64{1, 2, 3, 1, 2, 3, 9, 9}, Scheme: "gray"},
-		{Random: 2000, Scheme: "businvert"},
-	}}
-
-	j, created, err := c.SubmitJob(ctx, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !created || j.ID == "" {
-		t.Fatalf("submit: created=%v job=%+v", created, j)
-	}
-
-	// Watch to completion through the event stream.
-	final, err := c.WatchJob(ctx, j.ID, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if final.State != JobDone || final.Progress.Done != 2 {
-		t.Fatalf("final = %+v", final)
-	}
-	var resp EvalResponse
-	if err := json.Unmarshal(final.Results[0].Result, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(resp.Scheme, "gray") {
-		t.Fatalf("first result = %+v", resp)
-	}
-
-	// Resubmission coalesces onto the done job: full results, no rerun.
-	again, created, err := c.SubmitJob(ctx, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if created || again.ID != j.ID {
-		t.Fatalf("resubmit: created=%v id=%s want %s", created, again.ID, j.ID)
-	}
-
-	list, err := c.Jobs(ctx)
-	if err != nil || len(list) != 1 || list[0].ID != j.ID {
-		t.Fatalf("list = %+v, err %v", list, err)
-	}
-
-	got, err := c.Job(ctx, j.ID)
-	if err != nil || got.State != JobDone {
-		t.Fatalf("get = %+v, err %v", got, err)
-	}
-
-	// WaitJob on an already-terminal job returns immediately.
-	waited, err := c.WaitJob(ctx, j.ID, 10*time.Millisecond)
-	if err != nil || waited.State != JobDone {
-		t.Fatalf("wait = %+v, err %v", waited, err)
 	}
 }

@@ -5,10 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"testing"
-	"time"
 
 	"buspower/internal/experiments"
-	"buspower/internal/jobs"
 )
 
 // The SDK mirrors the server's internal wire types field-for-field.
@@ -66,70 +64,4 @@ func TestEvalResponseParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	roundTripParity(t, resp, &EvalResponse{})
-}
-
-func TestJobParity(t *testing.T) {
-	now := time.Now().UTC().Truncate(time.Second)
-	later := now.Add(3 * time.Second)
-	req := internalEvalRequest()
-	j := jobs.Job{
-		ID:         "0123456789abcdef0123456789abcdef",
-		State:      jobs.StateFailed,
-		CreatedAt:  now,
-		StartedAt:  &now,
-		FinishedAt: &later,
-		Items: []jobs.Item{
-			{Kind: "eval", Eval: &req},
-			{Kind: "experiment", Experiment: "fig9", Quick: true},
-		},
-		Results: []jobs.ItemResult{
-			{Status: jobs.ItemDone, Result: json.RawMessage(`{"x":1}`), ElapsedMS: 12.5},
-			{Status: "failed", Error: "boom", ElapsedMS: 1},
-		},
-		Progress: jobs.Progress{Total: 2, Pending: 0, Running: 0, Done: 1, Failed: 1, Cancelled: 0},
-	}
-	roundTripParity(t, j, &Job{})
-}
-
-func TestEventParity(t *testing.T) {
-	ev := jobs.Event{
-		Type:  "item",
-		JobID: "deadbeef",
-		State: jobs.StateRunning,
-		Index: 3,
-		Item: &jobs.ItemResult{
-			Status: jobs.ItemDone, Result: json.RawMessage(`{"y":2}`), ElapsedMS: 4,
-		},
-		Progress: jobs.Progress{Total: 5, Pending: 1, Running: 1, Done: 3},
-	}
-	roundTripParity(t, ev, &Event{})
-}
-
-// TestJobSpecAccepted: what the SDK submits must parse through the
-// server's own spec parser.
-func TestJobSpecAccepted(t *testing.T) {
-	spec := JobSpec{Requests: []EvalRequest{
-		{Values: []uint64{1, 2, 3}, Scheme: "gray"},
-		{Random: 500, Scheme: "businvert", Lambda: 2},
-	}}
-	data, err := json.Marshal(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	items, err := jobs.ParseSpec(data)
-	if err != nil {
-		t.Fatalf("server spec parser rejects SDK submission: %v", err)
-	}
-	if len(items) != 2 || items[0].Kind != "eval" {
-		t.Fatalf("items = %+v", items)
-	}
-
-	suite := JobSpec{Suite: &SuiteSpec{Experiments: "all", Quick: true}}
-	data, err = json.Marshal(suite)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := jobs.ParseSpec(data); err != nil {
-		t.Fatalf("server spec parser rejects SDK suite submission: %v", err)
-	}
 }

@@ -1,10 +1,5 @@
 package buspowersdk
 
-import (
-	"encoding/json"
-	"time"
-)
-
 // The SDK defines its own wire types rather than re-exporting the
 // server's internal ones: internal/ packages are unimportable outside
 // this module, and the JSON shapes — not the Go identifiers — are the
@@ -97,106 +92,6 @@ type WorkloadInfo struct {
 	Suite       string   `json:"suite"`
 	Description string   `json:"description"`
 	Buses       []string `json:"buses"`
-}
-
-// JobState is a job's lifecycle state.
-type JobState string
-
-const (
-	JobPending   JobState = "pending"
-	JobRunning   JobState = "running"
-	JobDone      JobState = "done"
-	JobFailed    JobState = "failed"
-	JobCancelled JobState = "cancelled"
-)
-
-// Terminal reports whether the state is final.
-func (s JobState) Terminal() bool {
-	return s == JobDone || s == JobFailed || s == JobCancelled
-}
-
-// ItemStatus is one job item's lifecycle state.
-type ItemStatus string
-
-// JobSpec is the POST /v1/jobs payload: either a batch of eval
-// requests, or a registered experiment suite.
-type JobSpec struct {
-	// Requests is a batch of eval requests (same shape as /v1/eval).
-	Requests []EvalRequest `json:"requests,omitempty"`
-	// Suite selects registered experiments by id.
-	Suite *SuiteSpec `json:"suite,omitempty"`
-}
-
-// SuiteSpec selects registered experiments.
-type SuiteSpec struct {
-	// Experiments is a comma-separated id list; "all" expands to every
-	// registered experiment.
-	Experiments string `json:"experiments"`
-	// Quick selects the reduced simulation bounds.
-	Quick bool `json:"quick,omitempty"`
-}
-
-// JobItem is one unit of scheduled work inside a job.
-type JobItem struct {
-	Kind       string       `json:"kind"` // "eval" or "experiment"
-	Eval       *EvalRequest `json:"eval,omitempty"`
-	Experiment string       `json:"experiment,omitempty"`
-	Quick      bool         `json:"quick,omitempty"`
-}
-
-// ItemResult is one item's outcome. Result holds the item's JSON
-// payload: an EvalResponse for "eval" items, an experiment result for
-// "experiment" items.
-type ItemResult struct {
-	Status    ItemStatus      `json:"status"`
-	Result    json.RawMessage `json:"result,omitempty"`
-	Error     string          `json:"error,omitempty"`
-	ElapsedMS float64         `json:"elapsed_ms,omitempty"`
-}
-
-// Progress is a job's item census.
-type Progress struct {
-	Total     int `json:"total"`
-	Pending   int `json:"pending"`
-	Running   int `json:"running"`
-	Done      int `json:"done"`
-	Failed    int `json:"failed"`
-	Cancelled int `json:"cancelled"`
-}
-
-// Job is the full job record (GET /v1/jobs/{id}).
-type Job struct {
-	ID         string       `json:"id"`
-	State      JobState     `json:"state"`
-	CreatedAt  time.Time    `json:"created_at"`
-	StartedAt  *time.Time   `json:"started_at,omitempty"`
-	FinishedAt *time.Time   `json:"finished_at,omitempty"`
-	Items      []JobItem    `json:"items"`
-	Results    []ItemResult `json:"results"`
-	Progress   Progress     `json:"progress"`
-}
-
-// JobSummary is the list view (GET /v1/jobs).
-type JobSummary struct {
-	ID         string     `json:"id"`
-	State      JobState   `json:"state"`
-	CreatedAt  time.Time  `json:"created_at"`
-	StartedAt  *time.Time `json:"started_at,omitempty"`
-	FinishedAt *time.Time `json:"finished_at,omitempty"`
-	Progress   Progress   `json:"progress"`
-}
-
-// Event is one GET /v1/jobs/{id}/events stream entry.
-type Event struct {
-	// Type is "state" or "item".
-	Type  string   `json:"type"`
-	JobID string   `json:"job_id"`
-	State JobState `json:"state"`
-	// Index and Item carry the item outcome ("item" events).
-	Index int         `json:"index,omitempty"`
-	Item  *ItemResult `json:"item,omitempty"`
-	// Progress is the job's counts after the event.
-	Progress Progress `json:"progress"`
 }
 
 // Health is the GET /healthz payload.
