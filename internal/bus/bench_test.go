@@ -13,11 +13,11 @@ import (
 func BenchmarkKernels(b *testing.B) {
 	b.Run("Meter.Record/dense-32", func(b *testing.B) { benchMeterRecord(b, denseTrace(4096, 32), 32) })
 	b.Run("Meter.Record/sparse-64", func(b *testing.B) { benchMeterRecord(b, sparseTrace(4096), 64) })
-	b.Run("Meter.MeasureTrace/dense-32", benchMeterMeasureTrace)
+	b.Run("Meter.RecordValues/dense-32", benchMeterRecordValues)
 }
 
 // denseTrace is uniformly random traffic: roughly half of all wires toggle
-// every cycle, the worst case for per-wire accounting.
+// every cycle, the busiest case for the meter.
 func denseTrace(n int, width int) []Word {
 	rng := stats.NewRNG(1)
 	mask := Mask(width)
@@ -43,7 +43,7 @@ func sparseTrace(n int) []Word {
 }
 
 func benchMeterRecord(b *testing.B, trace []Word, width int) {
-	m := NewMeter(width)
+	m := NewMeterLite(width)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -51,13 +51,14 @@ func benchMeterRecord(b *testing.B, trace []Word, width int) {
 	}
 }
 
-func benchMeterMeasureTrace(b *testing.B) {
+func benchMeterRecordValues(b *testing.B) {
 	trace := denseTrace(4096, 32)
 	b.SetBytes(int64(len(trace)) * 8)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m := MeasureTrace(32, trace)
+		m := NewMeterLite(32)
+		RecordValues(m, trace)
 		if m.Cycles() == 0 {
 			b.Fatal("empty measurement")
 		}

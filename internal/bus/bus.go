@@ -58,73 +58,48 @@ func Weight(w Word) int {
 	return bits.OnesCount64(uint64(w))
 }
 
-// TransitionCount returns the number of wires among the low width bits
-// that toggle between prev and cur (the per-cycle contribution to Σλ_n).
-func TransitionCount(prev, cur Word, width int) int {
-	return Weight((prev ^ cur) & Mask(width))
-}
-
-// CouplingCount returns the number of coupling events across adjacent wire
-// pairs (n, n+1) within the low width bits between states prev and cur;
-// this is the per-cycle contribution to Σψ_n per equation (3):
+// Activity returns the per-cycle contributions to Σλ_n (eq. 2) and Σψ_n
+// (eq. 3) of applying transition vector t to bus state old: transitions
+// is the number of toggled wires, and couplings sums, over the adjacent
+// pairs (n, n+1) selected by pairMask, the eq. (3) term
 //
-//	ψ contribution = |(W_n − W_{n+1}) − (W'_n − W'_{n+1})|
+//	|(W_n − W_{n+1}) − (W'_n − W'_{n+1})|
 //
 // with arithmetic differences, so a pair contributes
 //
 //	0 if neither wire toggles, or both toggle in the same direction
 //	  (the voltage across the coupling capacitor is unchanged),
 //	1 if exactly one wire toggles (the coupling cap swings by Vdd),
-//	2 if the wires toggle in opposite directions (the cap swings by 2·Vdd).
-func CouplingCount(prev, cur Word, width int) int {
-	single, opposite := CouplingPairs(prev, cur, width)
-	return Weight(single) + 2*Weight(opposite)
-}
-
-// CouplingPairs classifies the adjacent wire pairs that couple between
-// states prev and cur: bit n of single is set iff exactly one wire of the
-// pair (n, n+1) toggles (1 event), bit n of opposite iff the wires toggle
-// in opposite directions (2 events). It is the one implementation of the
-// eq. (3) pair math, shared by CouplingCount and the Meter's per-pair
-// accounting.
-func CouplingPairs(prev, cur Word, width int) (single, opposite Word) {
-	if width < 2 {
-		return 0, 0
-	}
-	m := Mask(width)
-	prev &= m
-	cur &= m
-	t := prev ^ cur
-	rising := cur &^ prev
-	falling := prev &^ cur
-	pm := Mask(width - 1)
-	// Pairs where exactly one wire toggles.
-	single = (t ^ (t >> 1)) & pm
-	// Pairs where the wires toggle in opposite directions.
-	opposite = ((rising & (falling >> 1)) | (falling & (rising >> 1))) & pm
-	return single, opposite
+//	2 if both toggle and their old levels differ: one rises as the
+//	  other falls (the cap swings by 2·Vdd).
+//
+// t must be masked to the bus width and pairMask is Mask(width-1). It is
+// the one implementation of the eq. (2)/(3) counts: the Meter, Cost and
+// the encoders' block accounting all call it.
+func Activity(old, t, pairMask Word) (transitions, couplings uint64) {
+	single := (t ^ t>>1) & pairMask
+	opposite := t & (t >> 1) & (old ^ old>>1) & pairMask
+	return uint64(bits.OnesCount64(uint64(t))),
+		uint64(bits.OnesCount64(uint64(single))) + 2*uint64(bits.OnesCount64(uint64(opposite)))
 }
 
 // Cost returns the Λ-weighted energy cost (in units of wire transitions)
-// of moving the bus from prev to cur:
+// of moving a bus of the given width from prev to cur:
 //
 //	cost = #transitions + Λ · #coupling events.
 func Cost(prev, cur Word, width int, lambda float64) float64 {
-	return float64(TransitionCount(prev, cur, width)) +
-		lambda*float64(CouplingCount(prev, cur, width))
+	m := Mask(width)
+	return CostMasked(prev&m, cur&m, m>>1, lambda)
 }
 
 // CostMasked is Cost for callers that keep their states pre-masked and
 // hold the width's pair mask (Mask(width-1)) hoisted: the per-candidate
 // form encoders use when ranking bus states every cycle.
 func CostMasked(prev, cur, pairMask Word, lambda float64) float64 {
-	t := prev ^ cur
-	rising := cur &^ prev
-	falling := prev &^ cur
-	single := (t ^ (t >> 1)) & pairMask
-	opposite := ((rising & (falling >> 1)) | (falling & (rising >> 1))) & pairMask
-	return float64(Weight(t)) +
-		lambda*float64(Weight(single)+2*Weight(opposite))
+	tr, c := Activity(prev, prev^cur, pairMask)
+	// The counts are below 2^7, so converting through int64 (one
+	// instruction, where uint64 needs a range check) is exact.
+	return float64(int64(tr)) + lambda*float64(int64(c))
 }
 
 // CostMaskedInt is CostMasked for integral Λ, computed entirely in
@@ -136,13 +111,8 @@ func CostMasked(prev, cur, pairMask Word, lambda float64) float64 {
 // to drop the int→float conversions and float compares from their hot
 // path without changing a single decision.
 func CostMaskedInt(prev, cur, pairMask Word, lambda uint64) uint64 {
-	t := prev ^ cur
-	rising := cur &^ prev
-	falling := prev &^ cur
-	single := (t ^ (t >> 1)) & pairMask
-	opposite := ((rising & (falling >> 1)) | (falling & (rising >> 1))) & pairMask
-	return uint64(Weight(t)) +
-		lambda*uint64(Weight(single)+2*Weight(opposite))
+	tr, c := Activity(prev, prev^cur, pairMask)
+	return tr + lambda*c
 }
 
 // ExpectedSelfCoupling returns the expected number of coupling events

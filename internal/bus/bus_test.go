@@ -3,8 +3,15 @@ package bus
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
+
+// couplings is the eq. (3) coupling count of one cycle that moves a bus
+// of the given width from prev to cur, as Activity returns it.
+func couplings(prev, cur Word, width int) int {
+	m := Mask(width)
+	_, c := Activity(prev&m, (prev^cur)&m, m>>1)
+	return int(c)
+}
 
 func TestMask(t *testing.T) {
 	cases := []struct {
@@ -63,12 +70,13 @@ func TestWeight(t *testing.T) {
 }
 
 func TestTransitionCountMasksWidth(t *testing.T) {
-	// Wires above the bus width must not be counted.
-	if got := TransitionCount(0, ^Word(0), 8); got != 8 {
-		t.Errorf("TransitionCount width 8 = %d, want 8", got)
+	// Wires above the bus width must not be counted: at Λ = 0, Cost is
+	// the transition count alone.
+	if got := Cost(0, ^Word(0), 8, 0); got != 8 {
+		t.Errorf("Cost width 8, Λ 0 = %v, want 8", got)
 	}
-	if got := TransitionCount(0, ^Word(0), 64); got != 64 {
-		t.Errorf("TransitionCount width 64 = %d, want 64", got)
+	if got := Cost(0, ^Word(0), 64, 0); got != 64 {
+		t.Errorf("Cost width 64, Λ 0 = %v, want 64", got)
 	}
 }
 
@@ -100,8 +108,8 @@ func TestCouplingCount(t *testing.T) {
 		{"width 1 has no pairs", 0, 1, 1, 0},
 	}
 	for _, c := range cases {
-		if got := CouplingCount(c.prev, c.cur, c.width); got != c.want {
-			t.Errorf("%s: CouplingCount = %d, want %d", c.name, got, c.want)
+		if got := couplings(c.prev, c.cur, c.width); got != c.want {
+			t.Errorf("%s: Activity couplings = %d, want %d", c.name, got, c.want)
 		}
 	}
 }
@@ -127,7 +135,7 @@ func TestCouplingMatchesPaperEquation(t *testing.T) {
 		width := 1 + rng.Intn(64)
 		prev := Word(rng.Uint64()) & Mask(width)
 		cur := Word(rng.Uint64()) & Mask(width)
-		if got, want := CouplingCount(prev, cur, width), ref(prev, cur, width); got != want {
+		if got, want := couplings(prev, cur, width), ref(prev, cur, width); got != want {
 			t.Fatalf("width %d prev %#x cur %#x: got %d want %d", width, prev, cur, got, want)
 		}
 	}
@@ -154,7 +162,7 @@ func TestExpectedSelfCoupling(t *testing.T) {
 		sum := 0
 		for i := 0; i < samples; i++ {
 			prev := Word(rng.Uint64()) & Mask(width)
-			sum += CouplingCount(prev, prev^tvec, width)
+			sum += couplings(prev, prev^tvec, width)
 		}
 		avg := float64(sum) / samples
 		want := float64(ExpectedSelfCoupling(tvec, width)) / 2
@@ -180,7 +188,7 @@ func TestExpectedSelfCouplingExact(t *testing.T) {
 }
 
 func TestMeterBasic(t *testing.T) {
-	m := NewMeter(4)
+	m := NewMeterLite(4)
 	m.Record(0b0000) // initial: free
 	m.Record(0b0001) // 1 transition, 1 coupling (edge)
 	m.Record(0b0001) // idle
@@ -205,18 +213,23 @@ func TestMeterBasic(t *testing.T) {
 	}
 }
 
+// TestMeterPerWireSumsToTotal: the meter's Σ totals equal the sums of
+// the bit-serial oracle's per-wire λ_n and per-pair ψ_n histograms.
 func TestMeterPerWireSumsToTotal(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	m := NewMeter(32)
+	m := NewMeterLite(32)
+	ref := newReferenceMeter(32)
 	for i := 0; i < 1000; i++ {
-		m.Record(Word(rng.Uint64()))
+		w := Word(rng.Uint64())
+		m.Record(w)
+		ref.Record(w)
 	}
 	var sumWire, sumPair uint64
-	for n := 0; n < 32; n++ {
-		sumWire += m.WireTransitions(n)
+	for _, n := range ref.perWire {
+		sumWire += n
 	}
-	for n := 0; n < 31; n++ {
-		sumPair += m.PairCouplings(n)
+	for _, n := range ref.perPair {
+		sumPair += n
 	}
 	if sumWire != m.Transitions() {
 		t.Errorf("per-wire sum %d != total %d", sumWire, m.Transitions())
@@ -227,7 +240,7 @@ func TestMeterPerWireSumsToTotal(t *testing.T) {
 }
 
 func TestMeterMasksHighBits(t *testing.T) {
-	m := NewMeter(8)
+	m := NewMeterLite(8)
 	m.Record(0)
 	m.Record(0xFFFFFFFFFFFFFF00) // all activity above the bus width
 	if m.Transitions() != 0 {
@@ -236,7 +249,7 @@ func TestMeterMasksHighBits(t *testing.T) {
 }
 
 func TestMeterReset(t *testing.T) {
-	m := NewMeter(8)
+	m := NewMeterLite(8)
 	m.Record(0x00)
 	m.Record(0xFF)
 	m.Reset()
@@ -247,15 +260,10 @@ func TestMeterReset(t *testing.T) {
 	if m.Transitions() != 0 {
 		t.Error("Reset did not clear the initial-state latch")
 	}
-	for n := 0; n < 8; n++ {
-		if m.WireTransitions(n) != 0 {
-			t.Errorf("Reset left per-wire count on wire %d", n)
-		}
-	}
 }
 
 func TestMeterShortTraceCostPerCycle(t *testing.T) {
-	m := NewMeter(8)
+	m := NewMeterLite(8)
 	if m.CostPerCycle(1) != 0 {
 		t.Error("empty meter should report zero cost per cycle")
 	}
@@ -266,61 +274,9 @@ func TestMeterShortTraceCostPerCycle(t *testing.T) {
 }
 
 func TestMeasureTrace(t *testing.T) {
-	m := MeasureTrace(4, []Word{0b0000, 0b1111, 0b0000})
+	m := NewMeterLite(4)
+	RecordValues(m, []Word{0b0000, 0b1111, 0b0000})
 	if m.Transitions() != 8 {
 		t.Errorf("Transitions = %d, want 8", m.Transitions())
-	}
-}
-
-// Property: metering a trace equals the sum of per-step TransitionCount and
-// CouplingCount calls.
-func TestMeterMatchesStepwiseCounts(t *testing.T) {
-	f := func(seed int64, rawWidth uint8) bool {
-		width := 1 + int(rawWidth%64)
-		rng := rand.New(rand.NewSource(seed))
-		trace := make([]Word, 50)
-		for i := range trace {
-			trace[i] = Word(rng.Uint64()) & Mask(width)
-		}
-		m := MeasureTrace(width, trace)
-		var trans, coup uint64
-		for i := 1; i < len(trace); i++ {
-			trans += uint64(TransitionCount(trace[i-1], trace[i], width))
-			coup += uint64(CouplingCount(trace[i-1], trace[i], width))
-		}
-		return m.Transitions() == trans && m.Couplings() == coup
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: at the boundary widths (1 has no pairs and exercises
-// Mask(width-1) == Mask(0); 2 has a single pair; 33 straddles the word
-// half; 64 is the full word) the Meter's totals equal the per-cycle sums
-// of TransitionCount and CouplingCount — Record and the stateless
-// counters must share one implementation of the pair math.
-func TestMeterMatchesStepwiseCountsAtKeyWidths(t *testing.T) {
-	for _, width := range []int{1, 2, 33, 64} {
-		width := width
-		f := func(seed int64) bool {
-			rng := rand.New(rand.NewSource(seed))
-			m := NewMeter(width)
-			var trans, coup uint64
-			prev := Word(0)
-			for i := 0; i < 200; i++ {
-				cur := Word(rng.Uint64()) & Mask(width)
-				m.Record(cur)
-				if i > 0 {
-					trans += uint64(TransitionCount(prev, cur, width))
-					coup += uint64(CouplingCount(prev, cur, width))
-				}
-				prev = cur
-			}
-			return m.Transitions() == trans && m.Couplings() == coup
-		}
-		if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-			t.Errorf("width %d: %v", width, err)
-		}
 	}
 }

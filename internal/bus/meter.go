@@ -1,22 +1,16 @@
 package bus
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "fmt"
 
-// Meter accumulates the paper's per-wire activity statistics over a stream
-// of bus states. Feed it the absolute wire state each cycle with Record
-// (or a batch with RecordTrace); it tracks Σλ_n (self transitions, eq. 2)
-// and Σψ_n (coupling events, eq. 3) so that the Λ-weighted energy cost of
-// the trace can be computed for any wire length and technology.
+// Meter accumulates the paper's activity totals over a stream of bus
+// states. Feed it the absolute wire state each cycle with Record (or a
+// batch with RecordValues); it tracks Σλ_n (self transitions, eq. 2) and
+// Σψ_n (coupling events, eq. 3), counted by Activity, so that the
+// Λ-weighted energy cost of the trace can be computed for any wire length
+// and technology.
 //
 // The first recorded word establishes the initial bus state and expends no
 // energy.
-//
-// NewMeter also collects per-wire and per-pair histograms; NewMeterLite
-// keeps only the Σ totals, which is all the scheme sweeps consume, and
-// makes Record a handful of word-parallel bit operations per cycle.
 type Meter struct {
 	width    int
 	mask     Word // low width bits
@@ -27,23 +21,10 @@ type Meter struct {
 	cycles      uint64
 	transitions uint64 // Σ_n λ_n
 	couplings   uint64 // Σ_n ψ_n
-
-	perWire []uint64 // λ_n per wire (len = width); nil for lite meters
-	perPair []uint64 // ψ_n per adjacent pair (len = max(width-1, 0)); nil for lite meters
 }
 
-// NewMeter returns a Meter for a bus of the given width (1..MaxWidth),
-// collecting per-wire and per-pair histograms alongside the Σ totals.
-func NewMeter(width int) *Meter {
-	m := NewMeterLite(width)
-	m.perWire = make([]uint64, width)
-	m.perPair = make([]uint64, width-1)
-	return m
-}
-
-// NewMeterLite returns a Meter that accumulates only the Σλ/Σψ totals.
-// WireTransitions and PairCouplings panic on a lite meter; everything
-// else behaves identically, at a fraction of the per-cycle cost.
+// NewMeterLite returns a Meter for a bus of the given width
+// (1..MaxWidth). It panics on any other width.
 func NewMeterLite(width int) *Meter {
 	if width < 1 || width > MaxWidth {
 		panic(fmt.Sprintf("bus: invalid meter width %d", width))
@@ -54,10 +35,6 @@ func NewMeterLite(width int) *Meter {
 // Width returns the bus width the meter accounts for.
 func (m *Meter) Width() int { return m.width }
 
-// Detailed reports whether the meter collects per-wire and per-pair
-// histograms (NewMeter) or only Σ totals (NewMeterLite).
-func (m *Meter) Detailed() bool { return m.perWire != nil }
-
 // Record accounts one cycle in which the bus settles to state w.
 func (m *Meter) Record(w Word) {
 	w &= m.mask
@@ -67,58 +44,22 @@ func (m *Meter) Record(w Word) {
 		m.cycles++
 		return
 	}
-	if t := m.prev ^ w; t != 0 {
-		m.account(m.prev, w, t)
-	}
+	tr, c := Activity(m.prev, m.prev^w, m.pairMask)
+	m.transitions += tr
+	m.couplings += c
 	m.prev = w
 	m.cycles++
 }
 
-// account folds one non-trivial transition into the statistics. prev and
-// cur are already masked and differ by t = prev^cur.
-func (m *Meter) account(prev, cur, t Word) {
-	m.transitions += uint64(bits.OnesCount64(uint64(t)))
-	// The eq. (3) pair classification of CouplingPairs, with the masks
-	// hoisted out of the per-cycle path.
-	rising := cur &^ prev
-	falling := prev &^ cur
-	single := (t ^ (t >> 1)) & m.pairMask
-	opposite := ((rising & (falling >> 1)) | (falling & (rising >> 1))) & m.pairMask
-	m.couplings += uint64(bits.OnesCount64(uint64(single))) + 2*uint64(bits.OnesCount64(uint64(opposite)))
-	if m.perWire == nil {
-		return
-	}
-	// Sparse histogram update: visit only the toggled wires and coupled
-	// pairs instead of shifting through every bit position below them.
-	for v := uint64(t); v != 0; v &= v - 1 {
-		m.perWire[bits.TrailingZeros64(v)]++
-	}
-	for v := uint64(single); v != 0; v &= v - 1 {
-		m.perPair[bits.TrailingZeros64(v)]++
-	}
-	for v := uint64(opposite); v != 0; v &= v - 1 {
-		m.perPair[bits.TrailingZeros64(v)] += 2
-	}
-}
-
-// RecordTrace accounts one cycle per element of trace, equivalent to
-// calling Record on each but without the per-cycle call and field-access
-// overhead — the batch fast path for measuring whole traces.
-func (m *Meter) RecordTrace(trace []Word) { recordAll(m, trace) }
-
-// Value is the element type of a raw data-value stream: uint32 for the
-// workload traces (every bus of the simulated machine is 32 bits wide),
-// uint64 for wider synthetic streams.
+// Value is the element type of a bus-word or raw data-value stream:
+// uint32 for the workload traces (every bus of the simulated machine is
+// 32 bits wide), uint64 (or Word) for wider streams.
 type Value interface{ ~uint32 | ~uint64 }
 
-// RecordValues is RecordTrace for raw data-value streams; each value is
-// masked to the bus width.
-func RecordValues[T Value](m *Meter, values []T) { recordAll(m, values) }
-
-// recordAll is the shared batch recording core. Σ totals accumulate in
-// locals and flush once; histogram meters fall back to the per-cycle
-// account path only on cycles that actually moved wires.
-func recordAll[T Value](m *Meter, vals []T) {
+// RecordValues accounts one cycle per element of values, each masked to
+// the bus width: equivalent to calling Record on each, with the Σ totals
+// accumulated in locals and flushed once.
+func RecordValues[T Value](m *Meter, vals []T) {
 	if len(vals) == 0 {
 		return
 	}
@@ -128,35 +69,25 @@ func recordAll[T Value](m *Meter, vals []T) {
 		m.prev = Word(vals[0]) & m.mask
 		i = 1
 	}
-	prev, mask, pairMask := m.prev, m.mask, m.pairMask
-	var transitions, couplings uint64
-	if m.perWire == nil {
-		for _, raw := range vals[i:] {
-			w := Word(raw) & mask
-			t := prev ^ w
-			if t != 0 {
-				transitions += uint64(bits.OnesCount64(uint64(t)))
-				rising := w &^ prev
-				falling := prev &^ w
-				single := (t ^ (t >> 1)) & pairMask
-				opposite := ((rising & (falling >> 1)) | (falling & (rising >> 1))) & pairMask
-				couplings += uint64(bits.OnesCount64(uint64(single))) + 2*uint64(bits.OnesCount64(uint64(opposite)))
-			}
-			prev = w
-		}
-		m.transitions += transitions
-		m.couplings += couplings
-	} else {
-		for _, raw := range vals[i:] {
-			w := Word(raw) & mask
-			if t := prev ^ w; t != 0 {
-				m.account(prev, w, t)
-			}
-			prev = w
-		}
-	}
+	prev, tr, c := sumActivity(m.prev, vals[i:], m.mask, m.pairMask)
+	m.transitions += tr
+	m.couplings += c
 	m.prev = prev
 	m.cycles += uint64(len(vals))
+}
+
+// sumActivity is the batch loop of RecordValues and MeterStream.drain: it
+// moves the bus from state prev through vals, each masked to mask, and
+// returns the last state with the Σ Activity counts of the moves.
+func sumActivity[T Value](prev Word, vals []T, mask, pairMask Word) (last Word, transitions, couplings uint64) {
+	for _, raw := range vals {
+		w := Word(raw) & mask
+		tr, c := Activity(prev, prev^w, pairMask)
+		transitions += tr
+		couplings += c
+		prev = w
+	}
+	return prev, transitions, couplings
 }
 
 // streamChunk is the MeterStream staging capacity: large enough to
@@ -166,12 +97,11 @@ const streamChunk = 256
 
 // MeterStream is the incremental batch-recording front-end of a Meter: a
 // producer can meter each bus word as it is generated — no O(n) scratch
-// trace buffer, no second pass — at RecordTrace's per-cycle cost. Record
+// trace buffer, no second pass — at RecordValues' per-cycle cost. Record
 // itself is a tiny inlinable append into a fixed-size staging chunk;
-// every streamChunk words the chunk is drained through the same hoisted
-// word-parallel loop as the RecordTrace fast path. Obtain one with
-// Stream, Record words through it, and Flush to fold the accumulated
-// statistics back into the Meter.
+// every streamChunk words the chunk is drained through RecordValues'
+// batch loop. Obtain one with Stream, Record words through it, and Flush
+// to fold the accumulated statistics back into the Meter.
 //
 // A stream is a plain value (no heap allocation) and must not be copied
 // while in use. Until Flush, the Meter itself does not observe the
@@ -182,7 +112,6 @@ type MeterStream struct {
 	mask, pairMask Word
 	prev           Word
 	started        bool
-	detailed       bool
 	cycles         uint64
 	transitions    uint64
 	couplings      uint64
@@ -210,7 +139,6 @@ func (m *Meter) StreamInto(s *MeterStream) {
 	s.pairMask = m.pairMask
 	s.prev = m.prev
 	s.started = m.started
-	s.detailed = m.perWire != nil
 	s.cycles, s.transitions, s.couplings = 0, 0, 0
 	s.n = 0
 }
@@ -233,11 +161,8 @@ func (s *MeterStream) Record(w Word) {
 // against the stream's current last word — which the encoders'
 // channel state equals by construction — and at least one word must
 // have been recorded before the first AddBlock, so the power-up state
-// is pinned. Histogram (detailed) meters cannot accept summary blocks.
+// is pinned.
 func (s *MeterStream) AddBlock(cycles, transitions, couplings uint64, last Word) {
-	if s.detailed {
-		panic("bus: AddBlock on a histogram meter stream")
-	}
 	if cycles == 0 {
 		// An empty block is equivalent to zero Records.
 		return
@@ -252,8 +177,7 @@ func (s *MeterStream) AddBlock(cycles, transitions, couplings uint64, last Word)
 	s.prev = last & s.mask
 }
 
-// drain accounts the staged words with the same local-accumulator batch
-// arithmetic as Meter.recordAll.
+// drain accounts the staged words with RecordValues' batch loop.
 func (s *MeterStream) drain() {
 	if s.n == 0 {
 		return
@@ -261,44 +185,15 @@ func (s *MeterStream) drain() {
 	vals := s.buf[:s.n]
 	s.n = 0
 	s.cycles += uint64(len(vals))
-	i := 0
 	if !s.started {
 		s.started = true
 		s.prev = vals[0] & s.mask
-		i = 1
+		vals = vals[1:]
 	}
-	prev := s.prev
-	if s.detailed {
-		// Histogram meters reuse the shared account path, which also
-		// accumulates the Σ totals directly on the meter — the stream's
-		// own Σ accumulators stay zero, so Flush never double-counts.
-		for _, w := range vals[i:] {
-			w &= s.mask
-			if t := prev ^ w; t != 0 {
-				s.m.account(prev, w, t)
-			}
-			prev = w
-		}
-		s.prev = prev
-		return
-	}
-	mask, pairMask := s.mask, s.pairMask
-	var transitions, couplings uint64
-	for _, w := range vals[i:] {
-		w &= mask
-		if t := prev ^ w; t != 0 {
-			transitions += uint64(bits.OnesCount64(uint64(t)))
-			rising := w &^ prev
-			falling := prev &^ w
-			single := (t ^ (t >> 1)) & pairMask
-			opposite := ((rising & (falling >> 1)) | (falling & (rising >> 1))) & pairMask
-			couplings += uint64(bits.OnesCount64(uint64(single))) + 2*uint64(bits.OnesCount64(uint64(opposite)))
-		}
-		prev = w
-	}
+	prev, tr, c := sumActivity(s.prev, vals, s.mask, s.pairMask)
 	s.prev = prev
-	s.transitions += transitions
-	s.couplings += couplings
+	s.transitions += tr
+	s.couplings += c
 }
 
 // Flush drains the staging chunk and folds the streamed statistics into
@@ -315,15 +210,11 @@ func (s *MeterStream) Flush() {
 	s.cycles, s.transitions, s.couplings = 0, 0, 0
 }
 
-// Clone returns an independent copy of the meter, histograms included.
-// Cloning detaches a measurement from a Meter that will be Reset and
-// reused (as coding.Evaluator does with its coded-bus meter).
+// Clone returns an independent copy of the meter. Cloning detaches a
+// measurement from a Meter that will be Reset and reused (as
+// coding.Evaluator does with its coded-bus meter).
 func (m *Meter) Clone() *Meter {
 	c := *m
-	if m.perWire != nil {
-		c.perWire = append([]uint64(nil), m.perWire...)
-		c.perPair = append([]uint64(nil), m.perPair...)
-	}
 	return &c
 }
 
@@ -335,23 +226,6 @@ func (m *Meter) Transitions() uint64 { return m.transitions }
 
 // Couplings returns Σ_n ψ_n over the recorded trace.
 func (m *Meter) Couplings() uint64 { return m.couplings }
-
-// WireTransitions returns λ_n for wire n. It panics on a lite meter.
-func (m *Meter) WireTransitions(n int) uint64 {
-	if m.perWire == nil {
-		panic("bus: WireTransitions on a lite meter (use NewMeter for histograms)")
-	}
-	return m.perWire[n]
-}
-
-// PairCouplings returns ψ_n for the adjacent pair (n, n+1). It panics on
-// a lite meter.
-func (m *Meter) PairCouplings(n int) uint64 {
-	if m.perPair == nil {
-		panic("bus: PairCouplings on a lite meter (use NewMeter for histograms)")
-	}
-	return m.perPair[n]
-}
 
 // Cost returns the Λ-weighted activity Σλ + Λ·Σψ of the recorded trace —
 // the quantity that, multiplied by the per-unit wire energy and the bus
@@ -380,18 +254,4 @@ func (m *Meter) Reset() {
 	m.cycles = 0
 	m.transitions = 0
 	m.couplings = 0
-	for i := range m.perWire {
-		m.perWire[i] = 0
-	}
-	for i := range m.perPair {
-		m.perPair[i] = 0
-	}
-}
-
-// MeasureTrace runs a fresh meter over the given sequence of bus states
-// and returns it. It is a convenience for one-shot accounting.
-func MeasureTrace(width int, trace []Word) *Meter {
-	m := NewMeter(width)
-	m.RecordTrace(trace)
-	return m
 }

@@ -1,6 +1,7 @@
 package bus
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"testing"
 )
@@ -84,16 +85,15 @@ func randomTrace(t *testing.T, n, width int, seed int64) []Word {
 	return out
 }
 
-// TestMeterMatchesReference differences the optimized Record and the batch
-// paths, and the per-cycle TransitionCount and CouplingCount, against the
-// bit-serial oracle on every statistic, across widths.
+// TestMeterMatchesReference differences Record and RecordValues, and
+// the per-cycle Activity counts, against the bit-serial oracle across
+// widths.
 func TestMeterMatchesReference(t *testing.T) {
 	for _, width := range []int{1, 2, 7, 31, 32, 33, 63, 64} {
 		trace := randomTrace(t, 2000, width, int64(width)*7919)
 		ref := newReferenceMeter(width)
-		rec := NewMeter(width)
-		batch := NewMeter(width)
-		lite := NewMeterLite(width)
+		rec := NewMeterLite(width)
+		batch := NewMeterLite(width)
 		for i, w := range trace {
 			prevT, prevC := ref.transitions, ref.couplings
 			ref.Record(w)
@@ -101,16 +101,14 @@ func TestMeterMatchesReference(t *testing.T) {
 			if i == 0 {
 				continue
 			}
-			if got := TransitionCount(trace[i-1], w, width); uint64(got) != ref.transitions-prevT {
-				t.Fatalf("width %d cycle %d: TransitionCount %d, reference %d", width, i, got, ref.transitions-prevT)
-			}
-			if got := CouplingCount(trace[i-1], w, width); uint64(got) != ref.couplings-prevC {
-				t.Fatalf("width %d cycle %d: CouplingCount %d, reference %d", width, i, got, ref.couplings-prevC)
+			tr, c := Activity(trace[i-1], trace[i-1]^w, Mask(width-1))
+			if tr != ref.transitions-prevT || c != ref.couplings-prevC {
+				t.Fatalf("width %d cycle %d: Activity (%d, %d), reference (%d, %d)",
+					width, i, tr, c, ref.transitions-prevT, ref.couplings-prevC)
 			}
 		}
-		batch.RecordTrace(trace)
-		lite.RecordTrace(trace)
-		for name, m := range map[string]*Meter{"Record": rec, "RecordTrace": batch, "lite": lite} {
+		RecordValues(batch, trace)
+		for name, m := range map[string]*Meter{"Record": rec, "RecordValues": batch} {
 			if m.Cycles() != ref.cycles || m.Transitions() != ref.transitions || m.Couplings() != ref.couplings {
 				t.Fatalf("width %d %s: got (%d, %d, %d), reference (%d, %d, %d)",
 					width, name, m.Cycles(), m.Transitions(), m.Couplings(), ref.cycles, ref.transitions, ref.couplings)
@@ -119,29 +117,13 @@ func TestMeterMatchesReference(t *testing.T) {
 				t.Fatalf("width %d %s: state %#x != reference %#x", width, name, m.State(), ref.state())
 			}
 		}
-		for n := 0; n < width; n++ {
-			if got := rec.WireTransitions(n); got != ref.perWire[n] {
-				t.Fatalf("width %d wire %d: Record %d != reference %d", width, n, got, ref.perWire[n])
-			}
-			if got := batch.WireTransitions(n); got != ref.perWire[n] {
-				t.Fatalf("width %d wire %d: RecordTrace %d != reference %d", width, n, got, ref.perWire[n])
-			}
-		}
-		for n := 0; n < width-1; n++ {
-			if got := rec.PairCouplings(n); got != ref.perPair[n] {
-				t.Fatalf("width %d pair %d: Record %d != reference %d", width, n, got, ref.perPair[n])
-			}
-			if got := batch.PairCouplings(n); got != ref.perPair[n] {
-				t.Fatalf("width %d pair %d: RecordTrace %d != reference %d", width, n, got, ref.perPair[n])
-			}
-		}
 	}
 }
 
-// TestMeterRecordValuesMatchesRecordTrace covers the value-stream paths:
+// TestMeterRecordValuesMatchesRecord covers the value-stream paths:
 // []uint64 with high bits that must be masked off, and the []uint32 form
-// workload traces are held in.
-func TestMeterRecordValuesMatchesRecordTrace(t *testing.T) {
+// workload traces are held in, against per-word Record.
+func TestMeterRecordValuesMatchesRecord(t *testing.T) {
 	trace := randomTrace(t, 500, 32, 99)
 	vals := make([]uint64, len(trace))
 	vals32 := make([]uint32, len(trace))
@@ -150,10 +132,12 @@ func TestMeterRecordValuesMatchesRecordTrace(t *testing.T) {
 		vals32[i] = uint32(w)
 	}
 	for _, width := range []int{32, 20} {
-		a := NewMeter(width)
-		b := NewMeter(width)
+		a := NewMeterLite(width)
+		b := NewMeterLite(width)
 		c := NewMeterLite(width)
-		a.RecordTrace(trace)
+		for _, w := range trace {
+			a.Record(w)
+		}
 		RecordValues(b, vals)
 		RecordValues(c, vals32)
 		for _, m := range []*Meter{b, c} {
@@ -165,23 +149,17 @@ func TestMeterRecordValuesMatchesRecordTrace(t *testing.T) {
 	}
 }
 
-// TestMeterLitePanics pins the contract that histogram accessors reject
-// lite meters loudly instead of returning zeros.
+// TestMeterLitePanics pins that NewMeterLite rejects widths outside
+// 1..MaxWidth loudly instead of building a meter that miscounts.
 func TestMeterLitePanics(t *testing.T) {
-	m := NewMeterLite(8)
-	m.Record(0)
-	m.Record(3)
-	for name, f := range map[string]func(){
-		"WireTransitions": func() { m.WireTransitions(0) },
-		"PairCouplings":   func() { m.PairCouplings(0) },
-	} {
+	for _, width := range []int{-1, 0, MaxWidth + 1} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Fatalf("%s on a lite meter did not panic", name)
+					t.Fatalf("NewMeterLite(%d) did not panic", width)
 				}
 			}()
-			f()
+			NewMeterLite(width)
 		}()
 	}
 }
@@ -190,7 +168,7 @@ func TestMeterLitePanics(t *testing.T) {
 // per-cycle and batch hot paths: 0 allocs/op.
 func TestMeterRecordAllocs(t *testing.T) {
 	trace := randomTrace(t, 256, 32, 7)
-	m := NewMeter(32)
+	m := NewMeterLite(32)
 	i := 0
 	if allocs := testing.AllocsPerRun(1000, func() {
 		m.Record(trace[i&255])
@@ -198,74 +176,45 @@ func TestMeterRecordAllocs(t *testing.T) {
 	}); allocs != 0 {
 		t.Fatalf("Meter.Record allocates %v times per op, want 0", allocs)
 	}
-	lite := NewMeterLite(32)
 	if allocs := testing.AllocsPerRun(100, func() {
-		lite.RecordTrace(trace)
+		RecordValues(m, trace)
 	}); allocs != 0 {
-		t.Fatalf("Meter.RecordTrace allocates %v times per op, want 0", allocs)
+		t.Fatalf("RecordValues allocates %v times per op, want 0", allocs)
 	}
 }
 
 // TestMeterStreamMatchesBatch is the property test for the incremental
 // recording front-end: streaming each word through MeterStream.Record
 // (with flushes interleaved at arbitrary points) must equal the buffered
-// Record(0)+RecordTrace(buf) path on every statistic, for lite and
-// histogram meters across widths.
+// Record(0)+RecordValues(buf) path on every statistic, across widths.
 func TestMeterStreamMatchesBatch(t *testing.T) {
 	for _, width := range []int{1, 2, 33, 64} {
-		for _, detailed := range []bool{false, true} {
-			trace := randomTrace(t, 3000, width, int64(width)*104729+boolSeed(detailed))
-			mk := NewMeterLite
-			if detailed {
-				mk = NewMeter
-			}
-			batch := mk(width)
-			batch.Record(0)
-			batch.RecordTrace(trace)
+		trace := randomTrace(t, 3000, width, int64(width)*104729)
+		batch := NewMeterLite(width)
+		batch.Record(0)
+		RecordValues(batch, trace)
 
-			streamed := mk(width)
-			st := streamed.Stream()
-			st.Record(0)
-			for i, w := range trace {
-				st.Record(w)
-				if i%997 == 0 {
-					st.Flush() // the stream must survive interleaved flushes
-				}
-			}
-			st.Flush()
-
-			if streamed.Cycles() != batch.Cycles() ||
-				streamed.Transitions() != batch.Transitions() ||
-				streamed.Couplings() != batch.Couplings() ||
-				streamed.State() != batch.State() {
-				t.Fatalf("width %d detailed=%v: stream (%d,%d,%d,%#x) != batch (%d,%d,%d,%#x)",
-					width, detailed,
-					streamed.Cycles(), streamed.Transitions(), streamed.Couplings(), streamed.State(),
-					batch.Cycles(), batch.Transitions(), batch.Couplings(), batch.State())
-			}
-			if detailed {
-				for n := 0; n < width; n++ {
-					if streamed.WireTransitions(n) != batch.WireTransitions(n) {
-						t.Fatalf("width %d wire %d: stream %d != batch %d",
-							width, n, streamed.WireTransitions(n), batch.WireTransitions(n))
-					}
-				}
-				for n := 0; n < width-1; n++ {
-					if streamed.PairCouplings(n) != batch.PairCouplings(n) {
-						t.Fatalf("width %d pair %d: stream %d != batch %d",
-							width, n, streamed.PairCouplings(n), batch.PairCouplings(n))
-					}
-				}
+		streamed := NewMeterLite(width)
+		st := streamed.Stream()
+		st.Record(0)
+		for i, w := range trace {
+			st.Record(w)
+			if i%997 == 0 {
+				st.Flush() // the stream must survive interleaved flushes
 			}
 		}
-	}
-}
+		st.Flush()
 
-func boolSeed(b bool) int64 {
-	if b {
-		return 1
+		if streamed.Cycles() != batch.Cycles() ||
+			streamed.Transitions() != batch.Transitions() ||
+			streamed.Couplings() != batch.Couplings() ||
+			streamed.State() != batch.State() {
+			t.Fatalf("width %d: stream (%d,%d,%d,%#x) != batch (%d,%d,%d,%#x)",
+				width,
+				streamed.Cycles(), streamed.Transitions(), streamed.Couplings(), streamed.State(),
+				batch.Cycles(), batch.Transitions(), batch.Couplings(), batch.State())
+		}
 	}
-	return 0
 }
 
 // TestMeterStreamContinuesMeter pins that a stream picks up the meter's
@@ -368,8 +317,7 @@ func TestMeterStreamAddBlockMatchesReference(t *testing.T) {
 	}
 }
 
-// TestMeterStreamAddBlockPreconditions: AddBlock refuses a histogram
-// meter (it cannot split a block's counts across wires) and a stream with
+// TestMeterStreamAddBlockPreconditions: AddBlock refuses a stream with
 // no recorded word yet (the block's first transition would have no
 // starting state), while an empty block is always a no-op.
 func TestMeterStreamAddBlockPreconditions(t *testing.T) {
@@ -384,26 +332,19 @@ func TestMeterStreamAddBlockPreconditions(t *testing.T) {
 	}
 	fresh.AddBlock(0, 0, 0, 0xF)
 	fresh.Flush()
-	if !panics(func() { st := NewMeter(8).Stream(); st.Record(1); st.AddBlock(1, 1, 1, 0) }) {
-		t.Error("AddBlock on a histogram meter did not panic")
-	}
 }
 
 // TestMeterCloneDetaches verifies Clone copies every statistic and that
 // mutating the original afterwards leaves the clone untouched.
 func TestMeterCloneDetaches(t *testing.T) {
-	m := NewMeter(8)
-	m.RecordTrace(randomTrace(t, 200, 8, 11))
+	m := NewMeterLite(8)
+	RecordValues(m, randomTrace(t, 200, 8, 11))
 	c := m.Clone()
-	wantCycles, wantTrans, wantCoup := m.Cycles(), m.Transitions(), m.Couplings()
-	wantWire0, wantPair0 := m.WireTransitions(0), m.PairCouplings(0)
-	m.RecordTrace(randomTrace(t, 200, 8, 13))
-	if c.Cycles() != wantCycles || c.Transitions() != wantTrans || c.Couplings() != wantCoup {
-		t.Fatalf("clone mutated by original: (%d,%d,%d) != (%d,%d,%d)",
-			c.Cycles(), c.Transitions(), c.Couplings(), wantCycles, wantTrans, wantCoup)
-	}
-	if c.WireTransitions(0) != wantWire0 || c.PairCouplings(0) != wantPair0 {
-		t.Fatalf("clone histograms share storage with original")
+	wantCycles, wantTrans, wantCoup, wantState := m.Cycles(), m.Transitions(), m.Couplings(), m.State()
+	RecordValues(m, randomTrace(t, 200, 8, 13))
+	if c.Cycles() != wantCycles || c.Transitions() != wantTrans || c.Couplings() != wantCoup || c.State() != wantState {
+		t.Fatalf("clone mutated by original: (%d,%d,%d,%#x) != (%d,%d,%d,%#x)",
+			c.Cycles(), c.Transitions(), c.Couplings(), c.State(), wantCycles, wantTrans, wantCoup, wantState)
 	}
 }
 
@@ -421,4 +362,114 @@ func TestMeterStreamAllocs(t *testing.T) {
 	}); allocs != 0 {
 		t.Fatalf("MeterStream path allocates %v times per op, want 0", allocs)
 	}
+}
+
+// FuzzMeterMatchesReference differences every production accounting path
+// against the bit-serial oracle on an arbitrary width (1..64) and word
+// sequence: Activity per cycle, Meter.Record per word, RecordValues in
+// two calls split at an arbitrary point, and a MeterStream fed by blocks
+// that are Recorded word by word or folded in with AddBlock (the
+// oracle's counts over the block), flushed at arbitrary points. Words
+// carry bits above the width, which every path must ignore.
+func FuzzMeterMatchesReference(f *testing.F) {
+	f.Add(uint8(31), []byte("\x00\x00\x00\x00\x00\x00\x00\x00\xff\xff\xff\xff\x00\x00\x00\x00\x55\x55\x55\x55"), []byte{1, 2, 3})
+	f.Add(uint8(0), []byte{1, 0, 0, 0, 0, 0, 0, 0, 0}, []byte{})
+	f.Add(uint8(63), []byte("\xaa\xaa\xaa\xaa\xaa\xaa\xaa\xaa\x55\x55\x55\x55\x55\x55\x55\x55"), []byte{0xfe, 0xff})
+	f.Add(uint8(1), []byte("\x01\x02\x03\x00\x00\x00\x00\x00\x01"), []byte{6, 7, 0xc1})
+	f.Fuzz(func(t *testing.T, rawWidth uint8, data, ops []byte) {
+		width := 1 + int(rawWidth%MaxWidth)
+		var trace []Word
+		for len(data) > 0 && len(trace) < 4096 {
+			var chunk [8]byte
+			data = data[copy(chunk[:], data):]
+			trace = append(trace, Word(binary.LittleEndian.Uint64(chunk[:])))
+		}
+		if len(trace) == 0 {
+			return
+		}
+		mask, pairMask := Mask(width), Mask(width-1)
+
+		// Oracle prefix totals: after[i] holds the counts once
+		// trace[:i+1] has been recorded.
+		type totals struct{ cycles, transitions, couplings uint64 }
+		ref := newReferenceMeter(width)
+		after := make([]totals, len(trace))
+		states := make([]Word, len(trace))
+		rec := NewMeterLite(width)
+		for i, w := range trace {
+			ref.Record(w)
+			rec.Record(w)
+			after[i] = totals{ref.cycles, ref.transitions, ref.couplings}
+			states[i] = ref.state()
+			if i == 0 {
+				continue
+			}
+			tr, c := Activity(states[i-1], states[i-1]^(w&mask), pairMask)
+			if tr != after[i].transitions-after[i-1].transitions || c != after[i].couplings-after[i-1].couplings {
+				t.Fatalf("width %d cycle %d: Activity (%d, %d), reference (%d, %d)", width, i, tr, c,
+					after[i].transitions-after[i-1].transitions, after[i].couplings-after[i-1].couplings)
+			}
+		}
+		check := func(name string, m *Meter, n int) {
+			t.Helper()
+			w := after[n-1]
+			if m.Cycles() != w.cycles || m.Transitions() != w.transitions ||
+				m.Couplings() != w.couplings || m.State() != states[n-1] {
+				t.Fatalf("width %d %s after %d words: (%d, %d, %d, %#x), reference (%d, %d, %d, %#x)",
+					width, name, n, m.Cycles(), m.Transitions(), m.Couplings(), m.State(),
+					w.cycles, w.transitions, w.couplings, states[n-1])
+			}
+		}
+		check("Record", rec, len(trace))
+
+		split := 0
+		if len(ops) > 0 {
+			split = int(ops[0]) * len(trace) / 256
+		}
+		batch := NewMeterLite(width)
+		RecordValues(batch, trace[:split])
+		RecordValues(batch, trace[split:])
+		check("RecordValues", batch, len(trace))
+
+		// Each op byte picks a block length from its high six bits (the
+		// top values reach past the staging chunk) and, from its low
+		// two, whether the block is Recorded, Recorded then Flushed, or
+		// folded in with AddBlock. Words past the last op are Recorded.
+		streamed := NewMeterLite(width)
+		st := streamed.Stream()
+		st.Record(trace[0]) // AddBlock needs the power-up state pinned
+		pos := 1
+		for _, op := range ops {
+			n := int(op >> 2)
+			if n >= 48 {
+				n = (n - 47) * streamChunk / 4
+			}
+			n = min(n, len(trace)-pos)
+			block := trace[pos : pos+n]
+			if op&3 == 2 {
+				var cycles, trans, coup uint64
+				last := ^Word(0) // an empty block's last word is ignored
+				if n > 0 {
+					prev, end := after[pos-1], after[pos+n-1]
+					cycles, trans, coup = end.cycles-prev.cycles, end.transitions-prev.transitions, end.couplings-prev.couplings
+					last = block[n-1]
+				}
+				st.AddBlock(cycles, trans, coup, last)
+			} else {
+				for _, w := range block {
+					st.Record(w)
+				}
+			}
+			pos += n
+			if op&3 == 3 {
+				st.Flush()
+				check("MeterStream", streamed, pos)
+			}
+		}
+		for _, w := range trace[pos:] {
+			st.Record(w)
+		}
+		st.Flush()
+		check("MeterStream", streamed, len(trace))
+	})
 }

@@ -47,9 +47,9 @@ type channel struct {
 	lambdaIsInt bool
 
 	// accT/accC accumulate the Σ transition and coupling counts of every
-	// send since the last beginBlock, with exactly the arithmetic
-	// MeterStream.drain applies to consecutive bus states (sendRaw's cost
-	// evaluation computes both for the chosen candidate anyway). Bulk
+	// send since the last beginBlock: bus.Activity's counts, which
+	// MeterStream.drain also applies to consecutive bus states (sendRaw's
+	// closed form computes the same counts for the chosen candidate). Bulk
 	// encode paths zero them with beginBlock, skip per-cycle stream
 	// records, and fold the run into their meter with one
 	// MeterStream.AddBlock; single-step paths that still record each
@@ -91,11 +91,9 @@ func (c *channel) busWidth() int { return c.width + 2 }
 // sendCode applies the codeword as a transition vector to the data wires.
 func (c *channel) sendCode(code bus.Word) bus.Word {
 	t := code & c.dataMask
-	if t != 0 {
-		old := c.state
-		c.accT += uint64(bus.Weight(t))
-		c.accC += couplingEvents(t, old, c.pairMask)
-	}
+	tr, cp := bus.Activity(c.state, t, c.pairMask)
+	c.accT += tr
+	c.accC += cp
 	c.state ^= t
 	return c.state
 }
@@ -156,16 +154,6 @@ func (c *channel) sendRaw(v uint64) (bus.Word, bool) {
 	c.accC += cRaw ^ (cRaw^cInv)&sel
 	c.state = stRaw ^ (stRaw^stInv)&bus.Word(sel)
 	return c.state, inverted
-}
-
-// couplingEvents counts eq. (3) coupling events for transition vector t
-// applied to bus state old: single-toggle pairs cost 1, and both-toggle
-// pairs whose old bits differ (one wire rises as its neighbour falls)
-// cost 2.
-func couplingEvents(t, old, pm bus.Word) uint64 {
-	single := (t ^ t>>1) & pm
-	opposite := t & (t >> 1) & (old ^ old>>1) & pm
-	return uint64(bus.Weight(single)) + 2*uint64(bus.Weight(opposite))
 }
 
 func (c *channel) reset() { c.state, c.accT, c.accC = 0, 0, 0 }

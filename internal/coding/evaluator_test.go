@@ -67,7 +67,7 @@ func evaluateBuffered(ev *Evaluator, trace []uint64, lambda float64, raw *bus.Me
 	}
 	coded := bus.NewMeterLite(ev.enc.BusWidth())
 	coded.Record(0)
-	coded.RecordTrace(buf)
+	bus.RecordValues(coded, buf)
 	return ev.result(raw, coded, lambda), nil
 }
 

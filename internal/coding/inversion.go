@@ -182,9 +182,9 @@ func (e *inversionEncoder) encodeStream(vals []uint64, st *bus.MeterStream) {
 					best, bestCost = cand, cost
 				}
 			}
-			tv := state ^ best
-			accT += uint64(bus.Weight(tv))
-			accC += couplingEvents(tv, state, pairMask)
+			tr, c := bus.Activity(state, state^best, pairMask)
+			accT += tr
+			accC += c
 			state = best
 		}
 	} else {
@@ -200,9 +200,9 @@ func (e *inversionEncoder) encodeStream(vals []uint64, st *bus.MeterStream) {
 					best, bestCost = cand, cost
 				}
 			}
-			tv := state ^ best
-			accT += uint64(bus.Weight(tv))
-			accC += couplingEvents(tv, state, pairMask)
+			tr, c := bus.Activity(state, state^best, pairMask)
+			accT += tr
+			accC += c
 			state = best
 		}
 	}
