@@ -44,6 +44,9 @@
 // The serve subcommand exposes the same memoized evaluation engine as an
 // HTTP JSON API (POST /v1/eval, plus /v1/schemes, /v1/workloads,
 // /healthz and Prometheus-format /metrics); see "Serving" in README.md.
+// A byte-identical repeat of a request is answered from a fixed-size
+// cache of response bodies keyed by the raw request body; any other
+// spelling of the same request is answered by the evaluation memo.
 // Every answer is a pure function of the canonical request, so
 // independent replicas behind any load balancer return identical bytes
 // without coordinating (see "Scaling out" in README.md). A batch of

@@ -50,8 +50,6 @@ func runServe(args []string) error {
 		verbose  = fs.Bool("v", false, "log at debug level")
 		cacheDir = fs.String("trace-cache", "", "persistent trace cache directory (default: the per-user cache dir)")
 		noDisk   = fs.Bool("no-disk-cache", false, "disable the persistent trace cache")
-
-		respCache = fs.Int("resp-cache", 0, "marshalled-response LRU entries, in answers (0 = 2048)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -77,8 +75,6 @@ func runServe(args []string) error {
 		EnablePprof:    *pprofOn,
 		QuietAccessLog: *quietLog,
 		Logger:         logger,
-
-		ResponseCacheEntries: *respCache,
 	})
 
 	// SIGINT/SIGTERM start a graceful drain: the listener closes, /healthz

@@ -299,17 +299,6 @@ func testStreamMatchesEncode(t *testing.T, mk func() Transcoder, trace []uint64)
 	}
 }
 
-func TestStrideEncodeStreamMatchesEncode(t *testing.T) {
-	trace := gridTestTrace(16, 2500, 21)
-	testStreamMatchesEncode(t, func() Transcoder {
-		st, err := NewStride(16, 4, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st
-	}, trace)
-}
-
 func TestInversionEncodeStreamMatchesEncode(t *testing.T) {
 	trace := gridTestTrace(16, 2500, 22)
 	for _, lambda := range []float64{0, 1, 2.5} { // int and float cost paths

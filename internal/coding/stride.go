@@ -146,49 +146,6 @@ func (e *strideEncoder) Encode(v uint64) bus.Word {
 	return out
 }
 
-// encodeStream implements streamEncoder: the per-cycle algorithm of
-// Encode with the op counters hoisted into locals; the channel
-// self-accounts the run's Σ activity (see beginBlock), folded into the
-// meter stream with one AddBlock at the end.
-// TestStrideEncodeStreamMatchesEncode pins it cycle-for-cycle.
-func (e *strideEncoder) encodeStream(vals []uint64, st *bus.MeterStream) {
-	t := e.t
-	mask := uint64(e.ch.dataMask)
-	strides := t.strides
-	width := t.width
-	e.ch.beginBlock()
-	var lastHits, codeSends, rawSends, partial uint64
-	for _, v := range vals {
-		v &= mask
-		if v == e.hist.at(0) {
-			lastHits++
-		} else {
-			matched := -1
-			for k := 1; k <= strides; k++ {
-				partial++
-				if e.hist.predict(k, width) == v {
-					matched = k
-					break
-				}
-			}
-			if matched > 0 {
-				codeSends++
-				e.ch.sendCode(t.cb.Code(matched))
-			} else {
-				rawSends++
-				e.ch.sendRaw(v)
-			}
-		}
-		e.hist.push(v)
-	}
-	st.AddBlock(uint64(len(vals)), e.ch.accT, e.ch.accC, e.ch.state)
-	e.ops.Cycles += uint64(len(vals))
-	e.ops.LastHits += lastHits
-	e.ops.CodeSends += codeSends
-	e.ops.RawSends += rawSends
-	e.ops.PartialMatches += partial
-}
-
 func (e *strideEncoder) BusWidth() int { return e.ch.busWidth() }
 func (e *strideEncoder) Reset() {
 	e.hist.reset()

@@ -124,7 +124,7 @@ func TestRunAllValidatesUpFront(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "figXX") {
 		t.Fatalf("want unknown-id error, got %v", err)
 	}
-	if _, misses := workload.TraceCacheStats(); misses != 0 {
+	if misses := workload.Stats().MemMisses; misses != 0 {
 		t.Errorf("%d simulations ran before validation failed", misses)
 	}
 	if _, err := RunAll(context.Background(), quickCfg, nil, Options{}); err == nil {

@@ -39,8 +39,7 @@ type MemoStats struct {
 // moment the leader finishes and every coalesced waiter transparently
 // re-runs Do — one of them becomes the new leader under its own context
 // instead of all of them failing with an error their own contexts never
-// produced. Other non-deterministic failures can still be dropped
-// explicitly with Forget.
+// produced.
 //
 // The counters are atomics, not mu-guarded fields, so Stats is wait-free:
 // a metrics scrape under load observes them without contending with (or
@@ -163,23 +162,6 @@ func (c *sfMemo[K, V]) Peek(key K) (V, error, bool) {
 	}
 	var zero V
 	return zero, nil, false
-}
-
-// Forget drops the entry for key if its computation has completed. Do
-// already un-caches context errors on its own; Forget covers any other
-// failure a caller knows to be non-deterministic, which would otherwise
-// be replayed to every later request for the same key until the entry
-// aged out of the LRU. An in-flight entry is left alone: its waiters
-// already coalesced on it, and the computing caller will decide what to
-// do with the outcome.
-func (c *sfMemo[K, V]) Forget(key K) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.entries[key]; ok && e.done {
-		c.lru.Remove(e.elem)
-		delete(c.entries, key)
-		c.size.Store(int64(len(c.entries)))
-	}
 }
 
 // Stats returns a snapshot of the memo's counters. It is wait-free (pure

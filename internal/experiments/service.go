@@ -267,23 +267,6 @@ func (r *EvalRequest) sourceID(width int) (traceID, string) {
 	}
 }
 
-// RequestKey derives a request's canonical identity: the SHA-256 (hex)
-// of its canonical JSON encoding. The request must be in canonical form
-// (as ParseEvalRequest returns); two requests describing the same
-// evaluation — however their JSON was originally spelled — get the same
-// key. The serving layer's response cache is addressed by this key.
-func RequestKey(req EvalRequest) (string, error) {
-	if err := req.normalize(); err != nil {
-		return "", err
-	}
-	data, err := json.Marshal(req)
-	if err != nil {
-		return "", err
-	}
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:]), nil
-}
-
 // EvaluateRequest answers one evaluation request through the shared
 // memos: the trace comes from the two-layer trace cache (workload
 // sources) or the random/inline fast paths, the raw-bus meter and the

@@ -50,9 +50,6 @@ func TestMemoStatsReadableUnderLoad(t *testing.T) {
 					t.Errorf("Do(%d): %v", key, err)
 					return
 				}
-				if i%100 == 0 {
-					m.Forget(key)
-				}
 			}
 		}(w)
 	}
@@ -69,17 +66,17 @@ func TestMemoStatsReadableUnderLoad(t *testing.T) {
 }
 
 // TestMemoForgetDropsCancellationErrors: a context-cancelled evaluation
-// must not be served from the memo to later identical requests.
+// must not be served from the memo to later identical requests; Do drops
+// it on its own.
 func TestMemoForgetDropsCancellationErrors(t *testing.T) {
 	m := newSFMemo[string, int](8)
 	fail := func() (int, error) { return 0, context.Canceled }
 	if _, err := m.Do("k", fail); !errors.Is(err, context.Canceled) {
 		t.Fatalf("seeded error: %v", err)
 	}
-	m.Forget("k")
 	v, err := m.Do("k", func() (int, error) { return 7, nil })
 	if err != nil || v != 7 {
-		t.Fatalf("recompute after Forget: %d, %v (want 7, nil)", v, err)
+		t.Fatalf("recompute after a cancelled run: %d, %v (want 7, nil)", v, err)
 	}
 	// A deterministic error, by contrast, stays cached until it ages out.
 	boom := fmt.Errorf("deterministic failure")
@@ -174,7 +171,7 @@ func TestMemoCancelledLeaderDoesNotFailWaiters(t *testing.T) {
 
 // TestMemoCancelledLeaderWithNoWaiters: with nobody coalesced, a
 // context-cancelled computation simply leaves no entry behind — the next
-// caller for the key recomputes without needing Forget.
+// caller for the key recomputes.
 func TestMemoCancelledLeaderWithNoWaiters(t *testing.T) {
 	m := newSFMemo[string, int](8)
 	if _, err := m.Do("k", func() (int, error) { return 0, context.DeadlineExceeded }); !errors.Is(err, context.DeadlineExceeded) {

@@ -16,9 +16,10 @@ import (
 
 // handleEval answers POST /v1/eval: one experiments.EvalRequest in, one
 // experiments.EvalResponse out. The full pipeline is: body size limit →
-// raw-body response cache → strict parse/validate (400) → canonical
-// response cache → pool admission (429 when saturated) → per-request
-// timeout → memoized evaluation.
+// response cache keyed by the raw body → strict parse/validate (400) →
+// pool admission (429 when saturated) → per-request timeout → memoized
+// evaluation. EvaluateRequest builds the one transcoder, and its eval
+// memo answers a request spelled differently from an earlier one.
 func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
@@ -30,36 +31,18 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 		writeBodyError(w, err)
 		return
 	}
-	// Raw-body fast path: a repeated byte-identical request skips
-	// parsing, validation and canonicalization entirely. Only successful
-	// responses are ever cached (an error describes this request's
-	// admission or deadline, not the key's value), so the shortcut can
-	// never change an answer — at worst it misses and the full pipeline
-	// runs.
+	// A repeated byte-identical request skips the whole pipeline. Only
+	// successful responses are ever cached (an error describes this
+	// request's admission or deadline, not the body's answer), so the
+	// cache can never change an answer.
 	digest := sha256.Sum256(body)
-	if data, ok := s.respCache.getBody(digest); ok {
+	if data, ok := s.respCache.get(digest); ok {
 		writeJSONBytes(w, http.StatusOK, data)
 		return
 	}
 	req, err := experiments.ParseEvalRequest(body)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	// Scheme parameter *combinations* no constructor admits (e.g. spatial
-	// at width 32) only surface at build time; classify them as client
-	// errors here rather than letting the evaluation path 500 on them.
-	if _, err := coding.BuildScheme(req.Scheme); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	key, err := experiments.RequestKey(req)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if data, ok := s.respCache.get(key, digest); ok {
-		writeJSONBytes(w, http.StatusOK, data)
 		return
 	}
 	release, err := s.pool.acquire(r.Context())
@@ -91,8 +74,9 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 		case errors.Is(err, context.Canceled):
 			writeError(w, http.StatusServiceUnavailable, "request cancelled")
 		default:
-			// Validation re-runs inside EvaluateRequest; anything it
-			// rejects after the parse above is still a client error.
+			// Everything else EvaluateRequest rejects is the request's
+			// fault, e.g. scheme parameter combinations that parse but
+			// that no constructor admits (spatial at width 32).
 			writeError(w, http.StatusBadRequest, "%v", err)
 		}
 		return
@@ -103,7 +87,7 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	data = append(data, '\n') // exact writeJSON framing, so all paths are byte-identical
-	s.respCache.put(key, digest, data)
+	s.respCache.put(digest, data)
 	writeJSONBytes(w, http.StatusOK, data)
 }
 

@@ -502,62 +502,78 @@ func evalMemoLookups() uint64 {
 	return s.Hits + s.Misses
 }
 
-// TestResponseCacheReplay: a byte-identical replay is served from the
-// raw-body alias, and a re-spaced body of the same request misses the
-// alias but hits the canonical key, which moves the answer's one alias to
-// the re-spaced body; none reaches the evaluation engine, all return the
-// first answer's exact bytes, and the cache holds one answer throughout.
+// TestResponseCacheReplay: the response cache has one key, the digest of
+// the raw body. A cold request counts one miss; a byte-identical replay
+// hits without reaching the evaluation engine; a re-spaced body of the
+// same request misses the cache but is answered by the eval memo, with no
+// new memo miss and the same bytes, and takes a slot of its own; an
+// error is never stored; and the least recently used body is the one a
+// full cache evicts.
 func TestResponseCacheReplay(t *testing.T) {
 	srv := testServer(t, Options{RequestTimeout: 10 * time.Second})
+	srv.respCache = newRespCache(2)
 	h := srv.Handler()
-	body := evalBody("window:entries=8")
-	first := postEval(h, body)
-	if first.Code != http.StatusOK {
-		t.Fatalf("code %d: %s", first.Code, first.Body.String())
+	expect := func(step string, wantHits, wantMisses, wantEvictions uint64, wantEntries int) {
+		t.Helper()
+		if hits, misses, evictions, entries := srv.respCache.stats(); hits != wantHits || misses != wantMisses || evictions != wantEvictions || entries != wantEntries {
+			t.Fatalf("%s: hits %d misses %d evictions %d entries %d, want %d/%d/%d/%d",
+				step, hits, misses, evictions, entries, wantHits, wantMisses, wantEvictions, wantEntries)
+		}
 	}
-	want := first.Body.Bytes()
-	hits, misses, _, entries := srv.respCache.stats()
-	if hits != 0 || misses != 2 || entries != 1 {
-		t.Fatalf("after first eval: hits %d misses %d entries %d, want 0/2/1 (one answer for both keys)", hits, misses, entries)
+	post := func(step, body string) []byte {
+		t.Helper()
+		rec := postEval(h, body)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: code %d: %s", step, rec.Code, rec.Body.String())
+		}
+		return rec.Body.Bytes()
 	}
-	lookups := evalMemoLookups()
 
-	replay := postEval(h, body)
-	if replay.Code != http.StatusOK || !bytes.Equal(replay.Body.Bytes(), want) {
-		t.Fatalf("replay: code %d, body %s", replay.Code, replay.Body.String())
+	body := `{"values":[9,1,9,2,9,3,9,4,7],"scheme":"window:entries=4"}`
+	want := post("cold", body)
+	expect("cold", 0, 1, 0, 1)
+
+	lookups := evalMemoLookups()
+	if got := post("replay", body); !bytes.Equal(got, want) {
+		t.Fatalf("replay body %s, want %s", got, want)
 	}
-	if hits, misses, _, _ := srv.respCache.stats(); hits != 1 || misses != 2 {
-		t.Fatalf("replay: hits %d misses %d, want a single body-alias hit", hits, misses)
+	expect("replay", 1, 1, 0, 1)
+	if got := evalMemoLookups(); got != lookups {
+		t.Fatalf("a replay reached the eval memo: %d lookups, want %d", got, lookups)
 	}
 
 	respaced := strings.Replace(body, `],"`, `], "`, 1)
 	if respaced == body {
 		t.Fatalf("test body %q has no separator to respace", body)
 	}
-	canon := postEval(h, respaced)
-	if canon.Code != http.StatusOK || !bytes.Equal(canon.Body.Bytes(), want) {
-		t.Fatalf("re-spaced: code %d, body %s", canon.Code, canon.Body.String())
+	memo := experiments.EvalMemoStats()
+	if got := post("re-spaced", respaced); !bytes.Equal(got, want) {
+		t.Fatalf("re-spaced body %s, want %s", got, want)
 	}
-	hits, misses, _, entries = srv.respCache.stats()
-	if hits != 2 || misses != 3 || entries != 1 {
-		t.Fatalf("re-spaced: hits %d misses %d entries %d, want 2/3/1 (alias miss, canonical hit, alias moved)", hits, misses, entries)
+	expect("re-spaced", 1, 2, 0, 2)
+	if after := experiments.EvalMemoStats(); after.Hits != memo.Hits+1 || after.Misses != memo.Misses {
+		t.Fatalf("re-spaced: eval memo hits %d→%d misses %d→%d, want one hit and no miss",
+			memo.Hits, after.Hits, memo.Misses, after.Misses)
 	}
-	// The alias now names the re-spaced body, so the first body misses it
-	// and hits the canonical key again.
-	if again := postEval(h, body); again.Code != http.StatusOK || !bytes.Equal(again.Body.Bytes(), want) {
-		t.Fatalf("first body again: code %d, body %s", again.Code, again.Body.String())
+
+	bad := evalBody("spatial") // parses, but no constructor admits it
+	for i := 0; i < 2; i++ {
+		if rec := postEval(h, bad); rec.Code != http.StatusBadRequest {
+			t.Fatalf("unbuildable scheme: code %d, want 400", rec.Code)
+		}
 	}
-	if hits, misses, _, entries := srv.respCache.stats(); hits != 3 || misses != 4 || entries != 1 {
-		t.Fatalf("first body again: hits %d misses %d entries %d, want 3/4/1", hits, misses, entries)
-	}
-	if got := evalMemoLookups(); got != lookups {
-		t.Fatalf("cached replays reached the eval memo: %d lookups, want %d", got, lookups)
-	}
+	expect("error twice", 1, 4, 0, 2)
+
+	post("replay before eviction", body) // respaced is now least recently used
+	post("third body", evalBody("gray"))
+	expect("third body", 2, 5, 1, 2)
+	post("replay after eviction", body)
+	expect("replay after eviction", 3, 5, 1, 2)
 }
 
 // TestResponseCacheSkipsErrors: an error describes one request's
-// validity, admission or deadline, never the key's value, so neither
-// the body alias nor the canonical key may hold it.
+// validity, admission or deadline, never the body's answer, so the
+// response cache never holds it.
 func TestResponseCacheSkipsErrors(t *testing.T) {
 	srv := testServer(t, Options{Workers: 1, QueueDepth: -1, RequestTimeout: 10 * time.Second})
 	h := srv.Handler()
@@ -596,10 +612,11 @@ func TestResponseCacheSkipsErrors(t *testing.T) {
 
 // TestResponseCacheMetricsExposition: the response cache's counters
 // surface on /metrics. A one-answer cache makes every figure exact: the
-// first eval misses both keys, the replay hits the alias, and a second
-// request misses both keys and evicts the first answer.
+// first eval misses, the replay hits, and a second request misses and
+// evicts the first answer.
 func TestResponseCacheMetricsExposition(t *testing.T) {
-	srv := testServer(t, Options{ResponseCacheEntries: 1, RequestTimeout: 10 * time.Second})
+	srv := testServer(t, Options{RequestTimeout: 10 * time.Second})
+	srv.respCache = newRespCache(1)
 	h := srv.Handler()
 	for i, body := range []string{evalBody("gray"), evalBody("gray"), evalBody("window:entries=4")} {
 		if rec := postEval(h, body); rec.Code != http.StatusOK {
@@ -610,7 +627,7 @@ func TestResponseCacheMetricsExposition(t *testing.T) {
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
 	for _, want := range []string{
 		"buspower_response_cache_hits 1\n",
-		"buspower_response_cache_misses 4\n",
+		"buspower_response_cache_misses 2\n",
 		"buspower_response_cache_evictions 1\n",
 		"buspower_response_cache_entries 1\n",
 	} {
@@ -621,12 +638,13 @@ func TestResponseCacheMetricsExposition(t *testing.T) {
 }
 
 // TestResponseCacheOneSlotPerAnswer: N distinct requests, N at most the
-// cache's limit, keep N answers with no eviction, and each replay hits its
-// alias. One more request evicts the least recently used answer together
-// with its alias, so replaying that body misses both keys and evaluates.
+// cache's limit, keep N answers with no eviction, and each replay hits.
+// One more request evicts the least recently used answer, so replaying
+// that body misses and evaluates.
 func TestResponseCacheOneSlotPerAnswer(t *testing.T) {
 	const limit = 8
-	srv := testServer(t, Options{ResponseCacheEntries: limit, RequestTimeout: 10 * time.Second})
+	srv := testServer(t, Options{RequestTimeout: 10 * time.Second})
+	srv.respCache = newRespCache(limit)
 	h := srv.Handler()
 	body := func(i int) string { return fmt.Sprintf(`{"values":[1,2,3,%d],"scheme":"gray"}`, i) }
 	for i := 0; i < limit; i++ {
@@ -634,16 +652,16 @@ func TestResponseCacheOneSlotPerAnswer(t *testing.T) {
 			t.Fatalf("request %d: code %d", i, rec.Code)
 		}
 	}
-	if hits, misses, evictions, entries := srv.respCache.stats(); hits != 0 || misses != 2*limit || evictions != 0 || entries != limit {
-		t.Fatalf("%d distinct requests: hits %d misses %d evictions %d entries %d, want 0/%d/0/%d", limit, hits, misses, evictions, entries, 2*limit, limit)
+	if hits, misses, evictions, entries := srv.respCache.stats(); hits != 0 || misses != limit || evictions != 0 || entries != limit {
+		t.Fatalf("%d distinct requests: hits %d misses %d evictions %d entries %d, want 0/%d/0/%d", limit, hits, misses, evictions, entries, limit, limit)
 	}
 	for i := 1; i < limit; i++ { // replay all but the first, leaving it least recently used
 		if rec := postEval(h, body(i)); rec.Code != http.StatusOK {
 			t.Fatalf("replay %d: code %d", i, rec.Code)
 		}
 	}
-	if hits, misses, _, _ := srv.respCache.stats(); hits != limit-1 || misses != 2*limit {
-		t.Fatalf("replays: hits %d misses %d, want every replay an alias hit", hits, misses)
+	if hits, misses, _, _ := srv.respCache.stats(); hits != limit-1 || misses != limit {
+		t.Fatalf("replays: hits %d misses %d, want every replay a hit", hits, misses)
 	}
 	if rec := postEval(h, body(limit)); rec.Code != http.StatusOK {
 		t.Fatalf("request %d: code %d", limit, rec.Code)
@@ -651,18 +669,12 @@ func TestResponseCacheOneSlotPerAnswer(t *testing.T) {
 	if _, _, evictions, entries := srv.respCache.stats(); evictions != 1 || entries != limit {
 		t.Fatalf("one more answer: evictions %d entries %d, want 1/%d", evictions, entries, limit)
 	}
-	srv.respCache.mu.Lock()
-	aliases := len(srv.respCache.aliases)
-	srv.respCache.mu.Unlock()
-	if aliases != limit {
-		t.Fatalf("%d aliases for %d answers", aliases, limit)
-	}
 	lookups := evalMemoLookups()
 	if rec := postEval(h, body(0)); rec.Code != http.StatusOK {
 		t.Fatalf("evicted body: code %d", rec.Code)
 	}
-	if hits, misses, _, _ := srv.respCache.stats(); hits != limit-1 || misses != 2*limit+4 {
-		t.Fatalf("evicted body: hits %d misses %d, want its alias and key to miss", hits, misses)
+	if hits, misses, _, _ := srv.respCache.stats(); hits != limit-1 || misses != limit+2 {
+		t.Fatalf("evicted body: hits %d misses %d, want it to miss", hits, misses)
 	}
 	if evalMemoLookups() == lookups {
 		t.Fatal("the evicted answer was served without an evaluation")

@@ -6,21 +6,16 @@ import (
 	"sync/atomic"
 )
 
-// respCache is the serve-level response byte cache: canonical request
-// key → exact marshalled 200 response. A warm hit skips re-building the
-// transcoder and re-marshalling. Results are deterministic in the key
-// (the same argument the eval memo rests on), so entries never expire —
-// only LRU bounds apply.
-//
-// The LRU holds answers only, and limit counts answers. Each answer also
-// keeps at most one alias: the SHA-256 digest of the latest raw request
-// body that led to it, which lets a byte-identical repeat skip the
-// parse/canonicalize pipeline. Two bodies can canonicalize to one key, so
-// an alias is only ever a cache address; evicting an answer drops it.
+// respCache is the serve-level response byte cache: the SHA-256 digest of
+// a raw request body → the exact marshalled 200 response it got. A hit
+// skips parsing, the transcoder build, evaluation and marshalling.
+// Answers are deterministic in the body, so entries never expire; only
+// the LRU bound applies. A body spelled differently from a cached one
+// misses here and is answered by the eval memo, whose key (transcoder
+// configuration, trace identity, verify policy) already ignores spelling.
 type respCache struct {
 	mu      sync.Mutex
-	entries map[string]*list.Element   // canonical key → answer
-	aliases map[[32]byte]*list.Element // raw-body digest → answer
+	entries map[[32]byte]*list.Element // body digest → answer
 	lru     *list.List                 // front = most recently used
 	limit   int
 
@@ -30,31 +25,29 @@ type respCache struct {
 }
 
 type respEntry struct {
-	key      string
-	data     []byte
-	alias    [32]byte
-	hasAlias bool
+	digest [32]byte
+	data   []byte
 }
 
-// defaultResponseCacheEntries bounds the response cache in answers; at
-// the ~600 B a typical EvalResponse marshals to, the default costs about
-// 1.2 MiB of bodies.
-const defaultResponseCacheEntries = 2048
+// responseCacheEntries bounds the response cache in answers; at the
+// ~600 B a typical EvalResponse marshals to, that is about 1.2 MiB of
+// bodies.
+const responseCacheEntries = 2048
 
 func newRespCache(limit int) *respCache {
-	if limit <= 0 {
-		limit = defaultResponseCacheEntries
-	}
 	return &respCache{
-		entries: map[string]*list.Element{},
-		aliases: map[[32]byte]*list.Element{},
+		entries: map[[32]byte]*list.Element{},
 		lru:     list.New(),
 		limit:   limit,
 	}
 }
 
-// lookup counts a hit or a miss on e and, on a hit, marks it used.
-func (c *respCache) lookup(e *list.Element, ok bool) ([]byte, bool) {
+// get looks an answer up by the digest of its request body, counting a
+// hit or a miss and, on a hit, marking it used.
+func (c *respCache) get(digest [32]byte) ([]byte, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.entries[digest]
 	if !ok {
 		c.misses.Add(1)
 		return nil, false
@@ -64,66 +57,23 @@ func (c *respCache) lookup(e *list.Element, ok bool) ([]byte, bool) {
 	return e.Value.(*respEntry).data, true
 }
 
-// getBody looks an answer up by the digest of a raw request body.
-func (c *respCache) getBody(digest [32]byte) ([]byte, bool) {
+// put stores the answer for digest, evicting the least recently used
+// answers beyond the limit.
+func (c *respCache) put(digest [32]byte, data []byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.aliases[digest]
-	return c.lookup(e, ok)
-}
-
-// get looks an answer up by its canonical key and, on a hit, makes digest
-// (the body that asked for it) its alias.
-func (c *respCache) get(key string, digest [32]byte) ([]byte, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[key]
-	if ok {
-		c.setAlias(e, digest)
-	}
-	return c.lookup(e, ok)
-}
-
-// put stores the answer for key, with digest as its alias.
-func (c *respCache) put(key string, digest [32]byte, data []byte) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[key]
-	if ok {
+	if e, ok := c.entries[digest]; ok {
 		c.lru.MoveToFront(e)
 		e.Value.(*respEntry).data = data
-	} else {
-		e = c.lru.PushFront(&respEntry{key: key, data: data})
-		c.entries[key] = e
+		return
 	}
-	c.setAlias(e, digest)
+	c.entries[digest] = c.lru.PushFront(&respEntry{digest: digest, data: data})
 	for len(c.entries) > c.limit {
 		victim := c.lru.Back()
 		c.lru.Remove(victim)
-		v := victim.Value.(*respEntry)
-		delete(c.entries, v.key)
-		if v.hasAlias {
-			delete(c.aliases, v.alias)
-		}
+		delete(c.entries, victim.Value.(*respEntry).digest)
 		c.evictions.Add(1)
 	}
-}
-
-// setAlias makes digest the one alias of e, dropping e's previous alias
-// and taking digest from any other answer.
-func (c *respCache) setAlias(e *list.Element, digest [32]byte) {
-	ent := e.Value.(*respEntry)
-	if ent.hasAlias {
-		if ent.alias == digest {
-			return
-		}
-		delete(c.aliases, ent.alias)
-	}
-	if other, ok := c.aliases[digest]; ok {
-		other.Value.(*respEntry).hasAlias = false
-	}
-	c.aliases[digest] = e
-	ent.alias, ent.hasAlias = digest, true
 }
 
 // stats reports the lookup counters and the answers held.

@@ -40,10 +40,6 @@ type Options struct {
 	// Logger receives structured request and lifecycle logs; nil discards
 	// them.
 	Logger *slog.Logger
-
-	// ResponseCacheEntries bounds the marshalled-response LRU in answers
-	// (<= 0 means 2048).
-	ResponseCacheEntries int
 }
 
 // DefaultOptions returns the production defaults.
@@ -98,7 +94,7 @@ func NewServer(opts Options) *Server {
 		opts:      opts,
 		pool:      newPool(opts.Workers, opts.QueueDepth),
 		metrics:   newMetrics([]string{"eval", "schemes", "workloads", "healthz", "metrics"}),
-		respCache: newRespCache(opts.ResponseCacheEntries),
+		respCache: newRespCache(responseCacheEntries),
 		log:       log,
 		mux:       http.NewServeMux(),
 	}

@@ -233,18 +233,13 @@ func simulate(name string, cfg RunConfig) (tr ResidentTraces, mapped bool, err e
 	return tr, false, err
 }
 
-// TraceCacheStats reports the in-memory cache's counters: hits counts
-// calls served from a memoized or in-flight simulation, misses counts
-// simulations actually started. After any burst of concurrent Traces
-// calls for one key, misses increases by exactly 1.
-func TraceCacheStats() (hits, misses uint64) {
-	return cacheHits.Load(), cacheMisses.Load()
-}
-
 // CacheStats is a full accounting of both trace cache layers.
 type CacheStats struct {
-	// MemHits and MemMisses count the in-process memoization layer
-	// (same meaning as TraceCacheStats).
+	// MemHits and MemMisses count the in-process memoization layer:
+	// MemHits counts calls served from a memoized or in-flight
+	// simulation, MemMisses counts simulations actually started. After
+	// any burst of concurrent Traces calls for one key, MemMisses
+	// increases by exactly 1.
 	MemHits, MemMisses uint64
 	// DiskHits and DiskMisses count persistent-cache lookups; they stay
 	// zero while no cache directory is configured. Every memory miss

@@ -36,7 +36,8 @@ func TestTracesSingleFlight(t *testing.T) {
 			t.Errorf("caller %d got a different backing array — duplicate simulation", i)
 		}
 	}
-	hits, misses := TraceCacheStats()
+	st := Stats()
+	hits, misses := st.MemHits, st.MemMisses
 	if misses != 1 {
 		t.Errorf("misses = %d, want exactly 1 simulation", misses)
 	}
@@ -65,8 +66,7 @@ func TestTracesConcurrentDistinctKeys(t *testing.T) {
 		}
 	}
 	wg.Wait()
-	_, misses := TraceCacheStats()
-	if misses != uint64(len(names)) {
+	if misses := Stats().MemMisses; misses != uint64(len(names)) {
 		t.Errorf("misses = %d, want %d (one simulation per key)", misses, len(names))
 	}
 }
@@ -83,8 +83,7 @@ func TestTracesCachesErrors(t *testing.T) {
 	if _, err := Traces("no-such-benchmark", cfg); err == nil {
 		t.Fatal("cached lookup must repeat the failure")
 	}
-	_, misses := TraceCacheStats()
-	if misses != 1 {
+	if misses := Stats().MemMisses; misses != 1 {
 		t.Errorf("misses = %d, want 1 (error cached)", misses)
 	}
 }

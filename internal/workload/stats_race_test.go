@@ -6,9 +6,9 @@ import (
 )
 
 // TestStatsReadableDuringTraces is the -race regression test for the
-// cache-stats reporting paths: Stats and TraceCacheStats must be safely
-// readable while simulations and cache lookups are in flight — the serve
-// /metrics endpoint scrapes them continuously under load, and the -v
+// cache-stats reporting path: Stats must be safely readable while
+// simulations and cache lookups are in flight — the serve /metrics
+// endpoint scrapes it continuously under load, and the -v
 // reporting path reads them while late experiment goroutines may still
 // be touching the cache.
 func TestStatsReadableDuringTraces(t *testing.T) {
@@ -27,7 +27,7 @@ func TestStatsReadableDuringTraces(t *testing.T) {
 				default:
 				}
 				cs := Stats()
-				h, _ := TraceCacheStats()
+				h := Stats().MemHits
 				// Counters are monotone: a snapshot taken later can only
 				// be >= one taken earlier.
 				if h < cs.MemHits {

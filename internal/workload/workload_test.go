@@ -119,8 +119,8 @@ func TestTraceCaching(t *testing.T) {
 	if &a.Reg[0] != &b.Reg[0] || &a.addr.Data[0] != &b.addr.Data[0] {
 		t.Error("second lookup should hit the cache (same backing array)")
 	}
-	if hits, misses := TraceCacheStats(); hits != 1 || misses != 1 {
-		t.Errorf("hits/misses = %d/%d, want 1/1", hits, misses)
+	if st := Stats(); st.MemHits != 1 || st.MemMisses != 1 {
+		t.Errorf("hits/misses = %d/%d, want 1/1", st.MemHits, st.MemMisses)
 	}
 	x, err := Traces("li", cfg)
 	if err != nil {
@@ -151,8 +151,8 @@ func TestTraceCaching(t *testing.T) {
 			}
 		}
 	}
-	if hits, misses := TraceCacheStats(); hits != 3 || misses != 1 {
-		t.Errorf("hits/misses = %d/%d, want 3/1 (Traces reads the same cache)", hits, misses)
+	if st := Stats(); st.MemHits != 3 || st.MemMisses != 1 {
+		t.Errorf("hits/misses = %d/%d, want 3/1 (Traces reads the same cache)", st.MemHits, st.MemMisses)
 	}
 }
 
