@@ -1,13 +1,18 @@
-// Command transcode applies one of the paper's coding schemes to a bus
-// trace and reports the activity and energy consequences: transitions,
-// coupling events, normalized energy removed, and — for the window design
-// — break-even wire lengths per technology.
+// Command transcode applies one coding scheme to a bus trace and reports
+// the activity and energy consequences: transitions, coupling events,
+// normalized energy removed, and — for the window design — break-even
+// wire lengths per technology.
+//
+// The scheme is written in the grammar /v1/eval and buspower accept
+// (coding.ParseSchemeSpec): kind[:key=value,...]. -lambda is the Λ the
+// meters are read at; the coder's own assumed Λ is the spec's lambda=
+// key (default 1).
 //
 // Usage:
 //
-//	transcode -coder window-8 -in gcc.trc
-//	transcode -coder context-32x8 -workload gcc -bus reg
-//	transcode -coder businvert -workload swim -bus mem -lambda 0.67
+//	transcode -coder window:entries=8 -in gcc.trc
+//	transcode -coder context:table=32,sr=8 -workload gcc -bus reg
+//	transcode -coder businvert:lambda=0.67 -workload swim -bus mem -lambda 0.67
 package main
 
 import (
@@ -15,7 +20,6 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"strconv"
 	"strings"
 
 	"buspower/internal/circuit"
@@ -33,79 +37,13 @@ func main() {
 	}
 }
 
-// buildCoder parses a coder spec:
-//
-//	raw | businvert | inversion-N | spatial-W | stride-K |
-//	window-N | context-TxS | contextt-TxS (transition-based)
-func buildCoder(spec string, lambda float64) (coding.Transcoder, int, error) {
-	const width = 32
-	switch {
-	case spec == "raw":
-		return coding.NewRaw(width), 0, nil
-	case spec == "businvert":
-		tc, err := coding.NewBusInvert(width, lambda)
-		return tc, 0, err
-	case strings.HasPrefix(spec, "inversion-"):
-		n, err := strconv.Atoi(spec[len("inversion-"):])
-		if err != nil {
-			return nil, 0, fmt.Errorf("bad inversion spec %q", spec)
-		}
-		pats, err := coding.DefaultInversionPatterns(width, n)
-		if err != nil {
-			return nil, 0, err
-		}
-		tc, err := coding.NewInversion(width, pats, lambda)
-		return tc, 0, err
-	case strings.HasPrefix(spec, "spatial-"):
-		w, err := strconv.Atoi(spec[len("spatial-"):])
-		if err != nil {
-			return nil, 0, fmt.Errorf("bad spatial spec %q", spec)
-		}
-		tc, err := coding.NewSpatial(w)
-		return tc, 0, err
-	case strings.HasPrefix(spec, "stride-"):
-		k, err := strconv.Atoi(spec[len("stride-"):])
-		if err != nil {
-			return nil, 0, fmt.Errorf("bad stride spec %q", spec)
-		}
-		tc, err := coding.NewStride(width, k, lambda)
-		return tc, 0, err
-	case strings.HasPrefix(spec, "window-"):
-		n, err := strconv.Atoi(spec[len("window-"):])
-		if err != nil {
-			return nil, 0, fmt.Errorf("bad window spec %q", spec)
-		}
-		tc, err := coding.NewWindow(width, n, lambda)
-		return tc, n, err
-	case strings.HasPrefix(spec, "context-"), strings.HasPrefix(spec, "contextt-"):
-		transition := strings.HasPrefix(spec, "contextt-")
-		rest := strings.TrimPrefix(strings.TrimPrefix(spec, "contextt-"), "context-")
-		parts := strings.Split(rest, "x")
-		if len(parts) != 2 {
-			return nil, 0, fmt.Errorf("bad context spec %q (want context-<table>x<shift>)", spec)
-		}
-		tbl, err1 := strconv.Atoi(parts[0])
-		sr, err2 := strconv.Atoi(parts[1])
-		if err1 != nil || err2 != nil {
-			return nil, 0, fmt.Errorf("bad context spec %q", spec)
-		}
-		tc, err := coding.NewContext(coding.ContextConfig{
-			Width: width, TableSize: tbl, ShiftEntries: sr,
-			DividePeriod: 4096, TransitionBased: transition, Lambda: lambda,
-		})
-		return tc, tbl + sr, err
-	default:
-		return nil, 0, fmt.Errorf("unknown coder %q", spec)
-	}
-}
-
 func run() error {
 	var (
-		coder  = flag.String("coder", "window-8", "coding scheme (raw|businvert|inversion-N|spatial-W|stride-K|window-N|context-TxS|contextt-TxS)")
+		coder  = flag.String("coder", "window:entries=8", "coding scheme, kind[:key=value,...] (kinds: "+strings.Join(coding.SchemeKinds(), ", ")+")")
 		in     = flag.String("in", "", "input trace file (from tracegen)")
 		name   = flag.String("workload", "", "simulate this workload instead of reading a file")
 		bus    = flag.String("bus", "reg", "bus to capture with -workload: reg or mem")
-		lambda = flag.Float64("lambda", 1.0, "coupling ratio Λ for evaluation (and the coder's assumed Λ)")
+		lambda = flag.Float64("lambda", 1.0, "coupling ratio Λ the meters are read at (the coder's assumed Λ is the scheme's lambda= key)")
 		instrs = flag.Uint64("instrs", 1_500_000, "max simulated instructions with -workload")
 		values = flag.Int("values", 120_000, "max bus values with -workload")
 	)
@@ -141,7 +79,11 @@ func run() error {
 		return fmt.Errorf("need -in or -workload")
 	}
 
-	tc, entries, err := buildCoder(*coder, *lambda)
+	spec, err := coding.ParseSchemeSpec(*coder)
+	if err != nil {
+		return err
+	}
+	tc, err := spec.Build()
 	if err != nil {
 		return err
 	}
@@ -155,10 +97,10 @@ func run() error {
 	fmt.Printf("coded activity: %d transitions, %d coupling events\n", res.Coded.Transitions(), res.Coded.Couplings())
 	fmt.Printf("energy removed: %.2f%% (Λ=%g)\n", 100*res.EnergyRemoved(), *lambda)
 
-	if entries > 0 && res.Ops.Cycles > 0 && strings.HasPrefix(*coder, "window-") {
+	if spec.Kind == "window" && res.Ops.Cycles > 0 {
 		fmt.Println("\nbreak-even wire lengths (window design):")
 		for _, tech := range wire.Technologies() {
-			a, err := energy.NewAnalysis(tech, res, circuit.WindowDesign, entries)
+			a, err := energy.NewAnalysis(tech, res, circuit.WindowDesign, spec.Entries)
 			if err != nil {
 				return err
 			}

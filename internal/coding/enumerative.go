@@ -5,11 +5,11 @@ import (
 	"math/bits"
 )
 
-// Enumerative (combinatorial-number-system) machinery shared by the
-// optimal-codebook scheme families: optmem (Chee/Colbourn's optimal
-// memoryless encoding), vc (the Valentini–Chiani optimal scheme),
-// lowweight (their practical low-weight codes) and dvs (the Kaul-style
-// voltage-scaled variant).
+// Enumerative (combinatorial-number-system) machinery behind
+// BallTranscoder (ball.go), the one coder of the optimal-codebook scheme
+// families: optmem (Chee/Colbourn's optimal memoryless encoding), vc (the
+// Valentini–Chiani optimal scheme), lowweight (their practical low-weight
+// codes) and dvs (the Kaul-style voltage-scaled variant).
 //
 // All four map a k-bit data value to the value-th element of the Hamming
 // ball around 0 on n = k + r wires, enumerated by weight and then by

@@ -72,47 +72,27 @@ func TestBallRadius(t *testing.T) {
 // optimalConfigs returns the builders the round-trip, bound and
 // differential suites share, with the per-cycle toggle bound each
 // construction guarantees over the whole coded bus.
-func optimalConfigs(tb testing.TB, width int) map[string]struct {
-	build func() (Transcoder, error)
-	bound func(Transcoder) int
+func optimalConfigs(width int) map[string]struct {
+	build func() (*BallTranscoder, error)
+	bound func(*BallTranscoder) int
 } {
-	tb.Helper()
 	type cfg = struct {
-		build func() (Transcoder, error)
-		bound func(Transcoder) int
+		build func() (*BallTranscoder, error)
+		bound func(*BallTranscoder) int
 	}
+	// Memoryless codewords are weight-bounded, so a transition flips at
+	// most the union of two codewords' high wires.
+	memoryless := func(t *BallTranscoder) int { return 2 * t.Radius() }
+	transition := func(t *BallTranscoder) int { return t.Radius() }
 	return map[string]cfg{
-		"optmem+2": {
-			func() (Transcoder, error) { return NewOptMem(width, 2) },
-			// Memoryless codewords are weight-bounded, so a transition flips
-			// at most the union of two codewords' high wires.
-			func(t Transcoder) int { return 2 * t.(*OptMemTranscoder).MaxWeight() },
-		},
-		"optmem+4": {
-			func() (Transcoder, error) { return NewOptMem(width, 4) },
-			func(t Transcoder) int { return 2 * t.(*OptMemTranscoder).MaxWeight() },
-		},
-		"vc+1": {
-			func() (Transcoder, error) { return NewVC(width, 1) },
-			func(t Transcoder) int { return t.(*VCTranscoder).Radius() },
-		},
-		"vc+3": {
-			func() (Transcoder, error) { return NewVC(width, 3) },
-			func(t Transcoder) int { return t.(*VCTranscoder).Radius() },
-		},
-		"lowweight-g1+2": { // single group: degenerates to vc
-			func() (Transcoder, error) { return NewLowWeight(width, 1, 2) },
-			func(t Transcoder) int { return t.(*LowWeightTranscoder).WeightBudget() },
-		},
-		"lowweight-g4+1": {
-			func() (Transcoder, error) { return NewLowWeight(width, 4, 1) },
-			func(t Transcoder) int { return t.(*LowWeightTranscoder).WeightBudget() },
-		},
-		"dvs+2": {
-			func() (Transcoder, error) { return NewDVS(width, 2, 80) },
-			// The parity wire may toggle on top of the transition code.
-			func(t Transcoder) int { return t.(*DVSTranscoder).Radius() + 1 },
-		},
+		"optmem+2":       {func() (*BallTranscoder, error) { return NewOptMem(width, 2) }, memoryless},
+		"optmem+4":       {func() (*BallTranscoder, error) { return NewOptMem(width, 4) }, memoryless},
+		"vc+1":           {func() (*BallTranscoder, error) { return NewVC(width, 1) }, transition},
+		"vc+3":           {func() (*BallTranscoder, error) { return NewVC(width, 3) }, transition},
+		"lowweight-g1+2": {func() (*BallTranscoder, error) { return NewLowWeight(width, 1, 2) }, transition}, // degenerates to vc
+		"lowweight-g4+1": {func() (*BallTranscoder, error) { return NewLowWeight(width, 4, 1) }, transition},
+		// The parity wire may toggle on top of the transition code.
+		"dvs+2": {func() (*BallTranscoder, error) { return NewDVS(width, 2, 80) }, func(t *BallTranscoder) int { return t.Radius() + 1 }},
 	}
 }
 
@@ -145,10 +125,13 @@ func checkOptimalStream(t *testing.T, name string, tc Transcoder, bound int, val
 func TestOptimalRoundTripAndBounds(t *testing.T) {
 	for _, width := range []int{8, 32} {
 		vals := gridTestTrace(width, 4000, int64(width))
-		for name, c := range optimalConfigs(t, width) {
+		for name, c := range optimalConfigs(width) {
 			tc, err := c.build()
 			if err != nil {
 				t.Fatalf("%s(w%d): %v", name, width, err)
+			}
+			if got, want := tc.ToggleBound(), c.bound(tc); got != want {
+				t.Errorf("%s: ToggleBound %d, want %d", tc.Name(), got, want)
 			}
 			checkOptimalStream(t, tc.Name(), tc, c.bound(tc), vals)
 		}
@@ -166,8 +149,8 @@ func TestOptMemWeightBound(t *testing.T) {
 	enc := tc.NewEncoder()
 	for v := uint64(0); v < 1<<12; v++ {
 		w := uint64(enc.Encode(v))
-		if got := bits.OnesCount64(w); got > tc.MaxWeight() {
-			t.Fatalf("codeword for %#x has weight %d > bound %d", v, got, tc.MaxWeight())
+		if got := bits.OnesCount64(w); got > tc.Radius() {
+			t.Fatalf("codeword for %#x has weight %d > bound %d", v, got, tc.Radius())
 		}
 	}
 	if w := enc.Encode(0); w != 0 {
@@ -179,7 +162,7 @@ func TestOptMemWeightBound(t *testing.T) {
 // documented formula, which the unrank cache must not change.
 func TestOptimalOpsFormulaic(t *testing.T) {
 	vals := gridTestTrace(16, 777, 5)
-	for name, c := range optimalConfigs(t, 16) {
+	for name, c := range optimalConfigs(16) {
 		tc, err := c.build()
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -190,18 +173,7 @@ func TestOptimalOpsFormulaic(t *testing.T) {
 		}
 		ops := enc.(OpReporter).Ops()
 		n := uint64(len(vals))
-		var stages uint64
-		switch tt := tc.(type) {
-		case *OptMemTranscoder:
-			stages = uint64(tt.Stages())
-		case *VCTranscoder:
-			stages = uint64(tt.Stages())
-		case *LowWeightTranscoder:
-			stages = uint64(tt.Stages())
-		case *DVSTranscoder:
-			stages = uint64(tt.Stages())
-		}
-		want := OpStats{Cycles: n, CodeSends: n, CounterIncrements: n * stages}
+		want := OpStats{Cycles: n, CodeSends: n, CounterIncrements: n * uint64(tc.Stages())}
 		if ops != want {
 			t.Errorf("%s ops: got %+v want %+v", name, ops, want)
 		}
@@ -230,8 +202,8 @@ func TestLowWeightCheaperThanVC(t *testing.T) {
 	if lw.Stages() >= vc.Stages() {
 		t.Errorf("lowweight datapath (%d stages) should be smaller than vc's (%d)", lw.Stages(), vc.Stages())
 	}
-	if lw.WeightBudget() < vc.Radius() {
-		t.Errorf("lowweight budget %d below the monolithic radius %d — too good to be true", lw.WeightBudget(), vc.Radius())
+	if lw.Radius() < vc.Radius() {
+		t.Errorf("lowweight budget %d below the monolithic radius %d — too good to be true", lw.Radius(), vc.Radius())
 	}
 }
 
@@ -275,7 +247,7 @@ func FuzzOptimalRoundTrip(f *testing.F) {
 			return
 		}
 		vals := fuzzValues(data)
-		for name, c := range optimalConfigs(t, 16) {
+		for name, c := range optimalConfigs(16) {
 			tc, err := c.build()
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
@@ -287,36 +259,30 @@ func FuzzOptimalRoundTrip(f *testing.F) {
 }
 
 // enumReference returns a per-cycle reference encoder for an
-// enumerative coder that unranks every value afresh, bypassing the
-// encoder's unrank cache: the memoryless codeword for optmem, and the
-// prefix XOR of the transition vectors for the transition codes.
-func enumReference(t *testing.T, tc Transcoder) func(v uint64) bus.Word {
-	t.Helper()
+// enumerative coder that computes every image afresh, bypassing the
+// encoder's unrank cache: the image itself for optmem, and the prefix XOR
+// of the images for the transition codes.
+func enumReference(tc *BallTranscoder) func(v uint64) bus.Word {
 	var state uint64
-	switch tt := tc.(type) {
-	case *OptMemTranscoder:
-		return func(v uint64) bus.Word { return bus.Word(ballUnrank(tt.wires, v)) }
-	case *VCTranscoder:
-		return func(v uint64) bus.Word { state ^= ballUnrank(tt.wires, v); return bus.Word(state) }
-	case *LowWeightTranscoder:
-		return func(v uint64) bus.Word { state ^= tt.transition(v); return bus.Word(state) }
-	case *DVSTranscoder:
-		return func(v uint64) bus.Word { state ^= tt.transition(v); return bus.Word(state) }
+	return func(v uint64) bus.Word {
+		if !tc.transition {
+			return bus.Word(tc.image(v))
+		}
+		state ^= tc.image(v)
+		return bus.Word(state)
 	}
-	t.Fatalf("%s: no reference encoder", tc.Name())
-	return nil
 }
 
 // diffUnrankCache checks that the cached encoder's words equal the
 // uncached reference on every cycle, across a Reset that keeps the
 // cache warm.
-func diffUnrankCache(t *testing.T, name string, tc Transcoder, vals []uint64) {
+func diffUnrankCache(t *testing.T, name string, tc *BallTranscoder, vals []uint64) {
 	t.Helper()
 	enc := tc.NewEncoder()
 	mask := uint64(bus.Mask(tc.DataWidth()))
 	for pass := 0; pass < 2; pass++ {
 		enc.Reset()
-		ref := enumReference(t, tc)
+		ref := enumReference(tc)
 		for i, v := range vals {
 			v &= mask
 			if got, want := enc.Encode(v), ref(v); got != want {
@@ -347,7 +313,7 @@ func TestUnrankCacheCollisions(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		vals = append(vals, same[i%3], same[i%len(same)])
 	}
-	for name, c := range optimalConfigs(t, width) {
+	for name, c := range optimalConfigs(width) {
 		tc, err := c.build()
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"buspower/internal/bus"
 	"buspower/internal/circuit"
 	"buspower/internal/coding"
 	"buspower/internal/energy"
@@ -23,24 +22,14 @@ func init() {
 	register(Runner{ID: "table3", Title: "Median crossover lengths for the window-based design (Table 3)", Run: runTable3})
 }
 
-// windowResultFor returns the memoized evaluation of a window transcoder
-// on one workload bus. The energy figures previously kept a private memo
-// for these; they now share the package-wide result memo with every other
-// runner, and a hit skips even the trace-cache lookup.
+// windowResultFor is workloadResult for an entries-deep window
+// transcoder.
 func windowResultFor(name, busName string, entries int, cfg Config) (coding.Result, error) {
 	win, err := coding.NewWindow(busWidth, entries, evalLambda)
 	if err != nil {
 		return coding.Result{}, err
 	}
-	return evalResultKeyed(win, workloadTraceID(name, busName, cfg), evalLambda, cfg,
-		func() ([]uint32, *bus.Meter, error) {
-			tr, err := busTrace(name, busName, cfg)
-			if err != nil {
-				return nil, nil, err
-			}
-			raw := rawMeterFor(name, busName, cfg, tr)
-			return tr, raw, nil
-		})
+	return workloadResult(win, name, busName, cfg)
 }
 
 func runFig26(cfg Config) (*Table, error) {
@@ -67,12 +56,7 @@ func runFig26(cfg Config) (*Table, error) {
 		}
 		sum := 0.0
 		for _, name := range names {
-			tr, err := busTrace(name, "reg", cfg)
-			if err != nil {
-				return 0, err
-			}
-			raw := rawMeterFor(name, "reg", cfg, tr)
-			res, err := evalResult(tc, workloadTraceID(name, "reg", cfg), tr, evalLambda, raw, cfg)
+			res, err := workloadResult(tc, name, "reg", cfg)
 			if err != nil {
 				return 0, err
 			}

@@ -94,14 +94,9 @@ func runExtCtx(cfg Config) (*Table, error) {
 		}
 		var savings, xovers []float64
 		for _, name := range names {
-			tr, err := busTrace(name, "reg", cfg)
-			if err != nil {
-				return err
-			}
-			raw := rawMeterFor(name, "reg", cfg, tr)
 			// The same (transcoder, trace, Λ) evaluation repeats across the
 			// technology axis; the memo collapses those to one computation.
-			res, err := evalResult(tc, workloadTraceID(name, "reg", cfg), tr, evalLambda, raw, cfg)
+			res, err := workloadResult(tc, name, "reg", cfg)
 			if err != nil {
 				return err
 			}

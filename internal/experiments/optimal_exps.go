@@ -47,31 +47,25 @@ func init() {
 const optRefLenMM = 10.0
 
 // optAnalysis builds the energy analysis for one of the optimal-codebook
-// transcoders. All four map to the enumerative rank/unrank datapath
-// (circuit.EnumerativeDesign) sized by their Stages(); the DVS scheme
-// additionally rescales the coded side of the ledger to its reduced rail
-// and is charged the Razor-style error-detection overhead on every coded
-// wire.
+// transcoders. All four are one coding.BallTranscoder, priced as the
+// enumerative rank/unrank datapath (circuit.EnumerativeDesign) sized by
+// its Stages(); the DVS scheme (the one with a parity wire) additionally
+// rescales the coded side of the ledger to its reduced rail and is
+// charged the Razor-style error-detection overhead on every coded wire.
 func optAnalysis(tech wire.Technology, res coding.Result, tc coding.Transcoder) (energy.Analysis, error) {
-	switch t := tc.(type) {
-	case *coding.OptMemTranscoder:
-		return energy.NewAnalysis(tech, res, circuit.EnumerativeDesign, t.Stages())
-	case *coding.VCTranscoder:
-		return energy.NewAnalysis(tech, res, circuit.EnumerativeDesign, t.Stages())
-	case *coding.LowWeightTranscoder:
-		return energy.NewAnalysis(tech, res, circuit.EnumerativeDesign, t.Stages())
-	case *coding.DVSTranscoder:
-		a, err := energy.NewAnalysis(tech, res, circuit.EnumerativeDesign, t.Stages())
-		if err != nil {
-			return energy.Analysis{}, err
-		}
-		ec, err := circuit.DVSOverheadPJ(tech, t.BusWidth())
-		if err != nil {
-			return energy.Analysis{}, err
-		}
-		return a.WithVoltageScale(t.VoltageScale(), ec), nil
+	t, ok := tc.(*coding.BallTranscoder)
+	if !ok {
+		return energy.Analysis{}, fmt.Errorf("experiments: %s is not an optimal-codebook transcoder", tc.Name())
 	}
-	return energy.Analysis{}, fmt.Errorf("experiments: %s is not an optimal-codebook transcoder", tc.Name())
+	a, err := energy.NewAnalysis(tech, res, circuit.EnumerativeDesign, t.Stages())
+	if err != nil || !t.Parity() {
+		return a, err
+	}
+	ec, err := circuit.DVSOverheadPJ(tech, t.BusWidth())
+	if err != nil {
+		return energy.Analysis{}, err
+	}
+	return a.WithVoltageScale(t.VoltageScale(), ec), nil
 }
 
 // runExtOpt races the four optimal-codebook families against two of the
@@ -163,14 +157,9 @@ func runExtXover(cfg Config) (*Table, error) {
 		}
 		var savings, ratios, xovers []float64
 		for _, name := range names {
-			tr, err := busTrace(name, "reg", cfg)
-			if err != nil {
-				return err
-			}
-			raw := rawMeterFor(name, "reg", cfg, tr)
 			// The evaluation memo collapses the technology axis: the same
 			// (transcoder, trace, Λ) measurement serves all three nodes.
-			res, err := evalResult(tc, workloadTraceID(name, "reg", cfg), tr, evalLambda, raw, cfg)
+			res, err := workloadResult(tc, name, "reg", cfg)
 			if err != nil {
 				return err
 			}
@@ -224,12 +213,7 @@ func runExtDvs(cfg Config) (*Table, error) {
 		}
 		var savings, ratios, xovers []float64
 		for _, name := range names {
-			tr, err := busTrace(name, "reg", cfg)
-			if err != nil {
-				return err
-			}
-			raw := rawMeterFor(name, "reg", cfg, tr)
-			res, err := evalResult(tc, workloadTraceID(name, "reg", cfg), tr, evalLambda, raw, cfg)
+			res, err := workloadResult(tc, name, "reg", cfg)
 			if err != nil {
 				return err
 			}

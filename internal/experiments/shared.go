@@ -234,7 +234,7 @@ type gridPoint struct {
 }
 
 // evalGridPoints evaluates a whole family of sweep points on one trace,
-// preserving the per-point result-memo contract of evalResult: memoized
+// preserving the per-point result-memo contract of evalResultKeyed: memoized
 // points are served from the cache (Peek — a hit), and every miss is
 // batched into a single coding.EvaluateGrid pass over the trace, which
 // fans equal-config points out from one encode and replays one stride
@@ -244,7 +244,7 @@ type gridPoint struct {
 // in a regen pass. Each grid result is then published through the memo
 // under its own key (recording the miss), so scalar and grid callers
 // share one cache and identical hit/miss accounting. Results are
-// bit-identical to per-point evalResult calls — the grid engine is
+// bit-identical to per-point evalResultKeyed calls — the grid engine is
 // differentially tested against the scalar evaluator cell by cell.
 func evalGridPoints(points []gridPoint, id traceID, tr []uint32, raw *bus.Meter, cfg Config) ([]coding.Result, error) {
 	out := make([]coding.Result, len(points))
@@ -289,10 +289,16 @@ func evalGridPoints(points []gridPoint, id traceID, tr []uint32, raw *bus.Meter,
 	return out, nil
 }
 
-// evalResult is evalResultKeyed for callers that already hold the trace
-// and its raw meter.
-func evalResult(tc coding.Transcoder, id traceID, tr []uint32, lambda float64, raw *bus.Meter, cfg Config) (coding.Result, error) {
-	return evalResultKeyed(tc, id, lambda, cfg, func() ([]uint32, *bus.Meter, error) {
-		return tr, raw, nil
-	})
+// workloadResult returns the memoized evaluation of tc on one workload
+// bus at evalLambda. The trace and its shared raw meter are fetched only
+// on a miss, so a hit skips even the trace-cache lookup.
+func workloadResult(tc coding.Transcoder, name, busName string, cfg Config) (coding.Result, error) {
+	return evalResultKeyed(tc, workloadTraceID(name, busName, cfg), evalLambda, cfg,
+		func() ([]uint32, *bus.Meter, error) {
+			tr, err := busTrace(name, busName, cfg)
+			if err != nil {
+				return nil, nil, err
+			}
+			return tr, rawMeterFor(name, busName, cfg, tr), nil
+		})
 }

@@ -217,7 +217,7 @@ func TestMemoResetKeepsInFlight(t *testing.T) {
 }
 
 // TestEvalResultMemoizes exercises the package-level result memo through
-// evalResult: a second call with a rebuilt identical transcoder must hit
+// evalResultKeyed: a second call with a rebuilt identical transcoder must hit
 // (keyed on the canonical config, not the instance), the retained Result
 // must be detached from the evaluator's reused coded meter, and a
 // different Λ or verify policy must miss.
@@ -238,8 +238,11 @@ func TestEvalResultMemoizes(t *testing.T) {
 		}
 		return win
 	}
+	evalResult := func(tc coding.Transcoder, lambda float64, cfg Config) (coding.Result, error) {
+		return evalResultKeyed(tc, id, lambda, cfg, func() ([]uint32, *bus.Meter, error) { return vals, raw, nil })
+	}
 	before := EvalMemoStats()
-	a, err := evalResult(build(), id, vals, evalLambda, raw, cfg)
+	a, err := evalResult(build(), evalLambda, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,10 +252,10 @@ func TestEvalResultMemoizes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := evalResult(other, id, vals, evalLambda, raw, cfg); err != nil {
+	if _, err := evalResult(other, evalLambda, cfg); err != nil {
 		t.Fatal(err)
 	}
-	b, err := evalResult(build(), id, vals, evalLambda, raw, cfg) // rebuilt instance: must hit
+	b, err := evalResult(build(), evalLambda, cfg) // rebuilt instance: must hit
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +272,7 @@ func TestEvalResultMemoizes(t *testing.T) {
 	// A different metered Λ shares the same entry — encoder output never
 	// depends on the Λ the meters are read at — and the retrieved Result
 	// is stamped with the requested Λ.
-	atTwo, err := evalResult(build(), id, vals, 2.0, raw, cfg)
+	atTwo, err := evalResult(build(), 2.0, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +288,7 @@ func TestEvalResultMemoizes(t *testing.T) {
 	// A different verify policy is still a distinct entry.
 	st = EvalMemoStats()
 	cfgSampled := Config{Verify: coding.VerifySampled(0)}
-	if _, err := evalResult(build(), id, vals, evalLambda, raw, cfgSampled); err != nil {
+	if _, err := evalResult(build(), evalLambda, cfgSampled); err != nil {
 		t.Fatal(err)
 	}
 	if st2 := EvalMemoStats(); st2.Hits != st.Hits {
