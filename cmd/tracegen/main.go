@@ -1,6 +1,9 @@
 // Command tracegen extracts bus value traces from the SPEC95-analog
 // workloads running on the out-of-order simulator — the paper's §4.1 bus
-// timing generators as a standalone tool.
+// timing generators as a standalone tool. A trace file is a BUSTRC05
+// container (internal/trace) named after the trace, e.g. "gcc/reg", with
+// one 32-bit section named after the bus, or "random"; cmd/transcode
+// reads it.
 //
 // Usage:
 //
@@ -35,7 +38,7 @@ func run() error {
 		values   = flag.Int("values", 120_000, "max captured bus values")
 		random   = flag.Int("random", 0, "emit N uniformly random 32-bit values instead of simulating")
 		seed     = flag.Uint64("seed", 1, "seed for -random")
-		out      = flag.String("o", "", "output trace file (binary); stdout summary if omitted")
+		out      = flag.String("o", "", "output trace file (a one-section BUSTRC05 container); stdout summary if omitted")
 		statsF   = flag.Bool("stats", false, "print unique-value CDF and window-uniqueness statistics")
 	)
 	flag.Parse()
@@ -47,39 +50,40 @@ func run() error {
 		return nil
 	}
 
-	var values64 []uint64
-	label := ""
+	var vals []uint32
+	label, section := "", ""
 	switch {
 	case *random > 0:
-		values64 = workload.RandomTrace(*random, *seed)
-		label = "random"
+		vals = make([]uint32, *random)
+		for i, v := range workload.RandomTrace(*random, *seed) {
+			vals[i] = uint32(v)
+		}
+		label, section = "random", "random"
 	case *name != "":
 		if *bus != "reg" && *bus != "mem" {
 			return fmt.Errorf("invalid -bus %q (want reg or mem)", *bus)
 		}
-		ts, err := workload.Traces(*name, workload.RunConfig{
+		tr, err := workload.Resident(*name, workload.RunConfig{
 			MaxInstructions: *instrs, MaxBusValues: *values,
 		})
 		if err != nil {
 			return err
 		}
-		if *bus == "reg" {
-			values64 = ts.Reg
-		} else {
-			values64 = ts.Mem
+		vals = tr.Reg
+		if *bus == "mem" {
+			vals = tr.Mem
 		}
-		label = *name + "/" + *bus
+		label, section = *name+"/"+*bus, *bus
 		fmt.Fprintf(os.Stderr, "simulated %d instructions in %d cycles (IPC %.2f, L1D miss %.1f%%, branch acc %.1f%%)\n",
-			ts.Summary.Instructions, ts.Summary.Cycles, ts.Summary.IPC,
-			100*ts.Summary.L1DMissRate, 100*ts.Summary.BranchAccuracy)
+			tr.Instructions, tr.Cycles, tr.IPC, 100*tr.L1DMissRate, 100*tr.BranchAccuracy)
 	default:
 		flag.Usage()
 		return fmt.Errorf("need -workload, -random or -workloads")
 	}
 
-	fmt.Printf("trace %s: %d values\n", label, len(values64))
+	fmt.Printf("trace %s: %d values\n", label, len(vals))
 	if *statsF {
-		c := trace.Characterize(values64, []int{1, 10, 100, 1000, 10000})
+		c := trace.Characterize(vals, []int{1, 10, 100, 1000, 10000})
 		fmt.Printf("unique values: %d (%.2f%% of trace)\n", c.Unique, 100*float64(c.Unique)/float64(c.Values))
 		for _, n := range []int{1, 10, 100, 1000, 10000} {
 			fmt.Printf("coverage of top %6d values: %.4f\n", n, c.CoverageAt(n))
@@ -95,9 +99,12 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		defer f.Close()
-		tr := &trace.Trace{Name: label, Width: 32, Values: values64}
-		if err := tr.Write(f); err != nil {
+		c := &trace.Container{Name: label, Sections: []trace.Section{{Name: section, Width: 32, Values: vals}}}
+		if err := c.Write(f); err != nil {
+			f.Close()
+			return err
+		}
+		if err := f.Close(); err != nil {
 			return err
 		}
 		fmt.Printf("wrote %s\n", *out)

@@ -40,7 +40,7 @@ func main() {
 func run() error {
 	var (
 		coder  = flag.String("coder", "window:entries=8", "coding scheme, kind[:key=value,...] (kinds: "+strings.Join(coding.SchemeKinds(), ", ")+")")
-		in     = flag.String("in", "", "input trace file (from tracegen)")
+		in     = flag.String("in", "", "input trace file (from tracegen: a one-section BUSTRC05 container)")
 		name   = flag.String("workload", "", "simulate this workload instead of reading a file")
 		bus    = flag.String("bus", "reg", "bus to capture with -workload: reg or mem")
 		lambda = flag.Float64("lambda", 1.0, "coupling ratio Λ the meters are read at (the coder's assumed Λ is the scheme's lambda= key)")
@@ -49,34 +49,13 @@ func run() error {
 	)
 	flag.Parse()
 
-	var vals []uint64
-	label := ""
-	switch {
-	case *in != "":
-		f, err := os.Open(*in)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		tr, err := trace.Read(f)
-		if err != nil {
-			return err
-		}
-		vals, label = tr.Values, tr.Name
-	case *name != "":
-		ts, err := workload.Traces(*name, workload.RunConfig{MaxInstructions: *instrs, MaxBusValues: *values})
-		if err != nil {
-			return err
-		}
-		if *bus == "mem" {
-			vals = ts.Mem
-		} else {
-			vals = ts.Reg
-		}
-		label = *name + "/" + *bus
-	default:
+	if *in == "" && *name == "" {
 		flag.Usage()
 		return fmt.Errorf("need -in or -workload")
+	}
+	label, vals, err := load(*in, *name, *bus, workload.RunConfig{MaxInstructions: *instrs, MaxBusValues: *values})
+	if err != nil {
+		return err
 	}
 
 	spec, err := coding.ParseSchemeSpec(*coder)
@@ -113,4 +92,47 @@ func run() error {
 		}
 	}
 	return nil
+}
+
+// load returns the trace to transcode and its label: the trace file in
+// when it is set, else bus (reg or mem) of workload name simulated under
+// run.
+func load(in, name, bus string, run workload.RunConfig) (string, []uint32, error) {
+	if in != "" {
+		return readTrace(in)
+	}
+	if bus != "reg" && bus != "mem" {
+		return "", nil, fmt.Errorf("invalid -bus %q (want reg or mem)", bus)
+	}
+	tr, err := workload.Resident(name, run)
+	if err != nil {
+		return "", nil, err
+	}
+	if bus == "mem" {
+		return name + "/" + bus, tr.Mem, nil
+	}
+	return name + "/" + bus, tr.Reg, nil
+}
+
+// readTrace reads a trace file as cmd/tracegen writes it: a BUSTRC05
+// container holding exactly one plain section, labelled with the
+// container's name. The container's checksum and bounds are checked by
+// the same parser the disk trace cache uses.
+func readTrace(path string) (string, []uint32, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return "", nil, err
+	}
+	c, err := trace.ParseContainer(data)
+	if err != nil {
+		return "", nil, fmt.Errorf("%s: %w", path, err)
+	}
+	if len(c.Sections) != 1 {
+		return "", nil, fmt.Errorf("%s: %d sections, want the one a trace file holds", path, len(c.Sections))
+	}
+	s := c.Sections[0]
+	if s.Packed != nil {
+		return "", nil, fmt.Errorf("%s: section %s is packed, want plain values", path, s.Name)
+	}
+	return c.Name, s.Values, nil
 }

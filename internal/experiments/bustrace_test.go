@@ -46,7 +46,7 @@ func TestBusTraceMatchesUncachedRun(t *testing.T) {
 		workload.ClearTraceCache()
 		for name, buses := range want {
 			for bus, vals := range buses {
-				got, err := busTrace(name, bus, cfg)
+				got, err := busTrace(name, bus, cfg.Run)
 				if err != nil {
 					t.Fatal(err)
 				}

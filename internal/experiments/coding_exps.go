@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"buspower/internal/bus"
 	"buspower/internal/coding"
 	"buspower/internal/workload"
 )
@@ -28,8 +27,14 @@ func init() {
 	register(Runner{ID: "fig21", Title: "Context transcoder (transition-based): energy removed vs table size, register bus (Figure 21)", Run: contextSweep("fig21", "reg", true)})
 	register(Runner{ID: "fig22", Title: "Context transcoder (value-based): energy removed vs table size, memory bus (Figure 22)", Run: contextSweep("fig22", "mem", false)})
 	register(Runner{ID: "fig23", Title: "Context transcoder (value-based): energy removed vs table size, register bus (Figure 23)", Run: contextSweep("fig23", "reg", false)})
-	register(Runner{ID: "fig24", Title: "Context transcoder: energy removed vs shift register size, tables of 16 and 64 (Figure 24)", Run: runFig24})
-	register(Runner{ID: "fig25", Title: "Context transcoder: energy removed vs counter divide period, tables of 16 and 64 (Figure 25)", Run: runFig25})
+	register(Runner{ID: "fig24", Title: "Context transcoder: energy removed vs shift register size, tables of 16 and 64 (Figure 24)",
+		Run: contextAxisSweep("fig24", "Energy removed vs shift register size on the register bus (value-based, tables of 16 and 64)",
+			"shift_register_size", []int{2, 4, 8, 12, 16, 24, 32}, []int{4, 8, 16},
+			func(c *coding.ContextConfig, v int) { c.ShiftEntries = v })})
+	register(Runner{ID: "fig25", Title: "Context transcoder: energy removed vs counter divide period, tables of 16 and 64 (Figure 25)",
+		Run: contextAxisSweep("fig25", "Energy removed vs counter divide period on the register bus (value-based, shift register size 8)",
+			"divide_period", []int{4, 16, 64, 256, 1024, 4096, 16384}, []int{16, 1024, 16384},
+			func(c *coding.ContextConfig, v int) { c.DividePeriod = v })})
 }
 
 // sweepRows runs a builder over every workload (plus the random source)
@@ -42,7 +47,7 @@ func sweepRows(t *Table, busName string, cfg Config, params []int, includeRandom
 	build func(param int) (coding.Transcoder, error)) error {
 	sources := workload.Names()
 	if includeRandom {
-		sources = append([]string{"random"}, sources...)
+		sources = append([]string{randomSource}, sources...)
 	}
 	n := cfg.Run.MaxBusValues
 	if n <= 0 {
@@ -50,21 +55,9 @@ func sweepRows(t *Table, busName string, cfg Config, params []int, includeRandom
 	}
 	return gatherRows(t, cfg, len(sources), func(i int, out *Table) error {
 		src := sources[i]
-		var tr []uint32
-		var raw *bus.Meter
-		var id traceID
-		var err error
-		if src == "random" {
-			tr = randomTraceFor(n)
-			raw = randomRawMeter(n)
+		id := workloadTraceID(src, busName, cfg)
+		if src == randomSource {
 			id = randomTraceID(n)
-		} else {
-			tr, err = busTrace(src, busName, cfg)
-			if err != nil {
-				return err
-			}
-			raw = rawMeterFor(src, busName, cfg, tr)
-			id = workloadTraceID(src, busName, cfg)
 		}
 		points := make([]gridPoint, len(params))
 		for k, p := range params {
@@ -74,7 +67,7 @@ func sweepRows(t *Table, busName string, cfg Config, params []int, includeRandom
 			}
 			points[k] = gridPoint{tc: tc, lambda: evalLambda}
 		}
-		results, err := evalGridPoints(points, id, tr, raw, cfg)
+		results, err := evalGridPoints(points, id, cfg)
 		if err != nil {
 			return err
 		}
@@ -145,96 +138,53 @@ func contextSweep(id, bus string, transitionBased bool) func(Config) (*Table, er
 // fig24Benchmarks mirror the paper's Figure 24/25 legend.
 var fig24Benchmarks = []string{"li", "compress", "gcc", "perl", "fpppp", "apsi", "swim"}
 
-func runFig24(cfg Config) (*Table, error) {
-	srSizes := []int{2, 4, 8, 12, 16, 24, 32}
-	if cfg.Quick {
-		srSizes = []int{4, 8, 16}
-	}
-	t := &Table{
-		ID:      "fig24",
-		Title:   "Energy removed vs shift register size on the register bus (value-based, tables of 16 and 64)",
-		Columns: []string{"benchmark", "table_size", "shift_register_size", "energy_removed_pct"},
-	}
-	err := gatherRows(t, cfg, len(fig24Benchmarks), func(i int, out *Table) error {
-		name := fig24Benchmarks[i]
-		tr, err := busTrace(name, "reg", cfg)
-		if err != nil {
-			return err
+// contextAxisSweep is Figures 24 and 25: value-based context coders with
+// tables of 16 and 64 on the register bus (shift register size 8, divide
+// period 4096) with one of those two parameters swept. set applies a
+// swept value.
+func contextAxisSweep(id, title, axis string, full, quick []int, set func(c *coding.ContextConfig, v int)) func(Config) (*Table, error) {
+	return func(cfg Config) (*Table, error) {
+		values := full
+		if cfg.Quick {
+			values = quick
 		}
-		raw := rawMeterFor(name, "reg", cfg, tr)
-		var points []gridPoint
-		for _, tbl := range []int{16, 64} {
-			for _, sr := range srSizes {
-				ctx, err := coding.NewContext(coding.ContextConfig{
-					Width: busWidth, TableSize: tbl, ShiftEntries: sr,
-					DividePeriod: 4096, Lambda: evalLambda,
-				})
-				if err != nil {
-					return err
+		t := &Table{
+			ID:      id,
+			Title:   title,
+			Columns: []string{"benchmark", "table_size", axis, "energy_removed_pct"},
+		}
+		err := gatherRows(t, cfg, len(fig24Benchmarks), func(i int, out *Table) error {
+			name := fig24Benchmarks[i]
+			var points []gridPoint
+			for _, tbl := range []int{16, 64} {
+				for _, v := range values {
+					cc := coding.ContextConfig{
+						Width: busWidth, TableSize: tbl, ShiftEntries: 8,
+						DividePeriod: 4096, Lambda: evalLambda,
+					}
+					set(&cc, v)
+					ctx, err := coding.NewContext(cc)
+					if err != nil {
+						return err
+					}
+					points = append(points, gridPoint{tc: ctx, lambda: evalLambda})
 				}
-				points = append(points, gridPoint{tc: ctx, lambda: evalLambda})
 			}
-		}
-		results, err := evalGridPoints(points, workloadTraceID(name, "reg", cfg), tr, raw, cfg)
-		if err != nil {
-			return err
-		}
-		k := 0
-		for _, tbl := range []int{16, 64} {
-			for _, sr := range srSizes {
-				out.AddRow(name, tbl, sr, 100*results[k].EnergyRemoved())
-				k++
+			results, err := evalGridPoints(points, workloadTraceID(name, "reg", cfg), cfg)
+			if err != nil {
+				return err
 			}
-		}
-		return nil
-	})
-	return t, err
-}
-
-func runFig25(cfg Config) (*Table, error) {
-	periods := []int{4, 16, 64, 256, 1024, 4096, 16384}
-	if cfg.Quick {
-		periods = []int{16, 1024, 16384}
-	}
-	t := &Table{
-		ID:      "fig25",
-		Title:   "Energy removed vs counter divide period on the register bus (value-based, shift register size 8)",
-		Columns: []string{"benchmark", "table_size", "divide_period", "energy_removed_pct"},
-	}
-	err := gatherRows(t, cfg, len(fig24Benchmarks), func(i int, out *Table) error {
-		name := fig24Benchmarks[i]
-		tr, err := busTrace(name, "reg", cfg)
-		if err != nil {
-			return err
-		}
-		raw := rawMeterFor(name, "reg", cfg, tr)
-		var points []gridPoint
-		for _, tbl := range []int{16, 64} {
-			for _, period := range periods {
-				ctx, err := coding.NewContext(coding.ContextConfig{
-					Width: busWidth, TableSize: tbl, ShiftEntries: 8,
-					DividePeriod: period, Lambda: evalLambda,
-				})
-				if err != nil {
-					return err
+			k := 0
+			for _, tbl := range []int{16, 64} {
+				for _, v := range values {
+					out.AddRow(name, tbl, v, 100*results[k].EnergyRemoved())
+					k++
 				}
-				points = append(points, gridPoint{tc: ctx, lambda: evalLambda})
 			}
-		}
-		results, err := evalGridPoints(points, workloadTraceID(name, "reg", cfg), tr, raw, cfg)
-		if err != nil {
-			return err
-		}
-		k := 0
-		for _, tbl := range []int{16, 64} {
-			for _, period := range periods {
-				out.AddRow(name, tbl, period, 100*results[k].EnergyRemoved())
-				k++
-			}
-		}
-		return nil
-	})
-	return t, err
+			return nil
+		})
+		return t, err
+	}
 }
 
 func runFig15(cfg Config) (*Table, error) {
@@ -264,22 +214,11 @@ func runFig15(cfg Config) (*Table, error) {
 	}
 	err = gatherRows(t, cfg, len(sources), func(i int, out *Table) error {
 		src := sources[i]
-		var traces [][]uint32
-		var raws []*bus.Meter
 		var ids []traceID
 		if src.bus == "" {
-			traces = [][]uint32{randomTraceFor(n)}
-			raws = []*bus.Meter{randomRawMeter(n)}
 			ids = []traceID{randomTraceID(n)}
 		} else {
 			for _, b := range fig7Benchmarks {
-				tr, err := busTrace(b, src.bus, cfg)
-				if err != nil {
-					return err
-				}
-				raw := rawMeterFor(b, src.bus, cfg, tr)
-				traces = append(traces, tr)
-				raws = append(raws, raw)
 				ids = append(ids, workloadTraceID(b, src.bus, cfg))
 			}
 		}
@@ -305,9 +244,9 @@ func runFig15(cfg Config) (*Table, error) {
 				points = append(points, gridPoint{tc: inv, lambda: actual})
 			}
 		}
-		perTrace := make([][]coding.Result, len(traces))
-		for j, tr := range traces {
-			res, err := evalGridPoints(points, ids[j], tr, raws[j], cfg)
+		perTrace := make([][]coding.Result, len(ids))
+		for j, id := range ids {
+			res, err := evalGridPoints(points, id, cfg)
 			if err != nil {
 				return err
 			}
@@ -317,10 +256,10 @@ func runFig15(cfg Config) (*Table, error) {
 		for _, variant := range variants {
 			for _, actual := range lambdas {
 				sum := 0.0
-				for j := range traces {
+				for j := range ids {
 					sum += 100 * perTrace[j][k].EnergyRemaining()
 				}
-				out.AddRow(src.name, variant.label, actual, sum/float64(len(traces)))
+				out.AddRow(src.name, variant.label, actual, sum/float64(len(ids)))
 				k++
 			}
 		}

@@ -174,11 +174,10 @@ func runExtVLC(cfg Config) (*Table, error) {
 	}
 	err := gatherRows(t, cfg, len(names), func(i int, out *Table) error {
 		name := names[i]
-		tr, err := busTrace(name, "reg", cfg)
+		tr, raw, err := workloadTraceID(name, "reg", cfg).input(busWidth)
 		if err != nil {
 			return err
 		}
-		raw := rawMeterFor(name, "reg", cfg, tr)
 		vlcCfg := coding.VLCConfig{Width: busWidth, Entries: 14}
 		vlc, err := coding.EvaluateVLC(vlcCfg, tr, evalLambda, raw)
 		if err != nil {
@@ -216,14 +215,15 @@ func runExtAddr(cfg Config) (*Table, error) {
 	}
 	err := gatherRows(t, cfg, len(names), func(i int, out *Table) error {
 		name := names[i]
-		tr, err := busTrace(name, "addr", cfg)
+		// One address per data beat: the data bus's length is the
+		// address bus's, without decoding it.
+		rt, err := workload.Resident(name, cfg.Run)
 		if err != nil {
 			return err
 		}
-		if len(tr) < 100 {
+		if len(rt.Mem) < 100 {
 			return nil
 		}
-		raw := rawMeterFor(name, "addr", cfg, tr)
 		points := make([]gridPoint, len(builders))
 		for k, build := range builders {
 			tc, err := build()
@@ -232,7 +232,7 @@ func runExtAddr(cfg Config) (*Table, error) {
 			}
 			points[k] = gridPoint{tc: tc, lambda: evalLambda}
 		}
-		results, err := evalGridPoints(points, workloadTraceID(name, "addr", cfg), tr, raw, cfg)
+		results, err := evalGridPoints(points, workloadTraceID(name, "addr", cfg), cfg)
 		if err != nil {
 			return err
 		}

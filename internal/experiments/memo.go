@@ -27,10 +27,8 @@ type MemoStats struct {
 // the same key compute once and share the result, and the entry count is
 // bounded by evicting the least-recently-used *completed* entry — an
 // in-flight entry is never dropped out from under its waiters (which
-// would start a second computation of the same key). This generalizes the
-// raw-meter memo introduced in PR 1 to any (comparable key, value) pair;
-// the raw-meter, random-trace and evaluation-result memos below are all
-// instances of it.
+// would start a second computation of the same key). The raw-meter,
+// evaluation-result and stride-tape memos are all instances of it.
 //
 // Errors are memoized alongside values, mirroring the original behavior:
 // a failed computation is not retried until its entry ages out. The one

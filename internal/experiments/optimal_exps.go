@@ -89,11 +89,6 @@ func runExtOpt(cfg Config) (*Table, error) {
 	}
 	err := gatherRows(t, cfg, len(names), func(i int, out *Table) error {
 		name := names[i]
-		tr, err := busTrace(name, "reg", cfg)
-		if err != nil {
-			return err
-		}
-		raw := rawMeterFor(name, "reg", cfg, tr)
 		points := make([]gridPoint, len(specs))
 		widths := make([]int, len(specs))
 		for k, spec := range specs {
@@ -104,7 +99,7 @@ func runExtOpt(cfg Config) (*Table, error) {
 			points[k] = gridPoint{tc: tc, lambda: evalLambda}
 			widths[k] = tc.NewEncoder().BusWidth()
 		}
-		results, err := evalGridPoints(points, workloadTraceID(name, "reg", cfg), tr, raw, cfg)
+		results, err := evalGridPoints(points, workloadTraceID(name, "reg", cfg), cfg)
 		if err != nil {
 			return err
 		}

@@ -252,8 +252,8 @@ func (r *EvalRequest) sourceID(width int) (traceID, string) {
 		return randomTraceID(r.Random), "random:" + strconv.Itoa(r.Random)
 	default:
 		// Inline traces are content-addressed so a resubmitted trace hits
-		// the eval memo. The data width is part of the identity because
-		// the shared raw meter is measured at it.
+		// the eval memo; the name also reports the data width the values
+		// are masked to.
 		h := sha256.New()
 		var b [8]byte
 		for _, v := range r.Values {
@@ -268,9 +268,9 @@ func (r *EvalRequest) sourceID(width int) (traceID, string) {
 }
 
 // EvaluateRequest answers one evaluation request through the shared
-// memos: the trace comes from the two-layer trace cache (workload
-// sources) or the random/inline fast paths, the raw-bus meter and the
-// whole evaluation Result are memoized single-flight, and concurrent
+// memos: the trace comes from traceID.input (workload and random
+// sources) or the request itself (inline values), the raw-bus meter and
+// the whole evaluation Result are memoized single-flight, and concurrent
 // identical requests coalesce into one computation. ctx is checked
 // between the trace-fetch and evaluation stages; requests already
 // answerable from the memo never fetch a trace at all.
@@ -304,6 +304,7 @@ func EvaluateRequest(ctx context.Context, req EvalRequest) (*EvalResponse, error
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	width := tc.DataWidth()
 	var res coding.Result
 	if len(req.Values) != 0 {
 		// Inline values stay 64-bit: scheme widths reach 62.
@@ -311,14 +312,17 @@ func EvaluateRequest(ctx context.Context, req EvalRequest) (*EvalResponse, error
 			if err := ctx.Err(); err != nil {
 				return nil, nil, err
 			}
-			raw, err := rawMeterMemo.Do(id, func() (*bus.Meter, error) {
-				return coding.MeasureRawValues(tc.DataWidth(), req.Values), nil
+			raw, err := rawMeterMemo.Do(derivedKey{trace: id, width: width}, func() (*bus.Meter, error) {
+				return coding.MeasureRawValues(width, req.Values), nil
 			})
 			return req.Values, raw, err
 		})
 	} else {
 		res, err = evalResultKeyed(tc, id, req.Lambda, cfg, func() ([]uint32, *bus.Meter, error) {
-			return fetchRequestTrace(ctx, req, tc.DataWidth(), cfg)
+			if err := ctx.Err(); err != nil {
+				return nil, nil, err
+			}
+			return id.input(width)
 		})
 	}
 	if err != nil {
@@ -336,32 +340,4 @@ func EvaluateRequest(ctx context.Context, req EvalRequest) (*EvalResponse, error
 		EnergyRemainingPct: 100 * res.EnergyRemaining(),
 		Ops:                res.Ops,
 	}, nil
-}
-
-// fetchRequestTrace resolves a workload or random request's trace and
-// (when available at the scheme's width) its shared raw-bus meter. It
-// runs only on an eval-memo miss.
-func fetchRequestTrace(ctx context.Context, req EvalRequest, width int, cfg Config) ([]uint32, *bus.Meter, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-	switch {
-	case req.Workload != "":
-		tr, err := busTrace(req.Workload, req.Bus, cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		if width != busWidth {
-			// The shared raw-meter memo is keyed for the experiments'
-			// 32-bit buses; other widths measure inline.
-			return tr, nil, nil
-		}
-		return tr, rawMeterFor(req.Workload, req.Bus, cfg, tr), nil
-	default:
-		b := randomBundleFor(req.Random)
-		if width != busWidth {
-			return b.trace, nil, nil
-		}
-		return b.trace, b.meter, nil
-	}
 }

@@ -27,7 +27,7 @@ func TestEvaluateRequestMatchesCLIPath(t *testing.T) {
 	}
 
 	cfg := QuickConfig()
-	tr, err := busTrace("li", "reg", cfg)
+	tr, err := busTrace("li", "reg", cfg.Run)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,6 +251,31 @@ func TestEvaluateRequestMatchesScalarEvaluator(t *testing.T) {
 					t.Errorf("%s/%s: request path diverges from the scalar evaluator:\ngot  %+v\nwant %+v", scheme, verify, got, want)
 				}
 			}
+		}
+	}
+}
+
+// TestEvaluateRequestSharesNarrowRawMeter: the raw meter of a workload
+// bus is memoized at every width, so two schemes at width 16 on one bus
+// meter it once, and the shared meter is the bus masked to 16 bits.
+func TestEvaluateRequestSharesNarrowRawMeter(t *testing.T) {
+	ClearEvalMemo()
+	t.Cleanup(ClearEvalMemo)
+	tr, err := busTrace("li", "reg", QuickConfig().Run)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := busStats(coding.MeasureRaw(16, tr), evalLambda)
+	for i, scheme := range []string{"businvert:width=16", "window:entries=8,width=16"} {
+		resp, err := EvaluateRequest(context.Background(), EvalRequest{Workload: "li", Bus: "reg", Quick: true, Scheme: scheme})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Raw != want {
+			t.Errorf("%s: raw %+v, want %+v", scheme, resp.Raw, want)
+		}
+		if st := RawMeterMemoStats(); st.Misses != 1 || st.Hits != uint64(i) {
+			t.Errorf("after %s: raw meters %d hits / %d misses, want %d / 1", scheme, st.Hits, st.Misses, i)
 		}
 	}
 }

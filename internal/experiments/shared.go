@@ -24,52 +24,43 @@ func workloadTraceID(name, busName string, cfg Config) traceID {
 	return traceID{source: name, bus: busName, run: cfg.Run}
 }
 
+// randomSource is the trace source of the random comparison trace.
+const randomSource = "random"
+
 func randomTraceID(n int) traceID {
-	return traceID{source: "random", n: n}
+	return traceID{source: randomSource, n: n}
 }
 
-// The raw-bus measurement of a trace is identical for every scheme and Λ
-// a sweep evaluates on it (Λ enters only when the meter is read), so the
-// runners share one Σ-only meter per trace through this single-flight
-// memo instead of re-metering the trace once per scheme.
-var rawMeterMemo = newSFMemo[traceID, *bus.Meter](128)
-
-// rawMeterFor returns the shared raw-bus meter of one workload bus at the
-// experiments' data width, measuring tr (that bus's trace, which every
-// caller has already fetched) on a miss.
-func rawMeterFor(name, busName string, cfg Config, tr []uint32) *bus.Meter {
-	m, _ := rawMeterMemo.Do(workloadTraceID(name, busName, cfg), func() (*bus.Meter, error) {
-		return coding.MeasureRaw(busWidth, tr), nil
-	})
-	return m
-}
-
-// randomBundle pairs the n-value random comparison trace with its raw-bus
-// meter, so the runners neither regenerate the values nor re-meter them.
-// The values are 32-bit, held like the workload traces.
-type randomBundle struct {
-	trace []uint32
-	meter *bus.Meter
-}
-
-var randomMemo = newSFMemo[int, randomBundle](8)
-
-func randomBundleFor(n int) randomBundle {
-	b, _ := randomMemo.Do(n, func() (randomBundle, error) {
-		tr := make([]uint32, n)
-		for i, v := range workload.RandomTrace(n, randomSeed) {
+// input returns the trace id names and its shared raw-bus meter at
+// width: a workload bus comes from the trace cache, the random trace is
+// regenerated from randomSeed (callers fetch only on a result-memo miss,
+// so holding it would save little), and the meter comes from
+// rawMeterMemo. Inline request traces carry their own values and do not
+// come through here.
+func (id traceID) input(width int) ([]uint32, *bus.Meter, error) {
+	var tr []uint32
+	if id.source == randomSource {
+		tr = make([]uint32, id.n)
+		for i, v := range workload.RandomTrace(id.n, randomSeed) {
 			tr[i] = uint32(v)
 		}
-		return randomBundle{trace: tr, meter: coding.MeasureRaw(busWidth, tr)}, nil
+	} else {
+		var err error
+		if tr, err = busTrace(id.source, id.bus, id.run); err != nil {
+			return nil, nil, err
+		}
+	}
+	raw, err := rawMeterMemo.Do(derivedKey{trace: id, width: width}, func() (*bus.Meter, error) {
+		return coding.MeasureRaw(width, tr), nil
 	})
-	return b
+	return tr, raw, err
 }
 
-// randomTraceFor returns the shared n-value random comparison trace.
-func randomTraceFor(n int) []uint32 { return randomBundleFor(n).trace }
-
-// randomRawMeter returns the shared raw-bus meter of that trace.
-func randomRawMeter(n int) *bus.Meter { return randomBundleFor(n).meter }
+// The raw-bus measurement of a trace at one width is identical for every
+// scheme and Λ evaluated on it (Λ enters only when the meter is read),
+// so every evaluation shares one Σ-only meter per (trace, width) through
+// this single-flight memo instead of re-metering the trace per scheme.
+var rawMeterMemo = newSFMemo[derivedKey, *bus.Meter](128)
 
 // resultKey identifies one transcoder evaluation: what was encoded
 // (trace), with which exact codec configuration (the canonical
@@ -103,6 +94,9 @@ type resultKey struct {
 // meter plus counters, well under 1 KiB).
 var resultMemo = newSFMemo[resultKey, coding.Result](2048)
 
+// derivedKey names what is derived from one trace at one width: its raw
+// meter (rawMeterMemo) and its stride tape (tapeMemo).
+//
 // Stride cells replay a coding.StrideTape, which depends only on
 // (trace identity, width), content-addressed exactly like the trace
 // cache: a tape of depth D serves every bank of depth ≤ D. The memo
@@ -182,20 +176,19 @@ func TapeMemoStats() (MemoStats, uint64) {
 // because the benchmark harness still reads it.
 func SlicedCacheStats() MemoStats { return MemoStats{} }
 
-// ClearEvalMemo returns every memo of this package (raw meters, random
-// traces, evaluation results and stride tapes) to its cold state, for
+// ClearEvalMemo returns every memo of this package (raw meters,
+// evaluation results and stride tapes) to its cold state, for
 // tests and benchmark passes that must start cold; the trace caches are
 // governed separately (workload.ClearTraceCache).
 func ClearEvalMemo() {
 	rawMeterMemo.Reset()
-	randomMemo.Reset()
 	resultMemo.Reset()
 	tapeMemo.Reset()
 }
 
 // evalResultKeyed memoizes one transcoder evaluation. fetch returns the
-// trace and its shared raw meter (nil to measure inline) and runs only on
-// a miss, so hits skip even the trace-cache lookup. A miss evaluates as
+// trace and its shared raw meter and runs only on a miss, so hits skip
+// even the trace-cache lookup. A miss evaluates as
 // a one-cell grid under cfg.Verify, so a stride request replays a tape
 // from the tape memo and everything else runs the grid's scalar
 // Evaluator; the Result's coded meter is detached (Clone) before it is
@@ -235,8 +228,10 @@ type gridPoint struct {
 
 // evalGridPoints evaluates a whole family of sweep points on one trace,
 // preserving the per-point result-memo contract of evalResultKeyed: memoized
-// points are served from the cache (Peek — a hit), and every miss is
-// batched into a single coding.EvaluateGrid pass over the trace, which
+// points are served from the cache (Peek — a hit), and only if any point
+// misses is the trace fetched (id.input), so a family served whole from
+// the memo makes no trace-cache lookup. Every miss is batched into a
+// single coding.EvaluateGrid pass over the trace, which
 // fans equal-config points out from one encode and replays one stride
 // tape, as deep as the family's deepest bank, for every bank. The tape
 // is dropped with the grid, not kept in the tape memo: a family's banks
@@ -246,7 +241,7 @@ type gridPoint struct {
 // share one cache and identical hit/miss accounting. Results are
 // bit-identical to per-point evalResultKeyed calls — the grid engine is
 // differentially tested against the scalar evaluator cell by cell.
-func evalGridPoints(points []gridPoint, id traceID, tr []uint32, raw *bus.Meter, cfg Config) ([]coding.Result, error) {
+func evalGridPoints(points []gridPoint, id traceID, cfg Config) ([]coding.Result, error) {
 	out := make([]coding.Result, len(points))
 	keys := make([]resultKey, len(points))
 	var missIdx []int
@@ -266,6 +261,10 @@ func evalGridPoints(points []gridPoint, id traceID, tr []uint32, raw *bus.Meter,
 	}
 	if len(missIdx) == 0 {
 		return out, nil
+	}
+	tr, raw, err := id.input(busWidth)
+	if err != nil {
+		return nil, err
 	}
 	results, err := coding.EvaluateGrid(cells, tr, raw, cfg.Verify, coding.GridOptions{})
 	if err != nil {
@@ -293,12 +292,8 @@ func evalGridPoints(points []gridPoint, id traceID, tr []uint32, raw *bus.Meter,
 // bus at evalLambda. The trace and its shared raw meter are fetched only
 // on a miss, so a hit skips even the trace-cache lookup.
 func workloadResult(tc coding.Transcoder, name, busName string, cfg Config) (coding.Result, error) {
-	return evalResultKeyed(tc, workloadTraceID(name, busName, cfg), evalLambda, cfg,
-		func() ([]uint32, *bus.Meter, error) {
-			tr, err := busTrace(name, busName, cfg)
-			if err != nil {
-				return nil, nil, err
-			}
-			return tr, rawMeterFor(name, busName, cfg, tr), nil
-		})
+	id := workloadTraceID(name, busName, cfg)
+	return evalResultKeyed(tc, id, evalLambda, cfg, func() ([]uint32, *bus.Meter, error) {
+		return id.input(busWidth)
+	})
 }

@@ -9,6 +9,7 @@ import (
 
 	"buspower/internal/bus"
 	"buspower/internal/coding"
+	"buspower/internal/workload"
 )
 
 func testMeter(v uint64) func() (*bus.Meter, error) {
@@ -296,23 +297,6 @@ func TestEvalResultMemoizes(t *testing.T) {
 	}
 }
 
-// TestRandomBundleMemoizes: the random comparison trace and its raw meter
-// are generated once per length and shared thereafter.
-func TestRandomBundleMemoizes(t *testing.T) {
-	a := randomBundleFor(1234)
-	b := randomBundleFor(1234)
-	if &a.trace[0] != &b.trace[0] || a.meter != b.meter {
-		t.Fatal("randomBundleFor regenerated the trace or meter for the same length")
-	}
-	if len(a.trace) != 1234 {
-		t.Fatalf("trace length %d, want 1234", len(a.trace))
-	}
-	c := randomBundleFor(999)
-	if len(c.trace) != 999 || a.meter == c.meter {
-		t.Fatal("different lengths must be distinct entries")
-	}
-}
-
 // TestTapeMemoGrowsGeometrically: the stride-tape memo keeps one tape per
 // (trace, width), serves shallower banks from it, rebuilds a too-shallow
 // tape at max(k, 2·depth) capped at the tape record's limit, resets with
@@ -386,7 +370,7 @@ func TestFamilyGridKeepsNoTape(t *testing.T) {
 		}
 		points[i] = gridPoint{tc: tc, lambda: evalLambda}
 	}
-	family, err := evalGridPoints(points, randomTraceID(n), randomTraceFor(n), randomRawMeter(n), Config{Verify: policy})
+	family, err := evalGridPoints(points, randomTraceID(n), Config{Verify: policy})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,8 +418,8 @@ func TestClearEvalMemoResetsAll(t *testing.T) {
 	ClearEvalMemo()
 	t.Cleanup(ClearEvalMemo)
 	reqs := []EvalRequest{
-		{Random: 2000, Scheme: "stride:strides=4"},        // random, result and tape memos
-		{Values: []uint64{1, 2, 3, 5, 8}, Scheme: "gray"}, // raw-meter memo
+		{Random: 2000, Scheme: "stride:strides=4"},        // raw-meter, result and tape memos
+		{Values: []uint64{1, 2, 3, 5, 8}, Scheme: "gray"}, // raw-meter and result memos
 	}
 	eval := func() {
 		for _, req := range reqs {
@@ -446,7 +430,6 @@ func TestClearEvalMemoResetsAll(t *testing.T) {
 	}
 	memos := map[string]func() MemoStats{
 		"raw meter": rawMeterMemo.Stats,
-		"random":    randomMemo.Stats,
 		"result":    resultMemo.Stats,
 		"tape":      tapeMemo.Stats,
 	}
@@ -470,5 +453,34 @@ func TestClearEvalMemoResetsAll(t *testing.T) {
 		if st := stats(); st.Misses == 0 || st.Hits != 0 {
 			t.Errorf("%s memo after a repeat evaluation: %+v, want it recomputed", name, st)
 		}
+	}
+}
+
+// TestSweepHitFetchesNoTrace: a sweep family whose every point is in the
+// result memo is answered without fetching its traces, so a repeated
+// quick Figure 24 makes no trace-cache lookup and meters nothing.
+func TestSweepHitFetchesNoTrace(t *testing.T) {
+	first, err := Run("fig24", quickCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	traces, memo, meters := workload.Stats(), EvalMemoStats(), RawMeterMemoStats()
+	second, err := Run("fig24", quickCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := workload.Stats(); got.MemHits != traces.MemHits || got.MemMisses != traces.MemMisses {
+		t.Errorf("repeat made trace-cache lookups: hits %d -> %d, misses %d -> %d",
+			traces.MemHits, got.MemHits, traces.MemMisses, got.MemMisses)
+	}
+	if got := EvalMemoStats(); got.Misses != memo.Misses || got.Hits-memo.Hits != uint64(len(first.Rows)) {
+		t.Errorf("repeat: eval memo %d hits / %d misses, want %d hits and no miss",
+			got.Hits-memo.Hits, got.Misses-memo.Misses, len(first.Rows))
+	}
+	if got := RawMeterMemoStats(); got.Hits != meters.Hits || got.Misses != meters.Misses {
+		t.Errorf("repeat looked up raw meters: %+v -> %+v", meters, got)
+	}
+	if second.TSV() != first.TSV() {
+		t.Error("repeat differs from the first run")
 	}
 }

@@ -26,8 +26,8 @@ func init() {
 // busTrace fetches one bus of a workload's traffic: for the data buses,
 // the trace cache's resident 32-bit stream, shared and read-only; for the
 // address bus, which the cache keeps packed, a fresh decoded copy.
-func busTrace(name, bus string, cfg Config) ([]uint32, error) {
-	tr, err := workload.Resident(name, cfg.Run)
+func busTrace(name, bus string, run workload.RunConfig) ([]uint32, error) {
+	tr, err := workload.Resident(name, run)
 	if err != nil {
 		return nil, err
 	}
@@ -56,7 +56,7 @@ func runFig7(cfg Config) (*Table, error) {
 	pairs := benchBusPairs(fig7Benchmarks)
 	err := gatherRows(t, cfg, len(pairs), func(i int, out *Table) error {
 		name, bus := pairs[i].name, pairs[i].bus
-		tr, err := busTrace(name, bus, cfg)
+		tr, err := busTrace(name, bus, cfg.Run)
 		if err != nil {
 			return err
 		}
@@ -96,7 +96,7 @@ func runFig8(cfg Config) (*Table, error) {
 	pairs := benchBusPairs(fig7Benchmarks)
 	err := gatherRows(t, cfg, len(pairs), func(i int, out *Table) error {
 		name, bus := pairs[i].name, pairs[i].bus
-		tr, err := busTrace(name, bus, cfg)
+		tr, err := busTrace(name, bus, cfg.Run)
 		if err != nil {
 			return err
 		}

@@ -12,12 +12,10 @@ import (
 // serialization benchmarks measure the payload the trace cache moves.
 const benchTraceSize = 120_000
 
-// BenchmarkKernels times trace and container serialization. Sub-benchmark
-// names are stable across changes, so before/after comparisons keep
-// meaning the same operation.
+// BenchmarkKernels times container serialization and delta coding.
+// Sub-benchmark names are stable across changes, so before/after
+// comparisons keep meaning the same operation.
 func BenchmarkKernels(b *testing.B) {
-	b.Run("Trace.Write/120k", benchTraceWrite)
-	b.Run("Trace.Read/120k", benchTraceRead)
 	b.Run("Container.Write/3x120k", benchContainerWrite)
 	b.Run("Container.Parse/3x120k", benchContainerParse)
 	b.Run("Deltas.Pack/120k", benchDeltasPack)
@@ -40,35 +38,6 @@ func benchBeats(n int) []uint32 {
 		out[i] = uint32(v)
 	}
 	return out
-}
-
-func benchTraceWrite(b *testing.B) {
-	tr := &Trace{Name: "bench/reg", Width: 32, Values: benchTraceValues(benchTraceSize)}
-	b.SetBytes(int64(len(tr.Values)) * 8)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := tr.Write(io.Discard); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func benchTraceRead(b *testing.B) {
-	tr := &Trace{Name: "bench/reg", Width: 32, Values: benchTraceValues(benchTraceSize)}
-	var buf bytes.Buffer
-	if err := tr.Write(&buf); err != nil {
-		b.Fatal(err)
-	}
-	data := buf.Bytes()
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Read(bytes.NewReader(data)); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // benchAddrs is an address-bus-like stream: mostly small steps from the

@@ -85,54 +85,15 @@ type Container struct {
 	Sections []Section
 }
 
-// blockWords is the bulk-I/O chunk size in values: one Write or ReadFull
-// call per 8192 values (32 KiB of container beats, 64 KiB of BUSTRC01
-// trace values) instead of one call per value.
+// blockWords is the bulk-I/O chunk size in values: one Write call per
+// 8192 values (32 KiB of container beats) instead of one call per value.
 const blockWords = 8192
 
 // maxSectionWidth is the widest bus a container section holds.
 const maxSectionWidth = 32
 
-// writeUint64Block encodes vals in blockWords chunks through buf (which
-// must hold blockWords*8 bytes).
-func writeUint64Block(w io.Writer, vals []uint64, buf []byte) error {
-	for len(vals) > 0 {
-		n := len(vals)
-		if n > blockWords {
-			n = blockWords
-		}
-		for i, v := range vals[:n] {
-			binary.LittleEndian.PutUint64(buf[i*8:], v)
-		}
-		if _, err := w.Write(buf[:n*8]); err != nil {
-			return err
-		}
-		vals = vals[n:]
-	}
-	return nil
-}
-
-// readUint64Block decodes len(vals) values in blockWords chunks through
-// buf (which must hold blockWords*8 bytes).
-func readUint64Block(r io.Reader, vals []uint64, buf []byte) error {
-	for len(vals) > 0 {
-		n := len(vals)
-		if n > blockWords {
-			n = blockWords
-		}
-		if _, err := io.ReadFull(r, buf[:n*8]); err != nil {
-			return err
-		}
-		for i := range vals[:n] {
-			vals[i] = binary.LittleEndian.Uint64(buf[i*8:])
-		}
-		vals = vals[n:]
-	}
-	return nil
-}
-
-// writeUint32Block is writeUint64Block for 4-byte values (buf must hold
-// blockWords*4 bytes).
+// writeUint32Block encodes vals in blockWords chunks through buf (which
+// must hold blockWords*4 bytes).
 func writeUint32Block(w io.Writer, vals []uint32, buf []byte) error {
 	for len(vals) > 0 {
 		n := min(len(vals), blockWords)

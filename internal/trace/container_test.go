@@ -425,39 +425,6 @@ func TestSectionByName(t *testing.T) {
 	}
 }
 
-// The BUSTRC01 block-I/O conversion must keep the byte stream identical to
-// the original per-value encoding.
-func TestTraceWriteBytesUnchangedByBlockIO(t *testing.T) {
-	tr := &Trace{Name: "gcc/reg", Width: 32, Values: make([]uint64, blockWords+13)}
-	rng := stats.NewRNG(99)
-	for i := range tr.Values {
-		tr.Values[i] = rng.Uint64()
-	}
-	var got bytes.Buffer
-	if err := tr.Write(&got); err != nil {
-		t.Fatal(err)
-	}
-	// Reference encoding: the BUSTRC01 layout written one value at a time.
-	var want bytes.Buffer
-	want.Write(magic[:])
-	var u16 [2]byte
-	var u64 [8]byte
-	binary.LittleEndian.PutUint16(u16[:], uint16(len(tr.Name)))
-	want.Write(u16[:])
-	want.WriteString(tr.Name)
-	binary.LittleEndian.PutUint16(u16[:], uint16(tr.Width))
-	want.Write(u16[:])
-	binary.LittleEndian.PutUint64(u64[:], uint64(len(tr.Values)))
-	want.Write(u64[:])
-	for _, v := range tr.Values {
-		binary.LittleEndian.PutUint64(u64[:], v)
-		want.Write(u64[:])
-	}
-	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Fatal("block-encoded BUSTRC01 bytes differ from the per-value encoding")
-	}
-}
-
 // FuzzReadContainer feeds arbitrary bytes to ParseContainer: it must
 // always return (possibly an error) without panicking, and anything it
 // accepts must re-encode to a container that round-trips. Each input is

@@ -1,112 +1,12 @@
-// Package trace provides storage and statistics for bus value traces: a
-// compact binary serialization (for cmd/tracegen and cmd/transcode) and
-// the trace-characterization statistics of the paper's §4.2 (unique-value
-// CDF of Figure 7, window-uniqueness of Figure 8).
+// Package trace provides storage and statistics for bus value traces: the
+// BUSTRC05 container (container.go), which is both the disk trace
+// cache's format and the trace file cmd/tracegen writes and
+// cmd/transcode reads, and the trace-characterization statistics of the
+// paper's §4.2 (unique-value CDF of Figure 7, window-uniqueness of
+// Figure 8).
 package trace
 
-import (
-	"bufio"
-	"encoding/binary"
-	"errors"
-	"fmt"
-	"io"
-
-	"buspower/internal/stats"
-)
-
-// magic identifies the trace file format ("BUSTRC01").
-var magic = [8]byte{'B', 'U', 'S', 'T', 'R', 'C', '0', '1'}
-
-// Trace is a captured bus value stream.
-type Trace struct {
-	// Name identifies the source, e.g. "gcc/reg".
-	Name string
-	// Width is the data bus width in bits.
-	Width int
-	// Values is the per-beat value stream.
-	Values []uint64
-}
-
-// Write serializes the trace:
-//
-//	magic[8] | nameLen u16 | name | width u16 | count u64 | values u64...
-func (t *Trace) Write(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(magic[:]); err != nil {
-		return err
-	}
-	if len(t.Name) > 0xFFFF {
-		return errors.New("trace: name too long")
-	}
-	if t.Width < 1 || t.Width > 64 {
-		return fmt.Errorf("trace: invalid width %d", t.Width)
-	}
-	var u16 [2]byte
-	binary.LittleEndian.PutUint16(u16[:], uint16(len(t.Name)))
-	if _, err := bw.Write(u16[:]); err != nil {
-		return err
-	}
-	if _, err := bw.WriteString(t.Name); err != nil {
-		return err
-	}
-	binary.LittleEndian.PutUint16(u16[:], uint16(t.Width))
-	if _, err := bw.Write(u16[:]); err != nil {
-		return err
-	}
-	var u64 [8]byte
-	binary.LittleEndian.PutUint64(u64[:], uint64(len(t.Values)))
-	if _, err := bw.Write(u64[:]); err != nil {
-		return err
-	}
-	// Bulk block encoding: the on-disk bytes are identical to the old
-	// one-value-at-a-time loop (a plain concatenation of LE uint64s), but
-	// written in 64 KiB chunks.
-	if err := writeUint64Block(bw, t.Values, make([]byte, blockWords*8)); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// Read deserializes a trace written by Write.
-func Read(r io.Reader) (*Trace, error) {
-	br := bufio.NewReader(r)
-	var m [8]byte
-	if _, err := io.ReadFull(br, m[:]); err != nil {
-		return nil, fmt.Errorf("trace: reading magic: %w", err)
-	}
-	if m != magic {
-		return nil, errors.New("trace: bad magic (not a trace file)")
-	}
-	var u16 [2]byte
-	if _, err := io.ReadFull(br, u16[:]); err != nil {
-		return nil, err
-	}
-	name := make([]byte, binary.LittleEndian.Uint16(u16[:]))
-	if _, err := io.ReadFull(br, name); err != nil {
-		return nil, err
-	}
-	if _, err := io.ReadFull(br, u16[:]); err != nil {
-		return nil, err
-	}
-	width := int(binary.LittleEndian.Uint16(u16[:]))
-	if width < 1 || width > 64 {
-		return nil, fmt.Errorf("trace: invalid width %d", width)
-	}
-	var u64 [8]byte
-	if _, err := io.ReadFull(br, u64[:]); err != nil {
-		return nil, err
-	}
-	count := binary.LittleEndian.Uint64(u64[:])
-	const maxCount = 1 << 30
-	if count > maxCount {
-		return nil, fmt.Errorf("trace: implausible value count %d", count)
-	}
-	values := make([]uint64, count)
-	if err := readUint64Block(br, values, make([]byte, blockWords*8)); err != nil {
-		return nil, fmt.Errorf("trace: truncated values: %w", err)
-	}
-	return &Trace{Name: string(name), Width: width, Values: values}, nil
-}
+import "buspower/internal/stats"
 
 // Characteristics bundles the §4.2 statistics of a trace.
 type Characteristics struct {
@@ -124,7 +24,7 @@ type Characteristics struct {
 
 // Characterize computes the §4.2 statistics, evaluating window-uniqueness
 // at the given window sizes.
-func Characterize(values []uint64, windows []int) Characteristics {
+func Characterize[T stats.Value](values []T, windows []int) Characteristics {
 	c := Characteristics{
 		Values:       len(values),
 		Unique:       stats.UniqueCount(values),

@@ -2,74 +2,45 @@ package trace
 
 import (
 	"bytes"
-	"strings"
+	"slices"
 	"testing"
 )
 
-func TestRoundTrip(t *testing.T) {
-	orig := &Trace{Name: "gcc/reg", Width: 32, Values: []uint64{1, 2, 3, 0xFFFFFFFF, 0}}
+// roundTrip writes a one-section trace file (the layout tracegen writes)
+// and parses it back.
+func roundTrip(t *testing.T, label, bus string, vals []uint32) *Container {
+	t.Helper()
+	orig := &Container{Name: label, Sections: []Section{{Name: bus, Width: 32, Values: vals}}}
 	var buf bytes.Buffer
 	if err := orig.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Read(&buf)
+	got, err := ParseContainer(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Name != orig.Name || got.Width != orig.Width || len(got.Values) != len(orig.Values) {
-		t.Fatalf("round trip mismatch: %+v", got)
+	if len(got.Sections) != 1 {
+		t.Fatalf("%d sections, want 1", len(got.Sections))
 	}
-	for i := range orig.Values {
-		if got.Values[i] != orig.Values[i] {
-			t.Fatalf("value %d: %d != %d", i, got.Values[i], orig.Values[i])
-		}
+	return got
+}
+
+func TestRoundTrip(t *testing.T) {
+	vals := []uint32{1, 2, 3, 0xFFFFFFFF, 0}
+	got := roundTrip(t, "gcc/reg", "reg", vals)
+	s := got.Sections[0]
+	if got.Name != "gcc/reg" || s.Name != "reg" || s.Width != 32 || s.Packed != nil {
+		t.Fatalf("round trip mismatch: name %q section %q width %d", got.Name, s.Name, s.Width)
+	}
+	if !slices.Equal(s.Values, vals) {
+		t.Fatalf("values %v, want %v", s.Values, vals)
 	}
 }
 
 func TestRoundTripEmpty(t *testing.T) {
-	orig := &Trace{Name: "", Width: 8, Values: nil}
-	var buf bytes.Buffer
-	if err := orig.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Values) != 0 {
-		t.Error("expected empty values")
-	}
-}
-
-func TestReadRejectsGarbage(t *testing.T) {
-	if _, err := Read(strings.NewReader("not a trace file at all")); err == nil {
-		t.Error("garbage accepted")
-	}
-	if _, err := Read(strings.NewReader("")); err == nil {
-		t.Error("empty input accepted")
-	}
-}
-
-func TestReadRejectsTruncation(t *testing.T) {
-	orig := &Trace{Name: "x", Width: 16, Values: []uint64{1, 2, 3, 4}}
-	var buf bytes.Buffer
-	if err := orig.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	if _, err := Read(bytes.NewReader(data[:len(data)-5])); err == nil {
-		t.Error("truncated trace accepted")
-	}
-}
-
-func TestWriteRejectsInvalidWidth(t *testing.T) {
-	bad := &Trace{Name: "x", Width: 0, Values: nil}
-	if err := bad.Write(&bytes.Buffer{}); err == nil {
-		t.Error("width 0 accepted")
-	}
-	bad.Width = 65
-	if err := bad.Write(&bytes.Buffer{}); err == nil {
-		t.Error("width 65 accepted")
+	got := roundTrip(t, "", "random", nil)
+	if got.Name != "" || len(got.Sections[0].Values) != 0 {
+		t.Errorf("empty trace read back as %q with %d values", got.Name, len(got.Sections[0].Values))
 	}
 }
 
