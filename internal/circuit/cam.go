@@ -1,16 +1,15 @@
 package circuit
 
-import "math/bits"
-
 // CAM models the selective-precharge content-addressable match circuit of
 // §5.3.3 (after Zukowski & Wang): each entry first compares only the
 // low-order bits of the probe against its tag; only entries that pass this
 // partial match precharge and compare the remaining bits. This avoids
 // charging the full 32-bit comparators of every entry every cycle.
 //
-// The model counts the comparator bit-charges actually expended so the
-// energy advantage over a naive full-width probe can be quantified (and is
-// exercised by the ablation benchmarks).
+// The model counts the comparator bit-charges actually expended, so the
+// energy advantage over a naive full-width probe can be quantified, and
+// it serves as an independent oracle for the Window coder's
+// PartialMatches and FullMatches counts (see oracle_test.go).
 type CAM struct {
 	tags        []uint64
 	valid       []bool
@@ -45,9 +44,6 @@ func (c *CAM) Write(entry int, tag uint64) {
 	c.tags[entry] = tag & c.mask(c.tagBits)
 	c.valid[entry] = true
 }
-
-// Invalidate clears an entry.
-func (c *CAM) Invalidate(entry int) { c.valid[entry] = false }
 
 // Match probes all entries with the given tag and returns the matching
 // entry index, or -1. Energy accounting: every valid entry charges its
@@ -98,6 +94,3 @@ func (c *CAM) mask(n int) uint64 {
 	}
 	return 1<<uint(n) - 1
 }
-
-// HammingDistance is a helper for comparator activity estimates.
-func HammingDistance(a, b uint64) int { return bits.OnesCount64(a ^ b) }

@@ -1,10 +1,12 @@
-// Package circuit models the transcoder hardware of §5: the custom
-// low-power circuits (Johnson counters, selective-precharge CAM matching,
-// pointer-based shift cells, neighbour-swap cells) and the statistical
+// Package circuit models the transcoder hardware of §5: the statistical
 // energy methodology the paper validated against SPICE netlist simulation
-// (within 6%, §5.4.2): per-operation energies extracted once from the
+// (within 6%, §5.4.2) — per-operation energies extracted once from the
 // layout, multiplied by operation counts gathered from the architectural
-// simulation.
+// simulation — and behavioural models of two of its custom low-power
+// circuits, the Johnson counter and the selective-precharge CAM. Those
+// two count in hardware terms what the coders count for themselves, so
+// tests use them as oracles: the CAM for the Window coder's probe counts,
+// the Johnson counter for the Context coder's counter range.
 //
 // The per-technology characteristics (area, average operation energy,
 // leakage, delay, cycle time) are anchored to the paper's Table 2; the
@@ -14,8 +16,8 @@ package circuit
 
 // JohnsonCounter models the energy-efficient counter of §5.3.3: a ring of
 // flip-flops through an inverted feedback tap, so exactly one bit toggles
-// per count. The transcoder concatenates four 4-bit Johnson counters,
-// counting to 4096 before saturating.
+// per count. The transcoder concatenates four 4-bit Johnson counters:
+// 4096 states, so it counts from 0 to 4095 and saturates there.
 //
 // The model tracks the actual register bits so tests can verify the
 // one-transition-per-count property that makes the counter cheap.
@@ -38,7 +40,7 @@ type johnsonStage struct {
 const johnsonStageWidth = 4
 
 // NewJohnsonCounter builds a counter of the given number of concatenated
-// 4-bit stages. The paper's transcoder uses 4 stages (max count 4096).
+// 4-bit stages. The paper's transcoder uses 4 stages (max count 4095).
 func NewJohnsonCounter(stages int) *JohnsonCounter {
 	if stages < 1 {
 		panic("circuit: Johnson counter needs at least one stage")

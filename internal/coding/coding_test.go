@@ -210,6 +210,37 @@ func TestCodebookEdgeBitsFirst(t *testing.T) {
 	}
 }
 
+// TestCouplingAwareCodebookPays states the claim behind ordering
+// codewords by coupling as well as weight: on hot-value traffic metered
+// at Λ=1, a Window coder built for λ=1 costs less than one built for
+// λ=0 (by 1.05% at the time of writing; the two differ only in codeword
+// order and in the raw-vs-inverted choice on a miss).
+func TestCouplingAwareCodebookPays(t *testing.T) {
+	rng := stats.NewRNG(424242)
+	hot := make([]uint64, 8)
+	for i := range hot {
+		hot[i] = rng.Uint64() & 0xFFFFFFFF
+	}
+	trace := make([]uint64, 20000)
+	for i := range trace {
+		if rng.Intn(6) == 0 {
+			trace[i] = rng.Uint64() & 0xFFFFFFFF
+		} else {
+			trace[i] = hot[rng.Intn(len(hot))]
+		}
+	}
+	cost := func(lambda float64) float64 {
+		win, err := NewWindow(32, 8, lambda)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return MustEvaluate(win, trace, 1).CodedCost()
+	}
+	if weightOnly, aware := cost(0), cost(1); aware >= weightOnly {
+		t.Errorf("at Λ=1 the λ=1 codebook costs %.0f, not below the λ=0 codebook's %.0f", aware, weightOnly)
+	}
+}
+
 func TestCodebookSizeLimits(t *testing.T) {
 	if _, err := NewCodebook(8, 0, 1); err == nil {
 		t.Error("size 0 should fail")
@@ -650,6 +681,41 @@ func TestContextCounterDivision(t *testing.T) {
 	}
 }
 
+// TestContextCounterDivisionPhaseChange states the claim behind counter
+// division (§5.3.3, Fig 25): when the traffic's hot set changes halfway
+// through, undivided counters keep the stale phase-one values pinned in
+// the table, and halving them every 1024 cycles lets the new hot set in.
+// On this trace division saves more than the whole coded cost it leaves
+// (off/on − 1 is 144% at the time of writing).
+func TestContextCounterDivisionPhaseChange(t *testing.T) {
+	rng := stats.NewRNG(33)
+	trace := make([]uint64, 40000)
+	phase1 := make([]uint64, 8)
+	phase2 := make([]uint64, 8)
+	for i := range phase1 {
+		phase1[i] = rng.Uint64() & 0xFFFFFFFF
+		phase2[i] = rng.Uint64() & 0xFFFFFFFF
+	}
+	for i := range trace {
+		set := phase1
+		if i >= len(trace)/2 {
+			set = phase2
+		}
+		trace[i] = set[rng.Intn(len(set))]
+	}
+	cost := func(period int) float64 {
+		ctx, err := NewContext(ContextConfig{Width: 32, TableSize: 8, ShiftEntries: 4, DividePeriod: period, Lambda: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return MustEvaluate(ctx, trace, 1).CodedCost()
+	}
+	off, on := cost(0), cost(1024)
+	if saved := off/on - 1; saved <= 1 {
+		t.Errorf("counter division saved %.1f%% of the coded cost across a phase change, want > 100%%", 100*saved)
+	}
+}
+
 // countFor returns the frequency count the state holds for value v, in the
 // table or the shift register.
 func countFor(e *contextEncoder, v uint64) uint32 {
@@ -664,25 +730,6 @@ func countFor(e *contextEncoder, v uint64) uint32 {
 		}
 	}
 	return 0
-}
-
-func TestContextCounterSaturation(t *testing.T) {
-	cfg := ContextConfig{Width: 16, TableSize: 2, ShiftEntries: 2, DividePeriod: 0, Lambda: 1}
-	ctx, _ := NewContext(cfg)
-	enc := ctx.NewEncoder().(*contextEncoder)
-	for i := 0; i < 3*counterMax; i++ {
-		enc.Encode(0x5)
-	}
-	for _, e := range enc.st.table {
-		if e.count > counterMax {
-			t.Errorf("counter exceeded Johnson saturation: %d", e.count)
-		}
-	}
-	for _, e := range enc.st.sr {
-		if e.count > counterMax {
-			t.Errorf("SR counter exceeded saturation: %d", e.count)
-		}
-	}
 }
 
 func TestContextValueBeatsTransitionBased(t *testing.T) {

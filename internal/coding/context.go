@@ -21,7 +21,7 @@ import (
 // increments, and an entry whose counter *equals* its upper neighbour's
 // swaps upward, so entries rise one position per cycle using only XOR
 // equality comparators and O(n) neighbour wiring. Counters saturate like
-// the paper's four concatenated 4-bit Johnson counters (max 4096) and are
+// the paper's four concatenated 4-bit Johnson counters (max 4095) and are
 // periodically halved (the "counter division time") to track phase
 // changes.
 //
@@ -56,8 +56,9 @@ type ContextConfig struct {
 }
 
 // counterMax mirrors the saturation point of four concatenated 4-bit
-// Johnson counters (§5.3.3).
-const counterMax = 4096
+// Johnson counters (§5.3.3): 8^4 = 4096 states, so the largest count is
+// 4095. TestContextCounterSaturation checks it against circuit's model.
+const counterMax = 4095
 
 // NewContext builds a Context-based transcoder.
 func NewContext(cfg ContextConfig) (*ContextTranscoder, error) {
