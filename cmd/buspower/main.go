@@ -7,6 +7,8 @@
 //	buspower -exp table3
 //	buspower -exp fig15,fig16 -quick
 //	buspower -exp all -o results/ -jobs 8 -v
+//	buspower -exp all -o results/ -report results/selfcheck.md
+//	buspower -report -
 //	buspower -exp all -trace-cache /tmp/traces
 //	buspower -exp all -verify full
 //	buspower -exp all -cpuprofile cpu.pprof -o /tmp/tsv
@@ -18,7 +20,9 @@
 // byte-identical to running each experiment serially. Each experiment
 // prints (or writes) a TSV table whose series correspond to the paper's
 // artifact; see DESIGN.md for the per-experiment index and EXPERIMENTS.md
-// for paper-vs-measured numbers.
+// for paper-vs-measured numbers. -report grades the tables of the same
+// run against the paper's numbers; on its own it runs only the
+// experiments it grades.
 //
 // Simulated traces are cached twice: in memory within one run, and in a
 // persistent content-addressed directory across runs (default:
@@ -68,6 +72,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -127,7 +132,7 @@ func run() error {
 		outDir    = flag.String("o", "", "write one <id>.tsv per experiment into this directory instead of stdout")
 		verbose   = flag.Bool("v", false, "print per-experiment progress, wall times and cache/memo stats to stderr")
 		verify    = flag.String("verify", "sampled", "decoder round-trip verification policy: full, sampled[:N] or off (results are bit-identical under all of them)")
-		reportOut = flag.String("report", "", "write a Markdown self-check report (paper vs measured) to this file ('-' for stdout)")
+		reportOut = flag.String("report", "", "write a Markdown self-check report grading this run's tables (paper vs measured) to this file ('-' for stdout)")
 		cacheDir  = flag.String("trace-cache", "", "persistent trace cache directory (default: the per-user cache dir)")
 		noDisk    = flag.Bool("no-disk-cache", false, "disable the persistent trace cache for this run")
 		cpuProf   = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
@@ -224,40 +229,36 @@ func run() error {
 		}
 	}
 
-	if *reportOut != "" {
-		r, err := report.BuildContext(ctx, cfg, opts)
-		if err != nil {
-			return err
-		}
-		md := r.Markdown()
-		if *reportOut == "-" {
-			fmt.Print(md)
-			return nil
-		}
-		if err := os.WriteFile(*reportOut, []byte(md), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", *reportOut)
-		return nil
-	}
-
-	if *exp == "" {
+	if *exp == "" && *reportOut == "" {
 		flag.Usage()
 		return fmt.Errorf("no experiment selected (use -exp, -report or -list)")
 	}
 
 	// Validate the whole selection before anything runs: a typo in
 	// "-exp fig15,figXX" must fail here, not after fig15 already printed.
-	ids, err := experiments.ResolveIDs(*exp)
-	if err != nil {
-		return err
+	var ids []string
+	if *exp != "" {
+		if ids, err = experiments.ResolveIDs(*exp); err != nil {
+			return err
+		}
 	}
-	if *outDir != "" {
+	// -report grades the tables of this run: the ones -exp selected, plus
+	// any the report needs that -exp left out, which run but are not
+	// printed. -report alone runs just the report's experiments.
+	runIDs := ids
+	if *reportOut != "" {
+		for _, id := range report.Experiments() {
+			if !slices.Contains(runIDs, id) {
+				runIDs = append(runIDs, id)
+			}
+		}
+	}
+	if *outDir != "" && len(ids) > 0 {
 		if err := os.MkdirAll(*outDir, 0o755); err != nil {
 			return err
 		}
 	}
-	tables, err := experiments.RunAll(ctx, cfg, ids, opts)
+	tables, err := experiments.RunAll(ctx, cfg, runIDs, opts)
 	if *verbose {
 		s := workload.Stats()
 		fmt.Fprintf(os.Stderr, "trace cache: memory %d hits / %d misses, %s resident (%s mapped, %s heap)",
@@ -276,20 +277,40 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	for i, tbl := range tables {
+	for i, id := range ids {
 		if *outDir == "" {
-			fmt.Print(tbl.TSV())
+			fmt.Print(tables[i].TSV())
 			fmt.Println()
 			continue
 		}
-		path := filepath.Join(*outDir, ids[i]+".tsv")
-		if err := os.WriteFile(path, []byte(tbl.TSV()), 0o644); err != nil {
+		path := filepath.Join(*outDir, id+".tsv")
+		if err := os.WriteFile(path, []byte(tables[i].TSV()), 0o644); err != nil {
 			return err
 		}
 		if *verbose {
 			fmt.Fprintf(os.Stderr, "wrote %s\n", path)
 		}
 	}
+	if *reportOut == "" {
+		return nil
+	}
+	byID := make(map[string]*experiments.Table, len(runIDs))
+	for i, id := range runIDs {
+		byID[id] = tables[i]
+	}
+	r, err := report.Build(byID)
+	if err != nil {
+		return err
+	}
+	md := r.Markdown()
+	if *reportOut == "-" {
+		fmt.Print(md)
+		return nil
+	}
+	if err := os.WriteFile(*reportOut, []byte(md), 0o644); err != nil {
+		return err
+	}
+	fmt.Fprintf(os.Stderr, "wrote %s\n", *reportOut)
 	return nil
 }
 

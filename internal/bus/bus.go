@@ -93,26 +93,14 @@ func Cost(prev, cur Word, width int, lambda float64) float64 {
 }
 
 // CostMasked is Cost for callers that keep their states pre-masked and
-// hold the width's pair mask (Mask(width-1)) hoisted: the per-candidate
-// form encoders use when ranking bus states every cycle.
+// hold the width's pair mask (Mask(width-1)) hoisted. The encoders rank
+// candidate bus states with the same expression over bus.Activity's
+// counts.
 func CostMasked(prev, cur, pairMask Word, lambda float64) float64 {
 	tr, c := Activity(prev, prev^cur, pairMask)
 	// The counts are below 2^7, so converting through int64 (one
 	// instruction, where uint64 needs a range check) is exact.
 	return float64(int64(tr)) + lambda*float64(int64(c))
-}
-
-// CostMaskedInt is CostMasked for integral Λ, computed entirely in
-// uint64. Transition and coupling counts are at most 64 and 126, so for
-// Λ below 2^46 every cost both functions can produce is an integer under
-// 2^53 — exactly representable in float64 — and comparing two
-// CostMaskedInt values orders identically to comparing the CostMasked
-// floats. Encoders that rank candidate bus states every cycle use this
-// to drop the int→float conversions and float compares from their hot
-// path without changing a single decision.
-func CostMaskedInt(prev, cur, pairMask Word, lambda uint64) uint64 {
-	tr, c := Activity(prev, prev^cur, pairMask)
-	return tr + lambda*c
 }
 
 // ExpectedSelfCoupling returns the expected number of coupling events

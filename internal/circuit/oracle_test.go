@@ -49,7 +49,7 @@ func camWindow(n int, trace []uint64) (*circuit.CAM, coding.OpStats) {
 // and shifts.
 // The sizes straddle rowsMaxSlots (256), so both the row walk and the
 // hash index of the coder's dictionary are checked; VerifyFull runs the
-// per-cycle Encode and VerifySampled the bulk encodeStream.
+// per-value Encode and VerifySampled the bulk encodeBlock.
 func TestCAMMatchesWindowOps(t *testing.T) {
 	cfg := experiments.QuickConfig().Run
 	policies := []coding.VerifyPolicy{coding.VerifyFull, coding.VerifySampled(0)}

@@ -36,24 +36,22 @@ const (
 // bus states every raw cycle, and recomputing masks per candidate
 // dominated the encode profile.
 type channel struct {
-	width       int     // data wires
-	lambda      float64 // assumed Λ for the raw-vs-inverted choice
-	state       bus.Word
-	dataMask    bus.Word // Mask(width)
-	pairMask    bus.Word // Mask(busWidth-1): adjacent pairs incl. control wires
-	ctrlRaw     bus.Word // the raw-cycle control wire
-	ctrlInv     bus.Word // the inverted-raw-cycle control wire
-	lambdaInt   uint64   // integral Λ when lambdaIsInt
-	lambdaIsInt bool
+	width    int       // data wires
+	cost     costOrder // assumed Λ for the raw-vs-inverted choice
+	state    bus.Word
+	dataMask bus.Word // Mask(width)
+	pairMask bus.Word // Mask(busWidth-1): adjacent pairs incl. control wires
+	ctrlRaw  bus.Word // the raw-cycle control wire
+	ctrlInv  bus.Word // the inverted-raw-cycle control wire
 
 	// accT/accC accumulate the Σ transition and coupling counts of every
 	// send since the last beginBlock: bus.Activity's counts, which
 	// MeterStream.drain also applies to consecutive bus states (sendRaw's
-	// closed form computes the same counts for the chosen candidate). Bulk
-	// encode paths zero them with beginBlock, skip per-cycle stream
-	// records, and fold the run into their meter with one
-	// MeterStream.AddBlock; single-step paths that still record each
-	// word into a stream simply leave the accumulators stale.
+	// closed form computes the same counts for the chosen candidate). An
+	// encoder's encodeBlock zeroes them with beginBlock and returns them
+	// with the block's last state, which Evaluate folds into its meter with
+	// one MeterStream.AddBlock; Encode, the same loop over one value,
+	// returns only the state.
 	accT, accC uint64
 }
 
@@ -61,28 +59,47 @@ type channel struct {
 // subsequent sends belong to the caller's block.
 func (c *channel) beginBlock() { c.accT, c.accC = 0, 0 }
 
-// intLambda reports whether lambda is usable by bus.CostMaskedInt:
-// a non-negative integer small enough that every cost stays exactly
-// representable (see CostMaskedInt's bound).
-func intLambda(lambda float64) (uint64, bool) {
+// costOrder ranks candidate bus moves by their transition and coupling
+// counts (T, C) at an assumed Λ, as T + Λ·C: in uint64 when Λ is a
+// non-negative integer below 2^40 (every experiment except Figure 15's
+// fractional λN points), and otherwise as float64(T) + Λ·float64(C) per
+// candidate, exactly bus.CostMasked's expression. Counts are at most 64
+// and 126, so below that bound every integral cost is exact in both
+// forms and the two orders agree; each decision matches ranking the
+// candidates with CostMasked.
+type costOrder struct {
+	lambda float64
+	li     uint64 // integral Λ when isInt
+	isInt  bool
+}
+
+func newCostOrder(lambda float64) costOrder {
 	if lambda >= 0 && lambda < 1<<40 && lambda == float64(uint64(lambda)) {
-		return uint64(lambda), true
+		return costOrder{lambda: lambda, li: uint64(lambda), isInt: true}
 	}
-	return 0, false
+	return costOrder{lambda: lambda}
+}
+
+// less reports whether a move of t1 transitions and c1 couplings costs
+// strictly less than one of t2 and c2.
+func (o costOrder) less(t1, c1, t2, c2 uint64) bool {
+	if o.isInt {
+		return t1+o.li*c1 < t2+o.li*c2
+	}
+	// The counts are below 2^7, so converting through int64 (one
+	// instruction, where uint64 needs a range check) is exact.
+	return float64(int64(t1))+o.lambda*float64(int64(c1)) < float64(int64(t2))+o.lambda*float64(int64(c2))
 }
 
 func newChannel(width int, lambda float64) channel {
 	checkWidth(width)
-	li, ok := intLambda(lambda)
 	return channel{
-		width:       width,
-		lambda:      lambda,
-		dataMask:    bus.Mask(width),
-		pairMask:    bus.Mask(width + 1),
-		ctrlRaw:     bus.Word(1) << uint(width),
-		ctrlInv:     bus.Word(1) << uint(width+1),
-		lambdaInt:   li,
-		lambdaIsInt: ok,
+		width:    width,
+		cost:     newCostOrder(lambda),
+		dataMask: bus.Mask(width),
+		pairMask: bus.Mask(width + 1),
+		ctrlRaw:  bus.Word(1) << uint(width),
+		ctrlInv:  bus.Word(1) << uint(width+1),
 	}
 }
 
@@ -117,12 +134,10 @@ func (c *channel) sendCode(code bus.Word) bus.Word {
 //   - opposite-toggle pairs (cost 2) are the both-toggle pairs whose old
 //     bits differ, one popcount per candidate.
 //
-// The integer counts T and C are then compared as T + Λ·C: in uint64
-// when Λ is integral (every experiment except Figure 15's fractional λN
-// points), and otherwise as float64(T) + Λ·float64(C) per candidate —
-// exactly bus.CostMasked's expression, so every decision matches ranking
-// the two candidates with CostMasked (TestChannelIntCostMatchesFloat,
-// and the naive per-wire oracle of TestSendRawMatchesOracle).
+// The integer counts T and C are then ranked by costOrder, so every
+// decision matches ranking the two candidates with bus.CostMasked
+// (TestChannelIntCostMatchesFloat, and the naive per-wire oracle of
+// TestSendRawMatchesOracle).
 func (c *channel) sendRaw(v uint64) (bus.Word, bool) {
 	s := c.state
 	d := c.dataMask
@@ -135,14 +150,7 @@ func (c *channel) sendRaw(v uint64) (bus.Word, bool) {
 	differ := (s ^ s>>1) & pm
 	tRaw, cRaw := pt+1, single+2*uint64(bus.Weight(tr&(tr>>1)&differ))
 	tInv, cInv := uint64(c.width)-pt+1, single+2*uint64(bus.Weight(ti&(ti>>1)&differ))
-	var inverted bool
-	if c.lambdaIsInt {
-		inverted = tInv+c.lambdaInt*cInv < tRaw+c.lambdaInt*cRaw
-	} else {
-		// The counts are below 2^7, so converting through int64 (one
-		// instruction, where uint64 needs a range check) is exact.
-		inverted = float64(int64(tInv))+c.lambda*float64(int64(cInv)) < float64(int64(tRaw))+c.lambda*float64(int64(cRaw))
-	}
+	inverted := c.cost.less(tInv, cInv, tRaw, cRaw)
 	// The choice is data-dependent and close to a coin flip on busy
 	// traces, so the winner is selected with a mask rather than a branch.
 	var sel uint64

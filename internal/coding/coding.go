@@ -27,6 +27,14 @@
 // All stateful schemes fold in LAST-value prediction: the all-zero
 // codeword (which expends no energy under transition coding) means "same
 // value as the previous cycle".
+//
+// Window, Context, stride and inversion write their per-cycle algorithm
+// once, as a bulk loop over a block of values (encodeBlock); Encode runs
+// that loop on a one-value block. Every evaluation runs one sequence: a
+// live-verified window through Encode and the decoder, the rest of the
+// trace through the bulk loop, then the sampled replay (see
+// VerifyPolicy). Stride's bulk loop replays the grid's shared prediction
+// tape when one is attached (see StrideTape).
 package coding
 
 import (
@@ -56,16 +64,17 @@ type Decoder interface {
 	Reset()
 }
 
-// streamEncoder is implemented by encoders that can run their per-cycle
-// loop in bulk, recording each coded word straight into a MeterStream.
-// Evaluate uses it for the unverified stretches of a trace, eliminating
-// the per-cycle interface dispatch there; encodeStream must mutate the
-// encoder exactly as the equivalent sequence of Encode calls would
-// (differential tests compare the two paths cycle-for-cycle). A 32-bit
-// trace reaches it through the Evaluator's widening block, wideBlock
-// values per call.
-type streamEncoder interface {
-	encodeStream(vals []uint64, st *bus.MeterStream)
+// blockEncoder is implemented by the encoders whose per-cycle algorithm
+// is written once, as a bulk loop: encodeBlock runs vals through it and
+// returns the block's Σ transition and coupling counts and the coded bus
+// state after its last value. Their Encode is that loop over a one-value
+// block, so the per-value and bulk paths cannot drift apart. Evaluate
+// runs the unverified stretches of a trace through it, folding each
+// block into its meter with one MeterStream.AddBlock instead of a
+// per-cycle record and interface call; a 32-bit trace reaches it through
+// the Evaluator's widening block, wideBlock values per call.
+type blockEncoder interface {
+	encodeBlock(vals []uint64) (transitions, couplings uint64, last bus.Word)
 }
 
 // OpReporter is implemented by encoders that track the hardware operations
@@ -224,14 +233,14 @@ type Evaluator struct {
 	mask   uint64
 	coded  *bus.Meter      // reused coded-bus meter; see Evaluate's ownership note
 	stream bus.MeterStream // reused chunked recorder over coded (large value; kept
-	// here so passing its address to a streamEncoder never forces a heap copy)
+	// here so passing its address to encodeRun never forces a heap copy)
 	venc Encoder            // replay codec for sampled verification, built
 	vdec Decoder            // lazily on the first sampled Evaluate that needs it
 	wide *[wideBlock]uint64 // widening block, allocated on first use
 }
 
 // wideBlock is the size of the Evaluator's widening block: a 32-bit
-// trace reaches a bulk encoder's encodeStream([]uint64) through it,
+// trace reaches a bulk encoder's encodeBlock([]uint64) through it,
 // wideBlock values per call, so no evaluation copies a whole trace.
 const wideBlock = 4096
 
@@ -367,11 +376,11 @@ func evaluate[T bus.Value](ev *Evaluator, trace []T, lambda float64, raw *bus.Me
 	return ev.result(raw, coded, lambda), nil
 }
 
-// encodeRun encodes vals unverified into st, in bulk when the encoder
-// supports it. 64-bit values go to encodeStream as they are; narrower
+// encodeRun encodes vals unverified into st, in blocks when the encoder
+// supports it. 64-bit values go to encodeBlock as they are; narrower
 // ones are widened through ev.wide one block at a time.
 func encodeRun[T bus.Value](ev *Evaluator, vals []T, st *bus.MeterStream) {
-	se, ok := ev.enc.(streamEncoder)
+	se, ok := ev.enc.(blockEncoder)
 	if !ok {
 		for _, v := range vals {
 			st.Record(ev.enc.Encode(uint64(v) & ev.mask))
@@ -379,7 +388,8 @@ func encodeRun[T bus.Value](ev *Evaluator, vals []T, st *bus.MeterStream) {
 		return
 	}
 	if wide, ok := any(vals).([]uint64); ok {
-		se.encodeStream(wide, st)
+		tr, cp, last := se.encodeBlock(wide)
+		st.AddBlock(uint64(len(wide)), tr, cp, last)
 		return
 	}
 	if ev.wide == nil {
@@ -390,7 +400,8 @@ func encodeRun[T bus.Value](ev *Evaluator, vals []T, st *bus.MeterStream) {
 		for i := range blk {
 			blk[i] = uint64(vals[i])
 		}
-		se.encodeStream(blk, st)
+		tr, cp, last := se.encodeBlock(blk)
+		st.AddBlock(uint64(len(blk)), tr, cp, last)
 		vals = vals[len(blk):]
 	}
 }

@@ -651,8 +651,8 @@ func TestContextSortPromotesFrequentValues(t *testing.T) {
 		}
 		enc.Encode(v)
 	}
-	top := enc.st.table[0]
-	if !top.valid || top.key.cur != 0xAAAA {
+	top := enc.st.slots[0]
+	if !hasBit(enc.st.valid, 0) || top.key.cur != 0xAAAA {
 		t.Errorf("top table entry = %+v, want value 0xAAAA", top)
 	}
 	if err := enc.st.checkInvariants(); err != nil {
@@ -719,13 +719,8 @@ func TestContextCounterDivisionPhaseChange(t *testing.T) {
 // countFor returns the frequency count the state holds for value v, in the
 // table or the shift register.
 func countFor(e *contextEncoder, v uint64) uint32 {
-	for _, ent := range e.st.table {
-		if ent.valid && ent.key.cur == v {
-			return ent.count
-		}
-	}
-	for _, ent := range e.st.sr {
-		if ent.valid && ent.key.cur == v {
+	for i, ent := range e.st.slots {
+		if hasBit(e.st.valid, i) && ent.key.cur == v {
 			return ent.count
 		}
 	}

@@ -115,60 +115,55 @@ type ctxKey struct {
 	prev, cur uint64
 }
 
-type tableEntry struct {
-	key     ctxKey
-	count   uint32
-	pending bool
-	valid   bool
-}
-
-type srEntry struct {
+// ctxSlot is one dictionary entry: its key and its frequency counter.
+type ctxSlot struct {
 	key   ctxKey
 	count uint32
-	valid bool
 }
 
 // contextState is the complete shared FSM state; encoder and decoder each
 // own one and keep them identical by construction.
 //
-// Dictionary slots number the table and shift register together: table
-// slot i is slot i, register slot j is slot TableSize+j — the entry's
-// codeword index minus one. Acceleration structures shadow the arrays
-// without changing observable behavior:
+// One slot array holds the table and the shift register: table entry i
+// is slot i and register entry j is slot TableSize+j, so a slot is its
+// entry's codeword index minus one. Two bitsets are the only store of
+// the entries' flags: valid marks the occupied slots of both structures,
+// and pending the table entries hit since their last increment. The
+// per-cycle sort pass walks the pending bits, skipping pending-free
+// regions 64 entries at a time (on a converged dictionary most cycles
+// carry at most a bit or two), and a promotion finds the lowest occupied
+// table entry above the bottom slot in the valid bits without walking
+// the empty slots between.
 //
-//   - rows (see matchRows) holds every valid entry of both structures in
-//     the partial-match row of its key's low byte, so classifying a value
-//     walks one row and the row's population is the modeled full-match
-//     count. A sort swap, a promotion or a shift touches one or two bits
-//     per entry it moves.
-//   - index, above rowsMaxSlots only, maps key → slot over both
-//     structures with per-slot back-pointers, so a sort swap relabels two
-//     slots in place and a promotion moves its key to the table instead
-//     of re-inserting it; rows then keep only their populations.
+// Acceleration structures shadow the slots without changing observable
+// behavior:
+//
+//   - rows (see matchRows) holds every valid entry in the partial-match
+//     row of its key's low byte, so classifying a value walks one row and
+//     the row's population is the modeled full-match count. A sort swap,
+//     a promotion or a shift touches one or two bits per entry it moves.
+//   - index, above rowsMaxSlots only, maps key → slot with per-slot
+//     back-pointers, so a sort swap relabels two slots in place and a
+//     promotion moves its key to the table instead of re-inserting it;
+//     rows then keep only their populations.
 //
 // Both hold exactly the valid entries' keys, which Invariant 1 keeps
-// unique. pendingBits mirrors the table's pending flags as a bitset so
-// the per-cycle sort pass skips over pending-free regions 64 entries at
-// a time — on a converged dictionary most cycles carry at most a bit or
-// two — and validBits mirrors its valid flags so a promotion finds the
-// lowest occupied entry above the bottom slot without walking the empty
-// slots between.
+// unique.
 type contextState struct {
 	cfg    ContextConfig
-	table  []tableEntry
-	sr     []srEntry
-	srHead int
+	slots  []ctxSlot
+	srHead int // next register entry to overwrite
 	last   uint64
 	// untilDivide counts down to the next counter division (0 when
 	// DividePeriod is disabled) — a decrement per cycle instead of the
 	// modulo the period check would otherwise cost on every value.
 	untilDivide int
 
-	rows        matchRows
-	index       *ctxIndex
-	pendingBits []uint64
-	validBits   []uint64
-	// pendingCount tracks the number of set pendingBits so the per-cycle
+	rows    matchRows
+	index   *ctxIndex
+	valid   []uint64
+	pending []uint64
+	// pendingCount tracks the number of set pending bits so the per-cycle
 	// step can skip the sort pass without touching the bitset words.
 	pendingCount int
 
@@ -183,15 +178,13 @@ func newContextState(cfg ContextConfig) contextState {
 // newContextStateIndexed builds the state with or without the hash
 // index; the crossover tests force both on either side of rowsMaxSlots.
 func newContextStateIndexed(cfg ContextConfig, indexed bool) contextState {
-	words := (cfg.TableSize + 63) / 64
 	slots := cfg.TableSize + cfg.ShiftEntries
 	s := contextState{
 		cfg:         cfg,
-		table:       make([]tableEntry, cfg.TableSize),
-		sr:          make([]srEntry, cfg.ShiftEntries),
+		slots:       make([]ctxSlot, slots),
 		rows:        newMatchRows(slots, indexed),
-		pendingBits: make([]uint64, words),
-		validBits:   make([]uint64, words),
+		valid:       make([]uint64, (slots+63)/64),
+		pending:     make([]uint64, (cfg.TableSize+63)/64),
 		untilDivide: cfg.DividePeriod,
 	}
 	if indexed {
@@ -207,10 +200,21 @@ func (s *contextState) makeKey(v uint64) ctxKey {
 	return ctxKey{cur: v}
 }
 
-// setPendingBit keeps the bitset (and its population count) in lockstep
-// with table[i].pending.
-func (s *contextState) setPendingBit(i int, pending bool) {
-	w := &s.pendingBits[i>>6]
+// hasBit reports whether bit i of the bitset is set.
+func hasBit(set []uint64, i int) bool { return set[i>>6]&(1<<(i&63)) != 0 }
+
+// swapBits exchanges bits i and j of the bitset.
+func swapBits(set []uint64, i, j int) {
+	if hasBit(set, i) != hasBit(set, j) {
+		set[i>>6] ^= 1 << (i & 63)
+		set[j>>6] ^= 1 << (j & 63)
+	}
+}
+
+// setPending sets or clears table entry i's pending bit, keeping
+// pendingCount equal to the bitset's population.
+func (s *contextState) setPending(i int, pending bool) {
+	w := &s.pending[i>>6]
 	bit := uint64(1) << (i & 63)
 	if pending {
 		if *w&bit == 0 {
@@ -225,16 +229,6 @@ func (s *contextState) setPendingBit(i int, pending bool) {
 	}
 }
 
-// setValidBit keeps validBits in lockstep with table[i].valid.
-func (s *contextState) setValidBit(i int, valid bool) {
-	bit := uint64(1) << (i & 63)
-	if valid {
-		s.validBits[i>>6] |= bit
-	} else {
-		s.validBits[i>>6] &^= bit
-	}
-}
-
 // lastValidAbove returns the highest-numbered occupied table slot below
 // i (the lowest occupied entry above slot i in table order), or -1.
 func (s *contextState) lastValidAbove(i int) int {
@@ -243,12 +237,12 @@ func (s *contextState) lastValidAbove(i int) int {
 		return -1
 	}
 	wi := j >> 6
-	w := s.validBits[wi] & (^uint64(0) >> (63 - uint(j&63)))
+	w := s.valid[wi] & (^uint64(0) >> (63 - uint(j&63)))
 	for w == 0 {
 		if wi--; wi < 0 {
 			return -1
 		}
-		w = s.validBits[wi]
+		w = s.valid[wi]
 	}
 	return wi<<6 + 63 - bits.LeadingZeros64(w)
 }
@@ -274,11 +268,8 @@ func (s *contextState) stepSlow() {
 	if s.untilDivide > 0 {
 		s.untilDivide--
 		if s.untilDivide == 0 {
-			for i := range s.table {
-				s.table[i].count /= 2
-			}
-			for i := range s.sr {
-				s.sr[i].count /= 2
+			for i := range s.slots {
+				s.slots[i].count /= 2
 			}
 			s.untilDivide = s.cfg.DividePeriod
 		}
@@ -293,7 +284,7 @@ func (s *contextState) stepSlow() {
 	// e only mutates pending state at positions e-1 and e, never at a
 	// position the scan has yet to reach, so each position's pending flag
 	// at reach-time equals its value when the pass started.
-	for wi, word := range s.pendingBits {
+	for wi, word := range s.pending {
 		for word != 0 {
 			e := wi<<6 + bits.TrailingZeros64(word)
 			word &= word - 1
@@ -303,18 +294,18 @@ func (s *contextState) stepSlow() {
 			switch {
 			case e == 0:
 				s.increment(e)
-			case !s.table[e-1].valid:
+			case !hasBit(s.valid, e-1):
 				// Unoccupied slot above: rise past it unconditionally (real
 				// hardware has no empty slots; zero-count entries there would
 				// compare equal and be swapped through just the same).
 				s.swap(e)
-			case s.table[e].count < s.table[e-1].count:
+			case s.slots[e].count < s.slots[e-1].count:
 				s.increment(e)
-			case s.table[e].count > s.table[e-1].count:
+			case s.slots[e].count > s.slots[e-1].count:
 				// Ordering disturbed (can only arise transiently around
 				// unoccupied slots): restore it by rising.
 				s.swap(e)
-			case !s.table[e-1].pending:
+			case !hasBit(s.pending, e-1):
 				s.swap(e)
 			default:
 				// Upper neighbour is pending with an equal counter: both will
@@ -325,22 +316,22 @@ func (s *contextState) stepSlow() {
 	}
 }
 
-// swap exchanges entry e with its upper neighbour.
+// swap exchanges table entry e with its upper neighbour.
 func (s *contextState) swap(e int) {
-	s.table[e], s.table[e-1] = s.table[e-1], s.table[e]
-	s.setPendingBit(e, s.table[e].pending)
-	s.setPendingBit(e-1, s.table[e-1].pending)
-	s.setValidBit(e, s.table[e].valid)
-	s.setValidBit(e-1, s.table[e-1].valid)
-	if a, b := &s.table[e-1], &s.table[e]; a.valid != b.valid || byte(a.key.cur) != byte(b.key.cur) {
+	a, b := &s.slots[e-1], &s.slots[e]
+	va, vb := hasBit(s.valid, e-1), hasBit(s.valid, e)
+	if va != vb || byte(a.key.cur) != byte(b.key.cur) {
 		// Two entries sharing a row leave it unchanged.
-		if a.valid {
+		if va {
 			s.rows.move(byte(a.key.cur), e-1, e)
 		}
-		if b.valid {
-			s.rows.move(byte(b.key.cur), e-1, e)
+		if vb {
+			s.rows.move(byte(b.key.cur), e, e-1)
 		}
 	}
+	*a, *b = *b, *a
+	swapBits(s.valid, e-1, e)
+	swapBits(s.pending, e-1, e)
 	if s.index != nil {
 		s.index.swap(e, e-1)
 	}
@@ -350,11 +341,10 @@ func (s *contextState) swap(e int) {
 }
 
 func (s *contextState) increment(e int) {
-	if s.table[e].count < counterMax {
-		s.table[e].count++
+	if s.slots[e].count < counterMax {
+		s.slots[e].count++
 	}
-	s.table[e].pending = false
-	s.setPendingBit(e, false)
+	s.setPending(e, false)
 	if s.ops != nil {
 		s.ops.CounterIncrements++
 	}
@@ -380,16 +370,10 @@ func (s *contextState) probe(key ctxKey) (slot int, full uint64) {
 		return s.index.get(key), full
 	}
 	slot = -1
-	nt := len(s.table)
 	for wi, w := range s.rows.row(byte(key.cur)) {
 		full += uint64(bits.OnesCount64(w))
 		for ; w != 0 && slot < 0; w &= w - 1 {
-			i := wi<<6 | bits.TrailingZeros64(w)
-			if i < nt {
-				if s.table[i].key == key {
-					slot = i
-				}
-			} else if s.sr[i-nt].key == key {
+			if i := wi<<6 | bits.TrailingZeros64(w); s.slots[i].key == key {
 				slot = i
 			}
 		}
@@ -413,15 +397,13 @@ func (s *contextState) updateAt(v uint64, key ctxKey, slot int) {
 	switch {
 	case slot < 0:
 		s.insertSR(key)
-	case slot < len(s.table):
+	case slot < s.cfg.TableSize:
 		// A hit to an entry whose pending bit is already set is lost
 		// (§5.3.1 footnote) — correctness is unaffected, some counts are.
-		s.table[slot].pending = true
-		s.setPendingBit(slot, true)
+		s.setPending(slot, true)
 	default:
-		e := &s.sr[slot-len(s.table)]
-		if e.count < counterMax {
-			e.count++
+		if c := &s.slots[slot].count; *c < counterMax {
+			*c++
 		}
 		if s.ops != nil {
 			s.ops.CounterIncrements++
@@ -434,32 +416,35 @@ func (s *contextState) updateAt(v uint64, key ctxKey, slot int) {
 // rewritten); the evicted entry competes for the frequency table's bottom
 // slot (see promote).
 func (s *contextState) insertSR(key ctxKey) {
-	slot := len(s.table) + s.srHead
-	evicted := s.sr[s.srHead]
-	s.sr[s.srHead] = srEntry{key: key, count: 1, valid: true}
+	slot := s.cfg.TableSize + s.srHead
 	s.srHead++
-	if s.srHead == len(s.sr) {
+	if s.srHead == s.cfg.ShiftEntries {
 		s.srHead = 0
 	}
 	if s.ops != nil {
 		s.ops.Shifts++
 	}
-	if evicted.valid {
-		s.promote(evicted, slot)
+	if hasBit(s.valid, slot) {
+		s.promote(slot)
 	}
+	s.slots[slot] = ctxSlot{key: key, count: 1}
+	s.valid[slot>>6] |= 1 << (slot & 63)
 	s.rows.add(byte(key.cur), slot)
 	if s.index != nil {
 		s.index.put(key, slot)
 	}
 }
 
-// promote moves the entry just evicted from register slot srSlot into
-// the table's bottom slot if it out-counts the current least-frequent
-// entry (or the slot is empty); otherwise the evicted entry is dropped.
-func (s *contextState) promote(evicted srEntry, srSlot int) {
-	bottom := len(s.table) - 1
-	old := &s.table[bottom]
-	if old.valid && evicted.count <= old.count {
+// promote moves the entry about to be evicted from register slot srSlot
+// into the table's bottom slot if it out-counts the current
+// least-frequent entry (or the slot is empty); otherwise the evicted
+// entry is dropped. Either way srSlot leaves the rows and the index.
+func (s *contextState) promote(srSlot int) {
+	evicted := s.slots[srSlot]
+	bottom := s.cfg.TableSize - 1
+	old := &s.slots[bottom]
+	oldValid := hasBit(s.valid, bottom)
+	if oldValid && evicted.count <= old.count {
 		s.rows.remove(byte(evicted.key.cur), srSlot)
 		if s.index != nil {
 			s.index.remove(srSlot)
@@ -471,19 +456,19 @@ func (s *contextState) promote(evicted srEntry, srSlot int) {
 	// out-count the lowest occupied entry above it (the real hardware
 	// achieves this implicitly by re-earning counts; we clamp, which
 	// keeps strictly more of the earned frequency).
-	if above := s.lastValidAbove(bottom); above >= 0 && count > s.table[above].count {
-		count = s.table[above].count
+	if above := s.lastValidAbove(bottom); above >= 0 && count > s.slots[above].count {
+		count = s.slots[above].count
 	}
-	if old.valid {
+	if oldValid {
 		s.rows.remove(byte(old.key.cur), bottom)
 		if s.index != nil {
 			s.index.remove(bottom)
 		}
 	}
-	*old = tableEntry{key: evicted.key, count: count, valid: true}
+	*old = ctxSlot{key: evicted.key, count: count}
 	s.rows.move(byte(evicted.key.cur), srSlot, bottom)
-	s.setPendingBit(bottom, false)
-	s.setValidBit(bottom, true)
+	s.setPending(bottom, false)
+	s.valid[bottom>>6] |= 1 << (bottom & 63)
 	if s.index != nil {
 		s.index.move(srSlot, bottom)
 	}
@@ -493,12 +478,7 @@ func (s *contextState) promote(evicted srEntry, srSlot int) {
 }
 
 func (s *contextState) reset() {
-	for i := range s.table {
-		s.table[i] = tableEntry{}
-	}
-	for i := range s.sr {
-		s.sr[i] = srEntry{}
-	}
+	clear(s.slots)
 	s.srHead = 0
 	s.last = 0
 	s.untilDivide = s.cfg.DividePeriod
@@ -506,79 +486,48 @@ func (s *contextState) reset() {
 		s.index.clear()
 	}
 	s.rows.clear()
-	clear(s.pendingBits)
-	clear(s.validBits)
+	clear(s.valid)
+	clear(s.pending)
 	s.pendingCount = 0
 }
 
 // checkInvariants verifies Invariants 1 and 2 plus the consistency of the
-// acceleration structures with the arrays they shadow; used by tests.
+// acceleration structures with the slots they shadow; used by tests.
 func (s *contextState) checkInvariants() error {
 	seen := make(map[ctxKey]bool)
-	rows := newMatchRows(len(s.table)+len(s.sr), s.index != nil)
+	rows := newMatchRows(len(s.slots), s.index != nil)
+	nt := s.cfg.TableSize
 	valid := 0
-	// checkSlot verifies the index entry of one dictionary slot: a valid
-	// entry's back-pointer names a bucket holding its key and pointing
-	// back at the slot, and an empty slot has no back-pointer.
-	checkSlot := func(slot int, ok bool, key ctxKey) error {
-		if s.index == nil {
-			return nil
-		}
-		b := s.index.back[slot]
-		if !ok {
-			if b != -1 {
-				return fmt.Errorf("index back-pointer %d set for empty slot %d", b, slot)
+	for i, e := range s.slots {
+		ok := hasBit(s.valid, i)
+		if s.index != nil {
+			// A valid entry's back-pointer names a bucket holding its key
+			// and pointing back at the slot; an empty slot has none.
+			b := s.index.back[i]
+			switch {
+			case !ok && b != -1:
+				return fmt.Errorf("index back-pointer %d set for empty slot %d", b, i)
+			case ok && (b < 0 || s.index.keys[b] != e.key || int(s.index.slots[b]) != i):
+				return fmt.Errorf("index back-pointer of slot %d (key %+v) out of sync: bucket %d", i, e.key, b)
 			}
-			return nil
 		}
-		if b < 0 || s.index.keys[b] != key || int(s.index.slots[b]) != slot {
-			return fmt.Errorf("index back-pointer of slot %d (key %+v) out of sync: bucket %d", slot, key, b)
+		if i < nt && !ok && hasBit(s.pending, i) {
+			return fmt.Errorf("empty table slot %d is pending", i)
 		}
-		if got := s.index.get(key); got != slot {
-			return fmt.Errorf("index out of sync for key %+v: got %d want %d", key, got, slot)
-		}
-		return nil
-	}
-	for i, e := range s.table {
-		if e.pending != (s.pendingBits[i>>6]&(1<<(i&63)) != 0) {
-			return fmt.Errorf("pending bitset out of sync at slot %d", i)
-		}
-		if e.valid != (s.validBits[i>>6]&(1<<(i&63)) != 0) {
-			return fmt.Errorf("valid bitset out of sync at slot %d", i)
-		}
-		if err := checkSlot(i, e.valid, e.key); err != nil {
-			return err
-		}
-		if !e.valid {
+		if !ok {
 			continue
 		}
 		valid++
 		rows.add(byte(e.key.cur), i)
 		if seen[e.key] {
-			return fmt.Errorf("invariant 1 violated: duplicate table key %+v", e.key)
+			return fmt.Errorf("invariant 1 violated: duplicate key %+v", e.key)
 		}
 		seen[e.key] = true
 		if got := s.find(e.key); got != i {
-			return fmt.Errorf("find(%+v) = %d, want table slot %d", e.key, got, i)
+			return fmt.Errorf("find(%+v) = %d, want slot %d", e.key, got, i)
 		}
-		if i > 0 && s.table[i-1].valid && e.count > s.table[i-1].count {
-			return fmt.Errorf("invariant 2 violated at slot %d: %d > %d", i, e.count, s.table[i-1].count)
-		}
-	}
-	for i, e := range s.sr {
-		if err := checkSlot(len(s.table)+i, e.valid, e.key); err != nil {
-			return err
-		}
-		if !e.valid {
-			continue
-		}
-		valid++
-		rows.add(byte(e.key.cur), len(s.table)+i)
-		if seen[e.key] {
-			return fmt.Errorf("invariant 1 violated: key %+v in both table and shift register", e.key)
-		}
-		if got := s.find(e.key); got != len(s.table)+i {
-			return fmt.Errorf("find(%+v) = %d, want shift register slot %d", e.key, got, len(s.table)+i)
+		if i > 0 && i < nt && hasBit(s.valid, i-1) && e.count > s.slots[i-1].count {
+			return fmt.Errorf("invariant 2 violated at slot %d: %d > %d", i, e.count, s.slots[i-1].count)
 		}
 	}
 	if !rows.equal(&s.rows) {
@@ -588,7 +537,7 @@ func (s *contextState) checkInvariants() error {
 		return fmt.Errorf("index holds %d keys, want %d", s.index.len(), valid)
 	}
 	pop := 0
-	for _, w := range s.pendingBits {
+	for _, w := range s.pending {
 		pop += bits.OnesCount64(w)
 	}
 	if pop != s.pendingCount {
@@ -604,44 +553,20 @@ type contextEncoder struct {
 	ops OpStats
 }
 
+// Encode implements Encoder: encodeBlock over the one value.
 func (e *contextEncoder) Encode(v uint64) bus.Word {
-	v &= uint64(e.ch.dataMask)
-	e.st.ops = &e.ops
-	e.ops.Cycles++
-	e.st.step()
-	key := e.st.makeKey(v)
-
-	// Classification and update share one dictionary probe (updateAt);
-	// the LAST-hit path needs it only for the update.
-	slot, full := e.st.probe(key)
-	e.ops.PartialMatches += uint64(len(e.st.table) + len(e.st.sr))
-	e.ops.FullMatches += full
-	var out bus.Word
-	switch {
-	case v == e.st.last:
-		e.ops.LastHits++
-		out = e.ch.sendCode(0)
-	case slot >= 0:
-		e.ops.CodeSends++
-		out = e.ch.sendCode(e.t.cb.Code(1 + slot))
-	default:
-		e.ops.RawSends++
-		out, _ = e.ch.sendRaw(v)
-	}
-	e.st.updateAt(v, key, slot)
+	_, _, out := e.encodeBlock([]uint64{v})
 	return out
 }
 
-// encodeStream implements streamEncoder: Encode's per-cycle algorithm
-// with the mask and hot counters hoisted into locals. The channel
-// self-accounts the run's Σ activity (see beginBlock), folded into the
-// meter stream with one AddBlock instead of a per-cycle record.
-// TestContextEncodeStreamMatchesEncode pins it cycle-for-cycle (outputs,
-// ops and dictionary state) to Encode.
-func (e *contextEncoder) encodeStream(vals []uint64, st *bus.MeterStream) {
+// encodeBlock implements blockEncoder, and is the coder's one encode
+// loop: each cycle steps the sort, probes the dictionary once for both
+// classification and update (updateAt), and sends code 0 for a repeat,
+// the entry's codeword for a hit, or the value raw (or inverted) for a
+// miss. The hot counters live in locals for the block.
+func (e *contextEncoder) encodeBlock(vals []uint64) (uint64, uint64, bus.Word) {
 	cb := e.t.cb
 	mask := uint64(e.ch.dataMask)
-	probes := uint64(len(e.st.table) + len(e.st.sr))
 	e.st.ops = &e.ops
 	e.ch.beginBlock()
 	var lastHits, codeSends, rawSends, full uint64
@@ -653,7 +578,7 @@ func (e *contextEncoder) encodeStream(vals []uint64, st *bus.MeterStream) {
 		full += fm
 		switch {
 		case v == e.st.last:
-			lastHits++
+			lastHits++ // the all-zero code moves nothing
 		case slot >= 0:
 			codeSends++
 			e.ch.sendCode(cb.Code(1 + slot))
@@ -664,13 +589,13 @@ func (e *contextEncoder) encodeStream(vals []uint64, st *bus.MeterStream) {
 		e.st.updateAt(v, key, slot)
 	}
 	n := uint64(len(vals))
-	st.AddBlock(n, e.ch.accT, e.ch.accC, e.ch.state)
 	e.ops.Cycles += n
 	e.ops.LastHits += lastHits
 	e.ops.CodeSends += codeSends
 	e.ops.RawSends += rawSends
-	e.ops.PartialMatches += n * probes
+	e.ops.PartialMatches += n * uint64(len(e.st.slots))
 	e.ops.FullMatches += full
+	return e.ch.accT, e.ch.accC, e.ch.state
 }
 
 func (e *contextEncoder) BusWidth() int { return e.ch.busWidth() }
@@ -698,13 +623,10 @@ func (d *contextDecoder) Decode(w bus.Word) uint64 {
 		if !ok {
 			panic(fmt.Sprintf("coding: context decoder received non-codeword transition %#x", payload))
 		}
-		switch {
-		case idx == 0:
+		if idx == 0 {
 			v = d.st.last
-		case idx <= t.cfg.TableSize:
-			v = d.st.table[idx-1].key.cur
-		default:
-			v = d.st.sr[idx-1-t.cfg.TableSize].key.cur
+		} else {
+			v = d.st.slots[idx-1].key.cur
 		}
 	default:
 		v = uint64(payload)

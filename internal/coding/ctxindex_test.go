@@ -148,7 +148,7 @@ func TestContextRowsMatchReference(t *testing.T) {
 					}
 					// Random counts make the evicted entry win or lose
 					// its promotion against the table's bottom entry.
-					s.sr[s.srHead].count = uint32(rng.Intn(6))
+					s.slots[cfg.TableSize+s.srHead].count = uint32(rng.Intn(6))
 					s.insertSR(key)
 				case r < 9 && cfg.TableSize > 1:
 					s.swap(1 + rng.Intn(cfg.TableSize-1))
@@ -166,17 +166,10 @@ func TestContextRowsMatchReference(t *testing.T) {
 func checkContextReference(t *testing.T, s *contextState, slots int, indexed bool, op int, rng *rand.Rand) {
 	t.Helper()
 	keys := make([]*ctxKey, 0, slots)
-	for i := range s.table {
+	for i := range s.slots {
 		var k *ctxKey
-		if s.table[i].valid {
-			k = &s.table[i].key
-		}
-		keys = append(keys, k)
-	}
-	for i := range s.sr {
-		var k *ctxKey
-		if s.sr[i].valid {
-			k = &s.sr[i].key
+		if hasBit(s.valid, i) {
+			k = &s.slots[i].key
 		}
 		keys = append(keys, k)
 	}

@@ -74,11 +74,25 @@ func evaluateBuffered(ev *Evaluator, trace []uint64, lambda float64, raw *bus.Me
 // TestEvaluateMatchesBuffered is the differential test for the fused
 // streaming path: under every verification policy, Evaluate must produce
 // a Result bit-identical to the two-pass evaluateBuffered reference
-// (which buffers the coded trace and always fully verifies).
+// (which buffers the coded trace, meters it word by word and always
+// fully verifies). Besides the dictionaries it covers the other coders
+// whose bulk loop accounts its own blocks: inversion at an integral and
+// a fractional assumed Λ, and a stride bank.
 func TestEvaluateMatchesBuffered(t *testing.T) {
 	vals := evalTrace(3 * VerifyWindow)
 	raw := MeasureRawValues(16, vals)
-	for name, build := range accelConfigs() {
+	configs := accelConfigs()
+	for _, l := range []float64{1, 0.5} {
+		configs[fmt.Sprintf("inversion-l%g", l)] = func() (Transcoder, error) {
+			pats, err := DefaultInversionPatterns(16, 4)
+			if err != nil {
+				return nil, err
+			}
+			return NewInversion(16, pats, l)
+		}
+	}
+	configs["stride-4"] = func() (Transcoder, error) { return NewStride(16, 4, 1) }
+	for name, build := range configs {
 		tc, err := build()
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -264,55 +278,6 @@ func TestParseVerifyPolicyRoundTrip(t *testing.T) {
 	for _, s := range []string{"", "sometimes", "sampled:0", "sampled:-3", "sampled:x"} {
 		if _, err := ParseVerifyPolicy(s); err == nil {
 			t.Fatalf("%q: expected parse error", s)
-		}
-	}
-}
-
-// TestWindowEncodeStreamMatchesEncode pins the window encoder's bulk
-// encodeStream loop to the per-cycle Encode path: identical coded-bus
-// metering, identical OpStats, and identical dictionary state afterwards
-// (proven by interleaving bulk segments with single Encode calls). Covers
-// both find paths (partial-match row walk and hash index) via the
-// register size.
-func TestWindowEncodeStreamMatchesEncode(t *testing.T) {
-	vals := evalTrace(2000)
-	for _, entries := range []int{3, 8, rowsMaxSlots + 8} {
-		tc, err := NewWindow(16, entries, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref := tc.NewEncoder().(*windowEncoder)
-		blk := tc.NewEncoder().(*windowEncoder)
-		refM := bus.NewMeterLite(ref.BusWidth())
-		blkM := bus.NewMeterLite(blk.BusWidth())
-		refSt := refM.Stream()
-		blkSt := blkM.Stream()
-		// Mixed segment lengths, including empty ones and single-value
-		// stretches handled by Encode, to cross every boundary case.
-		for i, seg := 0, 0; i < len(vals); seg++ {
-			n := seg % 7 // 0..6
-			if i+n > len(vals) {
-				n = len(vals) - i
-			}
-			blk.encodeStream(vals[i:i+n], &blkSt)
-			for _, v := range vals[i : i+n] {
-				refSt.Record(ref.Encode(v))
-			}
-			i += n
-			if i < len(vals) && seg%3 == 0 { // interleave a per-cycle call
-				blkSt.Record(blk.Encode(vals[i]))
-				refSt.Record(ref.Encode(vals[i]))
-				i++
-			}
-		}
-		refSt.Flush()
-		blkSt.Flush()
-		if refM.Cycles() != blkM.Cycles() || refM.Transitions() != blkM.Transitions() ||
-			refM.Couplings() != blkM.Couplings() || refM.State() != blkM.State() {
-			t.Fatalf("entries=%d: bulk metering diverged from per-cycle", entries)
-		}
-		if ref.Ops() != blk.Ops() {
-			t.Fatalf("entries=%d: OpStats diverged: %+v vs %+v", entries, blk.Ops(), ref.Ops())
 		}
 	}
 }

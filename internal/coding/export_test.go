@@ -6,12 +6,9 @@ package coding
 // tests cannot import circuit, which imports coding).
 func ContextCounts(e Encoder) []uint32 {
 	st := &e.(*contextEncoder).st
-	out := make([]uint32, 0, len(st.table)+len(st.sr))
-	for _, ent := range st.table {
-		out = append(out, ent.count)
-	}
-	for _, ent := range st.sr {
-		out = append(out, ent.count)
+	out := make([]uint32, len(st.slots))
+	for i, ent := range st.slots {
+		out[i] = ent.count
 	}
 	return out
 }

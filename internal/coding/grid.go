@@ -20,14 +20,16 @@ import (
 //     tape computed in a single pass (see StrideTape); a caller's tape
 //     provider (GridOptions.Tapes) shares it across grids too.
 //
-// Every other configuration — raw, Gray, spatial, the enumerative
-// coders, Window, Context, inversion and partial bus-invert — runs
-// through the scalar Evaluator, still profiting from the ConfigKey
-// dedupe. A one-cell grid is the single-point evaluation path too: the
-// experiments layer evaluates every result-memo miss, serve requests
-// included, as a grid, so a lone stride request replays a tape like a
-// sweep does. Results are bit-identical to evaluating each cell
-// individually (differential-tested by grid_test.go).
+// Every unique configuration, stride included, runs through the
+// Evaluator's one sequence: the live-verified window, the encoder's bulk
+// loop, then the sampled replay. The grid only attaches the tape to each
+// stride encoder, whose bulk loop then reads its cycles' outcomes from
+// the tape instead of probing its predictors. A one-cell grid is the
+// single-point evaluation path too: the experiments layer evaluates
+// every result-memo miss, serve requests included, as a grid, so a lone
+// stride request replays a tape like a sweep does. Results are
+// bit-identical to evaluating each cell individually
+// (differential-tested by grid_test.go).
 
 // GridCell is one evaluation request: a transcoder read at coupling
 // ratio Lambda.
@@ -63,11 +65,11 @@ type GridOptions struct {
 // EvaluateGrid evaluates every cell against one trace. raw, when
 // non-nil, is a pre-measured raw-bus meter (as from MeasureRawValues)
 // for cells whose data width matches; other widths are measured here
-// once each. verify applies to every cell exactly as in
-// Evaluator.Evaluate; under VerifyFull the stride tape (which cannot run
-// a live decoder over the whole stream) steps aside and every unique
-// configuration runs the scalar full-verify path, still deduplicated.
-// opts supplies shared inputs; the zero value builds them here.
+// once each. Every unique configuration then runs Evaluator.Evaluate's
+// one sequence under verify: the live-verified window, the encoder's
+// bulk loop, then the sampled replay. Under VerifyFull the live window
+// is the whole trace, so no stride tape is built. opts supplies shared
+// inputs; the zero value builds them here.
 //
 // Results are cell-aligned. Cells sharing a configuration share Raw and
 // Coded meter instances; callers that mutate or Reset a meter must
@@ -144,46 +146,26 @@ func EvaluateGrid[T bus.Value](cells []GridCell, trace []T, raw *bus.Meter, veri
 	for _, g := range order {
 		width := g.t.DataWidth()
 		rawM := rawFor(width)
-		var coded *bus.Meter
-		var ops OpStats
-		var codedWidth int
-		// The stride tape is the grid's one fast path; tapes is nil under
-		// VerifyFull, which needs a live decoder over the whole stream.
-		var tp *StrideTape
-		st, isStride := g.t.(*StrideTranscoder)
-		if isStride {
-			tp = tapes[st.width]
-		}
-		if tp != nil && st.strides <= tp.maxK {
-			m, o, err := evaluateTape(tp, st, trace, verify)
-			if err != nil {
-				return nil, err
+		ev.Use(g.t)
+		// A stride bank replays the grid's tape in its bulk loop; tapes
+		// is nil under VerifyFull, which never runs the bulk loop.
+		if se, ok := ev.enc.(*strideEncoder); ok {
+			se.tape = nil
+			if tp := tapes[width]; tp != nil && se.t.strides <= tp.maxK {
+				se.tape = tp
 			}
-			coded, ops, codedWidth = m, o, st.width+2
-			evaluatedCycles.Add(n * uint64(len(g.cells)))
-		} else {
-			ev.Use(g.t)
-			res, err := evaluate(&ev, trace, cells[g.cells[0]].Lambda, rawM)
-			if err != nil {
-				return nil, err
-			}
-			// Detach from the Evaluator's reused meter before the next group.
-			coded = res.Coded.Clone()
-			ops = res.Ops
-			codedWidth = res.CodedWidth
-			evaluatedCycles.Add(n * uint64(len(g.cells)-1)) // Evaluate counted one cell
 		}
-		name := g.t.Name()
+		res, err := evaluate(&ev, trace, cells[g.cells[0]].Lambda, rawM)
+		if err != nil {
+			return nil, err
+		}
+		// Detach from the Evaluator's reused meter before the next group.
+		coded := res.Coded.Clone()
+		evaluatedCycles.Add(n * uint64(len(g.cells)-1)) // evaluate counted one cell
 		for _, ci := range g.cells {
-			results[ci] = Result{
-				Scheme:     name,
-				DataWidth:  width,
-				CodedWidth: codedWidth,
-				Raw:        rawM,
-				Coded:      coded,
-				Lambda:     cells[ci].Lambda,
-				Ops:        ops,
-			}
+			res.Coded = coded
+			res.Lambda = cells[ci].Lambda
+			results[ci] = res
 		}
 	}
 	return results, nil
@@ -203,23 +185,22 @@ const tapeRawRec = 0xFF
 // before the trace starts — are identical across all bank sizes K. One
 // pass records, per cycle, the minimal stride whose prediction matches
 // (0 for a LAST-value hit, tapeRawRec for none); a size-K bank then
-// replays the tape: record m = 0 sends code 0, 1 ≤ m ≤ K sends the
-// bank's code for stride m (probing m predictors on the way), and
-// anything deeper falls back to raw after probing all K. A tape of
-// depth D therefore serves every bank of depth K ≤ D on its trace.
+// replays the tape in its bulk loop (strideEncoder.encodeBlock): record
+// m = 0 sends code 0, 1 ≤ m ≤ K sends the bank's code for stride m
+// (probing m predictors on the way), and anything deeper falls back to
+// raw after probing all K. A tape of depth D therefore serves every bank
+// of depth K ≤ D on its trace.
 type StrideTape struct {
 	width int
 	maxK  int
 	recs  []uint8
-	hist  []uint64 // hist[0] = LAST hits, hist[m] = cycles with minimal stride m
-	raws  uint64   // cycles with no match at any stride ≤ maxK
 }
 
 // Depth returns the deepest bank the tape serves.
 func (tp *StrideTape) Depth() int { return tp.maxK }
 
-// Bytes returns the memory the tape's records and histogram hold.
-func (tp *StrideTape) Bytes() int { return cap(tp.recs) + 8*cap(tp.hist) }
+// Bytes returns the memory the tape's records hold.
+func (tp *StrideTape) Bytes() int { return cap(tp.recs) }
 
 // NewStrideTape records the stride prediction tape of trace at the given
 // data width, maxK strides deep (clamped to the deepest bank a tape
@@ -230,24 +211,16 @@ func NewStrideTape[T bus.Value](width, maxK int, trace []T) *StrideTape {
 		width: width,
 		maxK:  maxK,
 		recs:  make([]uint8, len(trace)),
-		hist:  make([]uint64, maxK+1),
 	}
 	mask := uint64(bus.Mask(width))
 	var prev uint64
 	for i, x := range trace {
 		v := uint64(x) & mask
 		if v == prev {
-			tp.hist[0]++
 			continue // recs[i] already 0
 		}
 		prev = v
-		rec := strideMatch(trace, i, v, mask, 1, maxK)
-		if rec == tapeRawRec {
-			tp.raws++
-		} else {
-			tp.hist[rec]++
-		}
-		tp.recs[i] = rec
+		tp.recs[i] = strideMatch(trace, i, v, mask, 1, maxK)
 	}
 	return tp
 }
@@ -268,20 +241,13 @@ func DeepenStrideTape[T bus.Value](tp *StrideTape, maxK int, trace []T) *StrideT
 		width: tp.width,
 		maxK:  maxK,
 		recs:  slices.Clone(tp.recs),
-		hist:  make([]uint64, maxK+1),
-		raws:  tp.raws,
 	}
-	copy(out.hist, tp.hist)
 	mask := uint64(bus.Mask(tp.width))
 	for i, rec := range out.recs {
 		if rec != tapeRawRec {
 			continue
 		}
-		if rec = strideMatch(trace, i, uint64(trace[i])&mask, mask, tp.maxK+1, maxK); rec != tapeRawRec {
-			out.recs[i] = rec
-			out.hist[rec]++
-			out.raws--
-		}
+		out.recs[i] = strideMatch(trace, i, uint64(trace[i])&mask, mask, tp.maxK+1, maxK)
 	}
 	return out
 }
@@ -303,84 +269,4 @@ func strideMatch[T bus.Value](trace []T, i int, v, mask uint64, from, to int) ui
 		}
 	}
 	return tapeRawRec
-}
-
-// evaluateTape replays the tape as a size-t.strides bank, producing the
-// coded-bus meter and OpStats bit-identical to the scalar
-// strideEncoder run (grid_test.go differentials).
-func evaluateTape[T bus.Value](tp *StrideTape, t *StrideTranscoder, trace []T, verify VerifyPolicy) (*bus.Meter, OpStats, error) {
-	ch := newChannel(t.width, t.lambda)
-	coded := bus.NewMeterLite(ch.busWidth())
-	stream := coded.Stream()
-	st := &stream
-	st.Record(0)
-	mask := uint64(ch.dataMask)
-	K := uint8(t.strides)
-	codes := make([]bus.Word, t.strides+1)
-	for m := 1; m <= t.strides; m++ {
-		codes[m] = t.cb.Code(m)
-	}
-	recs := tp.recs
-	n := len(trace)
-	replay := func(i int) bus.Word {
-		rec := recs[i]
-		switch {
-		case rec == 0:
-			return ch.sendCode(0)
-		case rec <= K:
-			return ch.sendCode(codes[rec])
-		default:
-			w, _ := ch.sendRaw(uint64(trace[i]) & mask)
-			return w
-		}
-	}
-	head := 0
-	if verify.mode == verifySampled {
-		head = min(VerifyWindow, n)
-		dec := t.NewDecoder()
-		for i := 0; i < head; i++ {
-			w := replay(i)
-			v := uint64(trace[i]) & mask
-			if got := dec.Decode(w); got != v {
-				return nil, OpStats{}, fmt.Errorf("coding: %s decoder diverged at cycle %d: sent %#x, decoded %#x", t.Name(), i, v, got)
-			}
-			st.Record(w)
-		}
-	}
-	ch.beginBlock()
-	for i := head; i < n; i++ {
-		rec := recs[i]
-		switch {
-		case rec == 0:
-			// LAST hit: the all-zero code moves nothing.
-		case rec <= K:
-			ch.sendCode(codes[rec])
-		default:
-			ch.sendRaw(uint64(trace[i]) & mask)
-		}
-	}
-	st.AddBlock(uint64(n-head), ch.accT, ch.accC, ch.state)
-	st.Flush()
-	if verify.mode == verifySampled {
-		if err := verifySample(t, trace, verify.every, t.NewEncoder(), t.NewDecoder()); err != nil {
-			return nil, OpStats{}, err
-		}
-	}
-	// OpStats from the tape's minimal-stride histogram: a size-K bank
-	// code-sends every minimal stride ≤ K (probing m predictors), raw-sends
-	// the rest (probing all K), and LAST hits probe nothing.
-	ops := OpStats{Cycles: uint64(n), LastHits: tp.hist[0]}
-	var codeSends, probes uint64
-	for m := 1; m <= t.strides; m++ {
-		codeSends += tp.hist[m]
-		probes += tp.hist[m] * uint64(m)
-	}
-	rawSends := tp.raws
-	for m := t.strides + 1; m <= tp.maxK; m++ {
-		rawSends += tp.hist[m]
-	}
-	ops.CodeSends = codeSends
-	ops.RawSends = rawSends
-	ops.PartialMatches = probes + rawSends*uint64(t.strides)
-	return coded, ops, nil
 }

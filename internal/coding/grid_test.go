@@ -244,95 +244,6 @@ func TestGridTapeProvider(t *testing.T) {
 	}
 }
 
-// testStreamMatchesEncode drives one encoder with per-cycle Encode and a
-// second with encodeStream over uneven chunks (with interleaved Encode
-// calls to prove state stays exchangeable), comparing meters and ops.
-func testStreamMatchesEncode(t *testing.T, mk func() Transcoder, trace []uint64) {
-	t.Helper()
-	tc := mk()
-	mask := uint64(bus.Mask(tc.DataWidth()))
-
-	ref := tc.NewEncoder()
-	mRef := bus.NewMeterLite(ref.BusWidth())
-	mRef.Record(0)
-	stRef := mRef.Stream()
-	for _, v := range trace {
-		stRef.Record(ref.Encode(v & mask))
-	}
-	stRef.Flush()
-
-	enc := mk().NewEncoder()
-	se, ok := enc.(streamEncoder)
-	if !ok {
-		t.Fatalf("%s encoder does not implement streamEncoder", tc.Name())
-	}
-	m := bus.NewMeterLite(enc.BusWidth())
-	m.Record(0)
-	st := m.Stream()
-	chunks := []int{1, 7, 64, 256, 3}
-	i, ci := 0, 0
-	for i < len(trace) {
-		n := min(chunks[ci%len(chunks)], len(trace)-i)
-		ci++
-		se.encodeStream(trace[i:i+n], &st)
-		i += n
-		if i < len(trace) { // interleave one scalar Encode between chunks
-			st.Record(enc.Encode(trace[i] & mask))
-			i++
-		}
-	}
-	st.Flush()
-
-	if m.Cycles() != mRef.Cycles() || m.Transitions() != mRef.Transitions() || m.Couplings() != mRef.Couplings() || m.State() != mRef.State() {
-		t.Errorf("%s: stream meter diverged: got %d/%d/%d/%#x want %d/%d/%d/%#x", tc.Name(),
-			m.Cycles(), m.Transitions(), m.Couplings(), m.State(),
-			mRef.Cycles(), mRef.Transitions(), mRef.Couplings(), mRef.State())
-	}
-	opsOf := func(e Encoder) OpStats {
-		if r, ok := e.(OpReporter); ok {
-			return r.Ops()
-		}
-		return OpStats{}
-	}
-	if got, want := opsOf(enc), opsOf(ref); got != want {
-		t.Errorf("%s: stream ops diverged:\n got %+v\nwant %+v", tc.Name(), got, want)
-	}
-}
-
-func TestInversionEncodeStreamMatchesEncode(t *testing.T) {
-	trace := gridTestTrace(16, 2500, 22)
-	for _, lambda := range []float64{0, 1, 2.5} { // int and float cost paths
-		testStreamMatchesEncode(t, func() Transcoder {
-			pats, err := DefaultInversionPatterns(16, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			inv, err := NewInversion(16, pats, lambda)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return inv
-		}, trace)
-	}
-}
-
-func TestContextEncodeStreamMatchesEncode(t *testing.T) {
-	trace := gridTestTrace(16, 2500, 23)
-	for _, cfg := range []ContextConfig{
-		{Width: 16, TableSize: 8, ShiftEntries: 4, DividePeriod: 128, Lambda: 1},
-		{Width: 16, TableSize: 32, ShiftEntries: 16, DividePeriod: 4096, Lambda: 1},
-		{Width: 16, TableSize: 8, ShiftEntries: 4, DividePeriod: 64, TransitionBased: true, Lambda: 1},
-	} {
-		testStreamMatchesEncode(t, func() Transcoder {
-			ctx, err := NewContext(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return ctx
-		}, trace)
-	}
-}
-
 // TestChannelIntCostMatchesFloat pins the fused sendRaw — uint64 ranking
 // for integral Λ, float64(T)+Λ·float64(C) otherwise — to an independent
 // reference: build both candidate bus states explicitly, rank them with
@@ -456,15 +367,14 @@ func TestStrideTapeDeepenMatchesNew(t *testing.T) {
 		for _, depths := range [][2]int{{1, 2}, {2, 8}, {4, 32}, {16, 17}, {64, 400}, {8, 8}, {8, 3}} {
 			d, D := depths[0], depths[1]
 			base := NewStrideTape(width, d, tr)
-			recs, hist, raws := slices.Clone(base.recs), slices.Clone(base.hist), base.raws
+			recs := slices.Clone(base.recs)
 			got := DeepenStrideTape(base, D, tr)
 			want := NewStrideTape(width, max(d, D), tr)
-			if got.width != want.width || got.maxK != want.maxK || got.raws != want.raws ||
-				!slices.Equal(got.recs, want.recs) || !slices.Equal(got.hist, want.hist) {
-				t.Fatalf("%s: Deepen(%d→%d) differs from NewStrideTape(%d): depth %d/%d raws %d/%d",
-					name, d, D, max(d, D), got.maxK, want.maxK, got.raws, want.raws)
+			if got.width != want.width || got.maxK != want.maxK || !slices.Equal(got.recs, want.recs) {
+				t.Fatalf("%s: Deepen(%d→%d) differs from NewStrideTape(%d): depth %d/%d",
+					name, d, D, max(d, D), got.maxK, want.maxK)
 			}
-			if base.maxK != d || base.raws != raws || !slices.Equal(base.recs, recs) || !slices.Equal(base.hist, hist) {
+			if base.maxK != d || !slices.Equal(base.recs, recs) {
 				t.Fatalf("%s: Deepen(%d→%d) modified the tape it started from", name, d, D)
 			}
 		}

@@ -138,78 +138,43 @@ type inversionEncoder struct {
 	ops   OpStats
 }
 
+// Encode implements Encoder: encodeBlock over the one value.
 func (e *inversionEncoder) Encode(v uint64) bus.Word {
-	t := e.t
-	v &= uint64(bus.Mask(t.width))
-	w := e.BusWidth()
-	best := bus.Word(0)
-	bestCost := 0.0
-	for k, p := range t.patterns {
-		cand := bus.Word(v^p) | bus.Word(k)<<uint(t.width)
-		cost := bus.Cost(e.state, cand, w, t.assumedLambda)
-		if k == 0 || cost < bestCost {
-			best, bestCost = cand, cost
-		}
-	}
-	e.ops.Cycles++
-	e.ops.RawSends++
-	e.state = best
-	return best
+	_, _, out := e.encodeBlock([]uint64{v})
+	return out
 }
 
-// encodeStream implements streamEncoder: the same candidate ranking as
-// Encode with the width masks hoisted out of the loop and, for integral
-// assumed Λ, the cost comparison run in uint64 (bus.CostMaskedInt) —
-// both preserve every first-strictly-cheaper pattern choice exactly.
-// TestInversionEncodeStreamMatchesEncode pins it cycle-for-cycle.
-func (e *inversionEncoder) encodeStream(vals []uint64, st *bus.MeterStream) {
+// encodeBlock implements blockEncoder, and is the coder's one encode
+// loop: each value goes out XORed with the first pattern whose move from
+// the current bus state is strictly cheapest at the assumed Λ (see
+// costOrder), its id on the control wires.
+func (e *inversionEncoder) encodeBlock(vals []uint64) (uint64, uint64, bus.Word) {
 	t := e.t
 	mask := uint64(bus.Mask(t.width))
 	pairMask := bus.Mask(t.width + t.ctrlBits - 1)
 	shift := uint(t.width)
-	patterns := t.patterns
+	order := newCostOrder(t.assumedLambda)
 	state := e.state
 	var accT, accC uint64
-	if li, ok := intLambda(t.assumedLambda); ok {
-		for _, v := range vals {
-			v &= mask
-			var best bus.Word
-			var bestCost uint64
-			for k, p := range patterns {
-				cand := bus.Word(v^p) | bus.Word(k)<<shift
-				cost := bus.CostMaskedInt(state, cand, pairMask, li)
-				if k == 0 || cost < bestCost {
-					best, bestCost = cand, cost
-				}
+	for _, v := range vals {
+		v &= mask
+		var best bus.Word
+		var bestT, bestC uint64
+		for k, p := range t.patterns {
+			cand := bus.Word(v^p) | bus.Word(k)<<shift
+			tr, c := bus.Activity(state, state^cand, pairMask)
+			if k == 0 || order.less(tr, c, bestT, bestC) {
+				best, bestT, bestC = cand, tr, c
 			}
-			tr, c := bus.Activity(state, state^best, pairMask)
-			accT += tr
-			accC += c
-			state = best
 		}
-	} else {
-		lambda := t.assumedLambda
-		for _, v := range vals {
-			v &= mask
-			var best bus.Word
-			var bestCost float64
-			for k, p := range patterns {
-				cand := bus.Word(v^p) | bus.Word(k)<<shift
-				cost := bus.CostMasked(state, cand, pairMask, lambda)
-				if k == 0 || cost < bestCost {
-					best, bestCost = cand, cost
-				}
-			}
-			tr, c := bus.Activity(state, state^best, pairMask)
-			accT += tr
-			accC += c
-			state = best
-		}
+		accT += bestT
+		accC += bestC
+		state = best
 	}
-	st.AddBlock(uint64(len(vals)), accT, accC, state)
 	e.state = state
 	e.ops.Cycles += uint64(len(vals))
 	e.ops.RawSends += uint64(len(vals))
+	return accT, accC, state
 }
 
 func (e *inversionEncoder) BusWidth() int { return e.t.width + e.t.ctrlBits }

@@ -114,40 +114,89 @@ type strideEncoder struct {
 	hist strideHistory
 	ch   channel
 	ops  OpStats
+	// tape, when set, is the prediction tape of the trace being encoded
+	// (EvaluateGrid attaches it), at least t.strides deep; pos counts the
+	// cycles since Reset, the tape record of the next value.
+	tape *StrideTape
+	pos  int
 }
 
+// Encode implements Encoder: encodeBlock over the one value.
 func (e *strideEncoder) Encode(v uint64) bus.Word {
+	_, _, out := e.encodeBlock([]uint64{v})
+	return out
+}
+
+// encodeBlock implements blockEncoder, and is the bank's one encode
+// loop: a repeat of the previous value sends code 0, otherwise the lowest
+// stride whose prediction matches sends its codeword after probing that
+// many predictors, and a value no stride predicts goes raw (or inverted)
+// after probing all of them. With a tape attached and covering the
+// block, each cycle's outcome is read from its record instead of probed
+// (see StrideTape), and the history takes only the block's last values.
+func (e *strideEncoder) encodeBlock(vals []uint64) (uint64, uint64, bus.Word) {
 	t := e.t
-	v &= uint64(e.ch.dataMask)
-	e.ops.Cycles++
-	var out bus.Word
-	switch {
-	case v == e.hist.at(0):
-		e.ops.LastHits++
-		out = e.ch.sendCode(0)
-	default:
-		matched := -1
-		for k := 1; k <= t.strides; k++ {
-			e.ops.PartialMatches++
-			if e.hist.predict(k, t.width) == v {
-				matched = k
-				break
+	cb := t.cb
+	mask := uint64(e.ch.dataMask)
+	k := uint64(t.strides)
+	e.ch.beginBlock()
+	var lastHits, codeSends, rawSends, probes uint64
+	if tp := e.tape; tp != nil && e.pos+len(vals) <= len(tp.recs) {
+		for i, rec := range tp.recs[e.pos : e.pos+len(vals)] {
+			switch m := uint64(rec); {
+			case m == 0:
+				lastHits++
+			case m <= k:
+				codeSends++
+				probes += m
+				e.ch.sendCode(cb.Code(int(m)))
+			default:
+				rawSends++
+				probes += k
+				e.ch.sendRaw(vals[i] & mask)
 			}
 		}
-		if matched > 0 {
-			e.ops.CodeSends++
-			out = e.ch.sendCode(t.cb.Code(matched))
-		} else {
-			e.ops.RawSends++
-			out, _ = e.ch.sendRaw(v)
+		for _, v := range vals[max(len(vals)-len(e.hist.vals), 0):] {
+			e.hist.push(v & mask)
+		}
+	} else {
+		for _, v := range vals {
+			v &= mask
+			matched := 0
+			if v == e.hist.at(0) {
+				lastHits++
+			} else {
+				for j := 1; j <= t.strides; j++ {
+					probes++
+					if e.hist.predict(j, t.width) == v {
+						matched = j
+						break
+					}
+				}
+				if matched > 0 {
+					codeSends++
+					e.ch.sendCode(cb.Code(matched))
+				} else {
+					rawSends++
+					e.ch.sendRaw(v)
+				}
+			}
+			e.hist.push(v)
 		}
 	}
-	e.hist.push(v)
-	return out
+	n := uint64(len(vals))
+	e.pos += len(vals)
+	e.ops.Cycles += n
+	e.ops.LastHits += lastHits
+	e.ops.CodeSends += codeSends
+	e.ops.RawSends += rawSends
+	e.ops.PartialMatches += probes
+	return e.ch.accT, e.ch.accC, e.ch.state
 }
 
 func (e *strideEncoder) BusWidth() int { return e.ch.busWidth() }
 func (e *strideEncoder) Reset() {
+	e.pos = 0
 	e.hist.reset()
 	e.ch.reset()
 	e.ops = OpStats{}

@@ -220,57 +220,33 @@ type windowEncoder struct {
 	ops OpStats
 }
 
+// Encode implements Encoder: encodeBlock over the one value.
 func (e *windowEncoder) Encode(v uint64) bus.Word {
-	t := e.t
-	v &= uint64(e.ch.dataMask)
-	e.ops.Cycles++
-	slot, full := e.st.probe(v)
-	e.ops.PartialMatches += uint64(len(e.st.entries))
-	e.ops.FullMatches += full
-	var out bus.Word
-	switch {
-	case v == e.st.last:
-		e.ops.LastHits++
-		out = e.ch.sendCode(0)
-	case slot >= 0:
-		e.ops.CodeSends++
-		out = e.ch.sendCode(t.cb.Code(1 + slot))
-	default:
-		e.ops.RawSends++
-		e.ops.Shifts++
-		e.st.insert(v)
-		out, _ = e.ch.sendRaw(v)
-	}
-	e.st.last = v
+	_, _, out := e.encodeBlock([]uint64{v})
 	return out
 }
 
-// encodeStream implements streamEncoder: the same per-cycle algorithm as
-// Encode, with the OpStats counters and the LAST-value register hoisted
-// into locals — no per-cycle interface dispatch, no counter write-backs.
-// The channel self-accounts the run's Σ activity (see beginBlock),
-// folded into the meter stream with one AddBlock at the end.
-// TestWindowEncodeStreamMatchesEncode pins it cycle-for-cycle (outputs,
-// ops and dictionary state) to Encode.
-func (e *windowEncoder) encodeStream(vals []uint64, st *bus.MeterStream) {
-	t := e.t
+// encodeBlock implements blockEncoder, and is the window's one encode
+// loop: a repeat of the previous value sends code 0, a hit sends its
+// slot's codeword, and a miss sends the value raw (or inverted) and
+// shifts it into the register. The OpStats counters and the LAST-value
+// register live in locals for the block.
+func (e *windowEncoder) encodeBlock(vals []uint64) (uint64, uint64, bus.Word) {
+	cb := e.t.cb
 	mask := uint64(e.ch.dataMask)
-	nEntries := uint64(len(e.st.entries))
 	last := e.st.last
 	e.ch.beginBlock()
-	var cycles, lastHits, codeSends, rawSends, partial, full uint64
+	var lastHits, codeSends, rawSends, full uint64
 	for _, v := range vals {
 		v &= mask
-		cycles++
-		partial += nEntries
 		slot, fm := e.st.probe(v)
 		full += fm
 		switch {
 		case v == last:
-			lastHits++
+			lastHits++ // the all-zero code moves nothing
 		case slot >= 0:
 			codeSends++
-			e.ch.sendCode(t.cb.Code(1 + slot))
+			e.ch.sendCode(cb.Code(1 + slot))
 		default:
 			rawSends++
 			e.st.insert(v)
@@ -278,15 +254,16 @@ func (e *windowEncoder) encodeStream(vals []uint64, st *bus.MeterStream) {
 		}
 		last = v
 	}
-	st.AddBlock(cycles, e.ch.accT, e.ch.accC, e.ch.state)
+	n := uint64(len(vals))
 	e.st.last = last
-	e.ops.Cycles += cycles
+	e.ops.Cycles += n
 	e.ops.LastHits += lastHits
 	e.ops.CodeSends += codeSends
 	e.ops.RawSends += rawSends
 	e.ops.Shifts += rawSends
-	e.ops.PartialMatches += partial
+	e.ops.PartialMatches += n * uint64(len(e.st.entries))
 	e.ops.FullMatches += full
+	return e.ch.accT, e.ch.accC, e.ch.state
 }
 
 func (e *windowEncoder) BusWidth() int { return e.ch.busWidth() }

@@ -172,8 +172,8 @@ func TapeMemoStats() (MemoStats, uint64) {
 
 // SlicedCacheStats always reports zero counters. The bit-sliced meter
 // and the sliced-plane cache it once described are gone; every grid cell
-// but a stride bank is metered by the scalar Evaluator. It is kept only
-// because the benchmark harness still reads it.
+// is metered by the Evaluator. It is kept only because the benchmark
+// harness still reads it.
 func SlicedCacheStats() MemoStats { return MemoStats{} }
 
 // ClearEvalMemo returns every memo of this package (raw meters,
@@ -189,10 +189,9 @@ func ClearEvalMemo() {
 // evalResultKeyed memoizes one transcoder evaluation. fetch returns the
 // trace and its shared raw meter and runs only on a miss, so hits skip
 // even the trace-cache lookup. A miss evaluates as
-// a one-cell grid under cfg.Verify, so a stride request replays a tape
-// from the tape memo and everything else runs the grid's scalar
-// Evaluator; the Result's coded meter is detached (Clone) before it is
-// retained.
+// a one-cell grid under cfg.Verify, so a stride request's bulk loop
+// replays a tape from the tape memo; the Result's coded meter is
+// detached (Clone) before it is retained.
 func evalResultKeyed[T bus.Value](tc coding.Transcoder, id traceID, lambda float64, cfg Config,
 	fetch func() ([]T, *bus.Meter, error)) (coding.Result, error) {
 	key := resultKey{config: coding.ConfigKey(tc), trace: id, verify: cfg.Verify.String()}

@@ -1,11 +1,11 @@
-// Package report builds a self-checking reproduction report: it runs the
-// experiment suite, extracts the quantities the paper publishes numbers
-// for, compares measured against published, and renders a Markdown
-// document with a verdict per check. cmd/buspower exposes it as -report.
+// Package report builds a self-checking reproduction report: it takes
+// the tables of an experiment run, extracts the quantities the paper
+// publishes numbers for, compares measured against published, and
+// renders a Markdown document with a verdict per check. cmd/buspower
+// exposes it as -report, grading the tables of the run it belongs to.
 package report
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -71,29 +71,30 @@ type Report struct {
 	Tables map[string]*experiments.Table
 }
 
-// Build runs the required experiments and assembles all checks.
-func Build(cfg experiments.Config) (*Report, error) {
-	return BuildContext(context.Background(), cfg, experiments.Options{})
+// Experiments returns the ids of the experiments whose tables the
+// report grades.
+func Experiments() []string {
+	return []string{"table1", "table2", "table3", "fig15", "fig19", "fig21", "fig23"}
 }
 
-// BuildContext is Build with cancellation and a tunable worker pool: the
-// required experiments run concurrently through experiments.RunAll.
-func BuildContext(ctx context.Context, cfg experiments.Config, opts experiments.Options) (*Report, error) {
+// Build grades the tables of one experiment run, keyed by experiment id;
+// tables must hold every id Experiments lists.
+func Build(tables map[string]*experiments.Table) (*Report, error) {
 	r := &Report{Tables: map[string]*experiments.Table{}}
-	need := []string{"table1", "table2", "table3", "fig15", "fig19", "fig21", "fig23"}
-	tables, err := experiments.RunAll(ctx, cfg, need, opts)
-	if err != nil {
-		return nil, err
-	}
-	for i, id := range need {
-		r.Tables[id] = tables[i]
-	}
 	var errs []string
-	for _, f := range []func(*Report) error{
-		checkTable1, checkTable2, checkTable3, checkFig15, checkFig19, checkValueVsTransition,
-	} {
-		if err := f(r); err != nil {
-			errs = append(errs, err.Error())
+	for _, id := range Experiments() {
+		if tables[id] == nil {
+			errs = append(errs, "no "+id+" table")
+		}
+		r.Tables[id] = tables[id]
+	}
+	if len(errs) == 0 {
+		for _, f := range []func(*Report) error{
+			checkTable1, checkTable2, checkTable3, checkFig15, checkFig19, checkValueVsTransition,
+		} {
+			if err := f(r); err != nil {
+				errs = append(errs, err.Error())
+			}
 		}
 	}
 	if len(errs) > 0 {

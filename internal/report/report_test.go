@@ -1,6 +1,7 @@
 package report
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -27,8 +28,23 @@ func TestCheckGrading(t *testing.T) {
 	}
 }
 
+// quickTables runs the report's experiments at the quick scale.
+func quickTables(t *testing.T) map[string]*experiments.Table {
+	t.Helper()
+	ids := Experiments()
+	tables, err := experiments.RunAll(context.Background(), experiments.QuickConfig(), ids, experiments.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]*experiments.Table, len(ids))
+	for i, id := range ids {
+		out[id] = tables[i]
+	}
+	return out
+}
+
 func TestBuildAndRender(t *testing.T) {
-	r, err := Build(experiments.QuickConfig())
+	r, err := Build(quickTables(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,5 +82,15 @@ func TestBuildAndRender(t *testing.T) {
 		if c.Artifact == "table1" && c.Grade() != VerdictMatch {
 			t.Errorf("table1 check %q did not MATCH (measured %v)", c.Name, c.Measured)
 		}
+	}
+}
+
+// TestBuildNeedsEveryTable checks that a run missing one of the graded
+// tables is an error naming it, not a report with checks left out.
+func TestBuildNeedsEveryTable(t *testing.T) {
+	tables := quickTables(t)
+	delete(tables, "fig19")
+	if _, err := Build(tables); err == nil || !strings.Contains(err.Error(), "fig19") {
+		t.Fatalf("Build without fig19: err = %v, want one naming fig19", err)
 	}
 }
